@@ -5,6 +5,15 @@ Provides the primal norm, its dual norm, the duality map (gradient of
 estimate of the modulus of smoothness.  R^n with the l^r norm is a
 uniformly min(r, 2)-smooth space for 1 < r < infinity, which is why the
 endpoints r = 1 and r = infinity are rejected at construction.
+
+Every power sum goes through one kernel, ``_lr``, which scales the vector
+by the power of two just above its largest entry before raising entries to
+the r-th power.  Multiplying by a power of two is exact in binary floating
+point, so wherever the unscaled power sum neither overflows nor underflows
+the scaled one carries the same bits: at r = 2 every result is identical
+to the unscaled formula, and for other r they agree up to the rounding of
+``pow``.  Outside that range the geometry stays finite and nonzero at every
+representable magnitude instead of overflowing to NaN or underflowing to 0.
 """
 
 from __future__ import annotations
@@ -21,23 +30,48 @@ class GeometryError(ValueError):
     """Misuse of a normed-space operation (bad exponent, shape, or input)."""
 
 
-def _as_vector(n: int, v) -> np.ndarray:
+def _shaped(n: int, v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (n,):
         raise GeometryError(f"expected a vector of dimension {n}, got shape {arr.shape}")
+    return arr
+
+
+def _as_vector(n: int, v) -> np.ndarray:
+    arr = _shaped(n, v)
     # a single reduction: any NaN or infinity poisons the sum
     if not math.isfinite(float(np.abs(arr).sum())):
         raise GeometryError("vector entries must be finite")
     return arr
 
 
-def _scaled_power_norm(abs_vals: np.ndarray, exponent: float) -> float:
-    # factor out the largest entry so tiny/huge vectors neither underflow
-    # nor overflow; preserves "zero iff the vector is zero"
-    peak = float(abs_vals.max())
-    if peak == 0.0:
-        return 0.0
-    return peak * float(np.sum((abs_vals / peak) ** exponent)) ** (1.0 / exponent)
+def _lr(a: np.ndarray, r: float):
+    """``(|a|_r, a / |a|_r)`` for a vector, or row by row for a 2-D array.
+
+    Entries are multiplied by ``2^-k``, where ``2^k`` is the power of two
+    just above the largest magnitude (the ``frexp`` exponent), before they
+    are raised to the power r, and the sum's root is multiplied back by
+    ``2^k``.  A zero vector or row is returned unchanged with norm 0.
+    Raises GeometryError on a NaN or infinite entry.
+    """
+    b = np.abs(a)
+    if a.ndim == 1:
+        peak = float(b.max())
+        if not math.isfinite(peak):
+            raise GeometryError("vector entries must be finite")
+        if peak == 0.0:
+            return 0.0, a
+        k = math.frexp(peak)[1]
+        b *= math.ldexp(1.0, -k)
+        nrm = math.ldexp(float((b ** r).sum()) ** (1.0 / r), k)
+        return nrm, a / nrm
+    peaks = b.max(axis=1)
+    if not math.isfinite(float(peaks.max())):
+        raise GeometryError("vector entries must be finite")
+    k = np.frexp(peaks)[1]  # 0 for a zero row
+    b *= np.ldexp(1.0, -k)[:, None]
+    nrm = np.ldexp((b ** r).sum(axis=1) ** (1.0 / r), k)
+    return nrm, a / np.where(nrm > 0.0, nrm, 1.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -72,12 +106,10 @@ class NormedSpace:
     # -- norms -------------------------------------------------------------
 
     def norm(self, v) -> float:
-        v = _as_vector(self.n, v)
-        return _scaled_power_norm(np.abs(v), self.r)
+        return _lr(_shaped(self.n, v), self.r)[0]
 
     def dual_norm(self, g) -> float:
-        g = _as_vector(self.n, g)
-        return _scaled_power_norm(np.abs(g), self.r_dual)
+        return _lr(_shaped(self.n, g), self.r_dual)[0]
 
     # -- duality -----------------------------------------------------------
 
@@ -91,13 +123,8 @@ class NormedSpace:
         """
         if not p > 1.0:
             raise GeometryError(f"duality map requires exponent p > 1, got {p!r}")
-        x = _as_vector(self.n, x)
-        ax = np.abs(x)
-        nx = float(np.sum(ax ** self.r)) ** (1.0 / self.r)
-        if nx == 0.0:
-            return np.zeros(self.n)
-        u = ax / nx
-        return np.sign(x) * u ** (self.r - 1.0) * nx ** (p - 1.0)
+        nx, u = _lr(_shaped(self.n, x), self.r)
+        return np.copysign(np.abs(u) ** (self.r - 1.0), u) * nx ** (p - 1.0)
 
     def dual_direction(self, g) -> np.ndarray:
         """Unit-norm d attaining the dual pairing, ``<g, d> = |g|_*``.
@@ -106,16 +133,10 @@ class NormedSpace:
         Raises if g = 0, which signals first-order stationarity; callers
         must test the dual norm before asking for a direction.
         """
-        g = _as_vector(self.n, g)
-        ag = np.abs(g)
-        gn = float(np.sum(ag ** self.r_dual)) ** (1.0 / self.r_dual)
+        gn, u = _lr(_shaped(self.n, g), self.r_dual)
         if gn == 0.0:
             raise GeometryError("dual direction undefined at g = 0 (stationary point)")
-        u = ag / gn
-        return np.sign(g) * u ** (self.r_dual - 1.0)
-
-    def _row_norms(self, m: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(m) ** self.r, axis=1) ** (1.0 / self.r)
+        return np.copysign(np.abs(u) ** (self.r_dual - 1.0), u)
 
 
 def smoothness_modulus_estimate(
@@ -141,9 +162,9 @@ def smoothness_modulus_estimate(
         m = min(remaining, 200_000)
         x = rng.standard_normal((m, space.n))
         y = rng.standard_normal((m, space.n))
-        x /= space._row_norms(x)[:, None]
-        y *= (t / space._row_norms(y))[:, None]
-        vals = (space._row_norms(x + y) + space._row_norms(x - y)) / 2.0 - 1.0
+        x = _lr(x, space.r)[1]
+        y = t * _lr(y, space.r)[1]
+        vals = (_lr(x + y, space.r)[0] + _lr(x - y, space.r)[0]) / 2.0 - 1.0
         best = max(best, float(vals.max()))
         remaining -= m
     return best

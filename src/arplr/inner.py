@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .geometry import _lr
 from .tensors import RayPolynomial, RegularizedModel
 
 __all__ = ["InnerConfig", "InnerResult", "Termination", "minimize_model", "default_max_iters"]
@@ -43,15 +44,6 @@ def default_max_iters(n: int, p: int, grad_tol: float) -> int:
     """Pragmatic iteration guard: 10 n (p+1) ceil(log10(1/grad_tol))."""
     digits = max(1, math.ceil(math.log10(1.0 / grad_tol)))
     return 10 * n * (p + 1) * digits
-
-
-def descent_exponents(q: float, p: int, beta: float) -> tuple:
-    """Extreme exponents (gamma_1, gamma_m) of the per-step decrease profile
-    when minimizing an order-p model with a (p+beta)-power regularizer in a
-    q-smooth geometry: gamma_1 = min(q, p+beta) governs the fast branch (the
-    smoother the space, the faster), gamma_m = p+beta the slow one."""
-    e = p + beta
-    return min(q, e), e
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,7 @@ class _RayEval:
         poly = float(npoly.polyval(t, self.coeffs))
         if self.is_r2:
             return poly + self.reg_v * self._qnorm(t) ** (0.5 * self.e)
-        w = self.anchor - t * self.direction
-        nw = float(np.sum(np.abs(w) ** self.r)) ** (1.0 / self.r)
-        return poly + self.reg_v * nw ** self.e
+        return poly + self.reg_v * _lr(self.anchor - t * self.direction, self.r)[0] ** self.e
 
     def deriv(self, t: float) -> float:
         poly = float(npoly.polyval(t, self.dcoeffs))
@@ -138,13 +128,11 @@ class _RayEval:
             if q == 0.0:
                 return poly
             return poly + self.reg_d * q ** (0.5 * (self.e - 2.0)) * (t - self.qb)
-        w = self.anchor - t * self.direction
-        aw = np.abs(w)
-        nw = float(np.sum(aw ** self.r)) ** (1.0 / self.r)
-        if nw == 0.0:
-            return poly
-        num = -float(np.dot(np.sign(w) * aw ** (self.r - 1.0), self.direction))
-        return poly + self.reg_d * nw ** (self.e - self.r) * num
+        # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
+        # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
+        nw, u = _lr(self.anchor - t * self.direction, self.r)
+        num = -float(np.dot(np.copysign(np.abs(u) ** (self.r - 1.0), u), self.direction))
+        return poly + self.reg_d * nw ** (self.e - 1.0) * num
 
     def batch(self, ts: np.ndarray):
         pvals = npoly.polyval(ts, self.coeffs)
@@ -158,15 +146,10 @@ class _RayEval:
             )
             return vals, ders
         pts = self.anchor[None, :] - ts[:, None] * self.direction[None, :]
-        apts = np.abs(pts)
-        norms = np.sum(apts ** self.r, axis=1) ** (1.0 / self.r)
+        norms, units = _lr(pts, self.r)
+        num = -np.dot(np.copysign(np.abs(units) ** (self.r - 1.0), units), self.direction)
         vals = pvals + self.reg_v * norms ** self.e
-        num = -np.sum(np.sign(pts) * apts ** (self.r - 1.0) * self.direction[None, :], axis=1)
-        pos = norms > 0.0
-        ders = pders + np.where(
-            pos, self.reg_d * np.where(pos, norms, 1.0) ** (self.e - self.r) * num, 0.0
-        )
-        return vals, ders
+        return vals, pders + self.reg_d * norms ** (self.e - 1.0) * num
 
 
 def _restrict_with_cache(

@@ -20,7 +20,6 @@ from .tensors import SymmetricTensor, diagonal_tensor
 
 __all__ = [
     "ProblemOracle",
-    "DiscretizedFunctional",
     "QuadraticBowl",
     "DoubleWell",
     "HolderGradient",
@@ -240,15 +239,6 @@ class Rosenbrock(ProblemOracle):
         return np.array([-1.2, 1.0])
 
 
-@dataclass(frozen=True)
-class DiscretizedFunctional:
-    """Quadrature data of a discretized integral objective."""
-
-    mesh_size: int
-    problem_id: str
-    weights: np.ndarray  # positive, summing to the domain length
-
-
 class PendulumLattice(ProblemOracle):
     """Composite-trapezoid discretization of the pendulum-type energy
     ``integral of (u'(t)^2 / 2 + cos u(t))`` on [0, 1] with zero boundary.
@@ -268,19 +258,20 @@ class PendulumLattice(ProblemOracle):
         self.beta = 1.0
         self.f_low = -1.0
         self.h = 1.0 / n_mesh
-        weights = np.full(n_mesh + 1, self.h)
-        weights[0] = weights[-1] = self.h / 2.0
-        self.discretization = DiscretizedFunctional(n_mesh, "pendulum", weights)
+        self.mesh_size = n_mesh
+        # trapezoid weights: positive, summing to the domain length
+        self.weights = np.full(n_mesh + 1, self.h)
+        self.weights[0] = self.weights[-1] = self.h / 2.0
 
     def _grid_values(self, v) -> np.ndarray:
-        u_full = np.zeros(self.discretization.mesh_size + 1)
+        u_full = np.zeros(self.mesh_size + 1)
         u_full[1:-1] = np.asarray(v, dtype=float) / math.sqrt(self.h)
         return u_full
 
     def eval_f(self, v) -> float:
         u = self._grid_values(v)
         energy = float(np.sum(np.diff(u) ** 2) / (2.0 * self.h))
-        cosine = float(np.dot(self.discretization.weights, np.cos(u)))
+        cosine = float(np.dot(self.weights, np.cos(u)))
         return energy + cosine
 
     def eval_derivative(self, v, order: int) -> SymmetricTensor:
@@ -300,7 +291,7 @@ class PendulumLattice(ProblemOracle):
         return SymmetricTensor(2, self.dim, hess)
 
     def default_x0(self) -> np.ndarray:
-        ts = np.arange(1, self.discretization.mesh_size) * self.h
+        ts = np.arange(1, self.mesh_size) * self.h
         return math.sqrt(self.h) * 2.0 * np.sin(math.pi * ts)
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["PsiSpec", "psi_eval", "psi_derivative", "psi_minimize", "psi_descent_bound"]
 
 
@@ -126,11 +124,3 @@ def psi_descent_bound(spec: PsiSpec) -> float:
             return math.inf
 
     return -min(branch(gm, gm), branch(g1, g1))
-
-
-def derivative_sign_changes(spec: PsiSpec, lo: float = 1e-8, hi: float = 1e8) -> int:
-    """Count sign changes of the derivative on a log grid (expected: one)."""
-    ts = np.logspace(math.log10(lo), math.log10(hi), 400)
-    signs = np.sign([psi_derivative(spec, t) for t in ts])
-    signs = signs[signs != 0]
-    return int(np.sum(signs[1:] != signs[:-1]))

@@ -230,7 +230,7 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
             )
         )
 
-        if inner_failed or rho < cfg.eta1:
+        if not successful:
             sigma = cfg.gamma2 * sigma
         elif rho >= cfg.eta2:
             sigma = max(cfg.sigma_min, cfg.gamma1 * sigma)

@@ -3,7 +3,9 @@
 Tensors are stored densely (desk scale: dimension up to a few hundred for
 order 2, a few dozen for order 3); symmetry is an invariant of the entries,
 not a storage format.  Derivative tensors are supplied by problem oracles —
-nothing here differentiates an objective itself.
+nothing here differentiates an objective itself.  ``RayPolynomial`` only
+holds coefficients: restricting a model to a ray, and evaluating it there,
+lives in ``arplr.inner``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, NormedSpace, _as_vector
+from .geometry import NormedSpace, _as_vector
 
 __all__ = [
     "SymmetricTensor",
@@ -163,7 +165,7 @@ class RayPolynomial:
 
     Along ``s(t) = anchor - t * direction`` the Taylor part of the model is
     the polynomial ``sum_j coeffs[j] t^j``; the norm regularizer is not
-    polynomial in t and is evaluated separately by the owning model.
+    polynomial in t and is evaluated separately by the inner solver.
     """
 
     coeffs: np.ndarray
@@ -215,59 +217,3 @@ class RegularizedModel:
         """Model gradient given an already-computed Taylor-part gradient."""
         e = self.reg_exponent
         return taylor_gradient + self.sigma / math.gamma(e) * self.space.duality_map(s, e)
-
-    # -- one-dimensional restriction ----------------------------------------
-
-    def restrict_to_ray(self, s0, d) -> RayPolynomial:
-        """Coefficients of the Taylor part along ``t -> s0 - t d`` (unit d)."""
-        s0 = _coerce(self.space.n, s0)
-        d = _coerce(self.space.n, d)
-        if abs(self.space.norm(d) - 1.0) > 1e-12:
-            raise GeometryError("ray direction must have unit norm")
-        coeffs = np.zeros(self.p + 1)
-        coeffs[0] = self.taylor.f0
-        for t in self.taylor.tensors:
-            l = t.order
-            arr = t.entries
-            for j in range(l + 1):
-                partial = arr
-                for _ in range(l - j):
-                    partial = np.dot(partial, s0)
-                coeffs[j] += (
-                    math.comb(l, j) * (-1.0) ** j * float(partial) / math.factorial(l)
-                )
-                if j < l:
-                    arr = np.dot(arr, d)
-        return RayPolynomial(coeffs, s0, d)
-
-    def ray_values(self, ray: RayPolynomial, ts) -> np.ndarray:
-        """Model values along the ray, polynomial part plus regularizer."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        poly = np.polynomial.polynomial.polyval(ts, ray.coeffs)
-        pts = ray.anchor[None, :] - ts[:, None] * ray.direction[None, :]
-        norms = self.space._row_norms(pts)
-        e = self.reg_exponent
-        return poly + self.sigma / math.gamma(e + 1.0) * norms ** e
-
-    def ray_derivatives(self, ray: RayPolynomial, ts) -> np.ndarray:
-        """d/dt of ``ray_values`` (the regularizer term vanishes at a zero point)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        dcoeffs = np.polynomial.polynomial.polyder(ray.coeffs)
-        poly = np.polynomial.polynomial.polyval(ts, dcoeffs)
-        pts = ray.anchor[None, :] - ts[:, None] * ray.direction[None, :]
-        norms = self.space._row_norms(pts)
-        r = self.space.r
-        e = self.reg_exponent
-        # d/dt |w(t)| = sum_i sign(w_i)|w_i|^(r-1) (-d_i) / |w|^(r-1)
-        num = np.sum(
-            np.sign(pts) * np.abs(pts) ** (r - 1.0) * (-ray.direction[None, :]), axis=1
-        )
-        nonzero = norms > 0.0
-        reg = np.zeros_like(ts)
-        reg[nonzero] = (
-            self.sigma
-            / math.gamma(e)
-            * norms[nonzero] ** (e - r)
-            * num[nonzero]
-        )
-        return poly + reg

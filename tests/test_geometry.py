@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arplr import GeometryError, NormedSpace, smoothness_modulus_estimate
 
@@ -48,6 +50,10 @@ def test_nonfinite_rejected():
         sp.norm([np.nan, 0.0])
     with pytest.raises(GeometryError):
         sp.duality_map([np.inf, 0.0], 2.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for method in (sp.dual_norm, sp.dual_direction):
+            with pytest.raises(GeometryError):
+                method([1.0, bad])
 
 
 def test_space_construction_rejects_bad_exponents():
@@ -201,3 +207,52 @@ def test_duality_map_difference_ratio_stays_bounded():
             coarse = max(level_max[:4])
             assert level_max[-1] <= 4.0 * coarse
             assert level_max[-2] <= 4.0 * coarse
+
+
+# -- magnitude-robust identities ---------------------------------------------
+
+_exponents = st.floats(min_value=1.01, max_value=8.0)
+_magnitudes = st.integers(min_value=-150, max_value=150)
+_shapes = st.lists(
+    st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False), min_size=1, max_size=8
+).filter(lambda u: max(map(abs, u)) > 0.0)
+_bounded = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+def _scaled(u, k):
+    # a vector with largest entry 10^k in magnitude
+    u = np.asarray(u)
+    return 10.0 ** k * u / np.abs(u).max()
+
+
+@_bounded
+@given(r=_exponents, p=st.floats(min_value=1.01, max_value=2.0), k=_magnitudes, u=_shapes)
+@example(r=4.0, p=2.0, k=100, u=[1.0, 1.0, 1.0])
+def test_duality_map_identities_at_any_magnitude(r, p, k, u):
+    x = _scaled(u, k)
+    sp = NormedSpace(len(x), r)
+    J = sp.duality_map(x, p)
+    nx = sp.norm(x)
+    assert np.dot(J, x) == pytest.approx(nx ** p, rel=1e-10)
+    assert sp.dual_norm(J) == pytest.approx(nx ** (p - 1.0), rel=1e-10)
+
+
+@_bounded
+@given(r=_exponents, k=_magnitudes, u=_shapes)
+@example(r=1.5, k=-120, u=[1.0, 1.0, 1.0])
+def test_dual_direction_identities_at_any_magnitude(r, k, u):
+    g = _scaled(u, k)
+    sp = NormedSpace(len(g), r)
+    d = sp.dual_direction(g)
+    assert sp.norm(d) == pytest.approx(1.0, rel=1e-12)
+    assert np.dot(g, d) == pytest.approx(sp.dual_norm(g), rel=1e-10)
+
+
+@_bounded
+@given(r=_exponents, k=_magnitudes, u=_shapes)
+def test_norm_homogeneity_at_any_magnitude(r, k, u):
+    sp = NormedSpace(len(u), r)
+    x = _scaled(u, 0)
+    c = 10.0 ** k
+    assert sp.norm(c * x) == pytest.approx(c * sp.norm(x), rel=1e-12)
+    assert sp.dual_norm(c * x) == pytest.approx(c * sp.dual_norm(x), rel=1e-12)

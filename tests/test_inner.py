@@ -129,17 +129,6 @@ def test_exponent_bookkeeping_defaults():
     assert default_max_iters(1, 1, 0.5) == 10 * 1 * 2 * 1
 
 
-def test_descent_exponents_bookkeeping():
-    from arplr.inner import descent_exponents
-
-    # q = 1.5 geometry, order-2 model with beta = 1: fast branch from the
-    # space smoothness, slow branch from the regularizer power
-    assert descent_exponents(1.5, 2, 1.0) == (1.5, 3.0)
-    assert descent_exponents(2.0, 2, 1.0) == (2.0, 3.0)
-    # order-1 model with small beta: the regularizer power is the smaller
-    assert descent_exponents(2.0, 1, 0.5) == (1.5, 1.5)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         InnerConfig(grad_tol_absolute=0.0)

@@ -154,7 +154,7 @@ def test_pendulum_value_at_zero_is_one():
 
 def test_pendulum_quadrature_weights():
     problem = PendulumLattice(16)
-    w = problem.discretization.weights
+    w = problem.weights
     assert np.all(w > 0.0)
     assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
 
@@ -171,7 +171,7 @@ def test_pendulum_mesh_refinement_converges():
     # fixed smooth profile evaluated on nested meshes: discretization error
     # must shrink as the mesh is refined
     def sample(problem):
-        ts = np.arange(1, problem.discretization.mesh_size) * problem.h
+        ts = np.arange(1, problem.mesh_size) * problem.h
         u = np.sin(math.pi * ts)
         return problem.eval_f(math.sqrt(problem.h) * u)
 

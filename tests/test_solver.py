@@ -146,6 +146,20 @@ def test_sigma_update_endpoints_deterministic():
             assert b.sigma == pytest.approx(cfg.gamma2 * a.sigma, rel=1e-12)
 
 
+def test_sigma_grows_after_nan_ratio():
+    # a trial value of NaN gives rho = NaN: the step is rejected and sigma
+    # must grow, as on any other rejection
+    class NanAway(QuadraticBowl):
+        def eval_f(self, x):
+            return super().eval_f(x) if np.array_equal(x, self.default_x0()) else math.nan
+
+    problem = NanAway(3)
+    cfg = OuterConfig(p=2, beta=1.0, max_outer_iters=8)
+    run = solve(problem, problem.default_x0(), cfg, NormedSpace(3, 2.0))
+    assert all(math.isnan(rec.rho) and not rec.successful for rec in run.records)
+    assert [rec.sigma for rec in run.records] == [cfg.sigma0 * cfg.gamma2 ** k for k in range(8)]
+
+
 def _synthetic_run(records, f_initial=10.0, f_final=5.0, sigma_max=1.0,
                    status=SolveStatus.CONVERGED):
     return RunRecord(

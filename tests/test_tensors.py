@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from arplr import (
-    GeometryError,
     NormedSpace,
     RegularizedModel,
     SymmetricTensor,
@@ -13,6 +12,7 @@ from arplr import (
     diagonal_tensor,
     symmetrize,
 )
+from arplr.inner import _quadratic_ray, _RayEval, _restrict_with_cache
 from arplr.tensors import TensorError
 
 
@@ -199,6 +199,11 @@ def test_model_gradient_matches_finite_differences(r, beta):
         assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-7)
 
 
+def _ray_eval(m, s0, d):
+    # the inner solver's restriction of m to t -> s0 - t d
+    return _RayEval(m, _restrict_with_cache(m, s0, d, m.taylor.gradient(s0), m.value(s0)))
+
+
 def test_restrict_to_ray_linear_coefficients():
     g = np.array([2.0, 1.0])
     tm = TaylorModel(np.zeros(2), 1.5, (SymmetricTensor(1, 2, g),))
@@ -206,9 +211,9 @@ def test_restrict_to_ray_linear_coefficients():
     m = RegularizedModel(tm, 1.0, 1, 1.0, sp)
     s0 = np.array([0.2, -0.4])
     d = np.array([1.0, 0.0])
-    ray = m.restrict_to_ray(s0, d)
-    assert ray.coeffs[0] == pytest.approx(1.5 + np.dot(g, s0), rel=1e-14)
-    assert ray.coeffs[1] == pytest.approx(-np.dot(g, d), rel=1e-14)
+    coeffs = _ray_eval(m, s0, d).coeffs
+    assert coeffs[0] == pytest.approx(1.5 + np.dot(g, s0), rel=1e-14)
+    assert coeffs[1] == pytest.approx(-np.dot(g, d), rel=1e-14)
 
 
 def test_restrict_to_ray_quadratic_coefficient_via_polyfit():
@@ -220,49 +225,53 @@ def test_restrict_to_ray_quadratic_coefficient_via_polyfit():
     m = RegularizedModel(tm, 0.5, 2, 1.0, sp)
     d = rng.standard_normal(3)
     d /= sp.norm(d)
-    ray = m.restrict_to_ray(np.zeros(3), d)
+    coeffs = _ray_eval(m, np.zeros(3), d).coeffs
     # oracle: sample the polynomial part (sigma = 0 model) and fit degree 2
     m_plain = RegularizedModel(tm, 0.0, 2, 1.0, sp)
     ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     samples = [m_plain.value(-t * d) for t in ts]
     fitted = np.polynomial.polynomial.polyfit(ts, samples, 2)
-    assert ray.coeffs[2] == pytest.approx(fitted[2], rel=1e-10, abs=1e-12)
-    assert ray.coeffs[2] == pytest.approx(0.5 * d @ a @ d, rel=1e-12)
+    assert coeffs[2] == pytest.approx(fitted[2], rel=1e-10, abs=1e-12)
+    assert coeffs[2] == pytest.approx(0.5 * d @ a @ d, rel=1e-12)
+    shortcut = _quadratic_ray(m, np.zeros(3), d, g, m.value(np.zeros(3)), a @ d).coeffs
+    assert np.allclose(shortcut, coeffs, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("r,p,beta", [(2.0, 2, 1.0), (1.5, 1, 0.5), (3.0, 3, 0.7)])
+@pytest.mark.parametrize(
+    "r,p,beta",
+    [
+        (1.5, 1, 0.5), (1.5, 2, 1.0), (1.5, 3, 0.3),
+        (2.0, 1, 0.6), (2.0, 2, 1.0), (2.0, 3, 1.0),
+        (3.0, 1, 1.0), (3.0, 2, 0.4), (3.0, 3, 0.7),
+    ],
+)
 def test_restrict_to_ray_evaluation_consistency(r, p, beta):
     rng = np.random.default_rng(14)
     m = _model(p, beta, 1.3, 4, r, rng)
     s0 = rng.standard_normal(4)
-    d = rng.standard_normal(4)
-    d /= m.space.norm(d)
-    ray = m.restrict_to_ray(s0, d)
+    d = m.space.dual_direction(rng.standard_normal(4))
+    ev = _ray_eval(m, s0, d)
     ts = rng.uniform(0.0, 3.0, size=20)
-    vals = m.ray_values(ray, ts)
-    for t, v in zip(ts, vals):
+    vals, ders = ev.batch(ts)
+    for t, v, dv in zip(ts, vals, ders):
         direct = m.value(s0 - t * d)
-        assert abs(v - direct) <= 1e-10 * max(1.0, abs(direct))
-
-
-def test_restrict_to_ray_rejects_non_unit_direction():
-    rng = np.random.default_rng(15)
-    m = _model(2, 1.0, 1.0, 3, 2.0, rng)
-    with pytest.raises(GeometryError):
-        m.restrict_to_ray(np.zeros(3), np.full(3, 2.0))
+        assert abs(ev.value(t) - direct) <= 1e-10 * max(1.0, abs(direct))
+        assert v == pytest.approx(ev.value(t), rel=1e-12, abs=1e-12)
+        assert dv == pytest.approx(ev.deriv(t), rel=1e-12, abs=1e-12)
 
 
 def test_ray_derivatives_match_finite_differences():
     rng = np.random.default_rng(16)
-    m = _model(2, 0.8, 1.1, 4, 1.5, rng)
-    s0 = rng.standard_normal(4)
-    d = rng.standard_normal(4)
-    d /= m.space.norm(d)
-    ray = m.restrict_to_ray(s0, d)
-    for t in (0.3, 1.0, 2.2):
-        h = 1e-6
-        fd = (m.ray_values(ray, t + h)[0] - m.ray_values(ray, t - h)[0]) / (2.0 * h)
-        assert m.ray_derivatives(ray, t)[0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+    for r in (1.5, 2.0, 3.0):
+        for p in (1, 2, 3):
+            m = _model(p, 0.8, 1.1, 4, r, rng)
+            s0 = rng.standard_normal(4)
+            d = m.space.dual_direction(rng.standard_normal(4))
+            ev = _ray_eval(m, s0, d)
+            h = 1e-6
+            for t in (0.3, 1.0, 2.2):
+                fd = (m.value(s0 - (t + h) * d) - m.value(s0 - (t - h) * d)) / (2.0 * h)
+                assert ev.deriv(t) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_model_coercivity_witness():
