@@ -7,6 +7,17 @@ the dual gradient norm falls below ``max(grad_tol, theta |s|^(p+beta-1))``
 (the step-power branch is only armed once s is nonzero, since at s = 0 it
 could never fire before the absolute branch).
 
+Cost of one iteration: one l^r pass over s (``geometry._lr``), which gives
+the regularizer's gradient, its value at s and the step-power norm; one
+pass over the model gradient, which gives its dual norm and the dual
+direction; for p = 2 one dense Hessian matvec (H d, from which H s is also
+kept up to date); and a line search on the ray coefficients cached as
+Python floats.  On the r = 2 path that search is pure scalar arithmetic
+when the ray polynomial is convex; otherwise one array scan of the ray
+brackets its minima.  The arithmetic is that of the ``NormedSpace`` and
+``RegularizedModel`` methods, operation for operation, so calling them
+instead gives the same bits.
+
 One-dimensional minimization: the polynomial restriction of the Taylor part
 is combined with the norm regularizer, which is convex in the ray parameter.
 When the polynomial part is convex too (nonnegative coefficients beyond the
@@ -25,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .geometry import _lr
 from .tensors import RayPolynomial, RegularizedModel
@@ -38,6 +48,8 @@ class Termination(enum.Enum):
     STEP_POWER_RULE = "step_power_rule"
     ZERO_GRADIENT = "zero_gradient"
     MAX_ITERS = "max_iters"
+    # no representable decrease remains along the descent ray
+    PROGRESS_FLOOR = "progress_floor"
 
 
 def default_max_iters(n: int, p: int, grad_tol: float) -> int:
@@ -85,11 +97,22 @@ class _ProgressFloor(Exception):
     tolerance is below what the model values can resolve)."""
 
 
+def _horner(coeffs, t):
+    """``sum_j coeffs[j] t^j`` by the recurrence of numpy's ``polyval``, so a
+    Python float t gives the same bits as it does, and an array t too."""
+    acc = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * t
+    return acc
+
+
 class _RayEval:
     """Cached evaluation of a model along one ray.
 
-    For r = 2 the squared norm along the ray is a quadratic in t, so scalar
-    evaluations are O(1) after caching its coefficients.
+    The polynomial and its derivative are held as Python floats and scalar
+    evaluations stay in Python arithmetic.  For r = 2 the squared norm along
+    the ray is a quadratic in t, so scalar evaluations are O(1) after
+    caching its coefficients.
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
@@ -98,8 +121,8 @@ class _RayEval:
     def __init__(self, model: RegularizedModel, ray: RayPolynomial):
         self.anchor = ray.anchor
         self.direction = ray.direction
-        self.coeffs = ray.coeffs
-        self.dcoeffs = npoly.polyder(ray.coeffs)
+        self.coeffs = ray.coeffs.tolist()
+        self.dcoeffs = [j * self.coeffs[j] for j in range(1, len(self.coeffs))]
         self.r = model.space.r
         self.e = model.reg_exponent
         self.reg_v = model.sigma / math.gamma(self.e + 1.0)
@@ -116,13 +139,13 @@ class _RayEval:
         return max(self.qa - 2.0 * self.qb * t + t * t, 0.0)
 
     def value(self, t: float) -> float:
-        poly = float(npoly.polyval(t, self.coeffs))
+        poly = _horner(self.coeffs, t)
         if self.is_r2:
             return poly + self.reg_v * self._qnorm(t) ** (0.5 * self.e)
         return poly + self.reg_v * _lr(self.anchor - t * self.direction, self.r)[0] ** self.e
 
     def deriv(self, t: float) -> float:
-        poly = float(npoly.polyval(t, self.dcoeffs))
+        poly = _horner(self.dcoeffs, t)
         if self.is_r2:
             q = self._qnorm(t)
             if q == 0.0:
@@ -135,8 +158,8 @@ class _RayEval:
         return poly + self.reg_d * nw ** (self.e - 1.0) * num
 
     def batch(self, ts: np.ndarray):
-        pvals = npoly.polyval(ts, self.coeffs)
-        pders = npoly.polyval(ts, self.dcoeffs)
+        pvals = _horner(self.coeffs, ts)
+        pders = _horner(self.dcoeffs, ts)
         if self.is_r2:
             q = np.maximum(self.qa - 2.0 * self.qb * ts + ts * ts, 0.0)
             vals = pvals + self.reg_v * q ** (0.5 * self.e)
@@ -157,13 +180,13 @@ def _restrict_with_cache(
     s0: np.ndarray,
     d: np.ndarray,
     taylor_grad: np.ndarray,
-    value_at_s0: float,
+    taylor_value: float,
 ) -> RayPolynomial:
-    """Ray restriction reusing the Taylor gradient and model value at the
-    anchor: the constant coefficient is the Taylor value there and the linear
-    one is minus the pairing of the Taylor gradient with the direction."""
+    """Ray restriction reusing the Taylor gradient and value at the anchor:
+    the constant coefficient is the Taylor value there and the linear one is
+    minus the pairing of the Taylor gradient with the direction."""
     coeffs = np.zeros(model.p + 1)
-    coeffs[0] = value_at_s0 - _anchor_regularizer(model, s0)
+    coeffs[0] = taylor_value
     coeffs[1] = -float(np.dot(taylor_grad, d))
     for t in model.taylor.tensors:
         l = t.order
@@ -213,16 +236,11 @@ def _unit_grid(points: int) -> np.ndarray:
     )
 
 
-def _anchor_regularizer(model: RegularizedModel, s0: np.ndarray) -> float:
-    e = model.reg_exponent
-    return model.sigma / math.gamma(e + 1.0) * model.space.norm(s0) ** e
-
-
-def _quadratic_ray(model, s0, d, taylor_grad, value_at_s0, hessian_d) -> RayPolynomial:
+def _quadratic_ray(s0, d, taylor_grad, taylor_value, hessian_d) -> RayPolynomial:
     # order-2 shortcut for _restrict_with_cache given H d
     coeffs = np.array(
         [
-            value_at_s0 - _anchor_regularizer(model, s0),
+            taylor_value,
             -float(np.dot(taylor_grad, d)),
             0.5 * float(np.dot(d, hessian_d)),
         ]
@@ -252,7 +270,7 @@ def _line_minimize(
     scale = min(max(scale, 1e-12), 1e12)
 
     candidates = []
-    if np.all(ray.coeffs[2:] >= 0.0):
+    if all(c >= 0.0 for c in ev.coeffs[2:]):
         # polynomial part convex, so the whole ray function is: the global
         # minimizer is the unique positive root of the derivative
         t_hi = scale
@@ -307,6 +325,10 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
     if not model.sigma > 0.0:
         raise ValueError("model must have a positive regularization weight")
     space = model.space
+    r, r_dual = space.r, space.r_dual
+    e = model.reg_exponent
+    reg_v = model.sigma / math.gamma(e + 1.0)
+    reg_d = model.sigma / math.gamma(e)
     s = np.zeros(space.n)
     value = model.value(s)
     history = [value]
@@ -326,8 +348,13 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             taylor_grad = grad0 + hessian_s
         else:
             taylor_grad = model.taylor.gradient(s)
-        grad = model.gradient_from_taylor(s, taylor_grad)
-        grad_norm = space.dual_norm(grad)
+        # regularizer gradient as RegularizedModel.gradient_from_taylor
+        # forms it (NormedSpace.duality_map of s)
+        step_norm, u_s = _lr(s, r)
+        grad = taylor_grad + reg_d * (
+            np.copysign(np.abs(u_s) ** (r - 1.0), u_s) * step_norm ** (e - 1.0)
+        )
+        grad_norm, u_g = _lr(grad, r_dual)
         if grad_norm == 0.0:
             term = Termination.ZERO_GRADIENT
             break
@@ -336,25 +363,26 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             break
         if cfg.step_power is not None:
             theta, expo = cfg.step_power
-            step_norm = space.norm(s)
             if step_norm > 0.0 and grad_norm <= theta * step_norm ** expo:
                 term = Termination.STEP_POWER_RULE
                 break
         if iters >= cfg.max_iters:
             term = Termination.MAX_ITERS
             break
-        d = space.dual_direction(grad)
+        # NormedSpace.dual_direction of grad, and the Taylor part of the
+        # model value at s
+        d = np.copysign(np.abs(u_g) ** (r_dual - 1.0), u_g)
+        taylor_value = value - reg_v * step_norm ** e
         if quadratic:
             hessian_d = np.dot(hessian, d)
-            ray = _quadratic_ray(model, s, d, taylor_grad, value, hessian_d)
+            ray = _quadratic_ray(s, d, taylor_grad, taylor_value, hessian_d)
         else:
-            ray = _restrict_with_cache(model, s, d, taylor_grad, value)
+            ray = _restrict_with_cache(model, s, d, taylor_grad, taylor_value)
         try:
             tau, value = _line_minimize(model, ray, cfg, unit_grid, value)
         except _ProgressFloor:
-            # stopping rules unmet but no representable decrease remains;
-            # report budget exhaustion so the caller escalates
-            term = Termination.MAX_ITERS
+            # stopping rules unmet but no representable decrease remains
+            term = Termination.PROGRESS_FLOOR
             break
         s = s - tau * d
         if quadratic:

@@ -204,7 +204,10 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
         actual_decrease = fx - f_trial
         rho = actual_decrease / model_decrease if model_decrease > 0.0 else -math.inf
 
-        inner_failed = result.termination is Termination.MAX_ITERS or model_decrease <= 0.0
+        inner_failed = (
+            result.termination in (Termination.MAX_ITERS, Termination.PROGRESS_FLOOR)
+            or model_decrease <= 0.0
+        )
         successful = (not inner_failed) and rho >= cfg.eta1
         if successful:
             x = trial

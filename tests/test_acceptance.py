@@ -130,7 +130,9 @@ def test_criterion_4_inner_solver():
         hist = np.array(res.value_history)
         monotone_ok = monotone_ok and bool(np.all(np.diff(hist) < 0.0))
         bar = max(cfg.grad_tol_absolute, 100.0 * entry.space.norm(res.s) ** (entry.p + beta - 1.0))
-        stopping_ok = stopping_ok and res.termination is not Termination.MAX_ITERS
+        stopping_ok = stopping_ok and res.termination not in (
+            Termination.MAX_ITERS, Termination.PROGRESS_FLOOR
+        )
         stopping_ok = stopping_ok and res.model_grad_dual_norm <= bar
     elapsed = time.time() - start
     _report(

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy import optimize
 
 from arplr import (
@@ -12,7 +15,8 @@ from arplr import (
     minimize_model,
     symmetrize,
 )
-from arplr.inner import default_max_iters
+from arplr.inner import _RayEval, default_max_iters
+from arplr.tensors import RayPolynomial
 
 
 def _linear_model(g, sigma, r=2.0, p=1, beta=1.0):
@@ -67,7 +71,7 @@ def test_strict_monotone_decrease_and_stopping_rule():
         res = minimize_model(m, cfg)
         hist = np.array(res.value_history)
         assert np.all(np.diff(hist) < 0.0)
-        assert res.termination is not Termination.MAX_ITERS
+        assert res.termination not in (Termination.MAX_ITERS, Termination.PROGRESS_FLOOR)
         bar = max(1e-6, 100.0 * m.space.norm(res.s) ** (p + beta - 1.0))
         assert res.model_grad_dual_norm <= bar
 
@@ -114,6 +118,17 @@ def test_max_iters_is_reported_not_fatal():
     assert res.decreased
 
 
+def test_progress_floor_is_reported():
+    # the decrease along the ray (about 1e-18) is far below the spacing of
+    # doubles near the model value 1e6, so no representable decrease exists
+    tm = TaylorModel(np.zeros(2), 1e6, (SymmetricTensor(1, 2, np.array([1e-9, 0.0])),))
+    m = RegularizedModel(tm, 1.0, 1, 1.0, NormedSpace(2, 2.0))
+    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-30, max_iters=50))
+    assert res.termination is Termination.PROGRESS_FLOOR
+    assert res.iterations == 0
+    assert not res.decreased
+
+
 def test_step_power_rule_branch_requires_motion():
     # at s = 0 the power branch would read |g| <= 0 and must stay silent
     m = _linear_model([1.0, 0.5], sigma=1.0)
@@ -138,3 +153,55 @@ def test_config_validation():
         InnerConfig(grad_tol_absolute=1e-6, step_power=(0.0, 1.0))
     with pytest.raises(ValueError):
         InnerConfig(grad_tol_absolute=1e-6, ray_scan_points=2)
+
+
+# -- scalar ray evaluation ----------------------------------------------------
+
+_coefficients = st.lists(
+    st.builds(
+        lambda sign, mantissa, k: sign * mantissa * 10.0 ** k,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(min_value=1.0, max_value=10.0),
+        st.integers(min_value=-6, max_value=6),
+    ),
+    min_size=2,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    coeffs=_coefficients,
+    t=st.floats(min_value=0.0, max_value=1e6),
+    r=st.sampled_from([1.5, 2.0, 3.0]),
+    beta=st.sampled_from([0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_scalar_ray_matches_numpy_polynomial_bit_for_bit(coeffs, t, r, beta, seed):
+    n, p = 3, len(coeffs) - 1
+    rng = np.random.default_rng(seed)
+    space = NormedSpace(n, r)
+    zeros = tuple(SymmetricTensor(l, n, np.zeros((n,) * l)) for l in range(1, p + 1))
+    model = RegularizedModel(TaylorModel(np.zeros(n), 0.0, zeros), 1.3, p, beta, space)
+    anchor = rng.standard_normal(n)
+    d = space.dual_direction(rng.standard_normal(n))
+    coeffs = np.array(coeffs)
+    ev = _RayEval(model, RayPolynomial(coeffs, anchor, d))
+    # the regularizer term alone: the same ray with a zero polynomial
+    reg = _RayEval(model, RayPolynomial(np.zeros_like(coeffs), anchor, d))
+    value = float(npoly.polyval(t, coeffs)) + reg.value(t)
+    deriv = float(npoly.polyval(t, npoly.polyder(coeffs))) + reg.deriv(t)
+    assert np.float64(ev.value(t)).tobytes() == np.float64(value).tobytes()
+    assert np.float64(ev.deriv(t)).tobytes() == np.float64(deriv).tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    p=st.sampled_from([1, 3]),
+    r=st.sampled_from([1.5, 2.0, 3.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_reported_dual_norm_is_the_model_gradient_dual_norm(p, r, seed):
+    m = _random_model(p, 0.7, 1.1, 3, r, np.random.default_rng(seed))
+    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=100))
+    assert res.model_grad_dual_norm == m.space.dual_norm(m.gradient(res.s))

@@ -11,9 +11,11 @@ from arplr import (
     QuadraticBowl,
     RunRecord,
     SolveStatus,
+    builtin_suite,
     check_trajectory,
     solve,
 )
+from arplr.harness import ExperimentConfig
 
 
 def _trajectory_holder(problem, space, p, x0, run):
@@ -132,13 +134,28 @@ def test_inner_cap_maps_to_unsuccessful_iteration():
         assert later.sigma == pytest.approx(cfg.gamma2 * rec.sigma, rel=1e-12)
 
 
+def test_progress_floor_rejects_outer_iteration():
+    class OffsetBowl(QuadraticBowl):
+        # f shifted far above the decrease its models can resolve
+        def eval_f(self, x):
+            return 1e6 + super().eval_f(x)
+
+    problem = OffsetBowl(4)
+    cfg = OuterConfig(p=2, beta=1.0, epsilon=1e-12, max_outer_iters=3)
+    run = solve(problem, problem.minimizer() + 1e-9, cfg, NormedSpace(4, 2.0))
+    assert run.status is SolveStatus.MAX_ITERS
+    assert [rec.inner_termination for rec in run.records] == ["progress_floor"] * 3
+    assert not any(rec.successful for rec in run.records)
+    assert [rec.sigma for rec in run.records] == [1.0, 2.0, 4.0]
+
+
 def test_sigma_update_endpoints_deterministic():
     problem = DoubleWell(4)
     space = NormedSpace(4, 2.0)
     cfg = OuterConfig(p=2, beta=1.0, epsilon=1e-5)
     run = solve(problem, problem.default_x0(), cfg, space)
     for a, b in zip(run.records[:-1], run.records[1:]):
-        if a.rho >= cfg.eta2 and a.inner_termination != "max_iters":
+        if a.rho >= cfg.eta2 and a.inner_termination not in ("max_iters", "progress_floor"):
             assert b.sigma == pytest.approx(max(cfg.sigma_min, cfg.gamma1 * a.sigma), rel=1e-12)
         elif a.successful:
             assert b.sigma == pytest.approx(a.sigma, rel=1e-12)
@@ -257,3 +274,48 @@ def test_counting_bound_formula_on_real_run():
         max(run.sigma_max_observed / cfg.sigma0, 1.0)
     ) / math.log(cfg.gamma2)
     assert run.total_iterations <= bound + 1e-9
+
+
+# (outer, successful, inner, f_evals, deriv_evals) of the built-in suite
+# without Rosenbrock at 1e-5 and of the double-well and Hoelder epsilon
+# sweeps, as the seed code produced them: a change meant to keep every
+# trajectory bit for bit must reproduce these exactly
+_PINNED_COUNTERS = {
+    "quadratic-n6-r2-p2": (10, 10, 18, 11, 11),
+    "double_well-n4-r2-p2": (5, 5, 5, 6, 6),
+    "double_well-n4-r2-p3": (5, 4, 5, 6, 5),
+    "holder0.5-n4-p1": (16, 16, 16, 17, 17),
+    "holder0.8-n4-p1": (7, 7, 7, 8, 8),
+    "pendulum32-r2-p2": (6, 6, 2816, 7, 7),
+    "double_well-eps0": (3, 3, 3, 4, 4),
+    "double_well-eps1": (4, 4, 4, 5, 5),
+    "double_well-eps2": (4, 4, 4, 5, 5),
+    "double_well-eps3": (5, 5, 5, 6, 6),
+    "holder-eps0": (4, 4, 4, 5, 5),
+    "holder-eps1": (7, 7, 7, 8, 8),
+    "holder-eps2": (10, 10, 10, 11, 11),
+    "holder-eps3": (13, 13, 13, 14, 14),
+}
+
+
+def test_suite_counters_pinned():
+    jobs = {}
+    for entry in builtin_suite():
+        if entry.problem.name != "rosenbrock":
+            cfg = OuterConfig(p=entry.p, beta=entry.problem.beta, epsilon=1e-5)
+            jobs[entry.label] = (entry.problem, entry.space, entry.x0, cfg)
+    for problem_id, p, extra in (("double_well", 2, {}), ("holder", 1, {"beta": 0.5})):
+        for i, eps in enumerate(np.geomspace(1e-1, 1e-4, 4)):
+            sweep_point = ExperimentConfig(problem=problem_id, p=p, epsilon=float(eps), **extra)
+            jobs[f"{problem_id}-eps{i}"] = sweep_point.build()
+    counters = {}
+    for label, (problem, space, x0, cfg) in jobs.items():
+        run = solve(problem, x0, cfg, space)
+        counters[label] = (
+            run.total_iterations,
+            run.successes,
+            sum(rec.inner_iters for rec in run.records),
+            run.f_evals,
+            run.deriv_evals,
+        )
+    assert counters == _PINNED_COUNTERS
