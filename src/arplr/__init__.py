@@ -27,7 +27,6 @@ from .solver import (
     theorem_success_bound,
 )
 from .tensors import (
-    RayPolynomial,
     RegularizedModel,
     SymmetricTensor,
     TaylorModel,
@@ -44,7 +43,6 @@ __all__ = [
     "SymmetricTensor",
     "TaylorModel",
     "RegularizedModel",
-    "RayPolynomial",
     "symmetrize",
     "diagonal_tensor",
     "PsiSpec",

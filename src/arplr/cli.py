@@ -5,16 +5,20 @@ Subcommands: ``run`` (one solve plus trajectory checks), ``sweep-eps``
 ``sweep-mesh`` (mesh-independence table), ``check-oracle`` (finite-difference
 verification of a problem's derivatives), and ``list-problems``.
 
-Options may also come from a key-value config file (``key = value`` lines,
-``#`` comments); explicit flags override file entries.  Exit codes: 0 on
-success, 1 when a check reports violations, 2 on configuration errors.
+Each ``ExperimentConfig`` field is a flag of every solve subcommand
+(``--sigma-min`` for ``sigma_min``) and a key of the key-value config file
+(``key = value`` lines, ``#`` comments), with ``eps``, ``max_outer`` and
+``inner_max`` as aliases; explicit flags override file entries.  Exit
+codes: 0 on success, 1 when a check reports violations, 2 on configuration
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+import typing
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,12 +32,24 @@ from .harness import (
 from .problems import fd_check_oracle, get_problem, problem_ids
 from .solver import SolveStatus
 
-_FLOAT_KEYS = {
-    "r", "beta", "epsilon", "sigma0", "sigma_min", "eta1", "eta2",
-    "gamma1", "gamma2", "gamma3", "chi", "theta", "eps_start", "eps_stop",
-}
-_INT_KEYS = {"n", "seed", "p", "max_outer_iters", "inner_max_iters", "eps_points"}
 _KEY_ALIASES = {"eps": "epsilon", "max_outer": "max_outer_iters", "inner_max": "inner_max_iters"}
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.split(","))
+
+
+def _value_parsers() -> dict:
+    """Field name -> parser of its text value, read off the annotation:
+    ``X | None`` parses as X, and a tuple is comma-separated ints."""
+    parsers = {}
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        base = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        parsers[name] = _int_list if base is tuple else base
+    return parsers
+
+
+_PARSERS = _value_parsers()
 
 
 def _parse_config_file(path: str) -> dict:
@@ -49,16 +65,14 @@ def _parse_config_file(path: str) -> dict:
                 key, _, val = line.partition("=")
                 key, val = key.strip().replace("-", "_"), val.strip()
                 key = _KEY_ALIASES.get(key, key)
-                if key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                elif key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key == "mesh":
-                    values[key] = tuple(int(tok) for tok in val.split(","))
-                elif key in {"problem", "x0", "out"}:
-                    values[key] = val
-                else:
+                if key not in _PARSERS:
                     raise ConfigError(f"config file line {lineno}: unknown key {key!r}")
+                try:
+                    values[key] = _PARSERS[key](val)
+                except ValueError:
+                    raise ConfigError(
+                        f"config file line {lineno}: cannot parse {key} = {val!r}"
+                    ) from None
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r} ({exc})") from None
     return values
@@ -66,41 +80,20 @@ def _parse_config_file(path: str) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key-value config file; flags override it")
-    parser.add_argument("--problem", help="problem id (see list-problems)")
-    parser.add_argument("--n", type=int, help="dimension (mesh intervals for pendulum)")
-    parser.add_argument("--r", type=float, help="norm exponent; default: problem's space")
-    parser.add_argument("--p", type=int, help="model order")
-    parser.add_argument("--beta", type=float, help="regularizer Hoelder order")
-    parser.add_argument("--eps", dest="epsilon", type=float, help="gradient accuracy")
-    parser.add_argument("--sigma0", type=float, help="initial regularization weight")
-    parser.add_argument("--sigma-min", dest="sigma_min", type=float)
-    parser.add_argument("--eta1", type=float)
-    parser.add_argument("--eta2", type=float)
-    parser.add_argument("--gamma1", type=float)
-    parser.add_argument("--gamma2", type=float)
-    parser.add_argument("--gamma3", type=float)
-    parser.add_argument("--chi", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--max-outer", dest="max_outer_iters", type=int)
-    parser.add_argument("--inner-max", dest="inner_max_iters", type=int,
-                        help="per-solve inner iteration cap (default: solver formula)")
-    parser.add_argument("--x0", help="zeros | ones | default | random | v1,v2,...")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory for record files")
+    for f in fields(ExperimentConfig):
+        names = [alias for alias, key in _KEY_ALIASES.items() if key == f.name] + [f.name]
+        parser.add_argument(
+            *("--" + name.replace("_", "-") for name in names),
+            dest=f.name, type=_PARSERS[f.name], help=f.metadata.get("help"),
+        )
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config))
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key, val in vars(args).items():
-        if key in known and val is not None:
-            values[key] = val
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    values = _parse_config_file(args.config) if args.config else {}
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    return ExperimentConfig(**values)
 
 
 def _print_run(run, violations) -> None:
@@ -150,8 +143,6 @@ def _cmd_sweep_eps(args) -> int:
 
 def _cmd_sweep_mesh(args) -> int:
     cfg = _build_config(args)
-    if args.mesh:
-        cfg = replace(cfg, mesh=tuple(int(tok) for tok in args.mesh.split(",")))
     rows = run_mesh_sweep(cfg)
     print("mesh  iters  successes  f_evals  converged")
     for row in rows:
@@ -167,10 +158,7 @@ def _cmd_sweep_mesh(args) -> int:
 
 def _cmd_check_oracle(args) -> int:
     cfg = _build_config(args)
-    try:
-        problem = get_problem(cfg.problem, cfg.n, cfg.beta)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"problem: {exc}") from None
+    problem = cfg.oracle()
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for order in range(1, problem.max_order + 1):
@@ -211,14 +199,10 @@ def main(argv=None) -> int:
 
     p_eps = sub.add_parser("sweep-eps", help="accuracy sweep and exponent fit")
     _add_common(p_eps)
-    p_eps.add_argument("--eps-start", dest="eps_start", type=float)
-    p_eps.add_argument("--eps-stop", dest="eps_stop", type=float)
-    p_eps.add_argument("--eps-points", dest="eps_points", type=int)
     p_eps.set_defaults(func=_cmd_sweep_eps)
 
     p_mesh = sub.add_parser("sweep-mesh", help="mesh-independence table")
     _add_common(p_mesh)
-    p_mesh.add_argument("--mesh", help="comma-separated mesh sizes, e.g. 32,128,512")
     p_mesh.set_defaults(func=_cmd_sweep_mesh)
 
     p_check = sub.add_parser("check-oracle", help="finite-difference derivative check")

@@ -1,22 +1,24 @@
 """Experiment driver: single solves, accuracy sweeps, and mesh sweeps.
 
-Run records are serialized as line-delimited text — a ``# key = value``
-header echoing the configuration followed by one CSV row per iteration —
-with floats rendered by ``repr`` so that identical configurations and
-seeds produce byte-identical files.
+Record files are line-delimited text: ``# key = value`` lines echoing the
+configuration, then a CSV table whose header is the field names of the row
+dataclass (``IterationRecord``, ``EpsRow``, ``MeshRow``) and whose cells
+render booleans as 0/1, strings as is and everything else by ``repr``, so
+that identical configurations and seeds produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .geometry import NormedSpace
+from .geometry import GeometryError, NormedSpace
 from .problems import ProblemOracle, get_problem
 from .solver import (
+    IterationRecord,
     OuterConfig,
     RunRecord,
     SolveStatus,
@@ -42,18 +44,27 @@ class ConfigError(ValueError):
     """Bad experiment configuration; the message names the offending field."""
 
 
+def _option(default, help_text: str):
+    """A configuration field with its command-line help text."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: str = "quadratic"
-    n: int | None = None  # dimension, or mesh intervals for 'pendulum'
-    r: float = 0.0  # 0 means the problem's default space
-    x0: str = "default"  # default | zeros | ones | random | comma-separated floats
+    """One experiment.  Each field is a config-file key and a command-line
+    flag of the same name (dashes for underscores), parsed by its annotation,
+    and every field but ``out`` is echoed in the run record's header."""
+
+    problem: str = _option("quadratic", "problem id (see list-problems)")
+    n: int | None = _option(None, "dimension (mesh intervals for pendulum)")
+    r: float = _option(0.0, "norm exponent; default: problem's space")
+    x0: str = _option("default", "zeros | ones | default | random | v1,v2,...")
     seed: int = 0
-    out: str | None = None
-    p: int = 2
-    beta: float | None = None  # None: use the problem's Hoelder order
-    epsilon: float = 1e-5
-    sigma0: float = 1.0
+    out: str | None = _option(None, "output directory for record files")
+    p: int = _option(2, "model order")
+    beta: float | None = _option(None, "regularizer Hoelder order")  # None: the problem's
+    epsilon: float = _option(1e-5, "gradient accuracy")
+    sigma0: float = _option(1.0, "initial regularization weight")
     sigma_min: float = 1e-8
     eta1: float = 0.1
     eta2: float = 0.9
@@ -63,39 +74,39 @@ class ExperimentConfig:
     chi: float = 0.5
     theta: float = 100.0
     max_outer_iters: int = 2000
-    inner_max_iters: int | None = None  # None: the solver's default guard
+    inner_max_iters: int | None = _option(
+        None, "per-solve inner iteration cap (default: solver formula)"
+    )
     eps_start: float | None = None
     eps_stop: float | None = None
     eps_points: int = 0
-    mesh: tuple = ()
+    mesh: tuple = _option((), "comma-separated mesh sizes, e.g. 32,128,512")
 
-    def build(self):
-        """Resolve the configuration into (problem, space, x0, OuterConfig)."""
+    def oracle(self) -> ProblemOracle:
+        """The configured problem; a bad id or size raises ConfigError."""
         try:
-            problem = get_problem(self.problem, self.n, self.beta)
+            return get_problem(self.problem, self.n, self.beta)
         except KeyError as exc:
             raise ConfigError(f"problem: {exc.args[0]}") from None
         except ValueError as exc:
-            raise ConfigError(f"n: {exc}") from None
-        space = problem.default_space() if self.r <= 0.0 else NormedSpace(problem.dim, self.r)
-        beta = problem.beta if self.beta is None else self.beta
-        try:
-            outer = OuterConfig(
-                p=self.p,
-                beta=beta,
-                epsilon=self.epsilon,
-                sigma0=self.sigma0,
-                sigma_min=self.sigma_min,
-                eta1=self.eta1,
-                eta2=self.eta2,
-                gamma1=self.gamma1,
-                gamma2=self.gamma2,
-                gamma3=self.gamma3,
-                chi=self.chi,
-                theta=self.theta,
-                max_outer_iters=self.max_outer_iters,
-                inner_max_iters=self.inner_max_iters,
+            raise ConfigError(str(exc)) from None
+
+    def build(self):
+        """Resolve the configuration into (problem, space, x0, OuterConfig)."""
+        problem = self.oracle()
+        if self.p > problem.max_order:
+            raise ConfigError(
+                f"p: '{problem.name}' supplies derivatives only up to order {problem.max_order}"
             )
+        try:
+            space = problem.default_space() if self.r <= 0.0 else NormedSpace(problem.dim, self.r)
+        except GeometryError as exc:
+            raise ConfigError(f"r: {exc}") from None
+        shared = {f.name for f in fields(OuterConfig)} & {f.name for f in fields(self)}
+        kwargs = {name: getattr(self, name) for name in shared}
+        kwargs["beta"] = problem.beta if self.beta is None else self.beta
+        try:
+            outer = OuterConfig(**kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         x0 = self._build_x0(problem)
@@ -150,32 +161,34 @@ def run_single(cfg: ExperimentConfig, label: str | None = None):
     return run, violations, path
 
 
-def write_run_record(path: str, cfg: ExperimentConfig, space, run: RunRecord) -> None:
-    lines = ["# arplr run record"]
-    for f in fields(ExperimentConfig):
-        if f.name == "out":  # environment, not part of the experiment
-            continue
-        lines.append(f"# {f.name} = {getattr(cfg, f.name)!r}")
-    lines.append(f"# space_n = {space.n}")
-    lines.append(f"# space_r = {space.r!r}")
-    lines.append(f"# status = {run.status.value}")
-    lines.append(f"# f_initial = {run.f_initial!r}")
-    lines.append(f"# f_final = {run.f_final!r}")
-    lines.append(f"# final_grad_dual_norm = {run.final_grad_dual_norm!r}")
-    lines.append(f"# sigma_max_observed = {run.sigma_max_observed!r}")
-    lines.append(
-        "k,sigma,iterate_norm,step_norm,grad_dual_norm,model_decrease,"
-        "actual_decrease,rho,successful,inner_iters,f_evals,deriv_evals"
-    )
-    for rec in run.records:
-        lines.append(
-            f"{rec.k},{rec.sigma!r},{rec.iterate_norm!r},{rec.step_norm!r},"
-            f"{rec.grad_dual_norm!r},{rec.model_decrease!r},{rec.actual_decrease!r},"
-            f"{rec.rho!r},{int(rec.successful)},{rec.inner_iters},"
-            f"{rec.f_evals_so_far},{rec.deriv_evals_so_far}"
-        )
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    return value if isinstance(value, str) else repr(value)
+
+
+def _write_table(path: str, cls, rows, head=(), tail=()) -> None:
+    """``#`` lines, a CSV header of the dataclass ``cls``'s field names, one
+    row per instance, then trailing ``#`` lines."""
+    names = [f.name for f in fields(cls)]
+    lines = [f"# {line}" for line in head]
+    lines.append(",".join(names))
+    lines.extend(",".join(_cell(getattr(row, name)) for name in names) for row in rows)
+    lines.extend(f"# {line}" for line in tail)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _echo(obj, names) -> list:
+    return [f"{name} = {getattr(obj, name)!r}" for name in names]
+
+
+def write_run_record(path: str, cfg: ExperimentConfig, space, run: RunRecord) -> None:
+    # the output directory is environment, not part of the experiment
+    head = ["arplr run record"] + _echo(cfg, [f.name for f in fields(cfg) if f.name != "out"])
+    head += [f"space_n = {space.n}", f"space_r = {space.r!r}", f"status = {run.status.value}"]
+    head += _echo(run, ["f_initial", "f_final", "final_grad_dual_norm", "sigma_max_observed"])
+    _write_table(path, IterationRecord, run.records, head)
 
 
 # -- accuracy sweep ------------------------------------------------------------
@@ -264,33 +277,15 @@ def run_epsilon_sweep(cfg: ExperimentConfig, slope_margin: float = 0.3) -> Sweep
         all_within_bound=all(row.within_bound is not False for row in rows),
     )
     if cfg.out:
-        _write_eps_csv(os.path.join(cfg.out, "summary.csv"), summary)
+        _write_table(
+            os.path.join(cfg.out, "summary.csv"), EpsRow, rows,
+            tail=_echo(summary, ["slope", "slope_residual", "theoretical_exponent"]),
+        )
     return summary
 
 
 def _sweep_beta(cfg: ExperimentConfig) -> float:
-    if cfg.beta is not None:
-        return cfg.beta
-    problem = get_problem(cfg.problem, cfg.n, cfg.beta)
-    return problem.beta
-
-
-def _write_eps_csv(path: str, summary: SweepSummary) -> None:
-    lines = [
-        "epsilon,successes,successes_pre_termination,total_iters,f_evals,"
-        "deriv_evals,sigma_max,converged,bound,within_bound"
-    ]
-    for row in summary.rows:
-        lines.append(
-            f"{row.epsilon!r},{row.successes},{row.successes_pre_termination},"
-            f"{row.total_iters},{row.f_evals},{row.deriv_evals},{row.sigma_max!r},"
-            f"{int(row.converged)},{row.bound!r},{row.within_bound}"
-        )
-    lines.append(f"# slope = {summary.slope!r}")
-    lines.append(f"# slope_residual = {summary.slope_residual!r}")
-    lines.append(f"# theoretical_exponent = {summary.theoretical_exponent!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return cfg.oracle().beta if cfg.beta is None else cfg.beta
 
 
 # -- mesh sweep ------------------------------------------------------------------
@@ -331,12 +326,5 @@ def run_mesh_sweep(cfg: ExperimentConfig) -> list:
                 os.path.join(cfg.out, f"run_{problem.name}.txt"), sub, space, run
             )
     if cfg.out:
-        lines = ["mesh_size,total_iters,successes,f_evals,converged"]
-        for row in rows:
-            lines.append(
-                f"{row.mesh_size},{row.total_iters},{row.successes},"
-                f"{row.f_evals},{int(row.converged)}"
-            )
-        with open(os.path.join(cfg.out, "summary.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_table(os.path.join(cfg.out, "summary.csv"), MeshRow, rows)
     return rows

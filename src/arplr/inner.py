@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _lr
-from .tensors import RayPolynomial, RegularizedModel
+from .tensors import RegularizedModel
 
 __all__ = ["InnerConfig", "InnerResult", "Termination", "minimize_model", "default_max_iters"]
 
@@ -107,26 +107,28 @@ def _horner(coeffs, t):
 
 
 class _RayEval:
-    """Cached evaluation of a model along one ray.
+    """Cached evaluation of a model along the ray ``anchor - t direction``.
 
-    The polynomial and its derivative are held as Python floats and scalar
-    evaluations stay in Python arithmetic.  For r = 2 the squared norm along
-    the ray is a quadratic in t, so scalar evaluations are O(1) after
-    caching its coefficients.
+    ``coeffs`` (Python floats) is the Taylor part as a polynomial in t; the
+    regularizer ``reg_v |s|^e`` has derivative weight ``reg_d``, both as
+    ``minimize_model`` computes them once per model.  Scalar evaluations
+    stay in Python arithmetic.  For r = 2 the squared norm along the ray is
+    a quadratic in t, so scalar evaluations are O(1) after caching its
+    coefficients.
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
                  "reg_v", "reg_d", "is_r2", "qa", "qb")
 
-    def __init__(self, model: RegularizedModel, ray: RayPolynomial):
-        self.anchor = ray.anchor
-        self.direction = ray.direction
-        self.coeffs = ray.coeffs.tolist()
-        self.dcoeffs = [j * self.coeffs[j] for j in range(1, len(self.coeffs))]
-        self.r = model.space.r
-        self.e = model.reg_exponent
-        self.reg_v = model.sigma / math.gamma(self.e + 1.0)
-        self.reg_d = model.sigma / math.gamma(self.e)
+    def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d):
+        self.anchor = anchor
+        self.direction = direction
+        self.coeffs = coeffs
+        self.dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
+        self.r = r
+        self.e = e
+        self.reg_v = reg_v
+        self.reg_d = reg_d
         self.is_r2 = self.r == 2.0
         if self.is_r2:
             self.qa = float(np.dot(self.anchor, self.anchor))
@@ -181,13 +183,12 @@ def _restrict_with_cache(
     d: np.ndarray,
     taylor_grad: np.ndarray,
     taylor_value: float,
-) -> RayPolynomial:
-    """Ray restriction reusing the Taylor gradient and value at the anchor:
-    the constant coefficient is the Taylor value there and the linear one is
-    minus the pairing of the Taylor gradient with the direction."""
-    coeffs = np.zeros(model.p + 1)
-    coeffs[0] = taylor_value
-    coeffs[1] = -float(np.dot(taylor_grad, d))
+) -> list:
+    """Ray coefficients of the Taylor part along ``s0 - t d``, reusing the
+    Taylor gradient and value at the anchor: the constant coefficient is the
+    Taylor value there and the linear one is minus the pairing of the Taylor
+    gradient with the direction."""
+    coeffs = [float(taylor_value), -float(np.dot(taylor_grad, d))] + [0.0] * (model.p - 1)
     for t in model.taylor.tensors:
         l = t.order
         if l < 2:
@@ -200,7 +201,7 @@ def _restrict_with_cache(
             coeffs[j] += math.comb(l, j) * (-1.0) ** j * float(partial) / math.factorial(l)
             if j < l:
                 arr = np.dot(arr, d)
-    return RayPolynomial(coeffs, s0, d)
+    return coeffs
 
 
 def _refine_root(fun, a, b, fa, fb, ftol, max_iter=80):
@@ -236,37 +237,35 @@ def _unit_grid(points: int) -> np.ndarray:
     )
 
 
-def _quadratic_ray(s0, d, taylor_grad, taylor_value, hessian_d) -> RayPolynomial:
+def _quadratic_ray(d, taylor_grad, taylor_value, hessian_d) -> list:
     # order-2 shortcut for _restrict_with_cache given H d
-    coeffs = np.array(
-        [
-            taylor_value,
-            -float(np.dot(taylor_grad, d)),
-            0.5 * float(np.dot(d, hessian_d)),
-        ]
-    )
-    return RayPolynomial(coeffs, s0, d)
+    return [
+        float(taylor_value),
+        -float(np.dot(taylor_grad, d)),
+        0.5 * float(np.dot(d, hessian_d)),
+    ]
 
 
 def _line_minimize(
-    model: RegularizedModel,
-    ray: RayPolynomial,
+    ev: _RayEval,
+    sigma: float,
+    gamma_e1: float,
     cfg: InnerConfig,
     unit_grid: np.ndarray,
     value: float,
 ):
-    """Global minimizer of ``tau -> m(s - tau d)`` over tau >= 0.
+    """Global minimizer of ``tau -> m(s - tau d)`` over tau >= 0, for a
+    model of weight sigma with ``gamma_e1 = Gamma(e + 1)``.
 
     Returns ``(tau, m(s - tau d))`` with a strictly smaller value; the slope
     at tau = 0 equals minus the dual gradient norm, so a decrease exists.
     """
-    ev = _RayEval(model, ray)
     v0 = value
     slope0 = ev.deriv(0.0)
     ftol = cfg.ray_refine_tol * max(1.0, -slope0)
 
     # scale at which the regularizer alone overtakes the initial slope
-    scale = ((-slope0) * math.gamma(ev.e + 1.0) / model.sigma) ** (1.0 / (ev.e - 1.0))
+    scale = ((-slope0) * gamma_e1 / sigma) ** (1.0 / (ev.e - 1.0))
     scale = min(max(scale, 1e-12), 1e12)
 
     candidates = []
@@ -327,7 +326,8 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
     space = model.space
     r, r_dual = space.r, space.r_dual
     e = model.reg_exponent
-    reg_v = model.sigma / math.gamma(e + 1.0)
+    gamma_e1 = math.gamma(e + 1.0)
+    reg_v = model.sigma / gamma_e1
     reg_d = model.sigma / math.gamma(e)
     s = np.zeros(space.n)
     value = model.value(s)
@@ -375,11 +375,12 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         taylor_value = value - reg_v * step_norm ** e
         if quadratic:
             hessian_d = np.dot(hessian, d)
-            ray = _quadratic_ray(s, d, taylor_grad, taylor_value, hessian_d)
+            coeffs = _quadratic_ray(d, taylor_grad, taylor_value, hessian_d)
         else:
-            ray = _restrict_with_cache(model, s, d, taylor_grad, taylor_value)
+            coeffs = _restrict_with_cache(model, s, d, taylor_grad, taylor_value)
+        ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d)
         try:
-            tau, value = _line_minimize(model, ray, cfg, unit_grid, value)
+            tau, value = _line_minimize(ev, model.sigma, gamma_e1, cfg, unit_grid, value)
         except _ProgressFloor:
             # stopping rules unmet but no representable decrease remains
             term = Termination.PROGRESS_FLOOR

@@ -365,12 +365,13 @@ def builtin_suite() -> list:
     return entries
 
 
+# id -> (default size, smallest size, builder(size, beta))
 _BUILDERS = {
-    "quadratic": lambda n, beta: QuadraticBowl(n or 6),
-    "double_well": lambda n, beta: DoubleWell(n or 4),
-    "holder": lambda n, beta: HolderGradient(n or 4, 0.5 if beta is None else beta),
-    "rosenbrock": lambda n, beta: Rosenbrock(),
-    "pendulum": lambda n, beta: PendulumLattice(n or 32),
+    "quadratic": (6, 1, lambda n, beta: QuadraticBowl(n)),
+    "double_well": (4, 1, lambda n, beta: DoubleWell(n)),
+    "holder": (4, 1, lambda n, beta: HolderGradient(n, 0.5 if beta is None else beta)),
+    "rosenbrock": (2, 2, lambda n, beta: Rosenbrock()),
+    "pendulum": (32, 4, lambda n, beta: PendulumLattice(n)),
 }
 
 
@@ -380,13 +381,18 @@ def problem_ids() -> list:
 
 def get_problem(problem_id: str, n: int | None = None, beta: float | None = None) -> ProblemOracle:
     """Build a problem by id; for 'pendulum' the size argument is the mesh
-    interval count, for the others it is the dimension."""
+    interval count, for the others it is the dimension, and None picks the
+    problem's default.  A ``ValueError`` message starts with the name of the
+    argument at fault."""
     try:
-        builder = _BUILDERS[problem_id]
+        default, smallest, builder = _BUILDERS[problem_id]
     except KeyError:
         raise KeyError(
             f"unknown problem id {problem_id!r}; available: {', '.join(problem_ids())}"
         ) from None
-    if problem_id == "rosenbrock" and n not in (None, 2):
-        raise ValueError("rosenbrock is two-dimensional; omit the size argument")
-    return builder(n, beta)
+    size = default if n is None else n
+    if size < smallest:
+        raise ValueError(f"n must be at least {smallest} for '{problem_id}', got {n}")
+    if problem_id == "rosenbrock" and size != 2:
+        raise ValueError("n must be 2 for 'rosenbrock' (two-dimensional), or omitted")
+    return builder(size, beta)

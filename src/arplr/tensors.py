@@ -3,9 +3,8 @@
 Tensors are stored densely (desk scale: dimension up to a few hundred for
 order 2, a few dozen for order 3); symmetry is an invariant of the entries,
 not a storage format.  Derivative tensors are supplied by problem oracles —
-nothing here differentiates an objective itself.  ``RayPolynomial`` only
-holds coefficients: restricting a model to a ray, and evaluating it there,
-lives in ``arplr.inner``.
+nothing here differentiates an objective itself.  Restricting a model to a
+ray, and evaluating it there, lives in ``arplr.inner``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "SymmetricTensor",
     "TaylorModel",
     "RegularizedModel",
-    "RayPolynomial",
     "symmetrize",
     "diagonal_tensor",
 ]
@@ -157,20 +155,6 @@ class TaylorModel:
         for l, t in enumerate(self.tensors, start=1):
             total += t.partial_apply(s, l - 1).entries / math.factorial(l - 1)
         return total
-
-
-@dataclass(frozen=True)
-class RayPolynomial:
-    """Polynomial part of a regularized model restricted to a ray.
-
-    Along ``s(t) = anchor - t * direction`` the Taylor part of the model is
-    the polynomial ``sum_j coeffs[j] t^j``; the norm regularizer is not
-    polynomial in t and is evaluated separately by the inner solver.
-    """
-
-    coeffs: np.ndarray
-    anchor: np.ndarray
-    direction: np.ndarray
 
 
 @dataclass(frozen=True)

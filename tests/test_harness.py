@@ -1,17 +1,52 @@
 import os
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from arplr import cli
 from arplr.cli import main
 from arplr.harness import (
     ConfigError,
+    EpsRow,
     ExperimentConfig,
+    MeshRow,
     run_epsilon_sweep,
     run_mesh_sweep,
     run_single,
 )
-from arplr.solver import SolveStatus
+from arplr.inner import Termination
+from arplr.solver import IterationRecord, SolveStatus
+
+
+def _field_type(cls, name):
+    # the annotated type of a dataclass field, with "| None" dropped
+    hint = typing.get_type_hints(cls)[name]
+    return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+
+
+def _read_table(path, cls):
+    """Parse a record file back into (comment lines, header, instances of cls),
+    each cell by the field's annotation: bool as 0/1, floats via float."""
+    comments, header, rows = [], None, []
+    for line in open(path).read().splitlines():
+        if line.startswith("#"):
+            comments.append(line)
+        elif header is None:
+            header = line.split(",")
+        else:
+            values = {}
+            for name, cell in zip(header, line.split(",")):
+                kind = _field_type(cls, name)
+                if cell == "None":
+                    values[name] = None
+                elif kind is bool:
+                    values[name] = {"0": False, "1": True}[cell]
+                else:
+                    values[name] = kind(cell)
+            rows.append(cls(**values))
+    return comments, header, rows
 
 
 def test_run_single_quadratic(tmp_path):
@@ -69,7 +104,14 @@ def test_epsilon_sweep_on_quadratic(tmp_path):
     assert summary.all_within_bound
     assert summary.theoretical_exponent == pytest.approx(1.5)
     assert summary.slope_ok
-    assert os.path.exists(tmp_path / "summary.csv")
+    comments, header, rows = _read_table(tmp_path / "summary.csv", EpsRow)
+    assert header == [f.name for f in fields(EpsRow)]
+    assert rows == list(summary.rows)
+    assert comments == [
+        f"# slope = {summary.slope!r}",
+        f"# slope_residual = {summary.slope_residual!r}",
+        f"# theoretical_exponent = {summary.theoretical_exponent!r}",
+    ]
 
 
 def test_epsilon_sweep_requires_grid():
@@ -84,7 +126,10 @@ def test_mesh_sweep_small(tmp_path):
     rows = run_mesh_sweep(cfg)
     assert [row.mesh_size for row in rows] == [8, 16]
     assert all(row.converged for row in rows)
-    assert os.path.exists(tmp_path / "summary.csv")
+    comments, header, parsed = _read_table(tmp_path / "summary.csv", MeshRow)
+    assert comments == []
+    assert header == [f.name for f in fields(MeshRow)]
+    assert parsed == rows
 
 
 def test_mesh_sweep_requires_list():
@@ -189,18 +234,75 @@ def test_cli_config_file_unknown_key(tmp_path, capsys):
 def test_record_file_is_parseable(tmp_path):
     cfg = ExperimentConfig(problem="double_well", epsilon=1e-4, out=str(tmp_path))
     run, _, path = run_single(cfg)
-    rows = []
-    header_seen = False
-    for line in open(path):
-        if line.startswith("#"):
-            continue
-        if not header_seen:
-            header_seen = True
-            columns = line.strip().split(",")
-            continue
-        rows.append(line.strip().split(","))
-    assert len(rows) == run.total_iterations
-    k_idx = columns.index("k")
-    sigma_idx = columns.index("sigma")
-    assert [int(r[k_idx]) for r in rows] == list(range(run.total_iterations))
-    assert float(rows[0][sigma_idx]) == run.records[0].sigma
+    comments, header, rows = _read_table(path, IterationRecord)
+    assert comments[0] == "# arplr run record"
+    assert header == [f.name for f in fields(IterationRecord)]
+    assert len(rows) == run.total_iterations > 0
+    assert rows == list(run.records)
+    assert all(Termination(row.inner_termination) for row in rows)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-eps", "sweep-mesh", "check-oracle"])
+def test_solve_subcommands_share_the_flags(command, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_run", lambda args: seen.append(cli._build_config(args)) or 0)
+    monkeypatch.setattr(cli, "_cmd_sweep_eps", cli._cmd_run)
+    monkeypatch.setattr(cli, "_cmd_sweep_mesh", cli._cmd_run)
+    monkeypatch.setattr(cli, "_cmd_check_oracle", cli._cmd_run)
+    assert main([command, "--mesh", "8,16", "--eps-points", "3", "--n", "5"]) == 0
+    assert (seen[0].mesh, seen[0].eps_points, seen[0].n) == ((8, 16), 3, 5)
+
+
+_SAMPLES = {int: ("7", 7), float: ("0.25", 0.25), str: ("zeros", "zeros"), tuple: ("8,16", (8, 16))}
+
+
+@pytest.mark.parametrize(
+    "key,name",
+    [(f.name, f.name) for f in fields(ExperimentConfig)]
+    + [("eps", "epsilon"), ("max_outer", "max_outer_iters"), ("inner_max", "inner_max_iters")],
+)
+def test_every_config_field_is_a_flag_and_a_key(key, name, tmp_path, monkeypatch):
+    text, value = _SAMPLES[_field_type(ExperimentConfig, name)]
+    assert getattr(ExperimentConfig(), name) != value
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_run", lambda args: seen.append(cli._build_config(args)) or 0)
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"{key} = {text}\n")
+    assert main(["run", "--" + key.replace("_", "-"), text]) == 0
+    assert main(["run", "--config", str(cfgfile)]) == 0
+    assert [getattr(cfg, name) for cfg in seen] == [value, value]
+
+
+def test_cli_malformed_config_value_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("problem = quadratic\neps = abc\n")
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "line 2" in err and "epsilon" in err
+
+
+def test_cli_invalid_norm_exponent_exits_2(capsys):
+    assert main(["run", "--problem", "quadratic", "--r", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: r:" in err
+
+
+def test_cli_problem_size_zero_exits_2(capsys):
+    assert main(["run", "--problem", "quadratic", "--n", "0"]) == 2
+    assert "configuration error: n must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg,field",
+    [
+        (ExperimentConfig(problem="quadratic", n=0), "n"),
+        (ExperimentConfig(problem="pendulum", n=2), "n"),
+        (ExperimentConfig(problem="holder", p=1, beta=1.0), "beta"),
+        (ExperimentConfig(problem="holder", p=2), "p"),
+        (ExperimentConfig(problem="quadratic", r=0.5), "r"),
+    ],
+    ids=["quadratic-n0", "pendulum-n2", "holder-beta1", "holder-p2", "quadratic-r0.5"],
+)
+def test_build_errors_name_the_field(cfg, field):
+    with pytest.raises(ConfigError, match=f"^{field}\\b"):
+        cfg.build()

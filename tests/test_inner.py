@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from arplr import (
     symmetrize,
 )
 from arplr.inner import _RayEval, default_max_iters
-from arplr.tensors import RayPolynomial
 
 
 def _linear_model(g, sigma, r=2.0, p=1, beta=1.0):
@@ -186,9 +187,11 @@ def test_scalar_ray_matches_numpy_polynomial_bit_for_bit(coeffs, t, r, beta, see
     anchor = rng.standard_normal(n)
     d = space.dual_direction(rng.standard_normal(n))
     coeffs = np.array(coeffs)
-    ev = _RayEval(model, RayPolynomial(coeffs, anchor, d))
+    e = model.reg_exponent
+    reg_v, reg_d = model.sigma / math.gamma(e + 1.0), model.sigma / math.gamma(e)
+    ev = _RayEval(coeffs.tolist(), anchor, d, r, e, reg_v, reg_d)
     # the regularizer term alone: the same ray with a zero polynomial
-    reg = _RayEval(model, RayPolynomial(np.zeros_like(coeffs), anchor, d))
+    reg = _RayEval([0.0] * len(coeffs), anchor, d, r, e, reg_v, reg_d)
     value = float(npoly.polyval(t, coeffs)) + reg.value(t)
     deriv = float(npoly.polyval(t, npoly.polyder(coeffs))) + reg.deriv(t)
     assert np.float64(ev.value(t)).tobytes() == np.float64(value).tobytes()

@@ -200,6 +200,17 @@ def test_registry_and_factory():
         get_problem("rosenbrock", 5)
 
 
+def test_problem_size_errors_name_the_argument():
+    # only None selects the default size; each message starts with its argument
+    assert get_problem("quadratic").dim == 6
+    assert get_problem("quadratic", 1).dim == 1
+    for pid, size in (("quadratic", 0), ("double_well", -1), ("pendulum", 3), ("rosenbrock", 5)):
+        with pytest.raises(ValueError, match="^n must be"):
+            get_problem(pid, size)
+    with pytest.raises(ValueError, match="^beta must"):
+        get_problem("holder", None, 1.0)
+
+
 def test_builtin_suite_composition():
     entries = builtin_suite()
     assert all(isinstance(e, SuiteEntry) for e in entries)

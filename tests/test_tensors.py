@@ -201,7 +201,11 @@ def test_model_gradient_matches_finite_differences(r, beta):
 
 def _ray_eval(m, s0, d):
     # the inner solver's restriction of m to t -> s0 - t d
-    return _RayEval(m, _restrict_with_cache(m, s0, d, m.taylor.gradient(s0), m.taylor.value(s0)))
+    coeffs = _restrict_with_cache(m, s0, d, m.taylor.gradient(s0), m.taylor.value(s0))
+    e = m.reg_exponent
+    return _RayEval(
+        coeffs, s0, d, m.space.r, e, m.sigma / math.gamma(e + 1.0), m.sigma / math.gamma(e)
+    )
 
 
 def test_restrict_to_ray_linear_coefficients():
@@ -233,7 +237,7 @@ def test_restrict_to_ray_quadratic_coefficient_via_polyfit():
     fitted = np.polynomial.polynomial.polyfit(ts, samples, 2)
     assert coeffs[2] == pytest.approx(fitted[2], rel=1e-10, abs=1e-12)
     assert coeffs[2] == pytest.approx(0.5 * d @ a @ d, rel=1e-12)
-    shortcut = _quadratic_ray(np.zeros(3), d, g, tm.value(np.zeros(3)), a @ d).coeffs
+    shortcut = _quadratic_ray(d, g, tm.value(np.zeros(3)), a @ d)
     assert np.allclose(shortcut, coeffs, rtol=1e-12, atol=1e-15)
 
 
