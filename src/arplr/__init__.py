@@ -27,6 +27,7 @@ from .solver import (
     theorem_success_bound,
 )
 from .tensors import (
+    DiagonalTensor,
     RegularizedModel,
     SymmetricTensor,
     TaylorModel,
@@ -41,6 +42,7 @@ __all__ = [
     "NormedSpace",
     "smoothness_modulus_estimate",
     "SymmetricTensor",
+    "DiagonalTensor",
     "TaylorModel",
     "RegularizedModel",
     "symmetrize",

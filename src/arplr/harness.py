@@ -57,7 +57,7 @@ class ExperimentConfig:
 
     problem: str = _option("quadratic", "problem id (see list-problems)")
     n: int | None = _option(None, "dimension (mesh intervals for pendulum)")
-    r: float = _option(0.0, "norm exponent; default: problem's space")
+    r: float = _option(0.0, "norm exponent; 0 (default): problem's space")
     x0: str = _option("default", "zeros | ones | default | random | v1,v2,...")
     seed: int = 0
     out: str | None = _option(None, "output directory for record files")
@@ -99,7 +99,7 @@ class ExperimentConfig:
                 f"p: '{problem.name}' supplies derivatives only up to order {problem.max_order}"
             )
         try:
-            space = problem.default_space() if self.r <= 0.0 else NormedSpace(problem.dim, self.r)
+            space = problem.default_space() if self.r == 0.0 else NormedSpace(problem.dim, self.r)
         except GeometryError as exc:
             raise ConfigError(f"r: {exc}") from None
         shared = {f.name for f in fields(OuterConfig)} & {f.name for f in fields(self)}

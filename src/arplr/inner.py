@@ -10,13 +10,17 @@ could never fire before the absolute branch).
 Cost of one iteration: one l^r pass over s (``geometry._lr``), which gives
 the regularizer's gradient, its value at s and the step-power norm; one
 pass over the model gradient, which gives its dual norm and the dual
-direction; for p = 2 one dense Hessian matvec (H d, from which H s is also
-kept up to date); and a line search on the ray coefficients cached as
-Python floats.  On the r = 2 path that search is pure scalar arithmetic
-when the ray polynomial is convex; otherwise one array scan of the ray
-brackets its minima.  The arithmetic is that of the ``NormedSpace`` and
-``RegularizedModel`` methods, operation for operation, so calling them
-instead gives the same bits.
+direction; the derivative contractions (each tensor's ``contract``): for
+p = 2 one Hessian product H d, from which H s is also kept up to date,
+otherwise the Taylor gradient at s and, per order-l tensor, l - 1 full
+contractions for the ray coefficients; and a line search on those
+coefficients cached as Python floats.  A contraction costs O(n) for the
+diagonal tensors of separable oracles and O(n^l) for a dense order-l
+tensor, with the same bits either way.  On the r = 2 path the line search
+is pure scalar arithmetic when the ray polynomial is convex; otherwise one
+array scan of the ray brackets its minima.  The arithmetic is that of the
+``NormedSpace`` and ``RegularizedModel`` methods, operation for operation,
+so calling them instead gives the same bits.
 
 One-dimensional minimization: the polynomial restriction of the Taylor part
 is combined with the norm regularizer, which is convex in the ray parameter.
@@ -32,6 +36,7 @@ way the model value decreases strictly at every iteration.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,18 +194,11 @@ def _restrict_with_cache(
     Taylor value there and the linear one is minus the pairing of the Taylor
     gradient with the direction."""
     coeffs = [float(taylor_value), -float(np.dot(taylor_grad, d))] + [0.0] * (model.p - 1)
-    for t in model.taylor.tensors:
+    for t in model.taylor.tensors[1:]:
         l = t.order
-        if l < 2:
-            continue
-        arr = np.dot(np.dot(t.entries, d), d)
         for j in range(2, l + 1):
-            partial = arr
-            for _ in range(l - j):
-                partial = np.dot(partial, s0)
-            coeffs[j] += math.comb(l, j) * (-1.0) ** j * float(partial) / math.factorial(l)
-            if j < l:
-                arr = np.dot(arr, d)
+            partial = float(t.contract([d] * j + [s0] * (l - j)))
+            coeffs[j] += math.comb(l, j) * (-1.0) ** j * partial / math.factorial(l)
     return coeffs
 
 
@@ -228,13 +226,17 @@ def _refine_root(fun, a, b, fa, fb, ftol, max_iter=80):
     return t
 
 
+@functools.cache
 def _unit_grid(points: int) -> np.ndarray:
     """Scan abscissae on [0, 1]: a linear grid plus a geometric refinement
-    toward 0 for stationary points far below the bracket scale."""
+    toward 0 for stationary points far below the bracket scale.  Built once
+    per point count and shared, so it is read-only."""
     half = max(points // 2, 8)
-    return np.sort(
+    grid = np.sort(
         np.concatenate([np.linspace(0.0, 1.0, points), np.geomspace(1e-12, 1.0, half)])
     )
+    grid.flags.writeable = False
+    return grid
 
 
 def _quadratic_ray(d, taylor_grad, taylor_value, hessian_d) -> list:
@@ -340,7 +342,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
     quadratic = model.p == 2
     if quadratic:
         grad0 = model.taylor.tensors[0].entries
-        hessian = model.taylor.tensors[1].entries
+        hessian = model.taylor.tensors[1]
         hessian_s = np.zeros(space.n)
         since_refresh = 0
     while True:
@@ -374,7 +376,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         d = np.copysign(np.abs(u_g) ** (r_dual - 1.0), u_g)
         taylor_value = value - reg_v * step_norm ** e
         if quadratic:
-            hessian_d = np.dot(hessian, d)
+            hessian_d = hessian.contract([d])
             coeffs = _quadratic_ray(d, taylor_grad, taylor_value, hessian_d)
         else:
             coeffs = _restrict_with_cache(model, s, d, taylor_grad, taylor_value)
@@ -390,7 +392,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             hessian_s = hessian_s - tau * hessian_d
             since_refresh += 1
             if since_refresh >= 256:
-                hessian_s = np.dot(hessian, s)
+                hessian_s = hessian.contract([s])
                 since_refresh = 0
         history.append(value)
         iters += 1

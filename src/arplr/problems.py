@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import NormedSpace
-from .tensors import SymmetricTensor, diagonal_tensor
+from .tensors import DiagonalTensor, SymmetricTensor, diagonal_tensor
 
 __all__ = [
     "ProblemOracle",
@@ -57,7 +57,9 @@ class ProblemOracle:
     def eval_f(self, x) -> float:
         raise NotImplementedError
 
-    def eval_derivative(self, x, order: int) -> SymmetricTensor:
+    def eval_derivative(self, x, order: int) -> SymmetricTensor | DiagonalTensor:
+        """The order-``order`` derivative at x; separable oracles return a
+        ``DiagonalTensor`` for orders 2 and up."""
         raise NotImplementedError
 
     def holder_constant(self, space: NormedSpace, order: int, radius: float):
@@ -95,7 +97,7 @@ class QuadraticBowl(ProblemOracle):
         x = np.asarray(x, dtype=float)
         return float(0.5 * np.dot(self.a * x, x) + np.dot(self.b, x))
 
-    def eval_derivative(self, x, order: int) -> SymmetricTensor:
+    def eval_derivative(self, x, order: int) -> SymmetricTensor | DiagonalTensor:
         self._check_order(order)
         x = np.asarray(x, dtype=float)
         if order == 1:
@@ -127,7 +129,7 @@ class DoubleWell(ProblemOracle):
         x = np.asarray(x, dtype=float)
         return float(np.sum(x ** 4 / 4.0 - x ** 2 / 2.0))
 
-    def eval_derivative(self, x, order: int) -> SymmetricTensor:
+    def eval_derivative(self, x, order: int) -> SymmetricTensor | DiagonalTensor:
         self._check_order(order)
         x = np.asarray(x, dtype=float)
         if order == 1:

@@ -43,6 +43,9 @@ __all__ = [
 class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
+    # f or the gradient at the current point (x0 or an accepted trial
+    # point) is not finite
+    ORACLE_NONFINITE = "oracle_nonfinite"
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,10 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
     The oracle must supply derivative tensors up to order ``cfg.p``.  An
     inner solve that hits its iteration guard is treated as an
     unsuccessful iteration (sigma is raised and the step re-attempted),
-    regardless of its decrease ratio.
+    regardless of its decrease ratio.  A non-finite f or gradient at x0 or
+    at an accepted point ends the run with ``ORACLE_NONFINITE`` and the
+    records collected so far (``final_grad_dual_norm`` is NaN when the
+    gradient is the culprit).
     """
     if getattr(problem, "max_order", cfg.p) < cfg.p:
         raise ValueError(
@@ -177,7 +183,11 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
     k = 0
     while True:
         grad = derivs[0].entries
-        grad_norm = space.dual_norm(grad)
+        grad_finite = bool(np.isfinite(grad).all())
+        grad_norm = space.dual_norm(grad) if grad_finite else math.nan
+        if not (grad_finite and math.isfinite(fx)):
+            status = SolveStatus.ORACLE_NONFINITE
+            break
         if grad_norm <= cfg.epsilon:
             status = SolveStatus.CONVERGED
             break

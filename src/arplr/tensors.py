@@ -1,10 +1,16 @@
 """Symmetric multilinear forms, truncated Taylor models, and regularized models.
 
-Tensors are stored densely (desk scale: dimension up to a few hundred for
-order 2, a few dozen for order 3); symmetry is an invariant of the entries,
-not a storage format.  Derivative tensors are supplied by problem oracles —
-nothing here differentiates an objective itself.  Restricting a model to a
-ray, and evaluating it there, lives in ``arplr.inner``.
+Two storages share one interface (``order``, ``dim``, ``entries``,
+``contract``, ``apply``, ``partial_apply``, ``dense``): ``SymmetricTensor``
+keeps all dim^order entries (desk scale: dimension up to a few hundred for
+order 2, a few dozen for order 3; symmetry is an invariant of the entries,
+not a storage format), and ``DiagonalTensor`` keeps only the diagonal of a
+separable objective's derivative, so its contractions cost O(dim) whatever
+the order.  ``entries`` is what a tensor stores and ``contract`` returns
+the stored entries of what is left after a contraction; callers that need
+the full array use ``dense()``.  Derivative tensors are supplied by problem
+oracles — nothing here differentiates an objective itself.  Restricting a
+model to a ray, and evaluating it there, lives in ``arplr.inner``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .geometry import NormedSpace, _as_vector
 
 __all__ = [
     "SymmetricTensor",
+    "DiagonalTensor",
     "TaylorModel",
     "RegularizedModel",
     "symmetrize",
@@ -36,6 +43,23 @@ def _coerce(dim: int, v) -> np.ndarray:
     if arr.shape != (dim,):
         raise TensorError(f"expected a vector of dimension {dim}, got shape {arr.shape}")
     return arr
+
+
+def _apply(self, vs: Sequence) -> float:
+    """Full contraction ``S[v_1, ..., v_order]``."""
+    if len(vs) != self.order:
+        raise TensorError(f"expected {self.order} vectors, got {len(vs)}")
+    return float(self.contract([_coerce(self.dim, v) for v in vs]))
+
+
+def _partial_apply(self, v, times: int):
+    """Contract ``times`` copies of v, leaving an order ``order - times`` form."""
+    if not 0 <= times <= self.order:
+        raise TensorError(
+            f"cannot apply a vector {times} times to an order-{self.order} tensor"
+        )
+    arr = self.contract([_coerce(self.dim, v)] * times)
+    return self._remainder(self.order - times, arr)
 
 
 @dataclass(frozen=True)
@@ -60,26 +84,73 @@ class SymmetricTensor:
             )
         object.__setattr__(self, "entries", arr)
 
-    def apply(self, vs: Sequence) -> float:
-        """Full contraction ``S[v_1, ..., v_order]``."""
-        if len(vs) != self.order:
-            raise TensorError(f"expected {self.order} vectors, got {len(vs)}")
+    def contract(self, vs: Sequence) -> np.ndarray:
+        """Entries of the form left after contracting the vectors ``vs``
+        (unchecked; ``apply`` and ``partial_apply`` validate and wrap)."""
         arr = self.entries
         for v in vs:
-            arr = np.dot(arr, _coerce(self.dim, v))
-        return float(arr)
-
-    def partial_apply(self, v, times: int) -> "SymmetricTensor":
-        """Contract ``times`` copies of v, leaving an order ``order - times`` form."""
-        if not 0 <= times <= self.order:
-            raise TensorError(
-                f"cannot apply a vector {times} times to an order-{self.order} tensor"
-            )
-        v = _coerce(self.dim, v)
-        arr = self.entries
-        for _ in range(times):
             arr = np.dot(arr, v)
-        return SymmetricTensor(self.order - times, self.dim, arr)
+        return arr
+
+    def dense(self) -> np.ndarray:
+        """The full dim^order array; here the entries themselves."""
+        return self.entries
+
+    def _remainder(self, order: int, arr) -> "SymmetricTensor":
+        return SymmetricTensor(order, self.dim, arr)
+
+    apply = _apply
+    partial_apply = _partial_apply
+
+
+@dataclass(frozen=True)
+class DiagonalTensor:
+    """Symmetric form of order at least 2 on R^dim whose only nonzeros are
+    ``S[i, ..., i] = diag[i]``; only the diagonal is stored.
+
+    ``contract`` forms the products ``diag * v_1 * ...`` in the order the
+    dense ``np.dot`` chain does and finishes a full contraction with one
+    ``np.dot``.  Each dense row sum adds exact zeros to a single product,
+    so both storages give the same bits.
+    """
+
+    order: int
+    dim: int
+    diag: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.diag, dtype=float)
+        if self.order < 2:
+            raise TensorError("a diagonal tensor has order at least 2")
+        if arr.shape != (self.dim,):
+            raise TensorError(f"diagonal shape {arr.shape} does not match dim {self.dim}")
+        object.__setattr__(self, "diag", arr)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The stored floats, here the diagonal; ``dense()`` expands them."""
+        return self.diag
+
+    def contract(self, vs: Sequence) -> np.ndarray:
+        """Entries of the form left after contracting the vectors ``vs``: the
+        remainder's diagonal, or for a full contraction the scalar."""
+        arr = self.diag
+        full = len(vs) == self.order
+        for v in vs[:-1] if full else vs:
+            arr = arr * v
+        return np.dot(arr, vs[-1]) if full else arr
+
+    def dense(self) -> np.ndarray:
+        """The full dim^order array, allocated on every call."""
+        arr = np.zeros((self.dim,) * self.order)
+        arr[(np.arange(self.dim),) * self.order] = self.diag
+        return arr
+
+    def _remainder(self, order: int, arr):
+        return diagonal_tensor(order, arr) if order >= 1 else SymmetricTensor(0, self.dim, arr)
+
+    apply = _apply
+    partial_apply = _partial_apply
 
 
 def symmetrize(arr) -> np.ndarray:
@@ -97,14 +168,13 @@ def symmetrize(arr) -> np.ndarray:
     return total / count
 
 
-def diagonal_tensor(order: int, diag) -> SymmetricTensor:
-    """Symmetric tensor whose only nonzeros are ``S[i, i, ..., i] = diag[i]``."""
+def diagonal_tensor(order: int, diag) -> SymmetricTensor | DiagonalTensor:
+    """Symmetric tensor whose only nonzeros are ``S[i, i, ..., i] = diag[i]``:
+    a ``DiagonalTensor`` for order 2 and up; an order-1 diagonal is the
+    vector itself, a plain ``SymmetricTensor``."""
     diag = np.asarray(diag, dtype=float)
-    n = diag.shape[0]
-    arr = np.zeros((n,) * order)
-    idx = (np.arange(n),) * order
-    arr[idx] = diag
-    return SymmetricTensor(order, n, arr)
+    cls = DiagonalTensor if order >= 2 else SymmetricTensor
+    return cls(order, diag.shape[0], diag)
 
 
 @dataclass(frozen=True)
@@ -146,14 +216,14 @@ class TaylorModel:
         s = _as_vector(self.dim, s)
         total = self.f0
         for l, t in enumerate(self.tensors, start=1):
-            total += t.apply([s] * l) / math.factorial(l)
+            total += float(t.contract([s] * l)) / math.factorial(l)
         return float(total)
 
     def gradient(self, s) -> np.ndarray:
         s = _as_vector(self.dim, s)
         total = np.zeros(self.dim)
         for l, t in enumerate(self.tensors, start=1):
-            total += t.partial_apply(s, l - 1).entries / math.factorial(l - 1)
+            total += t.contract([s] * (l - 1)) / math.factorial(l - 1)
         return total
 
 

@@ -287,6 +287,12 @@ def test_cli_invalid_norm_exponent_exits_2(capsys):
     assert "configuration error: r:" in err
 
 
+def test_cli_negative_norm_exponent_exits_2(capsys):
+    # only r = 0 selects the problem's own space
+    assert main(["run", "--problem", "quadratic", "--r", "-3"]) == 2
+    assert "configuration error: r:" in capsys.readouterr().err
+
+
 def test_cli_problem_size_zero_exits_2(capsys):
     assert main(["run", "--problem", "quadratic", "--n", "0"]) == 2
     assert "configuration error: n must be at least 1" in capsys.readouterr().err

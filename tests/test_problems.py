@@ -77,7 +77,7 @@ def test_double_well_analytics():
     x = np.array([1.0, -2.0, 0.5])
     assert problem.eval_f(x) == pytest.approx(np.sum(x ** 4 / 4 - x ** 2 / 2), rel=1e-14)
     assert np.allclose(problem.eval_derivative(x, 1).entries, x ** 3 - x)
-    assert np.allclose(np.diag(problem.eval_derivative(x, 2).entries), 3 * x ** 2 - 1)
+    assert np.allclose(np.diag(problem.eval_derivative(x, 2).dense()), 3 * x ** 2 - 1)
     assert problem.f_low == -0.75
 
 
@@ -122,8 +122,8 @@ def test_metadata_constant_dominates_sampled_quotient():
             if sep == 0.0:
                 continue
             dt = (
-                problem.eval_derivative(x, order).entries
-                - problem.eval_derivative(y, order).entries
+                problem.eval_derivative(x, order).dense()
+                - problem.eval_derivative(y, order).dense()
             )
             # sampled lower estimate of the l^r operator norm of the difference
             op = 0.0
@@ -224,3 +224,10 @@ def test_builtin_suite_composition():
         assert e.space.n == e.problem.dim
         assert e.p <= e.problem.max_order
         assert e.x0.shape == (e.problem.dim,)
+
+
+def test_separable_oracles_store_only_the_diagonal():
+    x = np.random.default_rng(0).standard_normal(96)
+    assert DoubleWell(96).eval_derivative(x, 3).entries.size == 96
+    assert DoubleWell(96).eval_derivative(x, 2).entries.size == 96
+    assert QuadraticBowl(96).eval_derivative(x, 2).entries.size == 96

@@ -319,3 +319,75 @@ def test_suite_counters_pinned():
             run.deriv_evals,
         )
     assert counters == _PINNED_COUNTERS
+
+
+# (outer, successful, inner, f_evals, deriv_evals, repr(f_final)) of
+# DoubleWell(96), p = 3, from x0 = "random" with the given seed, as the
+# dense order-3 tensors produced them: the diagonal storage must contract
+# to the same bits
+_PINNED_P3 = {
+    (1.5, 1): (48, 29, 59, 49, 30, "-23.999999999980858"),
+    (1.5, 2): (34, 19, 41, 35, 20, "-23.999999999992816"),
+    (3.0, 3): (12, 10, 34, 13, 11, "-23.99999999999808"),
+    (3.0, 4): (13, 11, 35, 14, 12, "-23.9999999999976"),
+}
+
+
+def test_double_well_p3_counters_pinned():
+    counters = {}
+    for r, seed in _PINNED_P3:
+        cfg = ExperimentConfig(problem="double_well", n=96, r=r, p=3, x0="random", seed=seed)
+        problem, space, x0, outer = cfg.build()
+        run = solve(problem, x0, outer, space)
+        counters[(r, seed)] = (
+            run.total_iterations,
+            run.successes,
+            sum(rec.inner_iters for rec in run.records),
+            run.f_evals,
+            run.deriv_evals,
+            repr(run.f_final),
+        )
+    assert counters == _PINNED_P3
+
+
+class _GradientTurnsNaN(QuadraticBowl):
+    """Quadratic bowl whose gradient is NaN everywhere but at x0."""
+
+    def __init__(self, x0):
+        super().__init__(6)
+        self.x0 = x0
+
+    def eval_derivative(self, x, order):
+        t = super().eval_derivative(x, order)
+        if order == 1 and not np.array_equal(x, self.x0):
+            return type(t)(1, self.dim, np.full(self.dim, np.nan))
+        return t
+
+
+def test_nonfinite_gradient_at_accepted_point_keeps_the_records():
+    x0 = np.ones(6)
+    problem = _GradientTurnsNaN(x0)
+    cfg = OuterConfig(p=2, beta=1.0)
+    run = solve(problem, x0, cfg, NormedSpace(6, 2.0))
+    assert run.status is SolveStatus.ORACLE_NONFINITE
+    assert len(run.records) == 1 and run.records[0].successful
+    assert math.isnan(run.final_grad_dual_norm)
+    assert run.deriv_evals == 2 and not np.array_equal(run.final_point, x0)
+
+
+@pytest.mark.parametrize("bad", ["f", "gradient"])
+def test_nonfinite_oracle_at_x0_returns_a_record(bad):
+    class Broken(QuadraticBowl):
+        def eval_f(self, x):
+            return math.inf if bad == "f" else super().eval_f(x)
+
+        def eval_derivative(self, x, order):
+            t = super().eval_derivative(x, order)
+            if bad == "gradient" and order == 1:
+                return type(t)(1, self.dim, np.full(self.dim, -np.inf))
+            return t
+
+    run = solve(Broken(6), np.ones(6), OuterConfig(p=2, beta=1.0), NormedSpace(6, 2.0))
+    assert run.status is SolveStatus.ORACLE_NONFINITE
+    assert run.records == () and run.f_evals == 1 and run.deriv_evals == 1
+    assert math.isnan(run.final_grad_dual_norm) == (bad == "gradient")

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arplr import (
+    DiagonalTensor,
     NormedSpace,
     RegularizedModel,
     SymmetricTensor,
@@ -91,8 +94,69 @@ def test_arity_and_range_errors():
 
 def test_diagonal_tensor():
     t = diagonal_tensor(3, [1.0, 2.0])
-    assert t.entries[0, 0, 0] == 1.0 and t.entries[1, 1, 1] == 2.0
-    assert t.entries[0, 1, 0] == 0.0
+    assert t.dense()[0, 0, 0] == 1.0 and t.dense()[1, 1, 1] == 2.0
+    assert t.dense()[0, 1, 0] == 0.0
+
+
+def test_diagonal_tensor_validation():
+    with pytest.raises(TensorError):
+        DiagonalTensor(1, 2, [1.0, 2.0])
+    with pytest.raises(TensorError):
+        DiagonalTensor(2, 3, [1.0, 2.0])
+    t = diagonal_tensor(2, [1.0, 2.0])
+    with pytest.raises(TensorError):
+        t.apply([np.ones(2)])
+    with pytest.raises(TensorError):
+        t.partial_apply(np.ones(2), 3)
+    with pytest.raises(TensorError):
+        t.apply([np.ones(3), np.ones(3)])
+    # an order-1 diagonal is just the vector
+    assert isinstance(diagonal_tensor(1, [1.0, 2.0]), SymmetricTensor)
+
+
+# (seed, decimal exponent) of a standard-normal vector scaled by 10^exponent
+_scaled = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(-6, 6))
+
+
+def _draw(n, scaled):
+    seed, exponent = scaled
+    return np.random.default_rng(seed).standard_normal(n) * 10.0 ** exponent
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    order=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=100),
+    diag=_scaled,
+    grad=_scaled,
+    a=_scaled,
+    b=_scaled,
+    c=_scaled,
+)
+def test_diagonal_tensor_contracts_like_dense_bit_for_bit(order, n, diag, grad, a, b, c):
+    t = diagonal_tensor(order, _draw(n, diag))
+    dense = SymmetricTensor(order, n, t.dense())
+    vs = [_draw(n, a), _draw(n, b), _draw(n, c)]
+    assert t.apply(vs[:order]) == dense.apply(vs[:order])
+    for times in range(order + 1):
+        out, ref = t.partial_apply(vs[0], times), dense.partial_apply(vs[0], times)
+        assert out.order == ref.order and np.array_equal(out.dense(), ref.entries)
+    # the p = 2 Hessian products of the inner solver
+    hess = diagonal_tensor(2, t.entries)
+    assert np.array_equal(hess.contract([vs[1]]), np.dot(hess.dense(), vs[1]))
+    # the ray coefficients of the order-p model with these tensors
+    g = SymmetricTensor(1, n, _draw(n, grad))
+    higher = [diagonal_tensor(l, _draw(n, diag) / l) for l in range(2, order + 1)]
+    space = NormedSpace(n, 2.0)
+    models = [
+        RegularizedModel(TaylorModel(np.zeros(n), 0.5, (g, *ts)), 1.0, order, 1.0, space)
+        for ts in (higher, [SymmetricTensor(x.order, n, x.dense()) for x in higher])
+    ]
+    s0, d = vs[1], vs[2]
+    coeffs = [
+        _restrict_with_cache(m, s0, d, m.taylor.gradient(s0), m.taylor.value(s0)) for m in models
+    ]
+    assert coeffs[0] == coeffs[1]
 
 
 def test_taylor_value_at_zero_is_f0():
