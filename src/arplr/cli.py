@@ -8,7 +8,9 @@ verification of a problem's derivatives), and ``list-problems``.
 Each ``ExperimentConfig`` field is a flag of every solve subcommand
 (``--sigma-min`` for ``sigma_min``) and a key of the key-value config file
 (``key = value`` lines, ``#`` comments), with ``eps``, ``max_outer`` and
-``inner_max`` as aliases; explicit flags override file entries.  Exit
+``inner_max`` as aliases; explicit flags override file entries.  A
+flag for a field that a solve subcommand replaces or ignores (``--mesh``
+for ``run``, ``--n`` for ``sweep-mesh``) is a configuration error.  Exit
 codes: 0 on success, 1 when a check reports violations, 2 on configuration
 errors.
 """
@@ -88,7 +90,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         )
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+_SWEEP_EPS = ("eps_start", "eps_stop", "eps_points")
+
+
+def _build_config(args: argparse.Namespace, unused=()) -> ExperimentConfig:
+    """The config file overlaid with the flags given; a flag for one of the
+    ``unused`` fields, which the subcommand replaces or never reads, is a
+    configuration error rather than a silent no-op."""
+    for name in unused:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"{name}: not used by '{args.command}'")
     values = _parse_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
         if getattr(args, f.name) is not None:
@@ -113,7 +124,7 @@ def _print_run(run, violations) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, _SWEEP_EPS + ("mesh",))
     run, violations, path = run_single(cfg)
     _print_run(run, violations)
     if path:
@@ -124,7 +135,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep_eps(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, ("epsilon", "mesh"))
     summary = run_epsilon_sweep(cfg)
     print("epsilon      |S|  |S|<bound  iters  f_evals  converged")
     for row in summary.rows:
@@ -142,7 +153,7 @@ def _cmd_sweep_eps(args) -> int:
 
 
 def _cmd_sweep_mesh(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, ("n",) + _SWEEP_EPS)
     rows = run_mesh_sweep(cfg)
     print("mesh  iters  successes  f_evals  converged")
     for row in rows:

@@ -52,26 +52,35 @@ def _lr(a: np.ndarray, r: float):
     just above the largest magnitude (the ``frexp`` exponent), before they
     are raised to the power r, and the sum's root is multiplied back by
     ``2^k``.  A zero vector or row is returned unchanged with norm 0.
-    Raises GeometryError on a NaN or infinite entry.
+    The peak and the sum are the ``np.maximum`` / ``np.add`` reductions that
+    ``ndarray.max`` / ``ndarray.sum`` wrap, called directly: the same bits
+    without the wrappers' per-call overhead.  Raises GeometryError on a NaN
+    or infinite entry.
     """
     b = np.abs(a)
     if a.ndim == 1:
-        peak = float(b.max())
+        peak = float(np.maximum.reduce(b))
         if not math.isfinite(peak):
             raise GeometryError("vector entries must be finite")
         if peak == 0.0:
             return 0.0, a
         k = math.frexp(peak)[1]
         b *= math.ldexp(1.0, -k)
-        nrm = math.ldexp(float((b ** r).sum()) ** (1.0 / r), k)
+        nrm = math.ldexp(float(np.add.reduce(b ** r)) ** (1.0 / r), k)
         return nrm, a / nrm
-    peaks = b.max(axis=1)
-    if not math.isfinite(float(peaks.max())):
+    peaks = np.maximum.reduce(b, axis=1)
+    if not math.isfinite(float(np.maximum.reduce(peaks))):
         raise GeometryError("vector entries must be finite")
     k = np.frexp(peaks)[1]  # 0 for a zero row
     b *= np.ldexp(1.0, -k)[:, None]
-    nrm = np.ldexp((b ** r).sum(axis=1) ** (1.0 / r), k)
+    nrm = np.ldexp(np.add.reduce(b ** r, axis=1) ** (1.0 / r), k)
     return nrm, a / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+
+
+def _duality(u: np.ndarray, r: float) -> np.ndarray:
+    """``sign(u_i) |u_i|^(r-1)``, the duality vector of a unit vector u from
+    ``_lr``; at r = 2 that is u bit for bit (signed zeros too), returned as is."""
+    return u if r == 2.0 else np.copysign(np.abs(u) ** (r - 1.0), u)
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ class NormedSpace:
         if not p > 1.0:
             raise GeometryError(f"duality map requires exponent p > 1, got {p!r}")
         nx, u = _lr(_shaped(self.n, x), self.r)
-        return np.copysign(np.abs(u) ** (self.r - 1.0), u) * nx ** (p - 1.0)
+        return _duality(u, self.r) * nx ** (p - 1.0)
 
     def dual_direction(self, g) -> np.ndarray:
         """Unit-norm d attaining the dual pairing, ``<g, d> = |g|_*``.
@@ -136,7 +145,7 @@ class NormedSpace:
         gn, u = _lr(_shaped(self.n, g), self.r_dual)
         if gn == 0.0:
             raise GeometryError("dual direction undefined at g = 0 (stationary point)")
-        return np.copysign(np.abs(u) ** (self.r_dual - 1.0), u)
+        return _duality(u, self.r_dual)
 
 
 def smoothness_modulus_estimate(

@@ -7,10 +7,15 @@ the dual gradient norm falls below ``max(grad_tol, theta |s|^(p+beta-1))``
 (the step-power branch is only armed once s is nonzero, since at s = 0 it
 could never fire before the absolute branch).
 
-Cost of one iteration: one l^r pass over s (``geometry._lr``), which gives
-the regularizer's gradient, its value at s and the step-power norm; one
-pass over the model gradient, which gives its dual norm and the dual
-direction; the derivative contractions (each tensor's ``contract``): for
+Cost of one iteration, in l^r passes (``geometry._lr``): one over the model
+gradient, which gives its dual norm and the dual direction, and for r != 2
+one per new point that the line search evaluates on the ray.  The pass over
+s, which gives the regularizer's gradient, its value at s and the
+step-power norm, is the one the line search made at the point it accepted
+(``_RayEval`` remembers its last point), and it serves the ray at t = 0
+too; it is a pass of its own only at r = 2, where the ray is scalar, or
+when the accepted point was not the last one evaluated.  Then the
+derivative contractions (each tensor's ``contract``): for
 p = 2 one Hessian product H d, from which H s is also kept up to date,
 otherwise the Taylor gradient at s and, per order-l tensor, l - 1 full
 contractions for the ray coefficients; and a line search on those
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _lr
+from .geometry import _duality, _lr
 from .tensors import RegularizedModel
 
 __all__ = ["InnerConfig", "InnerResult", "Termination", "minimize_model", "default_max_iters"]
@@ -119,11 +124,14 @@ class _RayEval:
     ``minimize_model`` computes them once per model.  Scalar evaluations
     stay in Python arithmetic.  For r = 2 the squared norm along the ray is
     a quadratic in t, so scalar evaluations are O(1) after caching its
-    coefficients.
+    coefficients.  For other r a scalar evaluation makes an ``_lr`` pass
+    over ``w = anchor - t direction``; the last one is remembered (t, w,
+    |w|_r, w / |w|_r and, once asked for, the duality vector), so a repeated
+    t costs none, and ``remember`` seeds it with data the caller holds.
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
-                 "reg_v", "reg_d", "is_r2", "qa", "qb")
+                 "reg_v", "reg_d", "is_r2", "qa", "qb", "t", "w", "nw", "u", "du")
 
     def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d):
         self.anchor = anchor
@@ -140,6 +148,32 @@ class _RayEval:
             self.qb = float(np.dot(self.anchor, self.direction))
         else:
             self.qa = self.qb = 0.0
+        self.t = math.nan  # nothing remembered: NaN equals no t
+
+    def remember(self, t: float, w, nw: float, u, du) -> None:
+        """Take ``w = anchor - t direction``, with ``(nw, u) = _lr(w, r)``
+        and ``du = _duality(u, r)``, as the last evaluation."""
+        self.t, self.w, self.nw, self.u, self.du = t, w, nw, u, du
+
+    def _norm(self, t: float) -> float:
+        # |w|_r at w = anchor - t d, from memory when t is the remembered one
+        if t != self.t:
+            w = self.anchor - t * self.direction
+            self.nw, self.u = _lr(w, self.r)
+            self.t, self.w, self.du = t, w, None
+        return self.nw
+
+    def _dual(self) -> np.ndarray:
+        # duality vector of the remembered point, formed on first use
+        if self.du is None:
+            self.du = _duality(self.u, self.r)
+        return self.du
+
+    def point(self, t: float):
+        """``(w, |w|_r, w / |w|_r, duality vector)`` at ``w = anchor - t
+        direction``, from memory when t is the remembered parameter."""
+        self._norm(t)
+        return self.w, self.nw, self.u, self._dual()
 
     def _qnorm(self, t: float) -> float:
         # |anchor - t d|^2 for r = 2 (unit direction)
@@ -149,7 +183,7 @@ class _RayEval:
         poly = _horner(self.coeffs, t)
         if self.is_r2:
             return poly + self.reg_v * self._qnorm(t) ** (0.5 * self.e)
-        return poly + self.reg_v * _lr(self.anchor - t * self.direction, self.r)[0] ** self.e
+        return poly + self.reg_v * self._norm(t) ** self.e
 
     def deriv(self, t: float) -> float:
         poly = _horner(self.dcoeffs, t)
@@ -160,8 +194,8 @@ class _RayEval:
             return poly + self.reg_d * q ** (0.5 * (self.e - 2.0)) * (t - self.qb)
         # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
         # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
-        nw, u = _lr(self.anchor - t * self.direction, self.r)
-        num = -float(np.dot(np.copysign(np.abs(u) ** (self.r - 1.0), u), self.direction))
+        nw = self._norm(t)
+        num = -float(np.dot(self._dual(), self.direction))
         return poly + self.reg_d * nw ** (self.e - 1.0) * num
 
     def batch(self, ts: np.ndarray):
@@ -177,7 +211,7 @@ class _RayEval:
             return vals, ders
         pts = self.anchor[None, :] - ts[:, None] * self.direction[None, :]
         norms, units = _lr(pts, self.r)
-        num = -np.dot(np.copysign(np.abs(units) ** (self.r - 1.0), units), self.direction)
+        num = -np.dot(_duality(units, self.r), self.direction)
         vals = pvals + self.reg_v * norms ** self.e
         return vals, pders + self.reg_d * norms ** (self.e - 1.0) * num
 
@@ -345,6 +379,8 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         hessian = model.taylor.tensors[1]
         hessian_s = np.zeros(space.n)
         since_refresh = 0
+    step_norm, u_s = _lr(s, r)
+    du_s = _duality(u_s, r)
     while True:
         if quadratic:
             taylor_grad = grad0 + hessian_s
@@ -352,10 +388,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             taylor_grad = model.taylor.gradient(s)
         # regularizer gradient as RegularizedModel.gradient_from_taylor
         # forms it (NormedSpace.duality_map of s)
-        step_norm, u_s = _lr(s, r)
-        grad = taylor_grad + reg_d * (
-            np.copysign(np.abs(u_s) ** (r - 1.0), u_s) * step_norm ** (e - 1.0)
-        )
+        grad = taylor_grad + reg_d * (du_s * step_norm ** (e - 1.0))
         grad_norm, u_g = _lr(grad, r_dual)
         if grad_norm == 0.0:
             term = Termination.ZERO_GRADIENT
@@ -373,7 +406,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             break
         # NormedSpace.dual_direction of grad, and the Taylor part of the
         # model value at s
-        d = np.copysign(np.abs(u_g) ** (r_dual - 1.0), u_g)
+        d = _duality(u_g, r_dual)
         taylor_value = value - reg_v * step_norm ** e
         if quadratic:
             hessian_d = hessian.contract([d])
@@ -381,13 +414,18 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         else:
             coeffs = _restrict_with_cache(model, s, d, taylor_grad, taylor_value)
         ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d)
+        # the anchor's l^r pass serves the ray at t = 0 (s in place of
+        # s - 0 d: they differ at most in the sign of zero entries)
+        ev.remember(0.0, s, step_norm, u_s, du_s)
         try:
             tau, value = _line_minimize(ev, model.sigma, gamma_e1, cfg, unit_grid, value)
         except _ProgressFloor:
             # stopping rules unmet but no representable decrease remains
             term = Termination.PROGRESS_FLOOR
             break
-        s = s - tau * d
+        # s - tau d and its l^r pass, shared with the line search when it
+        # last evaluated the ray at tau
+        s, step_norm, u_s, du_s = ev.point(tau)
         if quadratic:
             hessian_s = hessian_s - tau * hessian_d
             since_refresh += 1

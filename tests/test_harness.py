@@ -298,6 +298,36 @@ def test_cli_problem_size_zero_exits_2(capsys):
     assert "configuration error: n must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_sweep_flags(capsys):
+    argv = ["run", "--problem", "quadratic", "--mesh", "8,16", "--eps-start", "0.1"]
+    assert main(argv) == 2
+    err = capsys.readouterr()
+    assert "configuration error: eps_start: not used by 'run'" in err.err
+    assert err.out == ""
+
+
+def test_cli_sweep_mesh_rejects_problem_size(capsys):
+    assert main(["sweep-mesh", "--problem", "pendulum", "--mesh", "8,16", "--n", "500"]) == 2
+    err = capsys.readouterr()
+    assert "configuration error: n: not used by 'sweep-mesh'" in err.err
+    assert err.out == ""
+
+
+def test_cli_sweep_eps_rejects_single_accuracy(capsys):
+    argv = ["sweep-eps", "--problem", "double_well", "--eps", "1e-3",
+            "--eps-start", "1e-1", "--eps-stop", "1e-2", "--eps-points", "2"]
+    assert main(argv) == 2
+    assert "configuration error: epsilon: not used by 'sweep-eps'" in capsys.readouterr().err
+
+
+def test_cli_config_file_may_carry_fields_a_subcommand_ignores(tmp_path, capsys):
+    # one file can serve several subcommands; only explicit flags are checked
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("problem = quadratic\nmesh = 8,16\neps_start = 0.1\n")
+    assert main(["run", "--config", str(cfgfile)]) == 0
+    assert "status: converged" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "cfg,field",
     [

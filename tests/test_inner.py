@@ -11,12 +11,16 @@ from arplr import (
     InnerConfig,
     NormedSpace,
     RegularizedModel,
+    SolveStatus,
     SymmetricTensor,
     TaylorModel,
     Termination,
     minimize_model,
+    solve,
     symmetrize,
 )
+from arplr.geometry import _duality, _lr
+from arplr.harness import ExperimentConfig
 from arplr.inner import _RayEval, default_max_iters
 
 
@@ -208,3 +212,61 @@ def test_reported_dual_norm_is_the_model_gradient_dual_norm(p, r, seed):
     m = _random_model(p, 0.7, 1.1, 3, r, np.random.default_rng(seed))
     res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=100))
     assert res.model_grad_dual_norm == m.space.dual_norm(m.gradient(res.s))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    r=st.sampled_from([1.5, 3.0]),
+    p=st.sampled_from([1, 2, 3]),
+    t=st.floats(min_value=1e-6, max_value=10.0),
+    zeros=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_remembered_ray_point_gives_the_bits_of_a_fresh_evaluation(r, p, t, zeros, seed):
+    n = 5
+    rng = np.random.default_rng(seed)
+    space = NormedSpace(n, r)
+    anchor = rng.standard_normal(n)
+    anchor[:zeros] = 0.0  # zero entries, up to the zero anchor of a first iteration
+    d = space.dual_direction(rng.standard_normal(n))
+    coeffs = rng.standard_normal(p + 1).tolist()
+    e = p + 0.5
+    args = (coeffs, anchor, d, r, e, 1.3 / math.gamma(e + 1.0), 1.3 / math.gamma(e))
+    ev = _RayEval(*args)
+    nw, u = _lr(anchor, r)
+    ev.remember(0.0, anchor, nw, u, _duality(u, r))
+    # repeated and alternating queries, each against a ray with no memory
+    for q, kind in [(0.0, "deriv"), (0.0, "value"), (t, "deriv"), (t, "value"), (t, "deriv"),
+                    (0.0, "value"), (t, "value"), (t, "deriv"), (2.0 * t, "value")]:
+        fresh = _RayEval(*args)
+        assert _bits(getattr(ev, kind)(q)) == _bits(getattr(fresh, kind)(q)), (q, kind)
+    w, nw, u, du = ev.point(2.0 * t)
+    assert w.tobytes() == (anchor - 2.0 * t * d).tobytes()
+    fresh_nw, fresh_u = _lr(anchor - 2.0 * t * d, r)
+    assert _bits(nw) == _bits(fresh_nw) and u.tobytes() == fresh_u.tobytes()
+    assert du.tobytes() == _duality(fresh_u, r).tobytes()
+
+
+def test_line_search_shares_its_lr_passes(monkeypatch):
+    # l^1.5 pendulum at mesh 32: without sharing, the ray at t = 0, the value
+    # at the accepted step and the next iteration's pass over s would each
+    # repeat an l^r pass (about 7.9 per inner iteration instead of 4.9)
+    m, h = 32, 1.0 / 32
+    wave = 1.3 * math.sqrt(h) * np.sin(math.pi * np.arange(1, m) * h)
+    cfg = ExperimentConfig(problem="pendulum", n=m, r=1.5, p=2, epsilon=1e-4,
+                           x0=",".join(repr(float(v)) for v in wave))
+    problem, space, x0, outer = cfg.build()
+    calls = []
+
+    def counted(a, r):
+        calls.append(r)
+        return _lr(a, r)
+
+    monkeypatch.setattr("arplr.inner._lr", counted)
+    run = solve(problem, x0, outer, space)
+    assert run.status is SolveStatus.CONVERGED
+    assert len(calls) <= 5 * sum(rec.inner_iters for rec in run.records)

@@ -350,6 +350,38 @@ def test_double_well_p3_counters_pinned():
     assert counters == _PINNED_P3
 
 
+# (outer, successful, inner, f_evals, deriv_evals, repr(f_final)) of the
+# pendulum at mesh 32, p = 2, eps = 1e-4, from sqrt(h) A sin(pi t), in l^r
+# with r != 2: the inner line search runs on vector ray evaluations, whose
+# reuse across the search and the next iteration must give the same bits
+_PINNED_LR = {
+    (1.5, 1.3): (11, 11, 3116, 12, 12, "1.0000000004427132"),
+    (1.5, 2.7): (16, 16, 3514, 17, 17, "1.0000000001856586"),
+    (3.0, 1.3): (5, 5, 2304, 6, 6, "1.0000000000231886"),
+    (3.0, 2.7): (6, 6, 2446, 7, 7, "1.000000000022669"),
+}
+
+
+def test_pendulum_lr_counters_pinned():
+    m, h = 32, 1.0 / 32
+    wave = math.sqrt(h) * np.sin(math.pi * np.arange(1, m) * h)
+    counters = {}
+    for r, a in _PINNED_LR:
+        x0 = ",".join(repr(float(v)) for v in a * wave)
+        cfg = ExperimentConfig(problem="pendulum", n=m, r=r, p=2, epsilon=1e-4, x0=x0)
+        problem, space, x0, outer = cfg.build()
+        run = solve(problem, x0, outer, space)
+        counters[(r, a)] = (
+            run.total_iterations,
+            run.successes,
+            sum(rec.inner_iters for rec in run.records),
+            run.f_evals,
+            run.deriv_evals,
+            repr(run.f_final),
+        )
+    assert counters == _PINNED_LR
+
+
 class _GradientTurnsNaN(QuadraticBowl):
     """Quadratic bowl whose gradient is NaN everywhere but at x0."""
 
