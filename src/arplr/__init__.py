@@ -32,7 +32,6 @@ from .tensors import (
     SymmetricTensor,
     TaylorModel,
     diagonal_tensor,
-    symmetrize,
 )
 
 __version__ = "0.1.0"
@@ -45,7 +44,6 @@ __all__ = [
     "DiagonalTensor",
     "TaylorModel",
     "RegularizedModel",
-    "symmetrize",
     "diagonal_tensor",
     "PsiSpec",
     "psi_eval",

@@ -8,11 +8,11 @@ verification of a problem's derivatives), and ``list-problems``.
 Each ``ExperimentConfig`` field is a flag of every solve subcommand
 (``--sigma-min`` for ``sigma_min``) and a key of the key-value config file
 (``key = value`` lines, ``#`` comments), with ``eps``, ``max_outer`` and
-``inner_max`` as aliases; explicit flags override file entries.  A
-flag for a field that a solve subcommand replaces or ignores (``--mesh``
-for ``run``, ``--n`` for ``sweep-mesh``) is a configuration error.  Exit
-codes: 0 on success, 1 when a check reports violations, 2 on configuration
-errors.
+``inner_max`` as aliases; explicit flags override file entries.  A flag
+for a field that a subcommand replaces or ignores is a configuration error
+(``--mesh`` for ``run``, ``--n`` for ``sweep-mesh``, any but ``--problem``,
+``--n``, ``--beta`` and ``--seed`` for ``check-oracle``).  Exit codes: 0
+on success, 1 when a check reports violations, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 _SWEEP_EPS = ("eps_start", "eps_stop", "eps_points")
+_ORACLE_FIELDS = ("problem", "n", "beta", "seed")  # all that check-oracle reads
 
 
 def _build_config(args: argparse.Namespace, unused=()) -> ExperimentConfig:
@@ -168,7 +169,8 @@ def _cmd_sweep_mesh(args) -> int:
 
 
 def _cmd_check_oracle(args) -> int:
-    cfg = _build_config(args)
+    unused = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _ORACLE_FIELDS)
+    cfg = _build_config(args, unused)
     problem = cfg.oracle()
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0

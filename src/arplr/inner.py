@@ -14,18 +14,22 @@ s, which gives the regularizer's gradient, its value at s and the
 step-power norm, is the one the line search made at the point it accepted
 (``_RayEval`` remembers its last point), and it serves the ray at t = 0
 too; it is a pass of its own only at r = 2, where the ray is scalar, or
-when the accepted point was not the last one evaluated.  Then the
-derivative contractions (each tensor's ``contract``): for
-p = 2 one Hessian product H d, from which H s is also kept up to date,
-otherwise the Taylor gradient at s and, per order-l tensor, l - 1 full
-contractions for the ray coefficients; and a line search on those
-coefficients cached as Python floats.  A contraction costs O(n) for the
-diagonal tensors of separable oracles and O(n^l) for a dense order-l
-tensor, with the same bits either way.  On the r = 2 path the line search
-is pure scalar arithmetic when the ray polynomial is convex; otherwise one
-array scan of the ray brackets its minima.  The arithmetic is that of the
-``NormedSpace`` and ``RegularizedModel`` methods, operation for operation,
-so calling them instead gives the same bits.
+when the accepted point was not the last one evaluated.  Then one
+contraction (``contract``) per order-l tensor with l - 1 copies of d,
+which dot products with s and d finish into the ray coefficients l - 1
+and l (from order 4 up a lower one contracts the full tensor); at p = 2 it
+is H d, which also updates H s, and otherwise the Taylor gradient at s
+takes one more per tensor.  A contraction costs O(n) for the diagonal
+tensors of separable oracles and O(n^l) for a dense order-l tensor, with
+the same bits either way.  The line search runs on the coefficients as
+Python floats; on the r = 2 path it is pure scalar arithmetic when the ray
+polynomial is convex, otherwise one array scan of the ray brackets its
+minima.  The gradient and direction have the bits of
+``RegularizedModel.gradient`` and ``NormedSpace.dual_direction`` (but for
+p = 2, which updates H s), and the coefficients those of full
+contractions: ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
+``test_inner_rays_match_the_model_methods_bit_for_bit`` and
+``test_ray_share_matches_full_contractions`` pin it.
 
 One-dimensional minimization: the polynomial restriction of the Taylor part
 is combined with the norm regularizer, which is convex in the ray parameter.
@@ -73,8 +77,6 @@ class InnerConfig:
     grad_tol_absolute: float
     step_power: tuple | None = None  # (theta, exponent), exponent = p + beta - 1
     max_iters: int = 10_000
-    ray_scan_points: int = 256
-    ray_refine_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.grad_tol_absolute > 0.0:
@@ -87,8 +89,6 @@ class InnerConfig:
                 raise ValueError("step-power coefficient theta must be positive")
             if not expo > 0.0:
                 raise ValueError("step-power exponent must be positive")
-        if self.ray_scan_points < 8:
-            raise ValueError("ray_scan_points is too small to isolate minima")
 
 
 @dataclass(frozen=True)
@@ -216,24 +216,18 @@ class _RayEval:
         return vals, pders + self.reg_d * norms ** (self.e - 1.0) * num
 
 
-def _restrict_with_cache(
-    model: RegularizedModel,
-    s0: np.ndarray,
-    d: np.ndarray,
-    taylor_grad: np.ndarray,
-    taylor_value: float,
-) -> list:
-    """Ray coefficients of the Taylor part along ``s0 - t d``, reusing the
-    Taylor gradient and value at the anchor: the constant coefficient is the
-    Taylor value there and the linear one is minus the pairing of the Taylor
-    gradient with the direction."""
-    coeffs = [float(taylor_value), -float(np.dot(taylor_grad, d))] + [0.0] * (model.p - 1)
-    for t in model.taylor.tensors[1:]:
-        l = t.order
-        for j in range(2, l + 1):
-            partial = float(t.contract([d] * j + [s0] * (l - j)))
-            coeffs[j] += math.comb(l, j) * (-1.0) ** j * partial / math.factorial(l)
-    return coeffs
+def _add_ray_share(coeffs: list, tensor, lead, s0: np.ndarray, d: np.ndarray) -> None:
+    """Add an order-l tensor's share of the Taylor coefficients 2..l along
+    ``s0 - t d``, given ``lead = tensor.contract([d] * (l - 1))``: every
+    full contraction ends in the ``np.dot`` that finishes it here."""
+    l = tensor.order
+    scale = math.factorial(l)
+    for j in range(2, l - 1):
+        partial = tensor.contract([d] * j + [s0] * (l - j))
+        coeffs[j] += math.comb(l, j) * (-1.0) ** j * float(partial) / scale
+    if l > 2:
+        coeffs[l - 1] += l * (-1.0) ** (l - 1) * float(np.dot(lead, s0)) / scale
+    coeffs[l] += (-1.0) ** l * float(np.dot(lead, d)) / scale
 
 
 def _refine_root(fun, a, b, fa, fb, ftol, max_iter=80):
@@ -273,20 +267,10 @@ def _unit_grid(points: int) -> np.ndarray:
     return grid
 
 
-def _quadratic_ray(d, taylor_grad, taylor_value, hessian_d) -> list:
-    # order-2 shortcut for _restrict_with_cache given H d
-    return [
-        float(taylor_value),
-        -float(np.dot(taylor_grad, d)),
-        0.5 * float(np.dot(d, hessian_d)),
-    ]
-
-
 def _line_minimize(
     ev: _RayEval,
     sigma: float,
     gamma_e1: float,
-    cfg: InnerConfig,
     unit_grid: np.ndarray,
     value: float,
 ):
@@ -298,7 +282,7 @@ def _line_minimize(
     """
     v0 = value
     slope0 = ev.deriv(0.0)
-    ftol = cfg.ray_refine_tol * max(1.0, -slope0)
+    ftol = 1e-12 * max(1.0, -slope0)  # root tolerance on the ray derivative
 
     # scale at which the regularizer alone overtakes the initial slope
     scale = ((-slope0) * gamma_e1 / sigma) ** (1.0 / (ev.e - 1.0))
@@ -368,15 +352,17 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
     s = np.zeros(space.n)
     value = model.value(s)
     history = [value]
-    unit_grid = _unit_grid(cfg.ray_scan_points)
+    unit_grid = _unit_grid(64 * (model.p + 1))  # nonconvex ray scan
     iters = 0
     # for order-2 models the step is rank-one along d, so the Hessian
     # product with s can be maintained incrementally (one product per
     # iteration) with periodic exact refreshes against rounding drift
     quadratic = model.p == 2
+    higher = model.taylor.tensors[1:]
+    pad = [0.0] * len(higher)  # ray coefficients 2..p start at zero
     if quadratic:
         grad0 = model.taylor.tensors[0].entries
-        hessian = model.taylor.tensors[1]
+        hessian = higher[0]
         hessian_s = np.zeros(space.n)
         since_refresh = 0
     step_norm, u_s = _lr(s, r)
@@ -386,8 +372,8 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             taylor_grad = grad0 + hessian_s
         else:
             taylor_grad = model.taylor.gradient(s)
-        # regularizer gradient as RegularizedModel.gradient_from_taylor
-        # forms it (NormedSpace.duality_map of s)
+        # regularizer gradient as RegularizedModel.gradient forms it
+        # (NormedSpace.duality_map of s)
         grad = taylor_grad + reg_d * (du_s * step_norm ** (e - 1.0))
         grad_norm, u_g = _lr(grad, r_dual)
         if grad_norm == 0.0:
@@ -408,17 +394,20 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         # model value at s
         d = _duality(u_g, r_dual)
         taylor_value = value - reg_v * step_norm ** e
+        # the Taylor part along s - t d as a polynomial in t: its value and
+        # slope at s, then each tensor's share of the higher coefficients
+        coeffs = [float(taylor_value), -float(np.dot(taylor_grad, d)), *pad]
         if quadratic:
             hessian_d = hessian.contract([d])
-            coeffs = _quadratic_ray(d, taylor_grad, taylor_value, hessian_d)
-        else:
-            coeffs = _restrict_with_cache(model, s, d, taylor_grad, taylor_value)
+        for tensor in higher:
+            lead = hessian_d if quadratic else tensor.contract([d] * (tensor.order - 1))
+            _add_ray_share(coeffs, tensor, lead, s, d)
         ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d)
         # the anchor's l^r pass serves the ray at t = 0 (s in place of
         # s - 0 d: they differ at most in the sign of zero entries)
         ev.remember(0.0, s, step_norm, u_s, du_s)
         try:
-            tau, value = _line_minimize(ev, model.sigma, gamma_e1, cfg, unit_grid, value)
+            tau, value = _line_minimize(ev, model.sigma, gamma_e1, unit_grid, value)
         except _ProgressFloor:
             # stopping rules unmet but no representable decrease remains
             term = Termination.PROGRESS_FLOOR

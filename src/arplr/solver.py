@@ -46,6 +46,8 @@ class SolveStatus(enum.Enum):
     # f or the gradient at the current point (x0 or an accepted trial
     # point) is not finite
     ORACLE_NONFINITE = "oracle_nonfinite"
+    # repeated failures raised sigma past the largest double
+    SIGMA_OVERFLOW = "sigma_overflow"
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,6 @@ class OuterConfig:
     theta: float = 100.0
     max_outer_iters: int = 2000
     inner_max_iters: int | None = None
-    ray_scan_points: int = 0  # 0: use the density floor 64 (p + 1)
 
     def __post_init__(self):
         checks = [
@@ -159,7 +160,8 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
     regardless of its decrease ratio.  A non-finite f or gradient at x0 or
     at an accepted point ends the run with ``ORACLE_NONFINITE`` and the
     records collected so far (``final_grad_dual_norm`` is NaN when the
-    gradient is the culprit).
+    gradient is the culprit).  A sigma that overflows (every trial
+    failing, say on a non-finite f) ends it with ``SIGMA_OVERFLOW``.
     """
     if getattr(problem, "max_order", cfg.p) < cfg.p:
         raise ValueError(
@@ -194,6 +196,9 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
         if k >= cfg.max_outer_iters:
             status = SolveStatus.MAX_ITERS
             break
+        if not math.isfinite(sigma):
+            status = SolveStatus.SIGMA_OVERFLOW
+            break
 
         taylor = TaylorModel(x, fx, derivs)
         model = RegularizedModel(taylor, sigma, cfg.p, cfg.beta, space)
@@ -201,7 +206,6 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
             grad_tol_absolute=cfg.chi * cfg.epsilon,
             step_power=(cfg.theta, cfg.p + cfg.beta - 1.0),
             max_iters=inner_cap,
-            ray_scan_points=cfg.ray_scan_points or 64 * (cfg.p + 1),
         )
         result = minimize_model(model, inner_cfg)
         s = result.s
@@ -295,11 +299,15 @@ def theorem_success_bound(
     """
     e = cfg.p + cfg.beta
     min_term = _step_floor_terms(cfg, L, sigma_max)
+    try:
+        step_factor = (cfg.epsilon * min_term) ** (-e / (e - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf  # a sigma at or near overflow bounds nothing
     return (
         math.gamma(e + 1.0)
         / (cfg.eta1 * cfg.sigma_min)
         * max(f_initial - f_low, 0.0)
-        * (cfg.epsilon * min_term) ** (-e / (e - 1.0))
+        * step_factor
     )
 
 

@@ -1,16 +1,18 @@
 """Symmetric multilinear forms, truncated Taylor models, and regularized models.
 
 Two storages share one interface (``order``, ``dim``, ``entries``,
-``contract``, ``apply``, ``partial_apply``, ``dense``): ``SymmetricTensor``
-keeps all dim^order entries (desk scale: dimension up to a few hundred for
-order 2, a few dozen for order 3; symmetry is an invariant of the entries,
-not a storage format), and ``DiagonalTensor`` keeps only the diagonal of a
+``contract``, ``apply``, ``dense``): ``SymmetricTensor`` keeps all
+dim^order entries (desk scale: dimension up to a few hundred for order 2, a
+few dozen for order 3; symmetry is an invariant of the entries, not a
+storage format), and ``DiagonalTensor`` keeps only the diagonal of a
 separable objective's derivative, so its contractions cost O(dim) whatever
 the order.  ``entries`` is what a tensor stores and ``contract`` returns
-the stored entries of what is left after a contraction; callers that need
-the full array use ``dense()``.  Derivative tensors are supplied by problem
-oracles — nothing here differentiates an objective itself.  Restricting a
-model to a ray, and evaluating it there, lives in ``arplr.inner``.
+the stored entries of what is left after a contraction, unchecked, for the
+inner loop; ``apply`` checks its vectors and returns the full contraction
+as a float.  Callers that need the full array use ``dense()``.  Derivative
+tensors are supplied by problem oracles — nothing here differentiates an
+objective itself.  Restricting a model to a ray, and evaluating it there,
+lives in ``arplr.inner``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "DiagonalTensor",
     "TaylorModel",
     "RegularizedModel",
-    "symmetrize",
     "diagonal_tensor",
 ]
 
@@ -38,7 +39,6 @@ class TensorError(ValueError):
 
 
 def _coerce(dim: int, v) -> np.ndarray:
-    # shape check only; these run in the innermost loops
     arr = np.asarray(v, dtype=float)
     if arr.shape != (dim,):
         raise TensorError(f"expected a vector of dimension {dim}, got shape {arr.shape}")
@@ -52,23 +52,10 @@ def _apply(self, vs: Sequence) -> float:
     return float(self.contract([_coerce(self.dim, v) for v in vs]))
 
 
-def _partial_apply(self, v, times: int):
-    """Contract ``times`` copies of v, leaving an order ``order - times`` form."""
-    if not 0 <= times <= self.order:
-        raise TensorError(
-            f"cannot apply a vector {times} times to an order-{self.order} tensor"
-        )
-    arr = self.contract([_coerce(self.dim, v)] * times)
-    return self._remainder(self.order - times, arr)
-
-
 @dataclass(frozen=True)
 class SymmetricTensor:
-    """Dense symmetric multilinear form of a given order on R^dim.
-
-    Order 0 is allowed (a scalar, entries of shape ``()``), which is what a
-    full partial application produces.
-    """
+    """Dense symmetric multilinear form of a given order on R^dim; order 0
+    is a scalar, with entries of shape ``()``."""
 
     order: int
     dim: int
@@ -86,7 +73,7 @@ class SymmetricTensor:
 
     def contract(self, vs: Sequence) -> np.ndarray:
         """Entries of the form left after contracting the vectors ``vs``
-        (unchecked; ``apply`` and ``partial_apply`` validate and wrap)."""
+        (unchecked; ``apply`` validates)."""
         arr = self.entries
         for v in vs:
             arr = np.dot(arr, v)
@@ -96,11 +83,7 @@ class SymmetricTensor:
         """The full dim^order array; here the entries themselves."""
         return self.entries
 
-    def _remainder(self, order: int, arr) -> "SymmetricTensor":
-        return SymmetricTensor(order, self.dim, arr)
-
     apply = _apply
-    partial_apply = _partial_apply
 
 
 @dataclass(frozen=True)
@@ -146,26 +129,7 @@ class DiagonalTensor:
         arr[(np.arange(self.dim),) * self.order] = self.diag
         return arr
 
-    def _remainder(self, order: int, arr):
-        return diagonal_tensor(order, arr) if order >= 1 else SymmetricTensor(0, self.dim, arr)
-
     apply = _apply
-    partial_apply = _partial_apply
-
-
-def symmetrize(arr) -> np.ndarray:
-    """Average an array over all index permutations."""
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim <= 1:
-        return arr
-    from itertools import permutations
-
-    total = np.zeros_like(arr)
-    count = 0
-    for perm in permutations(range(arr.ndim)):
-        total += np.transpose(arr, perm)
-        count += 1
-    return total / count
 
 
 def diagonal_tensor(order: int, diag) -> SymmetricTensor | DiagonalTensor:
@@ -208,9 +172,6 @@ class TaylorModel:
     @property
     def dim(self) -> int:
         return self.base_point.shape[0]
-
-    def gradient_at_base(self) -> np.ndarray:
-        return self.tensors[0].entries
 
     def value(self, s) -> float:
         s = _as_vector(self.dim, s)
@@ -265,9 +226,5 @@ class RegularizedModel:
         )
 
     def gradient(self, s) -> np.ndarray:
-        return self.gradient_from_taylor(s, self.taylor.gradient(s))
-
-    def gradient_from_taylor(self, s, taylor_gradient: np.ndarray) -> np.ndarray:
-        """Model gradient given an already-computed Taylor-part gradient."""
         e = self.reg_exponent
-        return taylor_gradient + self.sigma / math.gamma(e) * self.space.duality_map(s, e)
+        return self.taylor.gradient(s) + self.sigma / math.gamma(e) * self.space.duality_map(s, e)

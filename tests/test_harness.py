@@ -320,6 +320,18 @@ def test_cli_sweep_eps_rejects_single_accuracy(capsys):
     assert "configuration error: epsilon: not used by 'sweep-eps'" in capsys.readouterr().err
 
 
+def test_cli_check_oracle_rejects_solve_flags(capsys):
+    # it checks every order the problem supplies, whatever --p says
+    argv = ["check-oracle", "--problem", "double_well", "--n", "8", "--p", "1", "--r", "1.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr()
+    assert "configuration error: r: not used by 'check-oracle'" in err.err
+    assert err.out == ""
+    assert main(["check-oracle", "--problem", "double_well", "--n", "8", "--beta", "1",
+                 "--seed", "3"]) == 0
+    assert "oracle check: ok" in capsys.readouterr().out
+
+
 def test_cli_config_file_may_carry_fields_a_subcommand_ignores(tmp_path, capsys):
     # one file can serve several subcommands; only explicit flags are checked
     cfgfile = tmp_path / "exp.cfg"

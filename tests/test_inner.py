@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from arplr import (
     Termination,
     minimize_model,
     solve,
-    symmetrize,
 )
 from arplr.geometry import _duality, _lr
 from arplr.harness import ExperimentConfig
 from arplr.inner import _RayEval, default_max_iters
+from helpers import full_ray_coefficients, symmetrize
 
 
 def _linear_model(g, sigma, r=2.0, p=1, beta=1.0):
@@ -156,8 +157,6 @@ def test_config_validation():
         InnerConfig(grad_tol_absolute=1e-6, max_iters=0)
     with pytest.raises(ValueError):
         InnerConfig(grad_tol_absolute=1e-6, step_power=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        InnerConfig(grad_tol_absolute=1e-6, ray_scan_points=2)
 
 
 # -- scalar ray evaluation ----------------------------------------------------
@@ -212,6 +211,38 @@ def test_reported_dual_norm_is_the_model_gradient_dual_norm(p, r, seed):
     m = _random_model(p, 0.7, 1.1, 3, r, np.random.default_rng(seed))
     res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=100))
     assert res.model_grad_dual_norm == m.space.dual_norm(m.gradient(res.s))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    r=st.sampled_from([1.5, 2.0, 3.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_inner_rays_match_the_model_methods_bit_for_bit(p, r, seed):
+    # each ray starts at s along the dual direction of the model gradient
+    # there, with the Taylor slope and full-contraction coefficients; p = 2
+    # keeps H s up to date instead of contracting the Hessian with s, so its
+    # gradient, direction and slope may differ in the last bits
+    m = _random_model(p, 0.7, 1.1, 3, r, np.random.default_rng(seed))
+    rays = []
+
+    class Recorded(_RayEval):
+        __slots__ = ()
+
+        def __init__(self, coeffs, anchor, direction, *args):
+            super().__init__(coeffs, anchor, direction, *args)
+            rays.append((coeffs, anchor, direction))
+
+    with mock.patch("arplr.inner._RayEval", Recorded):
+        res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=100))
+    assert len(rays) >= res.iterations >= 1
+    for coeffs, s, d in rays:
+        if p > 1:
+            assert coeffs[2:] == full_ray_coefficients(m.taylor.tensors[1:], s, d)[2:]
+        if p != 2:
+            assert d.tobytes() == m.space.dual_direction(m.gradient(s)).tobytes()
+            assert coeffs[1] == -float(np.dot(m.taylor.gradient(s), d))
 
 
 def _bits(x) -> bytes:

@@ -350,6 +350,27 @@ def test_double_well_p3_counters_pinned():
     assert counters == _PINNED_P3
 
 
+# (outer, successful, inner, f_evals, deriv_evals, repr(f_final)) of
+# Rosenbrock, p = 3, in l^2 from its default start: the one dense order-3
+# tensor among the oracles, whose ray coefficients share the T d d product
+_PINNED_ROSENBROCK_P3 = (52, 25, 7151, 53, 26, "2.99599878492989e-11")
+
+
+def test_rosenbrock_p3_counters_pinned():
+    cfg = ExperimentConfig(problem="rosenbrock", r=2.0, p=3, epsilon=1e-5)
+    problem, space, x0, outer = cfg.build()
+    run = solve(problem, x0, outer, space)
+    counters = (
+        run.total_iterations,
+        run.successes,
+        sum(rec.inner_iters for rec in run.records),
+        run.f_evals,
+        run.deriv_evals,
+        repr(run.f_final),
+    )
+    assert counters == _PINNED_ROSENBROCK_P3
+
+
 # (outer, successful, inner, f_evals, deriv_evals, repr(f_final)) of the
 # pendulum at mesh 32, p = 2, eps = 1e-4, from sqrt(h) A sin(pi t), in l^r
 # with r != 2: the inner line search runs on vector ray evaluations, whose
@@ -423,3 +444,28 @@ def test_nonfinite_oracle_at_x0_returns_a_record(bad):
     assert run.status is SolveStatus.ORACLE_NONFINITE
     assert run.records == () and run.f_evals == 1 and run.deriv_evals == 1
     assert math.isnan(run.final_grad_dual_norm) == (bad == "gradient")
+
+
+class _TrialsFail(QuadraticBowl):
+    """Quadratic bowl whose f is ``bad`` everywhere but at x0."""
+
+    def __init__(self, x0, bad):
+        super().__init__(6)
+        self.x0, self.bad = x0, bad
+
+    def eval_f(self, x):
+        return super().eval_f(x) if np.array_equal(x, self.x0) else self.bad
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sigma_overflow_ends_the_run_with_the_records(bad):
+    x0 = np.ones(6)
+    run = solve(_TrialsFail(x0, bad), x0, OuterConfig(p=2, beta=1.0), NormedSpace(6, 2.0))
+    assert run.status is SolveStatus.SIGMA_OVERFLOW
+    # sigma doubles from 1 at each of the 1024 rejected trials, then overflows
+    assert len(run.records) == 1024 and run.f_evals == 1025 and run.deriv_evals == 1
+    assert not any(rec.successful for rec in run.records)
+    assert run.records[-1].sigma == 2.0 ** 1023 and math.isinf(run.sigma_max_observed)
+    assert np.array_equal(run.final_point, x0) and run.f_final == run.f_initial
+    # the checks report the runaway sigma instead of overflowing themselves
+    assert "b" in {v.code for v in check_trajectory(run, OuterConfig(p=2, beta=1.0), 1.0, 0.0)}

@@ -13,10 +13,10 @@ from arplr import (
     SymmetricTensor,
     TaylorModel,
     diagonal_tensor,
-    symmetrize,
 )
-from arplr.inner import _quadratic_ray, _RayEval, _restrict_with_cache
+from arplr.inner import _add_ray_share, _RayEval
 from arplr.tensors import TensorError
+from helpers import full_ray_coefficients, symmetrize
 
 
 def _random_symmetric(order, dim, rng):
@@ -58,28 +58,27 @@ def test_entries_invariant_under_permutation():
         assert np.allclose(np.transpose(t.entries, perm), t.entries, atol=1e-15)
 
 
-def test_partial_apply_zero_times_is_identity():
+def test_contract_no_vectors_is_identity():
     rng = np.random.default_rng(2)
     t = _random_symmetric(2, 4, rng)
-    out = t.partial_apply(rng.standard_normal(4), 0)
-    assert out.order == 2 and np.array_equal(out.entries, t.entries)
+    assert np.array_equal(t.contract([]), t.entries)
 
 
-def test_partial_apply_full_matches_apply():
+def test_contract_full_matches_apply():
     rng = np.random.default_rng(3)
     t = _random_symmetric(3, 3, rng)
     v = rng.standard_normal(3)
-    scalar = t.partial_apply(v, 3)
-    assert scalar.order == 0
-    assert float(scalar.entries) == pytest.approx(t.apply([v, v, v]), rel=1e-12)
+    scalar = t.contract([v, v, v])
+    assert np.ndim(scalar) == 0
+    assert float(scalar) == pytest.approx(t.apply([v, v, v]), rel=1e-12)
 
 
-def test_partial_apply_matrix_vector_oracle():
+def test_contract_matrix_vector_oracle():
     rng = np.random.default_rng(4)
     a = symmetrize(rng.standard_normal((5, 5)))
     t = SymmetricTensor(2, 5, a)
     v = rng.standard_normal(5)
-    assert np.allclose(t.partial_apply(v, 1).entries, a @ v, rtol=1e-13)
+    assert np.allclose(t.contract([v]), a @ v, rtol=1e-13)
 
 
 def test_arity_and_range_errors():
@@ -87,7 +86,7 @@ def test_arity_and_range_errors():
     with pytest.raises(TensorError):
         t.apply([np.ones(3)])
     with pytest.raises(TensorError):
-        t.partial_apply(np.ones(3), 3)
+        t.apply([np.ones(3)] * 3)
     with pytest.raises(TensorError):
         t.apply([np.ones(2), np.ones(2)])
 
@@ -107,11 +106,19 @@ def test_diagonal_tensor_validation():
     with pytest.raises(TensorError):
         t.apply([np.ones(2)])
     with pytest.raises(TensorError):
-        t.partial_apply(np.ones(2), 3)
+        t.apply([np.ones(2)] * 3)
     with pytest.raises(TensorError):
         t.apply([np.ones(3), np.ones(3)])
     # an order-1 diagonal is just the vector
     assert isinstance(diagonal_tensor(1, [1.0, 2.0]), SymmetricTensor)
+
+
+def _ray_coeffs(m, s0, d):
+    # the inner loop's coefficients of the Taylor part along s0 - t d
+    coeffs = [m.taylor.value(s0), -float(np.dot(m.taylor.gradient(s0), d))] + [0.0] * (m.p - 1)
+    for t in m.taylor.tensors[1:]:
+        _add_ray_share(coeffs, t, t.contract([d] * (t.order - 1)), s0, d)
+    return coeffs
 
 
 # (seed, decimal exponent) of a standard-normal vector scaled by 10^exponent
@@ -139,8 +146,9 @@ def test_diagonal_tensor_contracts_like_dense_bit_for_bit(order, n, diag, grad, 
     vs = [_draw(n, a), _draw(n, b), _draw(n, c)]
     assert t.apply(vs[:order]) == dense.apply(vs[:order])
     for times in range(order + 1):
-        out, ref = t.partial_apply(vs[0], times), dense.partial_apply(vs[0], times)
-        assert out.order == ref.order and np.array_equal(out.dense(), ref.entries)
+        out, ref = t.contract([vs[0]] * times), dense.contract([vs[0]] * times)
+        left = order - times  # the diagonal remainder, expanded when of order 2 up
+        assert np.array_equal(diagonal_tensor(left, out).dense() if left >= 2 else out, ref)
     # the p = 2 Hessian products of the inner solver
     hess = diagonal_tensor(2, t.entries)
     assert np.array_equal(hess.contract([vs[1]]), np.dot(hess.dense(), vs[1]))
@@ -153,10 +161,30 @@ def test_diagonal_tensor_contracts_like_dense_bit_for_bit(order, n, diag, grad, 
         for ts in (higher, [SymmetricTensor(x.order, n, x.dense()) for x in higher])
     ]
     s0, d = vs[1], vs[2]
-    coeffs = [
-        _restrict_with_cache(m, s0, d, m.taylor.gradient(s0), m.taylor.value(s0)) for m in models
-    ]
-    assert coeffs[0] == coeffs[1]
+    assert _ray_coeffs(models[0], s0, d) == _ray_coeffs(models[1], s0, d)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    order=st.sampled_from([2, 3, 4]),
+    diagonal=st.booleans(),
+    n=st.integers(min_value=1, max_value=6),
+    entries=_scaled,
+    a=_scaled,
+    b=_scaled,
+)
+def test_ray_share_matches_full_contractions(order, diagonal, n, entries, a, b):
+    if diagonal:
+        t = diagonal_tensor(order, _draw(n, entries))
+    else:
+        seed, exponent = entries
+        rng = np.random.default_rng(seed)
+        arr = symmetrize(rng.standard_normal((n,) * order)) * 10.0 ** exponent
+        t = SymmetricTensor(order, n, arr)
+    s0, d = _draw(n, a), _draw(n, b)
+    coeffs = [0.0] * (order + 1)
+    _add_ray_share(coeffs, t, t.contract([d] * (order - 1)), s0, d)
+    assert coeffs == full_ray_coefficients([t], s0, d)
 
 
 def test_taylor_value_at_zero_is_f0():
@@ -192,7 +220,7 @@ def test_taylor_reproduces_quadratic_exactly():
 def test_taylor_gradient_at_zero_is_base_gradient():
     rng = np.random.default_rng(7)
     tm = _random_taylor(3, 3, rng)
-    assert np.allclose(tm.gradient(np.zeros(3)), tm.gradient_at_base(), atol=1e-15)
+    assert np.allclose(tm.gradient(np.zeros(3)), tm.tensors[0].entries, atol=1e-15)
 
 
 def test_taylor_gradient_quadratic_case():
@@ -243,7 +271,7 @@ def test_model_value_p1_beta1_arithmetic():
 def test_model_gradient_at_zero_and_sigma_zero():
     rng = np.random.default_rng(11)
     m = _model(2, 0.5, 1.5, 3, 2.0, rng)
-    assert np.allclose(m.gradient(np.zeros(3)), m.taylor.gradient_at_base(), atol=1e-15)
+    assert np.allclose(m.gradient(np.zeros(3)), m.taylor.tensors[0].entries, atol=1e-15)
     m0 = RegularizedModel(m.taylor, 0.0, 2, 0.5, m.space)
     s = rng.standard_normal(3)
     assert np.allclose(m0.gradient(s), m.taylor.gradient(s), rtol=1e-13)
@@ -265,7 +293,7 @@ def test_model_gradient_matches_finite_differences(r, beta):
 
 def _ray_eval(m, s0, d):
     # the inner solver's restriction of m to t -> s0 - t d
-    coeffs = _restrict_with_cache(m, s0, d, m.taylor.gradient(s0), m.taylor.value(s0))
+    coeffs = _ray_coeffs(m, s0, d)
     e = m.reg_exponent
     return _RayEval(
         coeffs, s0, d, m.space.r, e, m.sigma / math.gamma(e + 1.0), m.sigma / math.gamma(e)
@@ -301,7 +329,9 @@ def test_restrict_to_ray_quadratic_coefficient_via_polyfit():
     fitted = np.polynomial.polynomial.polyfit(ts, samples, 2)
     assert coeffs[2] == pytest.approx(fitted[2], rel=1e-10, abs=1e-12)
     assert coeffs[2] == pytest.approx(0.5 * d @ a @ d, rel=1e-12)
-    shortcut = _quadratic_ray(d, g, tm.value(np.zeros(3)), a @ d)
+    # the p = 2 inner loop hands in its Hessian product H d as the lead
+    shortcut = [tm.value(np.zeros(3)), -float(np.dot(g, d)), 0.0]
+    _add_ray_share(shortcut, tm.tensors[1], a @ d, np.zeros(3), d)
     assert np.allclose(shortcut, coeffs, rtol=1e-12, atol=1e-15)
 
 
