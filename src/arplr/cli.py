@@ -80,16 +80,6 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key-value config file; flags override it")
-    for f in fields(ExperimentConfig):
-        names = [alias for alias, key in _KEY_ALIASES.items() if key == f.name] + [f.name]
-        parser.add_argument(
-            *("--" + name.replace("_", "-") for name in names),
-            dest=f.name, type=_PARSERS[f.name], help=f.metadata.get("help"),
-        )
-
-
 _SWEEP_EPS = ("eps_start", "eps_stop", "eps_points")
 _ORACLE_FIELDS = ("problem", "n", "beta", "seed")  # all that check-oracle reads
 
@@ -206,21 +196,21 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="one solve plus trajectory checks")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_eps = sub.add_parser("sweep-eps", help="accuracy sweep and exponent fit")
-    _add_common(p_eps)
-    p_eps.set_defaults(func=_cmd_sweep_eps)
-
-    p_mesh = sub.add_parser("sweep-mesh", help="mesh-independence table")
-    _add_common(p_mesh)
-    p_mesh.set_defaults(func=_cmd_sweep_mesh)
-
-    p_check = sub.add_parser("check-oracle", help="finite-difference derivative check")
-    _add_common(p_check)
-    p_check.set_defaults(func=_cmd_check_oracle)
+    for name, help_text, func in (
+        ("run", "one solve plus trajectory checks", _cmd_run),
+        ("sweep-eps", "accuracy sweep and exponent fit", _cmd_sweep_eps),
+        ("sweep-mesh", "mesh-independence table", _cmd_sweep_mesh),
+        ("check-oracle", "finite-difference derivative check", _cmd_check_oracle),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", help="key-value config file; flags override it")
+        for f in fields(ExperimentConfig):
+            names = [alias for alias, key in _KEY_ALIASES.items() if key == f.name] + [f.name]
+            command.add_argument(
+                *("--" + flag.replace("_", "-") for flag in names),
+                dest=f.name, type=_PARSERS[f.name], help=f.metadata.get("help"),
+            )
+        command.set_defaults(func=func)
 
     p_list = sub.add_parser("list-problems", help="available problem ids")
     p_list.set_defaults(func=_cmd_list_problems)

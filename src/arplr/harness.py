@@ -1,5 +1,12 @@
 """Experiment driver: single solves, accuracy sweeps, and mesh sweeps.
 
+All three share one step that builds a configuration, solves it, bounds the
+Hoelder constant L on the trajectory and, given an output directory, writes
+the run record: ``run_<name>.txt`` for a single solve, ``run_<name>_eps<i>.txt``
+and ``run_<name>_mesh<i>.txt`` for the i-th point of a sweep, where <name>
+is the problem's name (``pendulum32``, ``holder0.5``).  Each sweep also
+writes its table of rows to ``summary.csv``.
+
 Record files are line-delimited text: ``# key = value`` lines echoing the
 configuration, then a CSV table whose header is the field names of the row
 dataclass (``IterationRecord``, ``EpsRow``, ``MeshRow``) and whose cells
@@ -63,19 +70,19 @@ class ExperimentConfig:
     out: str | None = _option(None, "output directory for record files")
     p: int = _option(2, "model order")
     beta: float | None = _option(None, "regularizer Hoelder order")  # None: the problem's
-    epsilon: float = _option(1e-5, "gradient accuracy")
-    sigma0: float = _option(1.0, "initial regularization weight")
-    sigma_min: float = 1e-8
-    eta1: float = 0.1
-    eta2: float = 0.9
-    gamma1: float = 0.5
-    gamma2: float = 2.0
-    gamma3: float = 4.0
-    chi: float = 0.5
-    theta: float = 100.0
-    max_outer_iters: int = 2000
+    epsilon: float = _option(OuterConfig.epsilon, "gradient accuracy")
+    sigma0: float = _option(OuterConfig.sigma0, "initial regularization weight")
+    sigma_min: float = OuterConfig.sigma_min
+    eta1: float = OuterConfig.eta1
+    eta2: float = OuterConfig.eta2
+    gamma1: float = OuterConfig.gamma1
+    gamma2: float = OuterConfig.gamma2
+    gamma3: float = OuterConfig.gamma3
+    chi: float = OuterConfig.chi
+    theta: float = OuterConfig.theta
+    max_outer_iters: int = OuterConfig.max_outer_iters
     inner_max_iters: int | None = _option(
-        None, "per-solve inner iteration cap (default: solver formula)"
+        OuterConfig.inner_max_iters, "per-solve inner iteration cap (default: solver formula)"
     )
     eps_start: float | None = None
     eps_stop: float | None = None
@@ -133,32 +140,33 @@ class ExperimentConfig:
         return values
 
 
-def _effective_holder(problem: ProblemOracle, space, cfg: OuterConfig, run: RunRecord, x0):
-    """Hoelder constant of the order-p derivative on a ball covering the
-    recorded trajectory and trial points, when the oracle knows one and the
-    solver ran with the oracle's own Hoelder order."""
-    if cfg.beta != problem.beta:
-        return None
-    radius = space.norm(x0)
-    for rec in run.records:
-        radius = max(radius, rec.iterate_norm + rec.step_norm)
-    return problem.holder_constant(space, cfg.p, 1.01 * radius)
-
-
-def run_single(cfg: ExperimentConfig, label: str | None = None):
-    """One solve plus its trajectory checks; writes a record file when an
-    output directory is configured.  Returns (run, violations, path)."""
+def _solve(cfg: ExperimentConfig, suffix: str = ""):
+    """Build and solve one configuration; with an output directory
+    configured, also write ``run_<problem name><suffix>.txt``.  Returns
+    (problem, outer, run, L, path).  L is the Hoelder constant of the
+    order-p derivative on a ball covering the recorded trajectory and trial
+    points, or None when the oracle knows none or the solver ran with a
+    Hoelder order other than the oracle's."""
     problem, space, x0, outer = cfg.build()
     run = solve(problem, x0, outer, space)
-    L = _effective_holder(problem, space, outer, run, x0)
-    violations = check_trajectory(run, outer, L=L, f_low=problem.f_low)
-    path = None
+    L = path = None
+    if outer.beta == problem.beta:
+        radius = space.norm(x0)
+        for rec in run.records:
+            radius = max(radius, rec.iterate_norm + rec.step_norm)
+        L = problem.holder_constant(space, outer.p, 1.01 * radius)
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
-        name = label or f"run_{problem.name}"
-        path = os.path.join(cfg.out, f"{name}.txt")
+        path = os.path.join(cfg.out, f"run_{problem.name}{suffix}.txt")
         write_run_record(path, cfg, space, run)
-    return run, violations, path
+    return problem, outer, run, L, path
+
+
+def run_single(cfg: ExperimentConfig):
+    """One solve plus its trajectory checks; writes a record file when an
+    output directory is configured.  Returns (run, violations, path)."""
+    problem, outer, run, L, path = _solve(cfg)
+    return run, check_trajectory(run, outer, L=L, f_low=problem.f_low), path
 
 
 def _cell(value) -> str:
@@ -208,6 +216,10 @@ class EpsRow:
     within_bound: bool | None
 
 
+# how far the fitted growth exponent may exceed the theoretical one
+_SLOPE_MARGIN = 0.3
+
+
 @dataclass(frozen=True)
 class SweepSummary:
     rows: tuple
@@ -218,7 +230,7 @@ class SweepSummary:
     all_within_bound: bool
 
 
-def run_epsilon_sweep(cfg: ExperimentConfig, slope_margin: float = 0.3) -> SweepSummary:
+def run_epsilon_sweep(cfg: ExperimentConfig) -> SweepSummary:
     """Solve at each accuracy of the geometric grid with a shared start and
     seed, check each success count against the worst-case bound (when the
     oracle knows its Hoelder constant), and fit the growth exponent."""
@@ -227,18 +239,13 @@ def run_epsilon_sweep(cfg: ExperimentConfig, slope_margin: float = 0.3) -> Sweep
     grid = np.geomspace(cfg.eps_start, cfg.eps_stop, cfg.eps_points)
     rows = []
     for i, eps in enumerate(grid):
-        sub = replace(cfg, epsilon=float(eps))
-        problem, space, x0, outer = sub.build()
-        run = solve(problem, x0, outer, space)
-        L = _effective_holder(problem, space, outer, run, x0)
-        bound = None
-        within = None
+        problem, outer, run, L, _ = _solve(replace(cfg, epsilon=float(eps)), f"_eps{i}")
+        bound = within = None
         if L is not None and problem.f_low is not None:
             bound = theorem_success_bound(
                 outer, L, run.f_initial, problem.f_low, run.sigma_max_observed
             )
             within = run.successes_before_termination() <= bound + 1e-9
-        converged = run.status is SolveStatus.CONVERGED
         rows.append(
             EpsRow(
                 epsilon=float(eps),
@@ -248,18 +255,14 @@ def run_epsilon_sweep(cfg: ExperimentConfig, slope_margin: float = 0.3) -> Sweep
                 f_evals=run.f_evals,
                 deriv_evals=run.deriv_evals,
                 sigma_max=run.sigma_max_observed,
-                converged=converged,
+                converged=run.status is SolveStatus.CONVERGED,
                 bound=bound,
                 within_bound=within,
             )
         )
-        if cfg.out:
-            os.makedirs(cfg.out, exist_ok=True)
-            write_run_record(
-                os.path.join(cfg.out, f"run_{problem.name}_eps{i}.txt"), sub, space, run
-            )
 
-    exponent = (cfg.p + _sweep_beta(cfg)) / (cfg.p + _sweep_beta(cfg) - 1.0)
+    e = outer.p + outer.beta
+    exponent = e / (e - 1.0)
     fit_rows = [row for row in rows if row.converged and row.successes >= 1]
     slope = residual = None
     if len(fit_rows) >= 2:
@@ -273,7 +276,7 @@ def run_epsilon_sweep(cfg: ExperimentConfig, slope_margin: float = 0.3) -> Sweep
         slope=slope,
         slope_residual=residual,
         theoretical_exponent=exponent,
-        slope_ok=slope is None or slope <= exponent + slope_margin,
+        slope_ok=slope is None or slope <= exponent + _SLOPE_MARGIN,
         all_within_bound=all(row.within_bound is not False for row in rows),
     )
     if cfg.out:
@@ -282,10 +285,6 @@ def run_epsilon_sweep(cfg: ExperimentConfig, slope_margin: float = 0.3) -> Sweep
             tail=_echo(summary, ["slope", "slope_residual", "theoretical_exponent"]),
         )
     return summary
-
-
-def _sweep_beta(cfg: ExperimentConfig) -> float:
-    return cfg.oracle().beta if cfg.beta is None else cfg.beta
 
 
 # -- mesh sweep ------------------------------------------------------------------
@@ -307,10 +306,8 @@ def run_mesh_sweep(cfg: ExperimentConfig) -> list:
     if not cfg.mesh:
         raise ConfigError("mesh_sweep: a nonempty mesh list is required")
     rows = []
-    for n_mesh in cfg.mesh:
-        sub = replace(cfg, n=int(n_mesh))
-        problem, space, x0, outer = sub.build()
-        run = solve(problem, x0, outer, space)
+    for i, n_mesh in enumerate(cfg.mesh):
+        _, _, run, _, _ = _solve(replace(cfg, n=int(n_mesh)), f"_mesh{i}")
         rows.append(
             MeshRow(
                 mesh_size=int(n_mesh),
@@ -320,11 +317,6 @@ def run_mesh_sweep(cfg: ExperimentConfig) -> list:
                 converged=run.status is SolveStatus.CONVERGED,
             )
         )
-        if cfg.out:
-            os.makedirs(cfg.out, exist_ok=True)
-            write_run_record(
-                os.path.join(cfg.out, f"run_{problem.name}.txt"), sub, space, run
-            )
     if cfg.out:
         _write_table(os.path.join(cfg.out, "summary.csv"), MeshRow, rows)
     return rows

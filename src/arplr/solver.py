@@ -43,7 +43,7 @@ __all__ = [
 class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
-    # f or the gradient at the current point (x0 or an accepted trial
+    # f or a derivative at the current point (x0 or an accepted trial
     # point) is not finite
     ORACLE_NONFINITE = "oracle_nonfinite"
     # repeated failures raised sigma past the largest double
@@ -157,11 +157,12 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
     The oracle must supply derivative tensors up to order ``cfg.p``.  An
     inner solve that hits its iteration guard is treated as an
     unsuccessful iteration (sigma is raised and the step re-attempted),
-    regardless of its decrease ratio.  A non-finite f or gradient at x0 or
-    at an accepted point ends the run with ``ORACLE_NONFINITE`` and the
-    records collected so far (``final_grad_dual_norm`` is NaN when the
-    gradient is the culprit).  A sigma that overflows (every trial
-    failing, say on a non-finite f) ends it with ``SIGMA_OVERFLOW``.
+    regardless of its decrease ratio.  A non-finite f or derivative of any
+    order at x0 or at an accepted point ends the run with
+    ``ORACLE_NONFINITE`` and the records collected so far
+    (``final_grad_dual_norm`` is NaN when the gradient is the culprit).  A
+    sigma that overflows (every trial failing, say on a non-finite f) ends
+    it with ``SIGMA_OVERFLOW``.
     """
     if getattr(problem, "max_order", cfg.p) < cfg.p:
         raise ValueError(
@@ -187,7 +188,8 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
         grad = derivs[0].entries
         grad_finite = bool(np.isfinite(grad).all())
         grad_norm = space.dual_norm(grad) if grad_finite else math.nan
-        if not (grad_finite and math.isfinite(fx)):
+        higher_finite = all(np.isfinite(t.entries).all() for t in derivs[1:])
+        if not (grad_finite and higher_finite and math.isfinite(fx)):
             status = SolveStatus.ORACLE_NONFINITE
             break
         if grad_norm <= cfg.epsilon:

@@ -132,6 +132,14 @@ def test_mesh_sweep_small(tmp_path):
     assert parsed == rows
 
 
+def test_mesh_sweep_writes_one_record_per_size(tmp_path):
+    run_mesh_sweep(ExperimentConfig(problem="quadratic", mesh=(4, 8), out=str(tmp_path)))
+    records = sorted(tmp_path.glob("run_*.txt"))
+    assert [path.name for path in records] == ["run_quadratic_mesh0.txt", "run_quadratic_mesh1.txt"]
+    assert ["# n = 4" in path.read_text().splitlines() for path in records] == [True, False]
+    assert ["# n = 8" in path.read_text().splitlines() for path in records] == [False, True]
+
+
 def test_mesh_sweep_requires_list():
     with pytest.raises(ConfigError, match="mesh"):
         run_mesh_sweep(ExperimentConfig(problem="pendulum"))

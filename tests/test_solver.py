@@ -428,7 +428,7 @@ def test_nonfinite_gradient_at_accepted_point_keeps_the_records():
     assert run.deriv_evals == 2 and not np.array_equal(run.final_point, x0)
 
 
-@pytest.mark.parametrize("bad", ["f", "gradient"])
+@pytest.mark.parametrize("bad", ["f", "gradient", "hessian"])
 def test_nonfinite_oracle_at_x0_returns_a_record(bad):
     class Broken(QuadraticBowl):
         def eval_f(self, x):
@@ -436,8 +436,8 @@ def test_nonfinite_oracle_at_x0_returns_a_record(bad):
 
         def eval_derivative(self, x, order):
             t = super().eval_derivative(x, order)
-            if bad == "gradient" and order == 1:
-                return type(t)(1, self.dim, np.full(self.dim, -np.inf))
+            if (bad, order) in (("gradient", 1), ("hessian", 2)):
+                return type(t)(order, self.dim, np.full(self.dim, -np.inf))
             return t
 
     run = solve(Broken(6), np.ones(6), OuterConfig(p=2, beta=1.0), NormedSpace(6, 2.0))
