@@ -13,7 +13,8 @@ point, so wherever the unscaled power sum neither overflows nor underflows
 the scaled one carries the same bits: at r = 2 every result is identical
 to the unscaled formula, and for other r they agree up to the rounding of
 ``pow``.  Outside that range the geometry stays finite and nonzero at every
-representable magnitude instead of overflowing to NaN or underflowing to 0.
+representable magnitude, subnormal peaks included, instead of overflowing
+to NaN or underflowing to 0; a norm past the largest double is ``inf``.
 """
 
 from __future__ import annotations
@@ -30,17 +31,11 @@ class GeometryError(ValueError):
     """Misuse of a normed-space operation (bad exponent, shape, or input)."""
 
 
-def _shaped(n: int, v) -> np.ndarray:
+def _as_vector(n: int, v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (n,):
         raise GeometryError(f"expected a vector of dimension {n}, got shape {arr.shape}")
-    return arr
-
-
-def _as_vector(n: int, v) -> np.ndarray:
-    arr = _shaped(n, v)
-    # a single reduction: any NaN or infinity poisons the sum
-    if not math.isfinite(float(np.abs(arr).sum())):
+    if not np.isfinite(arr).all():
         raise GeometryError("vector entries must be finite")
     return arr
 
@@ -52,26 +47,34 @@ def _lr(a: np.ndarray, r: float):
     just above the largest magnitude (the ``frexp`` exponent), before they
     are raised to the power r, and the sum's root is multiplied back by
     ``2^k``.  A zero vector or row is returned unchanged with norm 0.
-    The peak and the sum are the ``np.maximum`` / ``np.add`` reductions that
-    ``ndarray.max`` / ``ndarray.sum`` wrap, called directly: the same bits
-    without the wrappers' per-call overhead.  Raises GeometryError on a NaN
-    or infinite entry.
+    A subnormal peak, whose ``2^-k`` need not be a double, is first lifted
+    by an exact ``2^1000``; a norm past the largest double is ``inf``, with
+    a zero unit vector.  A NaN or infinite entry gives a NaN or infinite
+    norm and a meaningless unit vector; ``NormedSpace`` rejects such input
+    before it gets here.  The peak and the sum are the ``np.maximum`` /
+    ``np.add`` reductions that ``ndarray.max`` / ``ndarray.sum`` wrap,
+    called directly: the same bits without the wrappers' per-call overhead.
     """
     b = np.abs(a)
     if a.ndim == 1:
         peak = float(np.maximum.reduce(b))
-        if not math.isfinite(peak):
-            raise GeometryError("vector entries must be finite")
-        if peak == 0.0:
-            return 0.0, a
+        if not 0.0 < peak < math.inf:
+            return peak, a
         k = math.frexp(peak)[1]
+        if k < -1021:
+            nrm, u = _lr(a * 2.0 ** 1000, r)
+            return math.ldexp(nrm, -1000), u
         b *= math.ldexp(1.0, -k)
-        nrm = math.ldexp(float(np.add.reduce(b ** r)) ** (1.0 / r), k)
+        root = float(np.add.reduce(b ** r)) ** (1.0 / r)
+        # only a peak above 2^960 can push the norm past the largest double
+        nrm = math.inf if k > 960 and k + math.frexp(root)[1] > 1024 else math.ldexp(root, k)
         return nrm, a / nrm
     peaks = np.maximum.reduce(b, axis=1)
-    if not math.isfinite(float(np.maximum.reduce(peaks))):
-        raise GeometryError("vector entries must be finite")
-    k = np.frexp(peaks)[1]  # 0 for a zero row
+    k = np.frexp(peaks)[1]  # 0 for a zero or non-finite row
+    if np.minimum.reduce(k) < -1021:
+        lift = np.where(k < -1021, 1000, 0)
+        nrm, u = _lr(a * np.ldexp(1.0, lift)[:, None], r)
+        return np.ldexp(nrm, -lift), u
     b *= np.ldexp(1.0, -k)[:, None]
     nrm = np.ldexp(np.add.reduce(b ** r, axis=1) ** (1.0 / r), k)
     return nrm, a / np.where(nrm > 0.0, nrm, 1.0)[:, None]
@@ -115,10 +118,10 @@ class NormedSpace:
     # -- norms -------------------------------------------------------------
 
     def norm(self, v) -> float:
-        return _lr(_shaped(self.n, v), self.r)[0]
+        return _lr(_as_vector(self.n, v), self.r)[0]
 
     def dual_norm(self, g) -> float:
-        return _lr(_shaped(self.n, g), self.r_dual)[0]
+        return _lr(_as_vector(self.n, g), self.r_dual)[0]
 
     # -- duality -----------------------------------------------------------
 
@@ -132,7 +135,7 @@ class NormedSpace:
         """
         if not p > 1.0:
             raise GeometryError(f"duality map requires exponent p > 1, got {p!r}")
-        nx, u = _lr(_shaped(self.n, x), self.r)
+        nx, u = _lr(_as_vector(self.n, x), self.r)
         return _duality(u, self.r) * nx ** (p - 1.0)
 
     def dual_direction(self, g) -> np.ndarray:
@@ -142,7 +145,7 @@ class NormedSpace:
         Raises if g = 0, which signals first-order stationarity; callers
         must test the dual norm before asking for a direction.
         """
-        gn, u = _lr(_shaped(self.n, g), self.r_dual)
+        gn, u = _lr(_as_vector(self.n, g), self.r_dual)
         if gn == 0.0:
             raise GeometryError("dual direction undefined at g = 0 (stationary point)")
         return _duality(u, self.r_dual)

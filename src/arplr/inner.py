@@ -39,7 +39,9 @@ nonnegative curvature along the ray) the minimizer is the unique root of the
 derivative and is found by bracketed regula falsi.  Otherwise a bracket is
 grown until the ray value exceeds its value at 0, the derivative is scanned
 on a mixed linear/geometric grid, and every sign change is refined.  Either
-way the model value decreases strictly at every iteration.
+way the model value decreases strictly at every iteration.  A ray point
+past the largest double has a non-finite value and is never taken; when
+no representable decrease remains, the solve ends on ``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class Termination(enum.Enum):
     STEP_POWER_RULE = "step_power_rule"
     ZERO_GRADIENT = "zero_gradient"
     MAX_ITERS = "max_iters"
-    # no representable decrease remains along the descent ray
+    # no representable decrease remains along the descent ray, or the
+    # model gradient's dual norm passes the largest double
     PROGRESS_FLOOR = "progress_floor"
 
 
@@ -100,11 +103,6 @@ class InnerResult:
     decreased: bool
     termination: Termination
     value_history: tuple  # model values, starting at m(0)
-
-
-class _ProgressFloor(Exception):
-    """No representable decrease remains along the descent ray (the gradient
-    tolerance is below what the model values can resolve)."""
 
 
 def _horner(coeffs, t):
@@ -146,8 +144,6 @@ class _RayEval:
         if self.is_r2:
             self.qa = float(np.dot(self.anchor, self.anchor))
             self.qb = float(np.dot(self.anchor, self.direction))
-        else:
-            self.qa = self.qb = 0.0
         self.t = math.nan  # nothing remembered: NaN equals no t
 
     def remember(self, t: float, w, nw: float, u, du) -> None:
@@ -230,11 +226,11 @@ def _add_ray_share(coeffs: list, tensor, lead, s0: np.ndarray, d: np.ndarray) ->
     coeffs[l] += (-1.0) ** l * float(np.dot(lead, d)) / scale
 
 
-def _refine_root(fun, a, b, fa, fb, ftol, max_iter=80):
-    """Regula falsi (Illinois) on a sign-change bracket of a continuous fun."""
+def _refine_root(fun, a, b, fa, fb, ftol):
+    """At most 80 regula falsi (Illinois) steps on a sign-change bracket."""
     t, ft = a, fa
     side = 0
-    for _ in range(max_iter):
+    for _ in range(80):
         t = (fa * b - fb * a) / (fa - fb)
         if not a < t < b:
             t = 0.5 * (a + b)
@@ -267,18 +263,25 @@ def _unit_grid(points: int) -> np.ndarray:
     return grid
 
 
-def _line_minimize(
-    ev: _RayEval,
-    sigma: float,
-    gamma_e1: float,
-    unit_grid: np.ndarray,
-    value: float,
-):
+def _grow(fun, t: float, test):
+    """Double t while ``test(fun(t))`` holds and t < 1e30; the last
+    ``(t, fun(t))``.  From a start in [1e-12, 1e12] that is at most 140
+    doublings, and a NaN start stops at once."""
+    ft = fun(t)
+    while test(ft) and t < 1e30:
+        t *= 2.0
+        ft = fun(t)
+    return t, ft
+
+
+def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     """Global minimizer of ``tau -> m(s - tau d)`` over tau >= 0, for a
     model of weight sigma with ``gamma_e1 = Gamma(e + 1)``.
 
-    Returns ``(tau, m(s - tau d))`` with a strictly smaller value; the slope
-    at tau = 0 equals minus the dual gradient norm, so a decrease exists.
+    Returns ``(tau, m(s - tau d))`` with a value strictly below ``value =
+    m(s)``, or None when no representable decrease remains (the slope at
+    tau = 0 is minus the dual gradient norm, so one exists in exact
+    arithmetic).
     """
     v0 = value
     slope0 = ev.deriv(0.0)
@@ -292,24 +295,12 @@ def _line_minimize(
     if all(c >= 0.0 for c in ev.coeffs[2:]):
         # polynomial part convex, so the whole ray function is: the global
         # minimizer is the unique positive root of the derivative
-        t_hi = scale
-        d_hi = ev.deriv(t_hi)
-        for _ in range(200):
-            if d_hi > 0.0 or not math.isfinite(d_hi) or t_hi >= 1e30:
-                break
-            t_hi *= 2.0
-            d_hi = ev.deriv(t_hi)
+        t_hi, d_hi = _grow(ev.deriv, scale, lambda d: -math.inf < d <= 0.0)
         if math.isfinite(d_hi) and d_hi > 0.0:
             candidates.append(_refine_root(ev.deriv, 0.0, t_hi, slope0, d_hi, ftol))
     else:
-        t_hi = scale
-        for _ in range(200):
-            val = ev.value(t_hi)
-            if math.isfinite(val) and val <= v0 and t_hi < 1e30:
-                t_hi *= 2.0
-            else:
-                break
-        grid = t_hi * unit_grid
+        t_hi, _ = _grow(ev.value, scale, lambda v: math.isfinite(v) and v <= v0)
+        grid = t_hi * _unit_grid(64 * len(ev.coeffs))
         vals, dvals = ev.batch(grid)
         finite = np.isfinite(vals)
         if finite.any():
@@ -336,7 +327,7 @@ def _line_minimize(
         if math.isfinite(v) and v < v0:
             return t, v
         t *= 0.5
-    raise _ProgressFloor
+    return None
 
 
 def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
@@ -352,7 +343,6 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
     s = np.zeros(space.n)
     value = model.value(s)
     history = [value]
-    unit_grid = _unit_grid(64 * (model.p + 1))  # nonconvex ray scan
     iters = 0
     # for order-2 models the step is rank-one along d, so the Hessian
     # product with s can be maintained incrementally (one product per
@@ -364,7 +354,6 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         grad0 = model.taylor.tensors[0].entries
         hessian = higher[0]
         hessian_s = np.zeros(space.n)
-        since_refresh = 0
     step_norm, u_s = _lr(s, r)
     du_s = _duality(u_s, r)
     while True:
@@ -376,6 +365,9 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         # (NormedSpace.duality_map of s)
         grad = taylor_grad + reg_d * (du_s * step_norm ** (e - 1.0))
         grad_norm, u_g = _lr(grad, r_dual)
+        if not grad_norm < math.inf:  # NaN or inf: the model left the double range
+            term = Termination.PROGRESS_FLOOR
+            break
         if grad_norm == 0.0:
             term = Termination.ZERO_GRADIENT
             break
@@ -406,23 +398,20 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         # the anchor's l^r pass serves the ray at t = 0 (s in place of
         # s - 0 d: they differ at most in the sign of zero entries)
         ev.remember(0.0, s, step_norm, u_s, du_s)
-        try:
-            tau, value = _line_minimize(ev, model.sigma, gamma_e1, unit_grid, value)
-        except _ProgressFloor:
-            # stopping rules unmet but no representable decrease remains
+        found = _line_minimize(ev, model.sigma, gamma_e1, value)
+        if found is None:
             term = Termination.PROGRESS_FLOOR
             break
+        tau, value = found
         # s - tau d and its l^r pass, shared with the line search when it
         # last evaluated the ray at tau
         s, step_norm, u_s, du_s = ev.point(tau)
-        if quadratic:
-            hessian_s = hessian_s - tau * hessian_d
-            since_refresh += 1
-            if since_refresh >= 256:
-                hessian_s = hessian.contract([s])
-                since_refresh = 0
         history.append(value)
         iters += 1
+        if quadratic:
+            hessian_s = hessian_s - tau * hessian_d
+            if iters % 256 == 0:
+                hessian_s = hessian.contract([s])
     return InnerResult(
         s=s,
         model_value=value,

@@ -44,7 +44,8 @@ class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
     # f or a derivative at the current point (x0 or an accepted trial
-    # point) is not finite
+    # point) is not finite, or the gradient's dual norm passes the largest
+    # double
     ORACLE_NONFINITE = "oracle_nonfinite"
     # repeated failures raised sigma past the largest double
     SIGMA_OVERFLOW = "sigma_overflow"
@@ -158,9 +159,9 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
     inner solve that hits its iteration guard is treated as an
     unsuccessful iteration (sigma is raised and the step re-attempted),
     regardless of its decrease ratio.  A non-finite f or derivative of any
-    order at x0 or at an accepted point ends the run with
-    ``ORACLE_NONFINITE`` and the records collected so far
-    (``final_grad_dual_norm`` is NaN when the gradient is the culprit).  A
+    order at x0 or at an accepted point, or a finite gradient whose dual
+    norm overflows, ends the run with ``ORACLE_NONFINITE`` and the records
+    collected so far (``final_grad_dual_norm`` is then NaN or inf).  A
     sigma that overflows (every trial failing, say on a non-finite f) ends
     it with ``SIGMA_OVERFLOW``.
     """
@@ -182,20 +183,23 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
     inner_cap = cfg.inner_max_iters
     if inner_cap is None:
         inner_cap = default_max_iters(space.n, cfg.p, cfg.chi * cfg.epsilon)
+    inner_cfg = InnerConfig(
+        grad_tol_absolute=cfg.chi * cfg.epsilon,
+        step_power=(cfg.theta, cfg.p + cfg.beta - 1.0),
+        max_iters=inner_cap,
+    )
 
-    k = 0
     while True:
         grad = derivs[0].entries
-        grad_finite = bool(np.isfinite(grad).all())
-        grad_norm = space.dual_norm(grad) if grad_finite else math.nan
+        grad_norm = space.dual_norm(grad) if np.isfinite(grad).all() else math.nan
         higher_finite = all(np.isfinite(t.entries).all() for t in derivs[1:])
-        if not (grad_finite and higher_finite and math.isfinite(fx)):
+        if not (math.isfinite(grad_norm) and higher_finite and math.isfinite(fx)):
             status = SolveStatus.ORACLE_NONFINITE
             break
         if grad_norm <= cfg.epsilon:
             status = SolveStatus.CONVERGED
             break
-        if k >= cfg.max_outer_iters:
+        if len(records) >= cfg.max_outer_iters:
             status = SolveStatus.MAX_ITERS
             break
         if not math.isfinite(sigma):
@@ -204,11 +208,6 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
 
         taylor = TaylorModel(x, fx, derivs)
         model = RegularizedModel(taylor, sigma, cfg.p, cfg.beta, space)
-        inner_cfg = InnerConfig(
-            grad_tol_absolute=cfg.chi * cfg.epsilon,
-            step_power=(cfg.theta, cfg.p + cfg.beta - 1.0),
-            max_iters=inner_cap,
-        )
         result = minimize_model(model, inner_cfg)
         s = result.s
         iterate_norm = space.norm(x)
@@ -233,7 +232,7 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
 
         records.append(
             IterationRecord(
-                k=k,
+                k=len(records),
                 sigma=sigma,
                 iterate_norm=iterate_norm,
                 step_norm=space.norm(s),
@@ -254,7 +253,6 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
         elif rho >= cfg.eta2:
             sigma = max(cfg.sigma_min, cfg.gamma1 * sigma)
         sigma_max = max(sigma_max, sigma)
-        k += 1
 
     return RunRecord(
         records=tuple(records),
@@ -327,16 +325,21 @@ def check_trajectory(
     iteration count against the successful count, and — when both L and
     f_low are known — (f) the worst-case success count.
     """
-    violations = []
     e = cfg.p + cfg.beta
     gamma_e1 = math.gamma(e + 1.0)
     f_scale = max(1.0, abs(run.f_initial), abs(run.f_final))
+    if L is not None:
+        sigma_cap = cfg.gamma3 * max(cfg.sigma0, L / (1.0 - cfg.eta2))
+        floor_rhs = cfg.epsilon * _step_floor_terms(cfg, L, run.sigma_max_observed)
+    # the terminating step of a converged run carries no size guarantee
+    last_k = run.records[-1].k if run.status is SolveStatus.CONVERGED and run.records else None
+    found_a, found_b, found_c, found_d = [], [], [], []
 
     for rec in run.records:
         floor = rec.sigma / gamma_e1 * rec.step_norm ** e
         slack_a = 1e-10 * max(1.0, abs(rec.model_decrease), floor) + 1e-13 * f_scale
         if rec.model_decrease + slack_a < floor:
-            violations.append(
+            found_a.append(
                 Violation(
                     "a",
                     "model-decrease-floor",
@@ -345,49 +348,40 @@ def check_trajectory(
                     f"sigma/Gamma(p+beta+1) |s|^(p+beta) = {floor:.6e}",
                 )
             )
-
-    if L is not None:
-        sigma_cap = cfg.gamma3 * max(cfg.sigma0, L / (1.0 - cfg.eta2))
-        for rec in run.records:
-            if rec.sigma > sigma_cap * (1.0 + 1e-12):
-                violations.append(
-                    Violation(
-                        "b",
-                        "sigma-cap",
-                        rec.k,
-                        f"sigma {rec.sigma:.6e} exceeds cap {sigma_cap:.6e}",
-                    )
+        if L is None:
+            continue
+        if rec.sigma > sigma_cap * (1.0 + 1e-12):
+            found_b.append(
+                Violation(
+                    "b",
+                    "sigma-cap",
+                    rec.k,
+                    f"sigma {rec.sigma:.6e} exceeds cap {sigma_cap:.6e}",
                 )
-        for rec in run.records:
-            remainder = abs(rec.model_decrease - rec.actual_decrease)
-            bound = L / gamma_e1 * rec.step_norm ** e + 1e-10 * f_scale
-            if remainder > bound:
-                violations.append(
-                    Violation(
-                        "c",
-                        "taylor-remainder",
-                        rec.k,
-                        f"|f(trial) - T(s)| = {remainder:.6e} exceeds "
-                        f"L/Gamma(p+beta+1) |s|^(p+beta) = {bound:.6e}",
-                    )
+            )
+        remainder = abs(rec.model_decrease - rec.actual_decrease)
+        bound = L / gamma_e1 * rec.step_norm ** e + 1e-10 * f_scale
+        if remainder > bound:
+            found_c.append(
+                Violation(
+                    "c",
+                    "taylor-remainder",
+                    rec.k,
+                    f"|f(trial) - T(s)| = {remainder:.6e} exceeds "
+                    f"L/Gamma(p+beta+1) |s|^(p+beta) = {bound:.6e}",
                 )
-        floor_rhs = cfg.epsilon * _step_floor_terms(cfg, L, run.sigma_max_observed)
-        last_k = run.records[-1].k if run.records else None
-        for rec in run.records:
-            if not rec.successful:
-                continue
-            if run.status is SolveStatus.CONVERGED and rec.k == last_k:
-                continue  # the terminating step carries no size guarantee
-            lhs = rec.step_norm ** (e - 1.0)
-            if lhs < floor_rhs * (1.0 - 1e-9):
-                violations.append(
-                    Violation(
-                        "d",
-                        "step-size-floor",
-                        rec.k,
-                        f"|s|^(p+beta-1) = {lhs:.6e} below floor {floor_rhs:.6e}",
-                    )
+            )
+        lhs = rec.step_norm ** (e - 1.0)
+        if rec.successful and rec.k != last_k and lhs < floor_rhs * (1.0 - 1e-9):
+            found_d.append(
+                Violation(
+                    "d",
+                    "step-size-floor",
+                    rec.k,
+                    f"|s|^(p+beta-1) = {lhs:.6e} below floor {floor_rhs:.6e}",
                 )
+            )
+    violations = found_a + found_b + found_c + found_d
 
     total = run.total_iterations
     successes = run.successes

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arplr import GeometryError, NormedSpace, smoothness_modulus_estimate
+from arplr.geometry import _lr
 
 
 def test_norm_examples():
@@ -256,3 +257,21 @@ def test_norm_homogeneity_at_any_magnitude(r, k, u):
     c = 10.0 ** k
     assert sp.norm(c * x) == pytest.approx(c * sp.norm(x), rel=1e-12)
     assert sp.dual_norm(c * x) == pytest.approx(c * sp.dual_norm(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("j", [-1072, -1060, -1040, -1025, -1000, 0, 1000, 1021, 1022, 1023])
+def test_norm_is_finite_down_to_subnormals_and_inf_past_the_largest_double(r, j):
+    # v = 2^j u is exact, so |v|_r = 2^j |u|_r: rounded into the subnormals
+    # below 2^-1022, inf where it passes the largest double; the vector and
+    # the row path agree, and the unit vector is that of u
+    u = np.array([1.0, -0.5, 0.75, 0.0])
+    nu, unit = _lr(u, r)
+    v = np.ldexp(u, j)
+    ref = math.inf if math.frexp(nu)[1] + j > 1024 else math.ldexp(nu, j)
+    rows_nrm, rows_unit = _lr(np.array([v, u, np.zeros(4)]), r)
+    for nrm, w in ((NormedSpace(4, r).norm(v), _lr(v, r)[1]), (rows_nrm[0], rows_unit[0])):
+        assert nrm == ref or math.isclose(nrm, ref, rel_tol=1e-12, abs_tol=1e-323)
+        if math.isfinite(ref):
+            np.testing.assert_allclose(w, unit, rtol=1e-12)
+    assert rows_nrm[1] == nu and rows_nrm[2] == 0.0

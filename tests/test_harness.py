@@ -17,7 +17,7 @@ from arplr.harness import (
     run_single,
 )
 from arplr.inner import Termination
-from arplr.solver import IterationRecord, SolveStatus
+from arplr.solver import IterationRecord, SolveStatus, Violation
 
 
 def _field_type(cls, name):
@@ -180,6 +180,17 @@ def test_cli_run_success(tmp_path, capsys):
     assert code == 0
     assert "status: converged" in out
     assert "violations: none" in out
+
+
+def test_cli_run_lists_violations_and_exits_1(monkeypatch, capsys):
+    # a converged run still fails when the trajectory checks report anything
+    found = Violation("b", "sigma-cap", 3, "sigma 9.0e+00 exceeds cap 4.0e+00")
+    monkeypatch.setattr("arplr.harness.check_trajectory", lambda *args, **kwargs: [found])
+    code = main(["run", "--problem", "quadratic", "--eps", "1e-6"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status: converged" in out
+    assert "violations (1):\n  (b) sigma-cap [k=3]: sigma 9.0e+00 exceeds cap 4.0e+00\n" in out
 
 
 def test_cli_run_unknown_problem_exits_2(capsys):

@@ -21,7 +21,7 @@ from arplr import (
 )
 from arplr.geometry import _duality, _lr
 from arplr.harness import ExperimentConfig
-from arplr.inner import _RayEval, default_max_iters
+from arplr.inner import _line_minimize, _RayEval, default_max_iters
 from helpers import full_ray_coefficients, symmetrize
 
 
@@ -133,6 +133,32 @@ def test_progress_floor_is_reported():
     assert res.termination is Termination.PROGRESS_FLOOR
     assert res.iterations == 0
     assert not res.decreased
+
+
+def test_overflowing_model_gradient_ends_on_the_progress_floor():
+    # a finite gradient whose dual norm passes the largest double: the inner
+    # solve stops with a status instead of raising
+    m = _linear_model([1.7e308, -1.7e308], sigma=1.0)
+    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=50))
+    assert res.termination is Termination.PROGRESS_FLOOR
+    assert res.iterations == 0 and res.model_grad_dual_norm == math.inf
+
+
+def test_convex_ray_grows_its_bracket_until_the_slope_turns():
+    # e = 1.5 and s = (0, 100) orthogonal to d: the regularizer's slope is
+    # about t / 10 near 0, so at the scale where the regularizer alone would
+    # overtake the initial slope the derivative is still negative, and the
+    # bracket doubles three times before the root is refined
+    e, sigma = 1.5, 1.0
+    ev = _RayEval([0.0, -1.0], np.array([0.0, 100.0]), np.array([1.0, 0.0]), 2.0, e,
+                  sigma / math.gamma(e + 1.0), sigma / math.gamma(e))
+    slope0 = ev.deriv(0.0)
+    scale = ((-slope0) * math.gamma(e + 1.0) / sigma) ** (1.0 / (e - 1.0))
+    assert ev.deriv(scale) < 0.0
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), ev.value(0.0))
+    assert tau > scale
+    assert abs(ev.deriv(tau)) <= 1e-12 * max(1.0, -slope0)
+    assert tau.hex() == "0x1.1c26660ac3bcfp+3" and value.hex() == "0x1.75e89cf842a70p+9"
 
 
 def test_step_power_rule_branch_requires_motion():

@@ -25,8 +25,9 @@ _BASES = [QuadraticBowl(), DoubleWell(), Rosenbrock(), PendulumLattice(8)]
 
 class _Faulty:
     """Delegates to ``base``; from the k-th call of ``target`` (``"f"`` or a
-    derivative order) on, every entry of that output is ``bad``, or with
-    ``bad`` None the gradient's sign is flipped."""
+    derivative order) on, every entry of that output is ``bad`` (not finite,
+    or finite near overflow), or with ``bad`` None the gradient's sign is
+    flipped."""
 
     def __init__(self, base, target, k, bad):
         self.base, self.target, self.k, self.bad = base, target, k, bad
@@ -55,7 +56,7 @@ class _Faulty:
 def _faulty_runs(draw):
     base = draw(st.sampled_from(_BASES))
     p = draw(st.integers(1, base.max_order))
-    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, None]))
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, None]))
     target = 1 if bad is None else draw(st.sampled_from(["f"] + list(range(1, p + 1))))
     k = draw(st.integers(1, 3))
     return _Faulty(base, target, k, bad), p, draw(_R)

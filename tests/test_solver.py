@@ -428,7 +428,7 @@ def test_nonfinite_gradient_at_accepted_point_keeps_the_records():
     assert run.deriv_evals == 2 and not np.array_equal(run.final_point, x0)
 
 
-@pytest.mark.parametrize("bad", ["f", "gradient", "hessian"])
+@pytest.mark.parametrize("bad", ["f", "gradient", "hessian", "gradient norm"])
 def test_nonfinite_oracle_at_x0_returns_a_record(bad):
     class Broken(QuadraticBowl):
         def eval_f(self, x):
@@ -438,12 +438,16 @@ def test_nonfinite_oracle_at_x0_returns_a_record(bad):
             t = super().eval_derivative(x, order)
             if (bad, order) in (("gradient", 1), ("hessian", 2)):
                 return type(t)(order, self.dim, np.full(self.dim, -np.inf))
+            if (bad, order) == ("gradient norm", 1):
+                # finite entries, but |g|_2 = 1.7e308 sqrt(6) passes the largest double
+                return type(t)(order, self.dim, np.full(self.dim, -1.7e308))
             return t
 
     run = solve(Broken(6), np.ones(6), OuterConfig(p=2, beta=1.0), NormedSpace(6, 2.0))
     assert run.status is SolveStatus.ORACLE_NONFINITE
     assert run.records == () and run.f_evals == 1 and run.deriv_evals == 1
     assert math.isnan(run.final_grad_dual_norm) == (bad == "gradient")
+    assert math.isinf(run.final_grad_dual_norm) == (bad == "gradient norm")
 
 
 class _TrialsFail(QuadraticBowl):

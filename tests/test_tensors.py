@@ -390,3 +390,17 @@ def test_model_order_validation():
         RegularizedModel(tm, 1.0, 3, 1.0, NormedSpace(3, 2.0))
     with pytest.raises(TensorError):
         RegularizedModel(tm, 1.0, 2, 1.5, NormedSpace(3, 2.0))
+    with pytest.raises(TensorError, match="at least 1"):
+        RegularizedModel(tm, 1.0, 0, 1.0, NormedSpace(3, 2.0))
+    with pytest.raises(TensorError, match="space dimension"):
+        RegularizedModel(tm, 1.0, 2, 1.0, NormedSpace(4, 2.0))
+
+
+def test_taylor_model_validation():
+    g, h = SymmetricTensor(1, 3, np.ones(3)), SymmetricTensor(2, 3, np.eye(3))
+    with pytest.raises(TensorError, match="order-1 tensor"):
+        TaylorModel(np.zeros(3), 0.0, ())
+    with pytest.raises(TensorError, match="position 1 has order 2"):
+        TaylorModel(np.zeros(3), 0.0, (h, g))
+    with pytest.raises(TensorError, match="dimension"):
+        TaylorModel(np.zeros(2), 0.0, (g, h))
