@@ -40,7 +40,7 @@ def _as_vector(n: int, v) -> np.ndarray:
     return arr
 
 
-def _lr(a: np.ndarray, r: float):
+def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     """``(|a|_r, a / |a|_r)`` for a vector, or row by row for a 2-D array.
 
     Entries are multiplied by ``2^-k``, where ``2^k`` is the power of two
@@ -54,8 +54,12 @@ def _lr(a: np.ndarray, r: float):
     before it gets here.  The peak and the sum are the ``np.maximum`` /
     ``np.add`` reductions that ``ndarray.max`` / ``ndarray.sum`` wrap,
     called directly: the same bits without the wrappers' per-call overhead.
+
+    A 2-D ``a`` is normalized in place and returned as the unit rows, and
+    ``work``, an array of a's shape (or None, to allocate one), holds the
+    powers; the in-place steps carry the bits of their out-of-place forms.
     """
-    b = np.abs(a)
+    b = np.abs(a, out=work)
     if a.ndim == 1:
         peak = float(np.maximum.reduce(b))
         if not 0.0 < peak < math.inf:
@@ -73,17 +77,35 @@ def _lr(a: np.ndarray, r: float):
     k = np.frexp(peaks)[1]  # 0 for a zero or non-finite row
     if np.minimum.reduce(k) < -1021:
         lift = np.where(k < -1021, 1000, 0)
-        nrm, u = _lr(a * np.ldexp(1.0, lift)[:, None], r)
+        a *= np.ldexp(1.0, lift)[:, None]
+        nrm, u = _lr(a, r, b)
         return np.ldexp(nrm, -lift), u
     b *= np.ldexp(1.0, -k)[:, None]
-    nrm = np.ldexp(np.add.reduce(b ** r, axis=1) ** (1.0 / r), k)
-    return nrm, a / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    b **= r
+    nrm = np.ldexp(np.add.reduce(b, axis=1) ** (1.0 / r), k)
+    a /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    return nrm, a
 
 
-def _duality(u: np.ndarray, r: float) -> np.ndarray:
+def _pow(x: float, y: float) -> float:
+    """``x ** y`` for a Python float x >= 0, or ``inf`` where the power
+    passes the largest double and ``**`` raises ``OverflowError``."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _duality(u: np.ndarray, r: float, out: np.ndarray | None = None) -> np.ndarray:
     """``sign(u_i) |u_i|^(r-1)``, the duality vector of a unit vector u from
-    ``_lr``; at r = 2 that is u bit for bit (signed zeros too), returned as is."""
-    return u if r == 2.0 else np.copysign(np.abs(u) ** (r - 1.0), u)
+    ``_lr``; at r = 2 that is u bit for bit (signed zeros too), returned as is.
+    Otherwise it is written to ``out``, an array of u's shape, or with
+    ``out`` None to a new one."""
+    if r == 2.0:
+        return u
+    b = np.abs(u, out=out)
+    b **= r - 1.0
+    return np.copysign(b, u, out=b)
 
 
 @dataclass(frozen=True)
@@ -136,7 +158,7 @@ class NormedSpace:
         if not p > 1.0:
             raise GeometryError(f"duality map requires exponent p > 1, got {p!r}")
         nx, u = _lr(_as_vector(self.n, x), self.r)
-        return _duality(u, self.r) * nx ** (p - 1.0)
+        return _duality(u, self.r) * _pow(nx, p - 1.0)
 
     def dual_direction(self, g) -> np.ndarray:
         """Unit-norm d attaining the dual pairing, ``<g, d> = |g|_*``.
@@ -159,7 +181,8 @@ def smoothness_modulus_estimate(
     The modulus is the supremum of ``(|x+y| + |x-y|)/2 - 1`` over |x| = 1
     and |y| = t; sampling pairs gives a lower bound on it, so the estimate
     can be compared against upper envelopes such as t^2/2 in the r = 2
-    case.
+    case.  The samples are drawn here and discarded, so ``_lr`` normalizes
+    them in place.
     """
     if t < 0:
         raise GeometryError("modulus argument t must be nonnegative")

@@ -24,7 +24,11 @@ tensors of separable oracles and O(n^l) for a dense order-l tensor, with
 the same bits either way.  The line search runs on the coefficients as
 Python floats; on the r = 2 path it is pure scalar arithmetic when the ray
 polynomial is convex, otherwise one array scan of the ray brackets its
-minima.  The gradient and direction have the bits of
+minima.  For r != 2 that scan is one row-wise l^r pass over the grid
+points, run in place in two (grid x n) buffers that each thread keeps
+(``_scratch``): after its first scan of a shape it allocates only arrays
+of one entry per grid point, and it has the bits of the out-of-place
+expressions.  The gradient and direction have the bits of
 ``RegularizedModel.gradient`` and ``NormedSpace.dual_direction`` (but for
 p = 2, which updates H s), and the coefficients those of full
 contractions: ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
@@ -49,11 +53,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _duality, _lr
+from .geometry import _duality, _lr, _pow
 from .tensors import RegularizedModel
 
 __all__ = ["InnerConfig", "InnerResult", "Termination", "minimize_model", "default_max_iters"]
@@ -103,6 +108,19 @@ class InnerResult:
     decreased: bool
     termination: Termination
     value_history: tuple  # model values, starting at m(0)
+
+
+_thread = threading.local()
+
+
+def _scratch(rows: int, n: int):
+    """Two ``(rows, n)`` float arrays for the grid scan of ``_RayEval.batch``,
+    views of one array that each thread keeps and replaces only when the
+    shape changes, so a repeated scan allocates no (rows x n) memory."""
+    buf = getattr(_thread, "scratch", None)
+    if buf is None or buf.shape != (2, rows, n):
+        buf = _thread.scratch = np.empty((2, rows, n))
+    return buf[0], buf[1]
 
 
 def _horner(coeffs, t):
@@ -178,8 +196,8 @@ class _RayEval:
     def value(self, t: float) -> float:
         poly = _horner(self.coeffs, t)
         if self.is_r2:
-            return poly + self.reg_v * self._qnorm(t) ** (0.5 * self.e)
-        return poly + self.reg_v * self._norm(t) ** self.e
+            return poly + self.reg_v * _pow(self._qnorm(t), 0.5 * self.e)
+        return poly + self.reg_v * _pow(self._norm(t), self.e)
 
     def deriv(self, t: float) -> float:
         poly = _horner(self.dcoeffs, t)
@@ -187,14 +205,15 @@ class _RayEval:
             q = self._qnorm(t)
             if q == 0.0:
                 return poly
-            return poly + self.reg_d * q ** (0.5 * (self.e - 2.0)) * (t - self.qb)
+            return poly + self.reg_d * _pow(q, 0.5 * (self.e - 2.0)) * (t - self.qb)
         # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
         # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
         nw = self._norm(t)
         num = -float(np.dot(self._dual(), self.direction))
-        return poly + self.reg_d * nw ** (self.e - 1.0) * num
+        return poly + self.reg_d * _pow(nw, self.e - 1.0) * num
 
     def batch(self, ts: np.ndarray):
+        """Ray values and derivatives at every t of ``ts``, as new arrays."""
         pvals = _horner(self.coeffs, ts)
         pders = _horner(self.dcoeffs, ts)
         if self.is_r2:
@@ -205,9 +224,11 @@ class _RayEval:
                 pos, self.reg_d * np.where(pos, q, 1.0) ** (0.5 * (self.e - 2.0)) * (ts - self.qb), 0.0
             )
             return vals, ders
-        pts = self.anchor[None, :] - ts[:, None] * self.direction[None, :]
-        norms, units = _lr(pts, self.r)
-        num = -np.dot(_duality(units, self.r), self.direction)
+        pts, work = _scratch(len(ts), len(self.direction))
+        np.multiply.outer(ts, self.direction, out=pts)
+        np.subtract(self.anchor, pts, out=pts)
+        norms, units = _lr(pts, self.r, work)
+        num = -np.dot(_duality(units, self.r, work), self.direction)
         vals = pvals + self.reg_v * norms ** self.e
         return vals, pders + self.reg_d * norms ** (self.e - 1.0) * num
 
@@ -288,7 +309,7 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     ftol = 1e-12 * max(1.0, -slope0)  # root tolerance on the ray derivative
 
     # scale at which the regularizer alone overtakes the initial slope
-    scale = ((-slope0) * gamma_e1 / sigma) ** (1.0 / (ev.e - 1.0))
+    scale = _pow((-slope0) * gamma_e1 / sigma, 1.0 / (ev.e - 1.0))
     scale = min(max(scale, 1e-12), 1e12)
 
     candidates = []
@@ -363,7 +384,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             taylor_grad = model.taylor.gradient(s)
         # regularizer gradient as RegularizedModel.gradient forms it
         # (NormedSpace.duality_map of s)
-        grad = taylor_grad + reg_d * (du_s * step_norm ** (e - 1.0))
+        grad = taylor_grad + reg_d * (du_s * _pow(step_norm, e - 1.0))
         grad_norm, u_g = _lr(grad, r_dual)
         if not grad_norm < math.inf:  # NaN or inf: the model left the double range
             term = Termination.PROGRESS_FLOOR
@@ -376,7 +397,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             break
         if cfg.step_power is not None:
             theta, expo = cfg.step_power
-            if step_norm > 0.0 and grad_norm <= theta * step_norm ** expo:
+            if step_norm > 0.0 and grad_norm <= theta * _pow(step_norm, expo):
                 term = Termination.STEP_POWER_RULE
                 break
         if iters >= cfg.max_iters:
@@ -385,7 +406,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         # NormedSpace.dual_direction of grad, and the Taylor part of the
         # model value at s
         d = _duality(u_g, r_dual)
-        taylor_value = value - reg_v * step_norm ** e
+        taylor_value = value - reg_v * _pow(step_norm, e)
         # the Taylor part along s - t d as a polynomial in t: its value and
         # slope at s, then each tensor's share of the higher coefficients
         coeffs = [float(taylor_value), -float(np.dot(taylor_grad, d)), *pad]

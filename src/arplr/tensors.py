@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import NormedSpace, _as_vector
+from .geometry import NormedSpace, _as_vector, _pow
 
 __all__ = [
     "SymmetricTensor",
@@ -222,7 +222,7 @@ class RegularizedModel:
     def value(self, s) -> float:
         e = self.reg_exponent
         return self.taylor.value(s) + (
-            self.sigma / math.gamma(e + 1.0) * self.space.norm(s) ** e
+            self.sigma / math.gamma(e + 1.0) * _pow(self.space.norm(s), e)
         )
 
     def gradient(self, s) -> np.ndarray:

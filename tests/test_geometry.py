@@ -85,6 +85,11 @@ def test_duality_map_at_zero():
             assert np.all(sp.duality_map(np.zeros(3), p) == 0.0)
 
 
+def test_duality_map_past_the_largest_double_is_inf():
+    # |x|^(p-1) = (1e200 sqrt(2))^2 passes the largest double
+    assert np.isposinf(NormedSpace(2, 2.0).duality_map([1e200, 1e200], 3.0)).all()
+
+
 def test_duality_map_rejects_small_exponent():
     sp = NormedSpace(2, 2.0)
     with pytest.raises(GeometryError):
@@ -163,6 +168,12 @@ def test_dual_direction_zero_raises():
 
 def test_modulus_zero_at_zero():
     assert smoothness_modulus_estimate(NormedSpace(4, 2.5), 0.0, 100) == 0.0
+
+
+@pytest.mark.parametrize("r, expected", [(1.5, 0.09354246493054275), (3.0, 0.08128221215124576)])
+def test_modulus_estimate_keeps_its_bits(r, expected):
+    # the row-wise l^r passes over the samples, pinned to their exact floats
+    assert smoothness_modulus_estimate(NormedSpace(5, r), 0.3, 2000, seed=3) == expected
 
 
 def test_modulus_hilbert_bounds():

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +24,7 @@ from arplr import (
 )
 from arplr.geometry import _duality, _lr
 from arplr.harness import ExperimentConfig
-from arplr.inner import _line_minimize, _RayEval, default_max_iters
+from arplr.inner import _horner, _line_minimize, _RayEval, _unit_grid, default_max_iters
 from helpers import full_ray_coefficients, symmetrize
 
 
@@ -327,3 +330,79 @@ def test_line_search_shares_its_lr_passes(monkeypatch):
     run = solve(problem, x0, outer, space)
     assert run.status is SolveStatus.CONVERGED
     assert len(calls) <= 5 * sum(rec.inner_iters for rec in run.records)
+
+
+def _scan_reference(ev, ts):
+    # the grid scan in its out-of-place form, one fresh array per step
+    pts = ev.anchor[None, :] - ts[:, None] * ev.direction[None, :]
+    norms, units = _lr(pts, ev.r)
+    num = -np.dot(np.copysign(np.abs(units) ** (ev.r - 1.0), units), ev.direction)
+    vals = _horner(ev.coeffs, ts) + ev.reg_v * norms ** ev.e
+    return vals, _horner(ev.dcoeffs, ts) + ev.reg_d * norms ** (ev.e - 1.0) * num
+
+
+def _scan_ray(r, p, n, seed, size=1.0):
+    rng = np.random.default_rng(seed)
+    d = NormedSpace(n, r).dual_direction(rng.standard_normal(n))
+    e = p + 0.5
+    coeffs = rng.standard_normal(p + 1).tolist()
+    return _RayEval(coeffs, size * rng.standard_normal(n), d, r, e,
+                    1.3 / math.gamma(e + 1.0), 1.3 / math.gamma(e))
+
+
+@pytest.mark.parametrize("n", [2, 96])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("r", [1.5, 3.0])
+@pytest.mark.parametrize("t_hi, size", [(2.5, 1.0), (1e-300, 1e-310)])
+def test_grid_scan_keeps_its_bits_and_owns_its_results(r, p, n, t_hi, size):
+    # the second case puts subnormal peaks on the rows near t = 0 and
+    # normal ones further out, so the row-wise lift runs on part of the grid
+    ts = t_hi * _unit_grid(64 * (p + 1))
+    ev = _scan_ray(r, p, n, seed=n + p, size=size)
+    vals, ders = ev.batch(ts)
+    ref_vals, ref_ders = _scan_reference(ev, ts)
+    assert vals.tobytes() == ref_vals.tobytes() and ders.tobytes() == ref_ders.tobytes()
+    kept = vals.copy(), ders.copy()
+    _scan_ray(r, p, n, seed=n + p + 1, size=size).batch(ts)
+    assert vals.tobytes() == kept[0].tobytes() and ders.tobytes() == kept[1].tobytes()
+
+
+def test_repeated_grid_scan_allocates_no_grid_sized_array():
+    n = 400
+    ev = _scan_ray(1.5, 3, n, seed=0)
+    ts = 2.0 * _unit_grid(64 * 4)  # the 384-point grid of a p = 3 ray
+    grid_array = len(ts) * n * 8  # one (grid x n) float array: 1.2 MB
+    ev.batch(ts)
+    tracemalloc.start()
+    try:
+        ev.batch(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_array / 4
+
+
+def test_grid_scans_in_threads_do_not_share_their_buffers():
+    ts = 3.0 * _unit_grid(64 * 4)
+    rays = [_scan_ray(r, 3, 48, seed=i) for i, r in enumerate([1.5, 3.0, 1.5, 3.0, 1.5, 3.0])]
+    expected = [_scan_reference(ev, ts) for ev in rays]
+    mismatches = []
+
+    def scan(ev, ref):
+        for _ in range(20):
+            vals, ders = ev.batch(ts)
+            if vals.tobytes() != ref[0].tobytes() or ders.tobytes() != ref[1].tobytes():
+                mismatches.append(ev)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan, args=pair) for pair in zip(rays, expected)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert mismatches == []

@@ -5,6 +5,7 @@ import pytest
 
 from arplr import (
     DoubleWell,
+    HolderGradient,
     IterationRecord,
     NormedSpace,
     OuterConfig,
@@ -448,6 +449,31 @@ def test_nonfinite_oracle_at_x0_returns_a_record(bad):
     assert run.records == () and run.f_evals == 1 and run.deriv_evals == 1
     assert math.isnan(run.final_grad_dual_norm) == (bad == "gradient")
     assert math.isinf(run.final_grad_dual_norm) == (bad == "gradient norm")
+
+
+class _GradientTurnsHuge(HolderGradient):
+    """Hoelder objective whose gradient is (1e200, 0, 0, 0) from the second
+    derivative call on: finite, but at p = 1 and beta = 1/2 the model's ray
+    minimizer lies near |g|^2, past the largest double."""
+
+    def __init__(self):
+        super().__init__(4, 0.5)
+        self.calls = 0
+
+    def eval_derivative(self, x, order):
+        t = super().eval_derivative(x, order)
+        self.calls += 1
+        return t if self.calls < 2 else type(t)(1, self.dim, np.array([1e200, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_gradient_near_overflow_ends_with_a_status(r):
+    problem = _GradientTurnsHuge()
+    cfg = OuterConfig(p=1, beta=0.5, max_outer_iters=4, inner_max_iters=20)
+    run = solve(problem, problem.default_x0(), cfg, NormedSpace(4, r))
+    assert run.status is SolveStatus.MAX_ITERS and len(run.records) == 4
+    # every model built on the huge gradient is rejected
+    assert problem.calls >= 2 and not run.records[-1].successful
 
 
 class _TrialsFail(QuadraticBowl):

@@ -266,6 +266,8 @@ def test_model_value_p1_beta1_arithmetic():
     m = RegularizedModel(tm, 2.0, 1, 1.0, sp)
     s = np.array([0.3, 0.4])
     assert m.value(s) == pytest.approx(0.25 + np.dot(g, s) + sp.norm(s) ** 2, rel=1e-14)
+    # a finite s whose regularizer passes the largest double
+    assert m.value(np.array([1e200, 1e200])) == math.inf
 
 
 def test_model_gradient_at_zero_and_sigma_zero():
