@@ -20,8 +20,9 @@ which dot products with s and d finish into the ray coefficients l - 1
 and l (from order 4 up a lower one contracts the full tensor); at p = 2 it
 is H d, which also updates H s, and otherwise the Taylor gradient at s
 takes one more per tensor.  A contraction costs O(n) for the diagonal
-tensors of separable oracles and O(n^l) for a dense order-l tensor, with
-the same bits either way.  The line search runs on the coefficients as
+tensors of separable oracles and for the banded (tridiagonal) pendulum
+Hessian, and O(n^l) for a dense order-l tensor; a pure diagonal gives the
+bits of its dense form.  The line search runs on the coefficients as
 Python floats; on the r = 2 path it is pure scalar arithmetic when the ray
 polynomial is convex, otherwise one array scan of the ray brackets its
 minima.  For r != 2 that scan is one row-wise l^r pass over the grid

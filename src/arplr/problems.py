@@ -59,7 +59,7 @@ class ProblemOracle:
 
     def eval_derivative(self, x, order: int) -> SymmetricTensor | DiagonalTensor:
         """The order-``order`` derivative at x; separable oracles return a
-        ``DiagonalTensor`` for orders 2 and up."""
+        ``DiagonalTensor`` for orders 2 and up, the pendulum a banded one."""
         raise NotImplementedError
 
     def holder_constant(self, space: NormedSpace, order: int, radius: float):
@@ -247,7 +247,10 @@ class PendulumLattice(ProblemOracle):
 
     Unknowns are mesh-weighted nodal values v = sqrt(h) u, so the plain
     Euclidean norm of v approximates the L2 norm of u and gradient
-    tolerances mean the same thing on every mesh.
+    tolerances mean the same thing on every mesh.  The Hessian is
+    tridiagonal, ``2/h^2 - cos(u_i)`` on the diagonal and ``-1/h^2`` beside
+    it, and comes as a banded ``DiagonalTensor``: O(n) to store and to
+    contract.
     """
 
     def __init__(self, mesh_size: int = 32):
@@ -276,7 +279,7 @@ class PendulumLattice(ProblemOracle):
         cosine = float(np.dot(self.weights, np.cos(u)))
         return energy + cosine
 
-    def eval_derivative(self, v, order: int) -> SymmetricTensor:
+    def eval_derivative(self, v, order: int) -> SymmetricTensor | DiagonalTensor:
         self._check_order(order)
         u = self._grid_values(v)
         interior = u[1:-1]
@@ -284,13 +287,8 @@ class PendulumLattice(ProblemOracle):
             lap = (2.0 * interior - u[:-2] - u[2:]) / self.h
             grad_u = lap - self.h * np.sin(interior)
             return SymmetricTensor(1, self.dim, grad_u / math.sqrt(self.h))
-        stiff = (
-            2.0 * np.eye(self.dim)
-            - np.eye(self.dim, k=1)
-            - np.eye(self.dim, k=-1)
-        ) / self.h ** 2
-        hess = stiff - np.diag(np.cos(interior))
-        return SymmetricTensor(2, self.dim, hess)
+        main = 2.0 / self.h ** 2 - np.cos(interior)
+        return diagonal_tensor(2, main, np.full(self.dim - 1, -1.0 / self.h ** 2))
 
     def default_x0(self) -> np.ndarray:
         ts = np.arange(1, self.mesh_size) * self.h

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ class OuterConfig:
 
     Constraints: 0 < sigma_min <= sigma0, 0 < eta1 <= eta2 < 1,
     0 < gamma1 < 1 < gamma2 < gamma3, chi in (0, 1), theta > 0,
-    epsilon in (0, 1], p >= 1 and beta in (0, 1].
+    epsilon in (0, 1], p an integer >= 1 and beta in (0, 1].
     """
 
     p: int
@@ -77,7 +78,11 @@ class OuterConfig:
 
     def __post_init__(self):
         checks = [
-            (self.p >= 1, "p must be at least 1"),
+            (
+                isinstance(self.p, numbers.Integral) and not isinstance(self.p, bool)
+                and self.p >= 1,
+                f"p must be an integer of at least 1, got {self.p!r}",
+            ),
             (0.0 < self.beta <= 1.0, "beta must lie in (0, 1]"),
             (0.0 < self.epsilon <= 1.0, "epsilon must lie in (0, 1]"),
             (self.sigma0 > 0.0, "sigma0 must be positive"),

@@ -5,20 +5,23 @@ Two storages share one interface (``order``, ``dim``, ``entries``,
 dim^order entries (desk scale: dimension up to a few hundred for order 2, a
 few dozen for order 3; symmetry is an invariant of the entries, not a
 storage format), and ``DiagonalTensor`` keeps only the diagonal of a
-separable objective's derivative, so its contractions cost O(dim) whatever
-the order.  ``entries`` is what a tensor stores and ``contract`` returns
-the stored entries of what is left after a contraction, unchecked, for the
-inner loop; ``apply`` checks its vectors and returns the full contraction
-as a float.  Callers that need the full array use ``dense()``.  Derivative
-tensors are supplied by problem oracles — nothing here differentiates an
-objective itself.  Restricting a model to a ray, and evaluating it there,
-lives in ``arplr.inner``.
+separable objective's derivative, plus at order 2 an optional off-diagonal
+band (a tridiagonal Hessian such as the pendulum lattice's), so its
+contractions cost O(dim) whatever the order.  A pure diagonal contracts to
+the same bits as its dense form; a band sums each row left to right, in
+ascending column order.  ``entries`` is what a tensor stores and
+``contract`` returns the stored entries of what is left after a
+contraction, unchecked, for the inner loop; ``apply`` checks its vectors
+and returns the full contraction as a float.  Callers that need the full
+array use ``dense()``.  Derivative tensors are supplied by problem oracles
+— nothing here differentiates an objective itself.  Restricting a model to
+a ray, and evaluating it there, lives in ``arplr.inner``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -89,35 +92,52 @@ class SymmetricTensor:
 @dataclass(frozen=True)
 class DiagonalTensor:
     """Symmetric form of order at least 2 on R^dim whose only nonzeros are
-    ``S[i, ..., i] = diag[i]``; only the diagonal is stored.
+    ``S[i, ..., i] = diag[i]`` and, for a banded order-2 form, the off
+    diagonal ``S[i, i+1] = S[i+1, i] = off[i]``.
 
-    ``contract`` forms the products ``diag * v_1 * ...`` in the order the
-    dense ``np.dot`` chain does and finishes a full contraction with one
-    ``np.dot``.  Each dense row sum adds exact zeros to a single product,
-    so both storages give the same bits.
+    ``entries`` holds every stored float: the diagonal, shape ``(dim,)``,
+    or for a band the diagonal followed by the off diagonal, shape
+    ``(2 dim - 1,)``; ``diag`` and ``off`` (None without a band) are views
+    of it.  Without a band ``contract`` forms the products
+    ``diag * v_1 * ...`` in the order the dense ``np.dot`` chain does, and
+    each dense row sum adds exact zeros to a single product, so both
+    storages give the same bits.  With a band, ``contract([v])`` sums each
+    row as ``(off[i-1] v[i-1] + diag[i] v[i]) + off[i] v[i+1]``, the order
+    of a left-to-right loop over the dense row, which need not be the
+    order of a BLAS matrix-vector product.  A full contraction ends in one
+    ``np.dot``.
     """
 
     order: int
     dim: int
-    diag: np.ndarray
+    entries: np.ndarray
+    diag: np.ndarray = field(init=False, repr=False, compare=False)
+    off: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.diag, dtype=float)
+        arr = np.asarray(self.entries, dtype=float)
         if self.order < 2:
             raise TensorError("a diagonal tensor has order at least 2")
-        if arr.shape != (self.dim,):
-            raise TensorError(f"diagonal shape {arr.shape} does not match dim {self.dim}")
-        object.__setattr__(self, "diag", arr)
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The stored floats, here the diagonal; ``dense()`` expands them."""
-        return self.diag
+        banded = self.order == 2 and self.dim > 1 and arr.shape == (2 * self.dim - 1,)
+        if arr.shape != (self.dim,) and not banded:
+            raise TensorError(
+                f"entries shape {arr.shape} does not match order {self.order}, dim {self.dim}"
+            )
+        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "diag", arr[: self.dim])
+        object.__setattr__(self, "off", arr[self.dim :] if banded else None)
 
     def contract(self, vs: Sequence) -> np.ndarray:
         """Entries of the form left after contracting the vectors ``vs``: the
-        remainder's diagonal, or for a full contraction the scalar."""
-        arr = self.diag
+        remainder's stored entries, or for a full contraction the scalar."""
+        off = self.off
+        if off is not None and vs:
+            v = vs[0]
+            out = self.diag * v
+            out[1:] += off * v[:-1]  # the row loop's first sum: float + commutes
+            out[:-1] += off * v[1:]
+            return np.dot(out, vs[1]) if len(vs) == 2 else out
+        arr = self.entries
         full = len(vs) == self.order
         for v in vs[:-1] if full else vs:
             arr = arr * v
@@ -126,19 +146,32 @@ class DiagonalTensor:
     def dense(self) -> np.ndarray:
         """The full dim^order array, allocated on every call."""
         arr = np.zeros((self.dim,) * self.order)
-        arr[(np.arange(self.dim),) * self.order] = self.diag
+        idx = np.arange(self.dim)
+        arr[(idx,) * self.order] = self.diag
+        if self.off is not None:
+            arr[idx[:-1], idx[1:]] = arr[idx[1:], idx[:-1]] = self.off
         return arr
 
     apply = _apply
 
 
-def diagonal_tensor(order: int, diag) -> SymmetricTensor | DiagonalTensor:
-    """Symmetric tensor whose only nonzeros are ``S[i, i, ..., i] = diag[i]``:
+def diagonal_tensor(order: int, diag, off=None) -> SymmetricTensor | DiagonalTensor:
+    """Symmetric tensor whose only nonzeros are ``S[i, i, ..., i] = diag[i]``
+    and, given ``off`` (order 2 only), ``S[i, i+1] = S[i+1, i] = off[i]``:
     a ``DiagonalTensor`` for order 2 and up; an order-1 diagonal is the
     vector itself, a plain ``SymmetricTensor``."""
     diag = np.asarray(diag, dtype=float)
+    dim = diag.shape[0]
+    if off is not None:
+        off = np.asarray(off, dtype=float)
+        if order != 2 or off.shape != (dim - 1,):
+            raise TensorError(
+                f"an off-diagonal band needs order 2 and shape ({dim - 1},), "
+                f"got order {order} and shape {off.shape}"
+            )
+        return DiagonalTensor(2, dim, np.concatenate([diag, off]))
     cls = DiagonalTensor if order >= 2 else SymmetricTensor
-    return cls(order, diag.shape[0], diag)
+    return cls(order, dim, diag)
 
 
 @dataclass(frozen=True)

@@ -231,3 +231,5 @@ def test_separable_oracles_store_only_the_diagonal():
     assert DoubleWell(96).eval_derivative(x, 3).entries.size == 96
     assert DoubleWell(96).eval_derivative(x, 2).entries.size == 96
     assert QuadraticBowl(96).eval_derivative(x, 2).entries.size == 96
+    # the pendulum's tridiagonal Hessian: its diagonal and one off diagonal
+    assert PendulumLattice(97).eval_derivative(x, 2).entries.size == 96 + 95

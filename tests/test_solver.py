@@ -9,11 +9,13 @@ from arplr import (
     IterationRecord,
     NormedSpace,
     OuterConfig,
+    PendulumLattice,
     QuadraticBowl,
     RunRecord,
     SolveStatus,
     builtin_suite,
     check_trajectory,
+    diagonal_tensor,
     solve,
 )
 from arplr.harness import ExperimentConfig
@@ -37,6 +39,9 @@ def test_config_validation_messages():
         OuterConfig(p=2, beta=1.0, chi=1.0)
     with pytest.raises(ValueError, match="epsilon"):
         OuterConfig(p=2, beta=1.0, epsilon=2.0)
+    for p in (1.5, 2.0, True, 0):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            OuterConfig(p=p, beta=1.0)
 
 
 def test_quadratic_converges_with_unit_acceptance_ratio():
@@ -376,11 +381,12 @@ def test_rosenbrock_p3_counters_pinned():
 # pendulum at mesh 32, p = 2, eps = 1e-4, from sqrt(h) A sin(pi t), in l^r
 # with r != 2: the inner line search runs on vector ray evaluations, whose
 # reuse across the search and the next iteration must give the same bits
+# (recorded with the banded Hessian, whose row sums run left to right)
 _PINNED_LR = {
-    (1.5, 1.3): (11, 11, 3116, 12, 12, "1.0000000004427132"),
-    (1.5, 2.7): (16, 16, 3514, 17, 17, "1.0000000001856586"),
-    (3.0, 1.3): (5, 5, 2304, 6, 6, "1.0000000000231886"),
-    (3.0, 2.7): (6, 6, 2446, 7, 7, "1.000000000022669"),
+    (1.5, 1.3): (11, 11, 3116, 12, 12, "1.0000000004427143"),
+    (1.5, 2.7): (16, 16, 3514, 17, 17, "1.0000000001856595"),
+    (3.0, 1.3): (5, 5, 2305, 6, 6, "1.0000000000229652"),
+    (3.0, 2.7): (6, 6, 2446, 7, 7, "1.0000000000226683"),
 }
 
 
@@ -449,6 +455,32 @@ def test_nonfinite_oracle_at_x0_returns_a_record(bad):
     assert run.records == () and run.f_evals == 1 and run.deriv_evals == 1
     assert math.isnan(run.final_grad_dual_norm) == (bad == "gradient")
     assert math.isinf(run.final_grad_dual_norm) == (bad == "gradient norm")
+
+
+class _HessianBandTurnsNaN(PendulumLattice):
+    """Pendulum lattice whose Hessian has a NaN off-diagonal band, and a
+    finite diagonal, from the second order-2 call on."""
+
+    def __init__(self):
+        super().__init__(8)
+        self.calls = 0
+
+    def eval_derivative(self, x, order):
+        t = super().eval_derivative(x, order)
+        if order == 2:
+            self.calls += 1
+            if self.calls >= 2:
+                return diagonal_tensor(2, t.diag, np.full(self.dim - 1, np.nan))
+        return t
+
+
+def test_nonfinite_hessian_band_at_accepted_point_keeps_the_records():
+    problem = _HessianBandTurnsNaN()
+    cfg = OuterConfig(p=2, beta=1.0)
+    run = solve(problem, problem.default_x0(), cfg, problem.default_space())
+    assert run.status is SolveStatus.ORACLE_NONFINITE
+    assert len(run.records) == 1 and run.records[0].successful
+    assert run.deriv_evals == 2 and problem.calls == 2
 
 
 class _GradientTurnsHuge(HolderGradient):

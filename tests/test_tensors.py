@@ -111,6 +111,48 @@ def test_diagonal_tensor_validation():
         t.apply([np.ones(3), np.ones(3)])
     # an order-1 diagonal is just the vector
     assert isinstance(diagonal_tensor(1, [1.0, 2.0]), SymmetricTensor)
+    # an off-diagonal band has dim - 1 entries and order 2
+    for off in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], []):
+        with pytest.raises(TensorError):
+            diagonal_tensor(2, [1.0, 2.0, 3.0], off)
+    with pytest.raises(TensorError):
+        diagonal_tensor(3, [1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(TensorError):
+        DiagonalTensor(3, 3, np.ones(5))
+    with pytest.raises(TensorError):
+        DiagonalTensor(2, 3, np.ones(4))
+
+
+def _row_loop(dense, v):
+    # each row of dense times v, summed left to right in Python floats
+    out = []
+    for row in dense.tolist():
+        acc = row[0] * v[0]
+        for a, b in zip(row[1:], v[1:]):
+            acc += a * b
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 31, 255])
+def test_banded_tensor_contracts_like_a_row_loop(n):
+    rng = np.random.default_rng(n)
+    main, off = 1e3 * rng.standard_normal(n), rng.standard_normal(n - 1)
+    v, w = rng.standard_normal(n), rng.standard_normal(n)
+    t = diagonal_tensor(2, main, off)
+    dense = t.dense()
+    # symmetric tridiagonal, with the stored floats in place
+    assert np.array_equal(dense, dense.T) and not np.triu(dense, 2).any()
+    assert np.array_equal(np.diag(dense), main) and np.array_equal(np.diag(dense, 1), off)
+    assert t.contract([]) is t.entries
+    hv = t.contract([v])
+    assert hv.tobytes() == _row_loop(dense, v.tolist()).tobytes()
+    full = t.contract([v, w])
+    assert full == np.dot(hv, w) and t.apply([v, w]) == full
+    # entries hold every stored float, so the constructor rebuilds the band
+    again = type(t)(t.order, t.dim, t.entries)
+    assert np.array_equal(again.dense(), dense)
+    assert again.contract([v]).tobytes() == hv.tobytes()
 
 
 def _ray_coeffs(m, s0, d):
