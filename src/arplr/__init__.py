@@ -1,7 +1,7 @@
 """Adaptive higher-order regularization for smooth minimization on R^n with l^r norms."""
 
 from .geometry import GeometryError, NormedSpace, smoothness_modulus_estimate
-from .inner import InnerConfig, InnerResult, Termination, minimize_model
+from .inner import InnerResult, Termination, minimize_model
 from .problems import (
     DoubleWell,
     HolderGradient,
@@ -49,7 +49,6 @@ __all__ = [
     "psi_eval",
     "psi_minimize",
     "psi_descent_bound",
-    "InnerConfig",
     "InnerResult",
     "Termination",
     "minimize_model",

@@ -90,7 +90,9 @@ class ExperimentConfig:
     mesh: tuple = _option((), "comma-separated mesh sizes, e.g. 32,128,512")
 
     def oracle(self) -> ProblemOracle:
-        """The configured problem; a bad id or size raises ConfigError."""
+        """The configured problem; a bad id, size or seed raises ConfigError."""
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         try:
             return get_problem(self.problem, self.n, self.beta)
         except KeyError as exc:
@@ -133,6 +135,8 @@ class ExperimentConfig:
             values = np.array([float(tok) for tok in spec.split(",")])
         except ValueError:
             raise ConfigError(f"x0: cannot parse {spec!r}") from None
+        if not np.isfinite(values).all():
+            raise ConfigError(f"x0: entries must be finite, got {spec!r}")
         if values.shape != (problem.dim,):
             raise ConfigError(
                 f"x0: expected {problem.dim} entries for '{self.problem}', got {values.size}"
@@ -234,8 +238,10 @@ def run_epsilon_sweep(cfg: ExperimentConfig) -> SweepSummary:
     """Solve at each accuracy of the geometric grid with a shared start and
     seed, check each success count against the worst-case bound (when the
     oracle knows its Hoelder constant), and fit the growth exponent."""
-    if cfg.eps_start is None or cfg.eps_stop is None or cfg.eps_points < 1:
-        raise ConfigError("epsilon_sweep: eps_start, eps_stop and eps_points are required")
+    for name in ("eps_start", "eps_stop", "eps_points"):
+        value = getattr(cfg, name)
+        if value is None or not value > 0:
+            raise ConfigError(f"{name}: the sweep needs a positive value, got {value!r}")
     grid = np.geomspace(cfg.eps_start, cfg.eps_stop, cfg.eps_points)
     rows = []
     for i, eps in enumerate(grid):

@@ -62,7 +62,7 @@ import numpy as np
 from .geometry import _duality, _lr, _pow
 from .tensors import RegularizedModel
 
-__all__ = ["InnerConfig", "InnerResult", "Termination", "minimize_model", "default_max_iters"]
+__all__ = ["InnerResult", "Termination", "minimize_model", "default_max_iters"]
 
 
 class Termination(enum.Enum):
@@ -82,31 +82,11 @@ def default_max_iters(n: int, p: int, grad_tol: float) -> int:
 
 
 @dataclass(frozen=True)
-class InnerConfig:
-    grad_tol_absolute: float
-    step_power: tuple | None = None  # (theta, exponent), exponent = p + beta - 1
-    max_iters: int = 10_000
-
-    def __post_init__(self):
-        if not self.grad_tol_absolute > 0.0:
-            raise ValueError("gradient tolerance must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.step_power is not None:
-            theta, expo = self.step_power
-            if not theta > 0.0:
-                raise ValueError("step-power coefficient theta must be positive")
-            if not expo > 0.0:
-                raise ValueError("step-power exponent must be positive")
-
-
-@dataclass(frozen=True)
 class InnerResult:
     s: np.ndarray
-    model_value: float
+    step_norm: float  # |s|_r
     model_grad_dual_norm: float
     iterations: int
-    decreased: bool
     termination: Termination
     value_history: tuple  # model values, starting at m(0)
 
@@ -352,13 +332,29 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     return None
 
 
-def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
-    """Run the dual-direction descent on a coercive regularized model."""
+def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None = None,
+                   max_iters: int | None = None) -> InnerResult:
+    """Run the dual-direction descent on a coercive regularized model.
+
+    From s = 0 it stops once ``|grad m(s)|_* <= max(grad_tol, theta
+    |s|^(p+beta-1))``, the theta branch armed only when theta is given and
+    s is nonzero, or after ``max_iters`` iterations, by default
+    ``default_max_iters(n, p, grad_tol)``.
+    """
     if not model.sigma > 0.0:
         raise ValueError("model must have a positive regularization weight")
+    if not grad_tol > 0.0:
+        raise ValueError("gradient tolerance must be positive")
+    if theta is not None and not theta > 0.0:
+        raise ValueError("step-power coefficient theta must be positive")
+    if max_iters is None:
+        max_iters = default_max_iters(model.space.n, model.p, grad_tol)
+    elif max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     space = model.space
     r, r_dual = space.r, space.r_dual
     e = model.reg_exponent
+    power = e - 1.0  # p + beta - 1, of |s| in the regularizer gradient and step-power rule
     gamma_e1 = math.gamma(e + 1.0)
     reg_v = model.sigma / gamma_e1
     reg_d = model.sigma / math.gamma(e)
@@ -385,7 +381,7 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
             taylor_grad = model.taylor.gradient(s)
         # regularizer gradient as RegularizedModel.gradient forms it
         # (NormedSpace.duality_map of s)
-        grad = taylor_grad + reg_d * (du_s * _pow(step_norm, e - 1.0))
+        grad = taylor_grad + reg_d * (du_s * _pow(step_norm, power))
         grad_norm, u_g = _lr(grad, r_dual)
         if not grad_norm < math.inf:  # NaN or inf: the model left the double range
             term = Termination.PROGRESS_FLOOR
@@ -393,15 +389,13 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         if grad_norm == 0.0:
             term = Termination.ZERO_GRADIENT
             break
-        if grad_norm <= cfg.grad_tol_absolute:
+        if grad_norm <= grad_tol:
             term = Termination.GRADIENT_BELOW_TOL
             break
-        if cfg.step_power is not None:
-            theta, expo = cfg.step_power
-            if step_norm > 0.0 and grad_norm <= theta * _pow(step_norm, expo):
-                term = Termination.STEP_POWER_RULE
-                break
-        if iters >= cfg.max_iters:
+        if theta is not None and step_norm > 0.0 and grad_norm <= theta * _pow(step_norm, power):
+            term = Termination.STEP_POWER_RULE
+            break
+        if iters >= max_iters:
             term = Termination.MAX_ITERS
             break
         # NormedSpace.dual_direction of grad, and the Taylor part of the
@@ -411,10 +405,8 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         # the Taylor part along s - t d as a polynomial in t: its value and
         # slope at s, then each tensor's share of the higher coefficients
         coeffs = [float(taylor_value), -float(np.dot(taylor_grad, d)), *pad]
-        if quadratic:
-            hessian_d = hessian.contract([d])
         for tensor in higher:
-            lead = hessian_d if quadratic else tensor.contract([d] * (tensor.order - 1))
+            lead = tensor.contract([d] * (tensor.order - 1))
             _add_ray_share(coeffs, tensor, lead, s, d)
         ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d)
         # the anchor's l^r pass serves the ray at t = 0 (s in place of
@@ -431,15 +423,14 @@ def minimize_model(model: RegularizedModel, cfg: InnerConfig) -> InnerResult:
         history.append(value)
         iters += 1
         if quadratic:
-            hessian_s = hessian_s - tau * hessian_d
+            hessian_s = hessian_s - tau * lead  # H d at p = 2
             if iters % 256 == 0:
                 hessian_s = hessian.contract([s])
     return InnerResult(
         s=s,
-        model_value=value,
+        step_norm=step_norm,
         model_grad_dual_norm=grad_norm,
         iterations=iters,
-        decreased=value < history[0],
         termination=term,
         value_history=tuple(history),
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import NormedSpace, _as_vector
-from .inner import InnerConfig, Termination, default_max_iters, minimize_model
+from .inner import Termination, minimize_model
 from .tensors import RegularizedModel, TaylorModel
 
 __all__ = [
@@ -185,14 +185,6 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
     sigma = cfg.sigma0
     sigma_max = sigma
     records = []
-    inner_cap = cfg.inner_max_iters
-    if inner_cap is None:
-        inner_cap = default_max_iters(space.n, cfg.p, cfg.chi * cfg.epsilon)
-    inner_cfg = InnerConfig(
-        grad_tol_absolute=cfg.chi * cfg.epsilon,
-        step_power=(cfg.theta, cfg.p + cfg.beta - 1.0),
-        max_iters=inner_cap,
-    )
 
     while True:
         grad = derivs[0].entries
@@ -211,9 +203,9 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
             status = SolveStatus.SIGMA_OVERFLOW
             break
 
-        taylor = TaylorModel(x, fx, derivs)
-        model = RegularizedModel(taylor, sigma, cfg.p, cfg.beta, space)
-        result = minimize_model(model, inner_cfg)
+        taylor = TaylorModel(fx, derivs)
+        model = RegularizedModel(taylor, sigma, cfg.beta, space)
+        result = minimize_model(model, cfg.chi * cfg.epsilon, cfg.theta, cfg.inner_max_iters)
         s = result.s
         iterate_norm = space.norm(x)
 
@@ -240,7 +232,7 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
                 k=len(records),
                 sigma=sigma,
                 iterate_norm=iterate_norm,
-                step_norm=space.norm(s),
+                step_norm=result.step_norm,
                 grad_dual_norm=grad_norm,
                 model_decrease=model_decrease,
                 actual_decrease=actual_decrease,

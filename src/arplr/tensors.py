@@ -14,8 +14,10 @@ ascending column order.  ``entries`` is what a tensor stores and
 contraction, unchecked, for the inner loop; ``apply`` checks its vectors
 and returns the full contraction as a float.  Callers that need the full
 array use ``dense()``.  Derivative tensors are supplied by problem oracles
-— nothing here differentiates an objective itself.  Restricting a model to
-a ray, and evaluating it there, lives in ``arplr.inner``.
+— nothing here differentiates an objective itself.  ``TaylorModel(f0,
+tensors)`` and ``RegularizedModel(taylor, sigma, beta, space)`` take their
+dimension and model order p from the tensors.  Restricting a model to a
+ray, and evaluating it there, lives in ``arplr.inner``.
 """
 
 from __future__ import annotations
@@ -176,27 +178,24 @@ def diagonal_tensor(order: int, diag, off=None) -> SymmetricTensor | DiagonalTen
 
 @dataclass(frozen=True)
 class TaylorModel:
-    """Truncated Taylor expansion around a base point.
+    """Truncated Taylor expansion ``TaylorModel(f0, tensors)`` in the step s.
 
-    ``tensors`` holds the derivative forms of orders 1..degree; the order-1
-    entry is the gradient at the base point, viewed as a dual vector.
+    ``tensors`` holds the derivative forms of orders 1..degree, all of one
+    dimension; the order-1 entry is the gradient, viewed as a dual vector.
     """
 
-    base_point: np.ndarray
     f0: float
     tensors: tuple
 
     def __post_init__(self):
-        x = np.asarray(self.base_point, dtype=float)
-        object.__setattr__(self, "base_point", x)
         object.__setattr__(self, "tensors", tuple(self.tensors))
         if not self.tensors:
             raise TensorError("a Taylor model needs at least the order-1 tensor")
         for i, t in enumerate(self.tensors, start=1):
             if t.order != i:
                 raise TensorError(f"tensor at position {i} has order {t.order}")
-            if t.dim != x.shape[0]:
-                raise TensorError("tensor dimension does not match the base point")
+            if t.dim != self.dim:
+                raise TensorError(f"tensor of order {i} has dimension {t.dim}, not {self.dim}")
 
     @property
     def degree(self) -> int:
@@ -204,7 +203,7 @@ class TaylorModel:
 
     @property
     def dim(self) -> int:
-        return self.base_point.shape[0]
+        return self.tensors[0].dim
 
     def value(self, s) -> float:
         s = _as_vector(self.dim, s)
@@ -223,7 +222,8 @@ class TaylorModel:
 
 @dataclass(frozen=True)
 class RegularizedModel:
-    """Taylor model plus the power-norm regularizer ``sigma |s|^(p+beta) / G``.
+    """``RegularizedModel(taylor, sigma, beta, space)``: the Taylor model plus
+    the power-norm regularizer ``sigma |s|^(p+beta) / G``, p the Taylor degree.
 
     The normalizing factor G is the Gamma-function extension of the
     factorial, ``G = Gamma(p + beta + 1)``, so that integer beta = 1
@@ -232,21 +232,18 @@ class RegularizedModel:
 
     taylor: TaylorModel
     sigma: float
-    p: int
     beta: float
     space: NormedSpace
 
     def __post_init__(self):
-        if self.p < 1:
-            raise TensorError("model order p must be at least 1")
         if not 0.0 < self.beta <= 1.0:
             raise TensorError(f"beta must lie in (0, 1], got {self.beta!r}")
-        if self.taylor.degree != self.p:
-            raise TensorError(
-                f"Taylor degree {self.taylor.degree} does not match model order {self.p}"
-            )
         if self.space.n != self.taylor.dim:
             raise TensorError("space dimension does not match the Taylor model")
+
+    @property
+    def p(self) -> int:
+        return self.taylor.degree
 
     @property
     def reg_exponent(self) -> float:

@@ -11,7 +11,6 @@ import pytest
 
 from arplr import (
     DoubleWell,
-    InnerConfig,
     NormedSpace,
     OuterConfig,
     PsiSpec,
@@ -109,27 +108,23 @@ def test_criterion_4_inner_solver():
     start = time.time()
     # analytic instance: m(s) = <g, s> + |s|^2, minimizer (-1, 0)
     g = np.array([2.0, 0.0])
-    tm = TaylorModel(np.zeros(2), 0.0, (SymmetricTensor(1, 2, g),))
-    model = RegularizedModel(tm, 2.0, 1, 1.0, NormedSpace(2, 2.0))
-    res = minimize_model(model, InnerConfig(grad_tol_absolute=1e-10, max_iters=100))
+    tm = TaylorModel(0.0, (SymmetricTensor(1, 2, g),))
+    model = RegularizedModel(tm, 2.0, 1.0, NormedSpace(2, 2.0))
+    res = minimize_model(model, 1e-10, max_iters=100)
     analytic_ok = bool(np.allclose(res.s, [-1.0, 0.0], atol=1e-8))
 
     monotone_ok = True
     stopping_ok = True
     for entry in builtin_suite():
         derivs = tuple(entry.problem.eval_derivative(entry.x0, l) for l in range(1, entry.p + 1))
-        taylor = TaylorModel(entry.x0, entry.problem.eval_f(entry.x0), derivs)
+        taylor = TaylorModel(entry.problem.eval_f(entry.x0), derivs)
         beta = entry.problem.beta
-        model = RegularizedModel(taylor, 1.0, entry.p, beta, entry.space)
-        cfg = InnerConfig(
-            grad_tol_absolute=0.5e-5,
-            step_power=(100.0, entry.p + beta - 1.0),
-            max_iters=100_000,
-        )
-        res = minimize_model(model, cfg)
+        model = RegularizedModel(taylor, 1.0, beta, entry.space)
+        grad_tol = 0.5e-5
+        res = minimize_model(model, grad_tol, 100.0, 100_000)
         hist = np.array(res.value_history)
         monotone_ok = monotone_ok and bool(np.all(np.diff(hist) < 0.0))
-        bar = max(cfg.grad_tol_absolute, 100.0 * entry.space.norm(res.s) ** (entry.p + beta - 1.0))
+        bar = max(grad_tol, 100.0 * entry.space.norm(res.s) ** (entry.p + beta - 1.0))
         stopping_ok = stopping_ok and res.termination not in (
             Termination.MAX_ITERS, Termination.PROGRESS_FLOOR
         )

@@ -117,6 +117,10 @@ def test_epsilon_sweep_on_quadratic(tmp_path):
 def test_epsilon_sweep_requires_grid():
     with pytest.raises(ConfigError, match="eps"):
         run_epsilon_sweep(ExperimentConfig(problem="quadratic"))
+    for start, stop, field in ((0.0, 1e-3, "eps_start"), (1e-1, 0.0, "eps_stop")):
+        cfg = ExperimentConfig(problem="quadratic", eps_start=start, eps_stop=stop, eps_points=3)
+        with pytest.raises(ConfigError, match=f"^{field}: .*positive"):
+            run_epsilon_sweep(cfg)
 
 
 def test_mesh_sweep_small(tmp_path):
@@ -349,6 +353,8 @@ def test_cli_check_oracle_rejects_solve_flags(capsys):
     assert main(["check-oracle", "--problem", "double_well", "--n", "8", "--beta", "1",
                  "--seed", "3"]) == 0
     assert "oracle check: ok" in capsys.readouterr().out
+    assert main(["check-oracle", "--problem", "quadratic", "--seed", "-1"]) == 2
+    assert "configuration error: seed:" in capsys.readouterr().err
 
 
 def test_cli_config_file_may_carry_fields_a_subcommand_ignores(tmp_path, capsys):
@@ -367,8 +373,12 @@ def test_cli_config_file_may_carry_fields_a_subcommand_ignores(tmp_path, capsys)
         (ExperimentConfig(problem="holder", p=1, beta=1.0), "beta"),
         (ExperimentConfig(problem="holder", p=2), "p"),
         (ExperimentConfig(problem="quadratic", r=0.5), "r"),
+        (ExperimentConfig(problem="quadratic", x0="1,2,3,4,5,nan"), "x0"),
+        (ExperimentConfig(problem="quadratic", x0="1,2,3,4,5,1e400"), "x0"),
+        (ExperimentConfig(problem="quadratic", x0="random", seed=-1), "seed"),
     ],
-    ids=["quadratic-n0", "pendulum-n2", "holder-beta1", "holder-p2", "quadratic-r0.5"],
+    ids=["quadratic-n0", "pendulum-n2", "holder-beta1", "holder-p2", "quadratic-r0.5",
+         "quadratic-x0-nan", "quadratic-x0-inf", "quadratic-seed-1"],
 )
 def test_build_errors_name_the_field(cfg, field):
     with pytest.raises(ConfigError, match=f"^{field}\\b"):

@@ -12,9 +12,9 @@ from numpy.polynomial import polynomial as npoly
 from scipy import optimize
 
 from arplr import (
-    InnerConfig,
     NormedSpace,
     RegularizedModel,
+    Rosenbrock,
     SolveStatus,
     SymmetricTensor,
     TaylorModel,
@@ -28,10 +28,10 @@ from arplr.inner import _horner, _line_minimize, _RayEval, _unit_grid, default_m
 from helpers import full_ray_coefficients, symmetrize
 
 
-def _linear_model(g, sigma, r=2.0, p=1, beta=1.0):
+def _linear_model(g, sigma, r=2.0, beta=1.0):
     n = len(g)
-    tm = TaylorModel(np.zeros(n), 0.0, (SymmetricTensor(1, n, np.asarray(g, float)),))
-    return RegularizedModel(tm, sigma, p, beta, NormedSpace(n, r))
+    tm = TaylorModel(0.0, (SymmetricTensor(1, n, np.asarray(g, float)),))
+    return RegularizedModel(tm, sigma, beta, NormedSpace(n, r))
 
 
 def _random_model(p, beta, sigma, dim, r, rng):
@@ -39,45 +39,40 @@ def _random_model(p, beta, sigma, dim, r, rng):
         SymmetricTensor(l, dim, symmetrize(rng.standard_normal((dim,) * l)))
         for l in range(1, p + 1)
     )
-    tm = TaylorModel(rng.standard_normal(dim), float(rng.standard_normal()), tensors)
-    return RegularizedModel(tm, sigma, p, beta, NormedSpace(dim, r))
+    tm = TaylorModel(float(rng.standard_normal()), tensors)
+    return RegularizedModel(tm, sigma, beta, NormedSpace(dim, r))
 
 
 def test_analytic_quadratic_instance():
     # m(s) = <g, s> + |s|^2 with g = (2, 0): minimizer (-1, 0), decrease -1
     m = _linear_model([2.0, 0.0], sigma=2.0)
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-10, max_iters=50))
+    res = minimize_model(m, 1e-10, max_iters=50)
     assert np.allclose(res.s, [-1.0, 0.0], atol=1e-8)
-    assert res.model_value == pytest.approx(-1.0, abs=1e-8)
+    assert res.value_history[-1] == pytest.approx(-1.0, abs=1e-8)
     assert res.iterations == 1
-    assert res.decreased
+    assert res.value_history[-1] < res.value_history[0]
 
 
 def test_zero_gradient_at_entry():
     m = _linear_model([0.0, 0.0], sigma=1.0)
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=10))
+    res = minimize_model(m, 1e-8, max_iters=10)
     assert res.termination is Termination.ZERO_GRADIENT
     assert res.iterations == 0
     assert np.all(res.s == 0.0)
-    assert not res.decreased
+    assert not res.value_history[-1] < res.value_history[0]
 
 
 def test_rejects_noncoercive_model():
     m = _linear_model([1.0, 1.0], sigma=0.0)
     with pytest.raises(ValueError):
-        minimize_model(m, InnerConfig(grad_tol_absolute=1e-8))
+        minimize_model(m, 1e-8)
 
 
 def test_strict_monotone_decrease_and_stopping_rule():
     rng = np.random.default_rng(0)
     for r, p, beta in [(2.0, 2, 1.0), (1.5, 2, 0.5), (3.0, 3, 1.0), (1.5, 1, 0.5)]:
         m = _random_model(p, beta, 1.0, 4, r, rng)
-        cfg = InnerConfig(
-            grad_tol_absolute=1e-6,
-            step_power=(100.0, p + beta - 1.0),
-            max_iters=20_000,
-        )
-        res = minimize_model(m, cfg)
+        res = minimize_model(m, 1e-6, 100.0, 20_000)
         hist = np.array(res.value_history)
         assert np.all(np.diff(hist) < 0.0)
         assert res.termination not in (Termination.MAX_ITERS, Termination.PROGRESS_FLOOR)
@@ -88,19 +83,19 @@ def test_strict_monotone_decrease_and_stopping_rule():
 def test_multistart_oracle_confirms_near_global_value():
     rng = np.random.default_rng(1)
     m = _random_model(2, 1.0, 1.0, 4, 2.0, rng)
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-7, max_iters=50_000))
+    res = minimize_model(m, 1e-7, max_iters=50_000)
     best = np.inf
     for _ in range(40):
         start = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
         out = optimize.minimize(m.value, start, jac=m.gradient, method="L-BFGS-B")
         best = min(best, float(out.fun))
-    assert best >= res.model_value - 1e-6
+    assert best >= res.value_history[-1] - 1e-6
 
 
 def test_cumulative_decrease_bounded_by_total_available():
     rng = np.random.default_rng(2)
     m = _random_model(2, 1.0, 0.7, 4, 2.0, rng)
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-7, max_iters=50_000))
+    res = minimize_model(m, 1e-7, max_iters=50_000)
     cumulative = res.value_history[0] - res.value_history[-1]
     assert cumulative > 0.0
     best = min(
@@ -113,7 +108,7 @@ def test_cumulative_decrease_bounded_by_total_available():
 def test_level_set_confinement():
     rng = np.random.default_rng(3)
     m = _random_model(3, 1.0, 1.2, 3, 1.5, rng)
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-7, max_iters=20_000))
+    res = minimize_model(m, 1e-7, max_iters=20_000)
     m0 = res.value_history[0]
     assert all(v <= m0 for v in res.value_history)
 
@@ -121,28 +116,28 @@ def test_level_set_confinement():
 def test_max_iters_is_reported_not_fatal():
     rng = np.random.default_rng(4)
     m = _random_model(2, 1.0, 1e-3, 6, 2.0, rng)
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-14, max_iters=2))
+    res = minimize_model(m, 1e-14, max_iters=2)
     assert res.termination is Termination.MAX_ITERS
     assert res.iterations == 2
-    assert res.decreased
+    assert res.value_history[-1] < res.value_history[0]
 
 
 def test_progress_floor_is_reported():
     # the decrease along the ray (about 1e-18) is far below the spacing of
     # doubles near the model value 1e6, so no representable decrease exists
-    tm = TaylorModel(np.zeros(2), 1e6, (SymmetricTensor(1, 2, np.array([1e-9, 0.0])),))
-    m = RegularizedModel(tm, 1.0, 1, 1.0, NormedSpace(2, 2.0))
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-30, max_iters=50))
+    tm = TaylorModel(1e6, (SymmetricTensor(1, 2, np.array([1e-9, 0.0])),))
+    m = RegularizedModel(tm, 1.0, 1.0, NormedSpace(2, 2.0))
+    res = minimize_model(m, 1e-30, max_iters=50)
     assert res.termination is Termination.PROGRESS_FLOOR
     assert res.iterations == 0
-    assert not res.decreased
+    assert not res.value_history[-1] < res.value_history[0]
 
 
 def test_overflowing_model_gradient_ends_on_the_progress_floor():
     # a finite gradient whose dual norm passes the largest double: the inner
     # solve stops with a status instead of raising
     m = _linear_model([1.7e308, -1.7e308], sigma=1.0)
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=50))
+    res = minimize_model(m, 1e-8, max_iters=50)
     assert res.termination is Termination.PROGRESS_FLOOR
     assert res.iterations == 0 and res.model_grad_dual_norm == math.inf
 
@@ -167,8 +162,7 @@ def test_convex_ray_grows_its_bracket_until_the_slope_turns():
 def test_step_power_rule_branch_requires_motion():
     # at s = 0 the power branch would read |g| <= 0 and must stay silent
     m = _linear_model([1.0, 0.5], sigma=1.0)
-    cfg = InnerConfig(grad_tol_absolute=1e-12, step_power=(1e12, 1.0), max_iters=10)
-    res = minimize_model(m, cfg)
+    res = minimize_model(m, 1e-12, 1e12, 10)
     assert res.iterations >= 1
     assert res.termination in (Termination.STEP_POWER_RULE, Termination.GRADIENT_BELOW_TOL,
                                Termination.ZERO_GRADIENT)
@@ -177,15 +171,29 @@ def test_step_power_rule_branch_requires_motion():
 def test_exponent_bookkeeping_defaults():
     assert default_max_iters(4, 2, 1e-6) == 10 * 4 * 3 * 6
     assert default_max_iters(1, 1, 0.5) == 10 * 1 * 2 * 1
+    # without max_iters the guard is default_max_iters(n, p, grad_tol): this
+    # Rosenbrock model, met in the built-in suite's l^2 solve, runs into it
+    problem = Rosenbrock()
+    x = np.array([0.9814865089856932, 0.9631886045803995])
+    derivs = tuple(problem.eval_derivative(x, l) for l in (1, 2))
+    m = RegularizedModel(TaylorModel(problem.eval_f(x), derivs), 1e-8, 1.0, NormedSpace(2, 2.0))
+    res = minimize_model(m, 0.5e-5, 100.0)
+    assert res.termination is Termination.MAX_ITERS
+    assert res.iterations == default_max_iters(2, 2, 0.5e-5) == 360
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        InnerConfig(grad_tol_absolute=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(grad_tol_absolute=1e-6, max_iters=0)
-    with pytest.raises(ValueError):
-        InnerConfig(grad_tol_absolute=1e-6, step_power=(0.0, 1.0))
+    m = _linear_model([1.0, 0.5], sigma=1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        minimize_model(m, 0.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        minimize_model(m, -1e-6)
+    with pytest.raises(ValueError, match="theta"):
+        minimize_model(m, 1e-6, 0.0)
+    with pytest.raises(ValueError, match="theta"):
+        minimize_model(m, 1e-6, -1.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        minimize_model(m, 1e-6, max_iters=0)
 
 
 # -- scalar ray evaluation ----------------------------------------------------
@@ -215,7 +223,7 @@ def test_scalar_ray_matches_numpy_polynomial_bit_for_bit(coeffs, t, r, beta, see
     rng = np.random.default_rng(seed)
     space = NormedSpace(n, r)
     zeros = tuple(SymmetricTensor(l, n, np.zeros((n,) * l)) for l in range(1, p + 1))
-    model = RegularizedModel(TaylorModel(np.zeros(n), 0.0, zeros), 1.3, p, beta, space)
+    model = RegularizedModel(TaylorModel(0.0, zeros), 1.3, beta, space)
     anchor = rng.standard_normal(n)
     d = space.dual_direction(rng.standard_normal(n))
     coeffs = np.array(coeffs)
@@ -238,8 +246,20 @@ def test_scalar_ray_matches_numpy_polynomial_bit_for_bit(coeffs, t, r, beta, see
 )
 def test_reported_dual_norm_is_the_model_gradient_dual_norm(p, r, seed):
     m = _random_model(p, 0.7, 1.1, 3, r, np.random.default_rng(seed))
-    res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=100))
+    res = minimize_model(m, 1e-8, max_iters=100)
     assert res.model_grad_dual_norm == m.space.dual_norm(m.gradient(res.s))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    r=st.sampled_from([1.5, 2.0, 3.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_reported_step_norm_is_the_norm_of_the_step(p, r, seed):
+    m = _random_model(p, 0.7, 1.1, 3, r, np.random.default_rng(seed))
+    res = minimize_model(m, 1e-8, max_iters=100)
+    assert res.step_norm.hex() == m.space.norm(res.s).hex()
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -264,7 +284,7 @@ def test_inner_rays_match_the_model_methods_bit_for_bit(p, r, seed):
             rays.append((coeffs, anchor, direction))
 
     with mock.patch("arplr.inner._RayEval", Recorded):
-        res = minimize_model(m, InnerConfig(grad_tol_absolute=1e-8, max_iters=100))
+        res = minimize_model(m, 1e-8, max_iters=100)
     assert len(rays) >= res.iterations >= 1
     for coeffs, s, d in rays:
         if p > 1:

@@ -25,7 +25,7 @@ def _random_symmetric(order, dim, rng):
 
 def _random_taylor(p, dim, rng):
     tensors = tuple(_random_symmetric(l, dim, rng) for l in range(1, p + 1))
-    return TaylorModel(rng.standard_normal(dim), float(rng.standard_normal()), tensors)
+    return TaylorModel(float(rng.standard_normal()), tensors)
 
 
 def test_apply_linear_form_is_dot():
@@ -199,7 +199,7 @@ def test_diagonal_tensor_contracts_like_dense_bit_for_bit(order, n, diag, grad, 
     higher = [diagonal_tensor(l, _draw(n, diag) / l) for l in range(2, order + 1)]
     space = NormedSpace(n, 2.0)
     models = [
-        RegularizedModel(TaylorModel(np.zeros(n), 0.5, (g, *ts)), 1.0, order, 1.0, space)
+        RegularizedModel(TaylorModel(0.5, (g, *ts)), 1.0, 1.0, space)
         for ts in (higher, [SymmetricTensor(x.order, n, x.dense()) for x in higher])
     ]
     s0, d = vs[1], vs[2]
@@ -237,7 +237,7 @@ def test_taylor_value_at_zero_is_f0():
 
 def test_taylor_linear_model():
     g = np.array([1.0, 2.0])
-    tm = TaylorModel(np.zeros(2), 3.0, (SymmetricTensor(1, 2, g),))
+    tm = TaylorModel(3.0, (SymmetricTensor(1, 2, g),))
     s = np.array([0.5, -1.0])
     assert tm.value(s) == pytest.approx(3.0 + np.dot(g, s), rel=1e-15)
 
@@ -253,7 +253,7 @@ def test_taylor_reproduces_quadratic_exactly():
 
     x = rng.standard_normal(4)
     grad = a @ x + b
-    tm = TaylorModel(x, f(x), (SymmetricTensor(1, 4, grad), SymmetricTensor(2, 4, a)))
+    tm = TaylorModel(f(x), (SymmetricTensor(1, 4, grad), SymmetricTensor(2, 4, a)))
     for _ in range(10):
         s = rng.standard_normal(4)
         assert tm.value(s) == pytest.approx(f(x + s), abs=1e-12 * max(1, abs(f(x + s))))
@@ -269,7 +269,7 @@ def test_taylor_gradient_quadratic_case():
     rng = np.random.default_rng(8)
     a = symmetrize(rng.standard_normal((3, 3)))
     g = rng.standard_normal(3)
-    tm = TaylorModel(np.zeros(3), 0.0, (SymmetricTensor(1, 3, g), SymmetricTensor(2, 3, a)))
+    tm = TaylorModel(0.0, (SymmetricTensor(1, 3, g), SymmetricTensor(2, 3, a)))
     s = rng.standard_normal(3)
     assert np.allclose(tm.gradient(s), g + a @ s, rtol=1e-13)
 
@@ -288,14 +288,14 @@ def test_taylor_gradient_matches_finite_differences():
 
 
 def _model(p, beta, sigma, dim, r, rng):
-    return RegularizedModel(_random_taylor(p, dim, rng), sigma, p, beta, NormedSpace(dim, r))
+    return RegularizedModel(_random_taylor(p, dim, rng), sigma, beta, NormedSpace(dim, r))
 
 
 def test_model_value_at_zero_and_sigma_zero():
     rng = np.random.default_rng(10)
     m = _model(2, 1.0, 3.0, 4, 2.0, rng)
     assert m.value(np.zeros(4)) == pytest.approx(m.taylor.f0, rel=1e-15)
-    m0 = RegularizedModel(m.taylor, 0.0, 2, 1.0, m.space)
+    m0 = RegularizedModel(m.taylor, 0.0, 1.0, m.space)
     s = rng.standard_normal(4)
     assert m0.value(s) == pytest.approx(m.taylor.value(s), rel=1e-14)
 
@@ -303,9 +303,9 @@ def test_model_value_at_zero_and_sigma_zero():
 def test_model_value_p1_beta1_arithmetic():
     # sigma = 2 and Gamma(3) = 2 make the regularizer exactly |s|^2
     g = np.array([1.0, -1.0])
-    tm = TaylorModel(np.zeros(2), 0.25, (SymmetricTensor(1, 2, g),))
+    tm = TaylorModel(0.25, (SymmetricTensor(1, 2, g),))
     sp = NormedSpace(2, 2.0)
-    m = RegularizedModel(tm, 2.0, 1, 1.0, sp)
+    m = RegularizedModel(tm, 2.0, 1.0, sp)
     s = np.array([0.3, 0.4])
     assert m.value(s) == pytest.approx(0.25 + np.dot(g, s) + sp.norm(s) ** 2, rel=1e-14)
     # a finite s whose regularizer passes the largest double
@@ -316,7 +316,7 @@ def test_model_gradient_at_zero_and_sigma_zero():
     rng = np.random.default_rng(11)
     m = _model(2, 0.5, 1.5, 3, 2.0, rng)
     assert np.allclose(m.gradient(np.zeros(3)), m.taylor.tensors[0].entries, atol=1e-15)
-    m0 = RegularizedModel(m.taylor, 0.0, 2, 0.5, m.space)
+    m0 = RegularizedModel(m.taylor, 0.0, 0.5, m.space)
     s = rng.standard_normal(3)
     assert np.allclose(m0.gradient(s), m.taylor.gradient(s), rtol=1e-13)
 
@@ -346,9 +346,9 @@ def _ray_eval(m, s0, d):
 
 def test_restrict_to_ray_linear_coefficients():
     g = np.array([2.0, 1.0])
-    tm = TaylorModel(np.zeros(2), 1.5, (SymmetricTensor(1, 2, g),))
+    tm = TaylorModel(1.5, (SymmetricTensor(1, 2, g),))
     sp = NormedSpace(2, 2.0)
-    m = RegularizedModel(tm, 1.0, 1, 1.0, sp)
+    m = RegularizedModel(tm, 1.0, 1.0, sp)
     s0 = np.array([0.2, -0.4])
     d = np.array([1.0, 0.0])
     coeffs = _ray_eval(m, s0, d).coeffs
@@ -360,14 +360,14 @@ def test_restrict_to_ray_quadratic_coefficient_via_polyfit():
     rng = np.random.default_rng(13)
     a = symmetrize(rng.standard_normal((3, 3)))
     g = rng.standard_normal(3)
-    tm = TaylorModel(np.zeros(3), 0.0, (SymmetricTensor(1, 3, g), SymmetricTensor(2, 3, a)))
+    tm = TaylorModel(0.0, (SymmetricTensor(1, 3, g), SymmetricTensor(2, 3, a)))
     sp = NormedSpace(3, 2.0)
-    m = RegularizedModel(tm, 0.5, 2, 1.0, sp)
+    m = RegularizedModel(tm, 0.5, 1.0, sp)
     d = rng.standard_normal(3)
     d /= sp.norm(d)
     coeffs = _ray_eval(m, np.zeros(3), d).coeffs
     # oracle: sample the polynomial part (sigma = 0 model) and fit degree 2
-    m_plain = RegularizedModel(tm, 0.0, 2, 1.0, sp)
+    m_plain = RegularizedModel(tm, 0.0, 1.0, sp)
     ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     samples = [m_plain.value(-t * d) for t in ts]
     fitted = np.polynomial.polynomial.polyfit(ts, samples, 2)
@@ -430,21 +430,19 @@ def test_model_coercivity_witness():
 def test_model_order_validation():
     rng = np.random.default_rng(18)
     tm = _random_taylor(2, 3, rng)
+    assert RegularizedModel(tm, 1.0, 1.0, NormedSpace(3, 2.0)).p == tm.degree == 2
     with pytest.raises(TensorError):
-        RegularizedModel(tm, 1.0, 3, 1.0, NormedSpace(3, 2.0))
-    with pytest.raises(TensorError):
-        RegularizedModel(tm, 1.0, 2, 1.5, NormedSpace(3, 2.0))
-    with pytest.raises(TensorError, match="at least 1"):
-        RegularizedModel(tm, 1.0, 0, 1.0, NormedSpace(3, 2.0))
+        RegularizedModel(tm, 1.0, 1.5, NormedSpace(3, 2.0))
     with pytest.raises(TensorError, match="space dimension"):
-        RegularizedModel(tm, 1.0, 2, 1.0, NormedSpace(4, 2.0))
+        RegularizedModel(tm, 1.0, 1.0, NormedSpace(4, 2.0))
 
 
 def test_taylor_model_validation():
     g, h = SymmetricTensor(1, 3, np.ones(3)), SymmetricTensor(2, 3, np.eye(3))
     with pytest.raises(TensorError, match="order-1 tensor"):
-        TaylorModel(np.zeros(3), 0.0, ())
+        TaylorModel(0.0, ())
     with pytest.raises(TensorError, match="position 1 has order 2"):
-        TaylorModel(np.zeros(3), 0.0, (h, g))
+        TaylorModel(0.0, (h, g))
+    assert TaylorModel(0.0, (g, h)).dim == 3
     with pytest.raises(TensorError, match="dimension"):
-        TaylorModel(np.zeros(2), 0.0, (g, h))
+        TaylorModel(0.0, (SymmetricTensor(1, 2, np.ones(2)), h))
