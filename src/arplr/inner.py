@@ -41,10 +41,14 @@ is combined with the norm regularizer, which is convex in the ray parameter.
 When the polynomial part is convex too (nonnegative coefficients beyond the
 linear one — always the case for order-1 models and for order-2 models with
 nonnegative curvature along the ray) the minimizer is the unique root of the
-derivative and is found by bracketed regula falsi.  Otherwise a bracket is
-grown until the ray value exceeds its value at 0, the derivative is scanned
-on a mixed linear/geometric grid, and every sign change is refined.  Either
-way the model value decreases strictly at every iteration.  A ray point
+derivative: a bracket doubles until the slope turns positive (``_grow``),
+and regula falsi (``_refine_root``) refines the root until the slope is
+small or the bracket is narrower than 1e-15 of its upper end, a relative
+exit that resolves roots far below 1 too.  ``psi.psi_minimize`` runs on
+the same two routines.  Otherwise a bracket is grown until the ray value
+exceeds its value at 0, the derivative is scanned on a mixed
+linear/geometric grid, and every sign change is refined.  Either way the
+model value decreases strictly at every iteration.  A ray point
 past the largest double has a non-finite value and is never taken; when
 no representable decrease remains, the solve ends on ``PROGRESS_FLOOR``.
 """
@@ -229,7 +233,10 @@ def _add_ray_share(coeffs: list, tensor, lead, s0: np.ndarray, d: np.ndarray) ->
 
 
 def _refine_root(fun, a, b, fa, fb, ftol):
-    """At most 80 regula falsi (Illinois) steps on a sign-change bracket."""
+    """At most 80 regula falsi (Illinois) steps on a sign-change bracket
+    ``0 <= a < b``, returning the last iterate t.  They stop once
+    ``|fun(t)| <= ftol`` or the bracket is narrower than 1e-15 b; the width
+    is relative, so a root far below 1 is resolved too."""
     t, ft = a, fa
     side = 0
     for _ in range(80):
@@ -237,7 +244,7 @@ def _refine_root(fun, a, b, fa, fb, ftol):
         if not a < t < b:
             t = 0.5 * (a + b)
         ft = fun(t)
-        if abs(ft) <= ftol or (b - a) <= 1e-15 * max(1.0, abs(b)):
+        if abs(ft) <= ftol or (b - a) <= 1e-15 * abs(b):
             return t
         if (ft > 0.0) == (fb > 0.0):
             b, fb = t, ft

@@ -5,12 +5,17 @@ convex on t >= 0, starts with negative slope, and has a unique positive
 minimizer with a strictly negative value.  ``psi_descent_bound`` gives the
 closed-form guarantee on that value in terms of the smallest and largest
 exponents; single-term profiles with gamma = 2 attain it exactly.
+``psi_minimize`` finds the minimizer with the inner line search's own
+bracket and root finder, for minimizers up to about 1e30.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+from .inner import _grow, _refine_root
 
 __all__ = ["PsiSpec", "psi_eval", "psi_derivative", "psi_minimize", "psi_descent_bound"]
 
@@ -48,44 +53,23 @@ def psi_derivative(spec: PsiSpec, t: float) -> float:
     return -spec.alpha + sum(k * g * t ** (g - 1.0) for k, g in spec.terms)
 
 
-def _second_derivative(spec: PsiSpec, t: float) -> float:
-    return sum(k * g * (g - 1.0) * t ** (g - 2.0) for k, g in spec.terms)
-
-
 def psi_minimize(spec: PsiSpec) -> tuple:
     """Unique positive minimizer and its (negative) value.
 
-    The derivative is strictly increasing with a single sign change, so a
-    Newton iteration safeguarded by bisection on a doubling bracket is
-    globally convergent.  The root is polished until
-    ``|psi'(t)| <= 1e-12 * max(1, alpha)``.
+    The derivative is strictly increasing with a single sign change, so the
+    minimizer is its root, found as the inner line search finds a convex
+    ray's: the bracket [0, 1] doubles until the derivative turns positive
+    (``inner._grow``), then regula falsi (``inner._refine_root``) polishes
+    the root until ``|psi'(t)| <= 1e-12 * max(1, alpha)`` or the bracket is
+    narrower than 1e-15 t.  The bracket stops doubling at 2^100 (about
+    1.3e30, where ``_grow`` caps the line search too), so a profile whose
+    minimizer lies beyond it raises ``ArithmeticError``.
     """
-    hi = 1.0
-    grow = 0
-    while psi_derivative(spec, hi) <= 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 1100 or not math.isfinite(hi):
-            raise ArithmeticError("minimizer bracket grew beyond float range")
-    lo = 0.0
-    t = hi / 2.0
-    tol = 1e-12 * max(1.0, spec.alpha)
-    for _ in range(200):
-        d = psi_derivative(spec, t)
-        if abs(d) <= tol:
-            break
-        if d > 0.0:
-            hi = t
-        else:
-            lo = t
-        d2 = _second_derivative(spec, t)
-        step_ok = math.isfinite(d) and math.isfinite(d2) and d2 > 0.0
-        t_new = t - d / d2 if step_ok else 0.5 * (lo + hi)
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        if t_new == t:
-            break
-        t = t_new
+    deriv = functools.partial(psi_derivative, spec)
+    hi, d_hi = _grow(deriv, 1.0, lambda d: d <= 0.0)
+    if not d_hi > 0.0:
+        raise ArithmeticError("minimizer bracket grew beyond float range")
+    t = _refine_root(deriv, 0.0, hi, -spec.alpha, d_hi, 1e-12 * max(1.0, spec.alpha))
     return t, psi_eval(spec, t)
 
 

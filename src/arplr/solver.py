@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormedSpace, _as_vector
+from .geometry import NormedSpace, _as_vector, _pow
 from .inner import Termination, minimize_model
 from .tensors import RegularizedModel, TaylorModel
 
@@ -56,7 +56,7 @@ class SolveStatus(enum.Enum):
 class OuterConfig:
     """Hyper-parameters of the outer loop.
 
-    Constraints: 0 < sigma_min <= sigma0, 0 < eta1 <= eta2 < 1,
+    Constraints: 0 < sigma_min <= sigma0 < inf, 0 < eta1 <= eta2 < 1,
     0 < gamma1 < 1 < gamma2 < gamma3, chi in (0, 1), theta > 0,
     epsilon in (0, 1], p an integer >= 1 and beta in (0, 1].
     """
@@ -85,7 +85,7 @@ class OuterConfig:
             ),
             (0.0 < self.beta <= 1.0, "beta must lie in (0, 1]"),
             (0.0 < self.epsilon <= 1.0, "epsilon must lie in (0, 1]"),
-            (self.sigma0 > 0.0, "sigma0 must be positive"),
+            (0.0 < self.sigma0 < math.inf, "sigma0 must be positive and finite"),
             (0.0 < self.sigma_min <= self.sigma0, "sigma_min must lie in (0, sigma0]"),
             (0.0 < self.eta1 <= self.eta2 < 1.0, "need 0 < eta1 <= eta2 < 1"),
             (0.0 < self.gamma1 < 1.0, "gamma1 must lie in (0, 1)"),
@@ -333,7 +333,7 @@ def check_trajectory(
     found_a, found_b, found_c, found_d = [], [], [], []
 
     for rec in run.records:
-        floor = rec.sigma / gamma_e1 * rec.step_norm ** e
+        floor = rec.sigma / gamma_e1 * _pow(rec.step_norm, e)
         slack_a = 1e-10 * max(1.0, abs(rec.model_decrease), floor) + 1e-13 * f_scale
         if rec.model_decrease + slack_a < floor:
             found_a.append(
@@ -357,7 +357,7 @@ def check_trajectory(
                 )
             )
         remainder = abs(rec.model_decrease - rec.actual_decrease)
-        bound = L / gamma_e1 * rec.step_norm ** e + 1e-10 * f_scale
+        bound = L / gamma_e1 * _pow(rec.step_norm, e) + 1e-10 * f_scale
         if remainder > bound:
             found_c.append(
                 Violation(
@@ -368,7 +368,7 @@ def check_trajectory(
                     f"L/Gamma(p+beta+1) |s|^(p+beta) = {bound:.6e}",
                 )
             )
-        lhs = rec.step_norm ** (e - 1.0)
+        lhs = _pow(rec.step_norm, e - 1.0)
         if rec.successful and rec.k != last_k and lhs < floor_rhs * (1.0 - 1e-9):
             found_d.append(
                 Violation(

@@ -316,6 +316,14 @@ def test_cli_negative_norm_exponent_exits_2(capsys):
     assert "configuration error: r:" in capsys.readouterr().err
 
 
+def test_cli_infinite_sigma0_exits_2(capsys):
+    # an infinite start weight would end on sigma_overflow before any step
+    assert main(["run", "--problem", "quadratic", "--sigma0", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error: sigma0" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_problem_size_zero_exits_2(capsys):
     assert main(["run", "--problem", "quadratic", "--n", "0"]) == 2
     assert "configuration error: n must be at least 1" in capsys.readouterr().err

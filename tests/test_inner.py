@@ -24,7 +24,14 @@ from arplr import (
 )
 from arplr.geometry import _duality, _lr
 from arplr.harness import ExperimentConfig
-from arplr.inner import _horner, _line_minimize, _RayEval, _unit_grid, default_max_iters
+from arplr.inner import (
+    _horner,
+    _line_minimize,
+    _RayEval,
+    _refine_root,
+    _unit_grid,
+    default_max_iters,
+)
 from helpers import full_ray_coefficients, symmetrize
 
 
@@ -157,6 +164,16 @@ def test_convex_ray_grows_its_bracket_until_the_slope_turns():
     assert tau > scale
     assert abs(ev.deriv(tau)) <= 1e-12 * max(1.0, -slope0)
     assert tau.hex() == "0x1.1c26660ac3bcfp+3" and value.hex() == "0x1.75e89cf842a70p+9"
+
+
+def test_root_refinement_resolves_a_root_far_below_one():
+    # f(t) = -1 + sqrt(t / 1e-17) has its root at 1e-17; a width exit with
+    # an absolute floor near 1e-15 stops on an unresolved point there
+    def f(t):
+        return -1.0 + math.sqrt(t / 1e-17)
+
+    t = _refine_root(f, 0.0, 1e-12, f(0.0), f(1e-12), 1e-12)
+    assert abs(f(t)) <= 1e-12
 
 
 def test_step_power_rule_branch_requires_motion():

@@ -69,6 +69,13 @@ def test_minimizer_is_critical_point():
         assert abs(psi_derivative(spec, t)) <= 1e-12 * max(1.0, spec.alpha)
 
 
+def test_minimizer_beyond_the_bracket_cap_raises():
+    # -1e40 t + t^2 has its minimizer at 5e39, past the 1e30 cap on the
+    # bracket that the line search's root finder grows
+    with pytest.raises(ArithmeticError):
+        psi_minimize(PsiSpec(1e40, ((1.0, 2.0),)))
+
+
 def test_derivative_changes_sign_once():
     rng = np.random.default_rng(1)
     for _ in range(50):

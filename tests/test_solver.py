@@ -39,6 +39,9 @@ def test_config_validation_messages():
         OuterConfig(p=2, beta=1.0, chi=1.0)
     with pytest.raises(ValueError, match="epsilon"):
         OuterConfig(p=2, beta=1.0, epsilon=2.0)
+    for sigma0 in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="^sigma0"):
+            OuterConfig(p=2, beta=1.0, sigma0=sigma0)
     for p in (1.5, 2.0, True, 0):
         with pytest.raises(ValueError, match="p must be an integer"):
             OuterConfig(p=p, beta=1.0)
@@ -249,6 +252,15 @@ def test_check_trajectory_flags_step_floor_violation():
     # the terminating iteration itself carries no step-size guarantee
     violations2 = check_trajectory(_synthetic_run([ok_last, tiny]), cfg, L=1.0)
     assert not any(v.code == "d" for v in violations2)
+
+
+def test_check_trajectory_returns_rather_than_raises_on_a_huge_step():
+    # |s|^(p+beta) = 1e600 passes the largest double: the powers read inf,
+    # which bounds nothing, and no OverflowError leaves the checker
+    cfg = OuterConfig(p=2, beta=1.0, epsilon=1e-5)
+    run = _synthetic_run([_record(step=1e200)], status=SolveStatus.MAX_ITERS)
+    violations = check_trajectory(run, cfg, L=1.0, f_low=0.0)
+    assert not any(v.code in "cd" for v in violations)
 
 
 def test_check_trajectory_flags_counting_violation():
