@@ -43,6 +43,7 @@ __all__ = [
     "run_single",
     "run_epsilon_sweep",
     "run_mesh_sweep",
+    "trajectory_holder_constant",
     "write_run_record",
 ]
 
@@ -144,6 +145,13 @@ class ExperimentConfig:
         return values
 
 
+def trajectory_holder_constant(problem, space: NormedSpace, p: int, x0, run: RunRecord):
+    """Hoelder constant of the order-p derivative on the ball of radius 1.01
+    max(|x0|, |x_k| + |s_k|), which holds the trajectory and trial points."""
+    radius = max([space.norm(x0)] + [rec.iterate_norm + rec.step_norm for rec in run.records])
+    return problem.holder_constant(space, p, 1.01 * radius)
+
+
 def _solve(cfg: ExperimentConfig, suffix: str = ""):
     """Build and solve one configuration; with an output directory
     configured, also write ``run_<problem name><suffix>.txt``.  Returns
@@ -155,10 +163,7 @@ def _solve(cfg: ExperimentConfig, suffix: str = ""):
     run = solve(problem, x0, outer, space)
     L = path = None
     if outer.beta == problem.beta:
-        radius = space.norm(x0)
-        for rec in run.records:
-            radius = max(radius, rec.iterate_norm + rec.step_norm)
-        L = problem.holder_constant(space, outer.p, 1.01 * radius)
+        L = trajectory_holder_constant(problem, space, outer.p, x0, run)
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, f"run_{problem.name}{suffix}.txt")

@@ -41,16 +41,17 @@ is combined with the norm regularizer, which is convex in the ray parameter.
 When the polynomial part is convex too (nonnegative coefficients beyond the
 linear one — always the case for order-1 models and for order-2 models with
 nonnegative curvature along the ray) the minimizer is the unique root of the
-derivative: a bracket doubles until the slope turns positive (``_grow``),
-and regula falsi (``_refine_root``) refines the root until the slope is
-small or the bracket is narrower than 1e-15 of its upper end, a relative
-exit that resolves roots far below 1 too.  ``psi.psi_minimize`` runs on
-the same two routines.  Otherwise a bracket is grown until the ray value
-exceeds its value at 0, the derivative is scanned on a mixed
-linear/geometric grid, and every sign change is refined.  Either way the
-model value decreases strictly at every iteration.  A ray point
-past the largest double has a non-finite value and is never taken; when
-no representable decrease remains, the solve ends on ``PROGRESS_FLOOR``.
+derivative: a bracket doubles until the slope turns positive or +inf
+(``_grow``), and regula falsi (``_refine_root``, which bisects while that
+slope is infinite) refines the root until the slope is small or the bracket
+is narrower than 1e-15 of its upper end, a relative exit that resolves
+roots far below 1 too.  ``psi.psi_minimize`` runs on the same two routines.
+Otherwise a bracket is grown until the ray value exceeds its value at 0,
+the derivative is scanned on a mixed linear/geometric grid, and the grid's
+least point and each minimum that a slope change from - to + brackets are
+the candidates.  The best one is taken if its value is finite and strictly
+below m(s); else (say the bracket stopped on a NaN or -inf slope, or at the
+1e30 cap still descending) the solve ends on ``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class Termination(enum.Enum):
     STEP_POWER_RULE = "step_power_rule"
     ZERO_GRADIENT = "zero_gradient"
     MAX_ITERS = "max_iters"
-    # no representable decrease remains along the descent ray, or the
-    # model gradient's dual norm passes the largest double
+    # no representable decrease (or none below the 1e30 bracket cap) along
+    # the ray, or the model gradient's dual norm passes the largest double
     PROGRESS_FLOOR = "progress_floor"
 
 
@@ -274,8 +275,8 @@ def _unit_grid(points: int) -> np.ndarray:
 
 def _grow(fun, t: float, test):
     """Double t while ``test(fun(t))`` holds and t < 1e30; the last
-    ``(t, fun(t))``.  From a start in [1e-12, 1e12] that is at most 140
-    doublings, and a NaN start stops at once."""
+    ``(t, fun(t))``.  From a start of at least 1e-12 that is at most 140
+    doublings, and a NaN or infinite start stops at once."""
     ft = fun(t)
     while test(ft) and t < 1e30:
         t *= 2.0
@@ -287,25 +288,24 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     """Global minimizer of ``tau -> m(s - tau d)`` over tau >= 0, for a
     model of weight sigma with ``gamma_e1 = Gamma(e + 1)``.
 
-    Returns ``(tau, m(s - tau d))`` with a value strictly below ``value =
-    m(s)``, or None when no representable decrease remains (the slope at
-    tau = 0 is minus the dual gradient norm, so one exists in exact
-    arithmetic).
+    Returns the best bracket candidate ``(tau, m(s - tau d))`` if its value
+    is finite and strictly below ``value = m(s)``, else None (the slope at
+    tau = 0 is minus the dual gradient norm, so a decrease exists in exact
+    arithmetic).  An overflowing bracket start reads NaN and gives none.
     """
     v0 = value
     slope0 = ev.deriv(0.0)
     ftol = 1e-12 * max(1.0, -slope0)  # root tolerance on the ray derivative
 
     # scale at which the regularizer alone overtakes the initial slope
-    scale = _pow((-slope0) * gamma_e1 / sigma, 1.0 / (ev.e - 1.0))
-    scale = min(max(scale, 1e-12), 1e12)
+    scale = max(_pow((-slope0) * gamma_e1 / sigma, 1.0 / (ev.e - 1.0)), 1e-12)
 
     candidates = []
     if all(c >= 0.0 for c in ev.coeffs[2:]):
         # polynomial part convex, so the whole ray function is: the global
         # minimizer is the unique positive root of the derivative
         t_hi, d_hi = _grow(ev.deriv, scale, lambda d: -math.inf < d <= 0.0)
-        if math.isfinite(d_hi) and d_hi > 0.0:
+        if d_hi > 0.0:
             candidates.append(_refine_root(ev.deriv, 0.0, t_hi, slope0, d_hi, ftol))
     else:
         t_hi, _ = _grow(ev.value, scale, lambda v: math.isfinite(v) and v <= v0)
@@ -314,29 +314,17 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
         finite = np.isfinite(vals)
         if finite.any():
             candidates.append(float(grid[int(np.argmin(np.where(finite, vals, np.inf)))]))
-        signs = np.sign(dvals)
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-        for i in flips:
+        for i in np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] > 0.0))[0]:
             candidates.append(
                 _refine_root(ev.deriv, grid[i], grid[i + 1], dvals[i], dvals[i + 1], ftol)
             )
-        candidates.extend(float(t) for t in grid[dvals == 0.0])
 
     best_t, best_v = 0.0, v0
     for t in candidates:
         v = ev.value(t)
         if math.isfinite(v) and v < best_v:
             best_t, best_v = float(t), v
-    if best_t > 0.0:
-        return best_t, best_v
-    # fall back on backtracking along the guaranteed-descent slope
-    t = scale
-    for _ in range(200):
-        v = ev.value(t)
-        if math.isfinite(v) and v < v0:
-            return t, v
-        t *= 0.5
-    return None
+    return (best_t, best_v) if best_t > 0.0 else None
 
 
 def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None = None,

@@ -334,7 +334,9 @@ def check_trajectory(
 
     for rec in run.records:
         floor = rec.sigma / gamma_e1 * _pow(rec.step_norm, e)
-        slack_a = 1e-10 * max(1.0, abs(rec.model_decrease), floor) + 1e-13 * f_scale
+        # an infinite floor gives no slack, so a finite decrease misses it
+        size_a = max(1.0, abs(rec.model_decrease), floor if floor < math.inf else 0.0)
+        slack_a = 1e-10 * size_a + 1e-13 * f_scale
         if rec.model_decrease + slack_a < floor:
             found_a.append(
                 Violation(

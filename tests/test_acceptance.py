@@ -28,7 +28,13 @@ from arplr import (
     smoothness_modulus_estimate,
     solve,
 )
-from arplr.harness import ExperimentConfig, run_epsilon_sweep, run_mesh_sweep, run_single
+from arplr.harness import (
+    ExperimentConfig,
+    run_epsilon_sweep,
+    run_mesh_sweep,
+    run_single,
+    trajectory_holder_constant,
+)
 from arplr.solver import IterationRecord, RunRecord
 
 
@@ -145,10 +151,7 @@ def test_criterion_5_trajectory_inequalities():
         problem = entry.problem
         cfg = OuterConfig(p=entry.p, beta=problem.beta, epsilon=1e-5)
         run = solve(problem, entry.x0, cfg, entry.space)
-        radius = entry.space.norm(entry.x0)
-        for rec in run.records:
-            radius = max(radius, rec.iterate_norm + rec.step_norm)
-        L = problem.holder_constant(entry.space, entry.p, 1.01 * radius)
+        L = trajectory_holder_constant(problem, entry.space, entry.p, entry.x0, run)
         violations = check_trajectory(run, cfg, L=L, f_low=problem.f_low)
         if run.status is not SolveStatus.CONVERGED:
             failures.append(f"{entry.label}: not converged")

@@ -149,14 +149,20 @@ def test_overflowing_model_gradient_ends_on_the_progress_floor():
     assert res.iterations == 0 and res.model_grad_dual_norm == math.inf
 
 
+def _scalar_ray(coeffs, anchor, e, sigma):
+    # ray of a 2-d l^2 model along d = (1, 0), with the regularizer weights
+    # minimize_model derives from sigma and e
+    return _RayEval(coeffs, np.array(anchor, float), np.array([1.0, 0.0]), 2.0, e,
+                    sigma / math.gamma(e + 1.0), sigma / math.gamma(e))
+
+
 def test_convex_ray_grows_its_bracket_until_the_slope_turns():
     # e = 1.5 and s = (0, 100) orthogonal to d: the regularizer's slope is
     # about t / 10 near 0, so at the scale where the regularizer alone would
     # overtake the initial slope the derivative is still negative, and the
     # bracket doubles three times before the root is refined
     e, sigma = 1.5, 1.0
-    ev = _RayEval([0.0, -1.0], np.array([0.0, 100.0]), np.array([1.0, 0.0]), 2.0, e,
-                  sigma / math.gamma(e + 1.0), sigma / math.gamma(e))
+    ev = _scalar_ray([0.0, -1.0], [0.0, 100.0], e, sigma)
     slope0 = ev.deriv(0.0)
     scale = ((-slope0) * math.gamma(e + 1.0) / sigma) ** (1.0 / (e - 1.0))
     assert ev.deriv(scale) < 0.0
@@ -164,6 +170,32 @@ def test_convex_ray_grows_its_bracket_until_the_slope_turns():
     assert tau > scale
     assert abs(ev.deriv(tau)) <= 1e-12 * max(1.0, -slope0)
     assert tau.hex() == "0x1.1c26660ac3bcfp+3" and value.hex() == "0x1.75e89cf842a70p+9"
+
+
+def test_convex_ray_with_an_infinite_slope_at_the_bracket_end_is_refined():
+    # m(t) = -1e300 t + 1e300 t^2 + sigma t^2 / 2: the slope overflows to
+    # +inf at the first bracket end t = 1e12, which closes the bracket;
+    # bisection brings its upper end back into range and regula falsi then
+    # finds the minimizer near 1/2
+    e, sigma = 2.0, 2e288
+    ev = _scalar_ray([0.0, -1e300, 1e300], [0.0, 0.0], e, sigma)
+    slope0 = ev.deriv(0.0)
+    assert ev.deriv(1e12) == math.inf
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), ev.value(0.0))
+    assert value < ev.value(0.0) and value == ev.value(tau)
+    assert abs(ev.deriv(tau)) <= 1e-12 * max(1.0, -slope0)
+    assert abs(tau - 0.5) < 1e-11
+
+
+def test_convex_ray_still_descending_at_the_bracket_cap_gives_no_step():
+    # e = 1.5 and s = (0, 1e40) orthogonal to d: the regularizer's slope
+    # t (t^2 + |s|^2)^(-1/4) / Gamma(1.5) stays below the descent rate 1e14
+    # up to about 9e33, past the 1e30 cap of _grow, although the decrease at
+    # that minimizer would be representable
+    e, sigma = 1.5, 1.0
+    ev = _scalar_ray([0.0, -1e14], [0.0, 1e40], e, sigma)
+    assert ev.deriv(2e30) < 0.0 < ev.deriv(1e34) and ev.value(1e34) < ev.value(0.0)
+    assert _line_minimize(ev, sigma, math.gamma(e + 1.0), ev.value(0.0)) is None
 
 
 def test_root_refinement_resolves_a_root_far_below_one():

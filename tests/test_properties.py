@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from arplr import (
     DoubleWell,
+    HolderGradient,
     NormedSpace,
     OuterConfig,
     PendulumLattice,
@@ -18,9 +19,10 @@ from arplr import (
     check_trajectory,
     solve,
 )
+from arplr.harness import trajectory_holder_constant
 
 _R = st.sampled_from([1.5, 2.0, 3.0])
-_BASES = [QuadraticBowl(), DoubleWell(), Rosenbrock(), PendulumLattice(8)]
+_BASES = [QuadraticBowl(), DoubleWell(), Rosenbrock(), PendulumLattice(8), HolderGradient(4, 0.5)]
 
 
 class _Faulty:
@@ -59,14 +61,15 @@ def _faulty_runs(draw):
     bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, None]))
     target = 1 if bad is None else draw(st.sampled_from(["f"] + list(range(1, p + 1))))
     k = draw(st.integers(1, 3))
-    return _Faulty(base, target, k, bad), p, draw(_R)
+    beta = draw(st.sampled_from([0.5, 1.0]))
+    return _Faulty(base, target, k, bad), p, beta, draw(_R)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(_faulty_runs())
 def test_faulty_oracles_end_with_a_typed_status(case):
-    problem, p, r = case
-    cfg = OuterConfig(p=p, beta=1.0, max_outer_iters=40, inner_max_iters=500)
+    problem, p, beta, r = case
+    cfg = OuterConfig(p=p, beta=beta, max_outer_iters=40, inner_max_iters=500)
     run = solve(problem, problem.base.default_x0(), cfg, NormedSpace(problem.dim, r))
     assert isinstance(run.status, SolveStatus)
     assert len(run.records) <= 40
@@ -93,8 +96,5 @@ def test_valid_runs_satisfy_the_trajectory_inequalities(case):
     cfg = OuterConfig(p=p, beta=problem.beta)
     run = solve(problem, x0, cfg, space)
     assert run.status is SolveStatus.CONVERGED
-    radius = space.norm(x0)
-    for rec in run.records:
-        radius = max(radius, rec.iterate_norm + rec.step_norm)
-    L = problem.holder_constant(space, p, 1.01 * radius)
+    L = trajectory_holder_constant(problem, space, p, x0, run)
     assert check_trajectory(run, cfg, L=L, f_low=problem.f_low) == []

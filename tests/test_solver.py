@@ -18,14 +18,7 @@ from arplr import (
     diagonal_tensor,
     solve,
 )
-from arplr.harness import ExperimentConfig
-
-
-def _trajectory_holder(problem, space, p, x0, run):
-    radius = space.norm(x0)
-    for rec in run.records:
-        radius = max(radius, rec.iterate_norm + rec.step_norm)
-    return problem.holder_constant(space, p, 1.01 * radius)
+from arplr.harness import ExperimentConfig, trajectory_holder_constant
 
 
 def test_config_validation_messages():
@@ -84,7 +77,7 @@ def test_double_well_run_invariants():
     assert run.status is SolveStatus.CONVERGED
 
     # trajectory checks, with the Hoelder constant valid on the visited ball
-    L = _trajectory_holder(problem, space, 2, x0, run)
+    L = trajectory_holder_constant(problem, space, 2, x0, run)
     assert check_trajectory(run, cfg, L=L, f_low=problem.f_low) == []
 
     # acceptance implies a decrease of at least eta1 times the predicted one
@@ -115,7 +108,7 @@ def test_double_well_third_order_run():
     x0 = problem.default_x0()
     run = solve(problem, x0, cfg, space)
     assert run.status is SolveStatus.CONVERGED
-    L = _trajectory_holder(problem, space, 3, x0, run)
+    L = trajectory_holder_constant(problem, space, 3, x0, run)
     assert check_trajectory(run, cfg, L=L, f_low=problem.f_low) == []
 
 
@@ -255,12 +248,15 @@ def test_check_trajectory_flags_step_floor_violation():
 
 
 def test_check_trajectory_returns_rather_than_raises_on_a_huge_step():
-    # |s|^(p+beta) = 1e600 passes the largest double: the powers read inf,
-    # which bounds nothing, and no OverflowError leaves the checker
+    # |s|^(p+beta) = 1e600 passes the largest double: the powers read inf
+    # and no OverflowError leaves the checker.  An infinite remainder bound
+    # (c) and step-size power (d) are met, while an infinite model-decrease
+    # floor (a) is missed by the finite decrease of 1
     cfg = OuterConfig(p=2, beta=1.0, epsilon=1e-5)
     run = _synthetic_run([_record(step=1e200)], status=SolveStatus.MAX_ITERS)
     violations = check_trajectory(run, cfg, L=1.0, f_low=0.0)
     assert not any(v.code in "cd" for v in violations)
+    assert any(v.code == "a" for v in violations)
 
 
 def test_check_trajectory_flags_counting_violation():
@@ -516,8 +512,24 @@ def test_gradient_near_overflow_ends_with_a_status(r):
     cfg = OuterConfig(p=1, beta=0.5, max_outer_iters=4, inner_max_iters=20)
     run = solve(problem, problem.default_x0(), cfg, NormedSpace(4, r))
     assert run.status is SolveStatus.MAX_ITERS and len(run.records) == 4
-    # every model built on the huge gradient is rejected
+    # every model built on the huge gradient is rejected: the scale of its
+    # ray minimizer overflows, so each inner solve stops at once without a
+    # step instead of running to its guard
     assert problem.calls >= 2 and not run.records[-1].successful
+    first = next(i for i, rec in enumerate(run.records) if rec.successful)
+    for rec in run.records[first + 1:]:
+        assert not rec.successful and rec.inner_termination == "progress_floor"
+        assert rec.inner_iters == 0 and rec.step_norm == 0.0
+
+
+def test_gradient_near_overflow_runs_sigma_to_overflow_without_creeping():
+    # with the default outer loop sigma doubles at every rejection until it
+    # overflows, and no inner solve creeps toward the unrepresentable
+    # minimizer in bounded steps
+    problem = _GradientTurnsHuge()
+    run = solve(problem, problem.default_x0(), OuterConfig(p=1, beta=0.5), NormedSpace(4, 2.0))
+    assert run.status is SolveStatus.SIGMA_OVERFLOW and len(run.records) == 1025
+    assert sum(rec.inner_iters for rec in run.records) < 1000
 
 
 class _TrialsFail(QuadraticBowl):
