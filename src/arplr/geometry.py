@@ -41,7 +41,9 @@ def _as_vector(n: int, v) -> np.ndarray:
 
 
 def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
-    """``(|a|_r, a / |a|_r)`` for a vector, or row by row for a 2-D array.
+    """``(|a|_r, v)`` for a vector, with v its duality vector
+    ``sign(a_i) (|a_i| / |a|_r)^(r-1)`` (at r = 2, ``a / |a|_r``), or
+    ``(norms, unit rows a / |a|_r)`` row by row for a 2-D array.
 
     Entries are multiplied by ``2^-k``, where ``2^k`` is the power of two
     just above the largest magnitude (the ``frexp`` exponent), before they
@@ -49,30 +51,39 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     ``2^k``.  A zero vector or row is returned unchanged with norm 0.
     A subnormal peak, whose ``2^-k`` need not be a double, is first lifted
     by an exact ``2^1000``; a norm past the largest double is ``inf``, with
-    a zero unit vector.  A NaN or infinite entry gives a NaN or infinite
-    norm and a meaningless unit vector; ``NormedSpace`` rejects such input
-    before it gets here.  The peak and the sum are the ``np.maximum`` /
-    ``np.add`` reductions that ``ndarray.max`` / ``ndarray.sum`` wrap,
-    called directly: the same bits without the wrappers' per-call overhead.
+    a zero duality vector or unit row.  A NaN or infinite entry gives a
+    NaN or infinite norm and a meaningless vector; ``NormedSpace`` rejects
+    such input before it gets here.  The peak and the sum are the
+    ``np.maximum`` / ``np.add`` reductions that ``ndarray.max`` /
+    ``ndarray.sum`` wrap, called directly: the same bits without the
+    wrappers' per-call overhead.
 
-    A 2-D ``a`` is normalized in place and returned as the unit rows, and
+    A vector's v is formed in place from ``|a|``, which the scaled powers
+    leave intact, and has the bits of ``_duality`` of ``a / |a|_r``.  A
+    2-D ``a`` is normalized in place and returned as the unit rows, and
     ``work``, an array of a's shape (or None, to allocate one), holds the
     powers; the in-place steps carry the bits of their out-of-place forms.
     """
-    b = np.abs(a, out=work)
     if a.ndim == 1:
+        b = np.abs(a)
         peak = float(np.maximum.reduce(b))
         if not 0.0 < peak < math.inf:
             return peak, a
         k = math.frexp(peak)[1]
         if k < -1021:
-            nrm, u = _lr(a * 2.0 ** 1000, r)
-            return math.ldexp(nrm, -1000), u
-        b *= math.ldexp(1.0, -k)
-        root = float(np.add.reduce(b ** r)) ** (1.0 / r)
+            nrm, v = _lr(a * 2.0 ** 1000, r)
+            return math.ldexp(nrm, -1000), v
+        c = b * math.ldexp(1.0, -k)
+        c **= r
+        root = float(np.add.reduce(c)) ** (1.0 / r)
         # only a peak above 2^960 can push the norm past the largest double
         nrm = math.inf if k > 960 and k + math.frexp(root)[1] > 1024 else math.ldexp(root, k)
-        return nrm, a / nrm
+        if r == 2.0:
+            return nrm, a / nrm
+        b /= nrm
+        b **= r - 1.0
+        return nrm, np.copysign(b, a, out=b)
+    b = np.abs(a, out=work)
     peaks = np.maximum.reduce(b, axis=1)
     k = np.frexp(peaks)[1]  # 0 for a zero or non-finite row
     if np.minimum.reduce(k) < -1021:
@@ -96,13 +107,9 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-def _duality(u: np.ndarray, r: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``sign(u_i) |u_i|^(r-1)``, the duality vector of a unit vector u from
-    ``_lr``; at r = 2 that is u bit for bit (signed zeros too), returned as is.
-    Otherwise it is written to ``out``, an array of u's shape, or with
-    ``out`` None to a new one."""
-    if r == 2.0:
-        return u
+def _duality(u: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
+    """``sign(u_i) |u_i|^(r-1)``, the duality vectors of the unit rows u of
+    ``_lr``'s 2-D pass, written to ``out``, an array of u's shape."""
     b = np.abs(u, out=out)
     b **= r - 1.0
     return np.copysign(b, u, out=b)
@@ -157,8 +164,8 @@ class NormedSpace:
         """
         if not p > 1.0:
             raise GeometryError(f"duality map requires exponent p > 1, got {p!r}")
-        nx, u = _lr(_as_vector(self.n, x), self.r)
-        return _duality(u, self.r) * _pow(nx, p - 1.0)
+        nx, v = _lr(_as_vector(self.n, x), self.r)
+        return v * _pow(nx, p - 1.0)
 
     def dual_direction(self, g) -> np.ndarray:
         """Unit-norm d attaining the dual pairing, ``<g, d> = |g|_*``.
@@ -167,10 +174,10 @@ class NormedSpace:
         Raises if g = 0, which signals first-order stationarity; callers
         must test the dual norm before asking for a direction.
         """
-        gn, u = _lr(_as_vector(self.n, g), self.r_dual)
+        gn, d = _lr(_as_vector(self.n, g), self.r_dual)
         if gn == 0.0:
             raise GeometryError("dual direction undefined at g = 0 (stationary point)")
-        return _duality(u, self.r_dual)
+        return d
 
 
 def smoothness_modulus_estimate(

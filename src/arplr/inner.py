@@ -7,11 +7,13 @@ the dual gradient norm falls below ``max(grad_tol, theta |s|^(p+beta-1))``
 (the step-power branch is only armed once s is nonzero, since at s = 0 it
 could never fire before the absolute branch).
 
-Cost of one iteration, in l^r passes (``geometry._lr``): one over the model
+Cost of one iteration, in l^r passes (``geometry._lr``, each of which
+returns a vector's norm and its duality vector): one over the model
 gradient, which gives its dual norm and the dual direction, and for r != 2
-one per new point that the line search evaluates on the ray.  The pass over
-s, which gives the regularizer's gradient, its value at s and the
-step-power norm, is the one the line search made at the point it accepted
+one per new point that the line search evaluates on the ray, whose slope
+there is one dot product of that duality vector with d.  The pass over s,
+which gives the regularizer's gradient, its value at s and the step-power
+norm, is the one the line search made at the point it accepted
 (``_RayEval`` remembers its last point), and it serves the ray at t = 0
 too; it is a pass of its own only at r = 2, where the ray is scalar, or
 when the accepted point was not the last one evaluated.  Then one
@@ -128,12 +130,12 @@ class _RayEval:
     a quadratic in t, so scalar evaluations are O(1) after caching its
     coefficients.  For other r a scalar evaluation makes an ``_lr`` pass
     over ``w = anchor - t direction``; the last one is remembered (t, w,
-    |w|_r, w / |w|_r and, once asked for, the duality vector), so a repeated
-    t costs none, and ``remember`` seeds it with data the caller holds.
+    |w|_r and the duality vector), so a repeated t costs none, and
+    ``remember`` seeds it with data the caller holds.
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
-                 "reg_v", "reg_d", "is_r2", "qa", "qb", "t", "w", "nw", "u", "du")
+                 "reg_v", "reg_d", "is_r2", "qa", "qb", "t", "w", "nw", "du")
 
     def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d):
         self.anchor = anchor
@@ -150,30 +152,24 @@ class _RayEval:
             self.qb = float(np.dot(self.anchor, self.direction))
         self.t = math.nan  # nothing remembered: NaN equals no t
 
-    def remember(self, t: float, w, nw: float, u, du) -> None:
-        """Take ``w = anchor - t direction``, with ``(nw, u) = _lr(w, r)``
-        and ``du = _duality(u, r)``, as the last evaluation."""
-        self.t, self.w, self.nw, self.u, self.du = t, w, nw, u, du
+    def remember(self, t: float, w, nw: float, du) -> None:
+        """Take ``w = anchor - t direction``, with ``(nw, du) = _lr(w, r)``,
+        as the last evaluation."""
+        self.t, self.w, self.nw, self.du = t, w, nw, du
 
     def _norm(self, t: float) -> float:
         # |w|_r at w = anchor - t d, from memory when t is the remembered one
         if t != self.t:
             w = self.anchor - t * self.direction
-            self.nw, self.u = _lr(w, self.r)
-            self.t, self.w, self.du = t, w, None
+            self.nw, self.du = _lr(w, self.r)
+            self.t, self.w = t, w
         return self.nw
 
-    def _dual(self) -> np.ndarray:
-        # duality vector of the remembered point, formed on first use
-        if self.du is None:
-            self.du = _duality(self.u, self.r)
-        return self.du
-
     def point(self, t: float):
-        """``(w, |w|_r, w / |w|_r, duality vector)`` at ``w = anchor - t
-        direction``, from memory when t is the remembered parameter."""
+        """``(w, |w|_r, duality vector)`` at ``w = anchor - t direction``,
+        from memory when t is the remembered parameter."""
         self._norm(t)
-        return self.w, self.nw, self.u, self._dual()
+        return self.w, self.nw, self.du
 
     def _qnorm(self, t: float) -> float:
         # |anchor - t d|^2 for r = 2 (unit direction)
@@ -195,7 +191,7 @@ class _RayEval:
         # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
         # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
         nw = self._norm(t)
-        num = -float(np.dot(self._dual(), self.direction))
+        num = -float(np.dot(self.du, self.direction))
         return poly + self.reg_d * _pow(nw, self.e - 1.0) * num
 
     def batch(self, ts: np.ndarray):
@@ -237,13 +233,23 @@ def _refine_root(fun, a, b, fa, fb, ftol):
     """At most 80 regula falsi (Illinois) steps on a sign-change bracket
     ``0 <= a < b``, returning the last iterate t.  They stop once
     ``|fun(t)| <= ftol`` or the bracket is narrower than 1e-15 b; the width
-    is relative, so a root far below 1 is resolved too."""
+    is relative, so a root far below 1 is resolved too.
+
+    After 6 steps in a row that keep the same end, which is how Illinois
+    stalls when that end's value is huge, one bisection step follows: in
+    the exponent (the geometric mean) while ``b > 4 a > 0``, else at the
+    midpoint, so the 80 steps bound the error on any bracket."""
     t, ft = a, fa
     side = 0
+    kept = 0  # steps in a row that kept the same end
     for _ in range(80):
-        t = (fa * b - fb * a) / (fa - fb)
-        if not a < t < b:
-            t = 0.5 * (a + b)
+        if kept >= 6:
+            t = math.sqrt(a) * math.sqrt(b) if b > 4.0 * a > 0.0 else 0.5 * (a + b)
+            kept = 0
+        else:
+            t = (fa * b - fb * a) / (fa - fb)
+            if not a < t < b:
+                t = 0.5 * (a + b)
         ft = fun(t)
         if abs(ft) <= ftol or (b - a) <= 1e-15 * abs(b):
             return t
@@ -251,11 +257,13 @@ def _refine_root(fun, a, b, fa, fb, ftol):
             b, fb = t, ft
             if side == -1:
                 fa *= 0.5
+            kept = kept + 1 if side == -1 else 1
             side = -1
         else:
             a, fa = t, ft
             if side == 1:
                 fb *= 0.5
+            kept = kept + 1 if side == 1 else 1
             side = 1
     return t
 
@@ -367,8 +375,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         grad0 = model.taylor.tensors[0].entries
         hessian = higher[0]
         hessian_s = np.zeros(space.n)
-    step_norm, u_s = _lr(s, r)
-    du_s = _duality(u_s, r)
+    step_norm, du_s = _lr(s, r)
     while True:
         if quadratic:
             taylor_grad = grad0 + hessian_s
@@ -377,7 +384,8 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         # regularizer gradient as RegularizedModel.gradient forms it
         # (NormedSpace.duality_map of s)
         grad = taylor_grad + reg_d * (du_s * _pow(step_norm, power))
-        grad_norm, u_g = _lr(grad, r_dual)
+        # its dual norm and NormedSpace.dual_direction of it
+        grad_norm, d = _lr(grad, r_dual)
         if not grad_norm < math.inf:  # NaN or inf: the model left the double range
             term = Termination.PROGRESS_FLOOR
             break
@@ -393,9 +401,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         if iters >= max_iters:
             term = Termination.MAX_ITERS
             break
-        # NormedSpace.dual_direction of grad, and the Taylor part of the
-        # model value at s
-        d = _duality(u_g, r_dual)
+        # the Taylor part of the model value at s
         taylor_value = value - reg_v * _pow(step_norm, e)
         # the Taylor part along s - t d as a polynomial in t: its value and
         # slope at s, then each tensor's share of the higher coefficients
@@ -406,7 +412,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d)
         # the anchor's l^r pass serves the ray at t = 0 (s in place of
         # s - 0 d: they differ at most in the sign of zero entries)
-        ev.remember(0.0, s, step_norm, u_s, du_s)
+        ev.remember(0.0, s, step_norm, du_s)
         found = _line_minimize(ev, model.sigma, gamma_e1, value)
         if found is None:
             term = Termination.PROGRESS_FLOOR
@@ -414,7 +420,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         tau, value = found
         # s - tau d and its l^r pass, shared with the line search when it
         # last evaluated the ray at tau
-        s, step_norm, u_s, du_s = ev.point(tau)
+        s, step_norm, du_s = ev.point(tau)
         history.append(value)
         iters += 1
         if quadratic:

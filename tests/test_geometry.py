@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arplr import GeometryError, NormedSpace, smoothness_modulus_estimate
 from arplr.geometry import _lr
+from helpers import two_step_lr
 
 
 def test_norm_examples():
@@ -275,14 +276,55 @@ def test_norm_homogeneity_at_any_magnitude(r, k, u):
 def test_norm_is_finite_down_to_subnormals_and_inf_past_the_largest_double(r, j):
     # v = 2^j u is exact, so |v|_r = 2^j |u|_r: rounded into the subnormals
     # below 2^-1022, inf where it passes the largest double; the vector and
-    # the row path agree, and the unit vector is that of u
+    # the row path agree, the unit row is that of u, and the duality vector
+    # is that of u, with the bits of its two-step form (zeros at inf)
     u = np.array([1.0, -0.5, 0.75, 0.0])
-    nu, unit = _lr(u, r)
+    nu, du = _lr(u, r)
     v = np.ldexp(u, j)
     ref = math.inf if math.frexp(nu)[1] + j > 1024 else math.ldexp(nu, j)
     rows_nrm, rows_unit = _lr(np.array([v, u, np.zeros(4)]), r)
-    for nrm, w in ((NormedSpace(4, r).norm(v), _lr(v, r)[1]), (rows_nrm[0], rows_unit[0])):
+    nv, dv = _lr(v, r)
+    for nrm in (NormedSpace(4, r).norm(v), nv, rows_nrm[0]):
         assert nrm == ref or math.isclose(nrm, ref, rel_tol=1e-12, abs_tol=1e-323)
-        if math.isfinite(ref):
-            np.testing.assert_allclose(w, unit, rtol=1e-12)
+    assert dv.tobytes() == two_step_lr(v, r)[1].tobytes()
+    if math.isfinite(ref):
+        np.testing.assert_allclose(rows_unit[0], u / nu, rtol=1e-12)
+        np.testing.assert_allclose(dv, du, rtol=1e-12)
+    else:
+        assert not dv.any()
     assert rows_nrm[1] == nu and rows_nrm[2] == 0.0
+
+
+@st.composite
+def _wide_vectors(draw):
+    # entries 2^-1074 .. 2^1024 in magnitude below a top exponent, either
+    # clustered or spread over the whole range, with signed zeros and
+    # entries that scaling by the top's power of two makes subnormal
+    top = draw(st.integers(min_value=-1074, max_value=1023))
+    spread = draw(st.sampled_from([0, 4, 60, 2100]))
+    entries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.integers(min_value=0, max_value=7))
+        if kind == 0:
+            entries.append(draw(st.sampled_from([0.0, -0.0])))
+            continue
+        below = 1022 + draw(st.integers(min_value=0, max_value=52)) if kind == 1 else \
+            draw(st.integers(min_value=0, max_value=spread))
+        m = 1.0 + draw(st.integers(min_value=0, max_value=2 ** 52 - 1)) * 2.0 ** -52
+        x = math.ldexp(m, max(-1074, top - below))
+        entries.append(math.copysign(x, draw(st.sampled_from([1.0, -1.0]))))
+    return np.array(entries)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(r=st.sampled_from([1.5, 2.0, 3.0]), a=_wide_vectors())
+@example(r=1.5, a=np.array([1.5 * 2.0 ** 1023, -1.5 * 2.0 ** 1023, 0.0]))
+@example(r=3.0, a=np.array([5e-324, -0.0, 0.0, -5e-324]))
+@example(r=2.0, a=np.array([-0.0, 0.0]))
+def test_one_lr_pass_gives_the_bits_of_the_two_step_duality_vector(r, a):
+    nrm, v = _lr(a, r)
+    ref_nrm, ref_v = two_step_lr(a, r)
+    assert np.float64(nrm).tobytes() == np.float64(ref_nrm).tobytes()
+    assert v.tobytes() == ref_v.tobytes()
+    if nrm == math.inf:
+        assert not v.any()

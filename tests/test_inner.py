@@ -22,7 +22,7 @@ from arplr import (
     minimize_model,
     solve,
 )
-from arplr.geometry import _duality, _lr
+from arplr.geometry import _lr
 from arplr.harness import ExperimentConfig
 from arplr.inner import (
     _horner,
@@ -32,7 +32,7 @@ from arplr.inner import (
     _unit_grid,
     default_max_iters,
 )
-from helpers import full_ray_coefficients, symmetrize
+from helpers import full_ray_coefficients, symmetrize, two_step_lr
 
 
 def _linear_model(g, sigma, r=2.0, beta=1.0):
@@ -208,6 +208,20 @@ def test_root_refinement_resolves_a_root_far_below_one():
     assert abs(f(t)) <= 1e-12
 
 
+def test_root_refinement_bisects_when_regula_falsi_keeps_one_end():
+    # m(t) = -t + 1e307 t^4 + sigma t^2 / 2: the slope is +inf at the
+    # bracket start t = 100, and once bisection has brought that end into
+    # range its slope is so large that each Illinois step lands below the
+    # root and only halves it; a bisection step in the exponent after 6 of
+    # them reaches the minimizer, 2.924017738212866e-103 (mpmath, 60 digits)
+    e, sigma = 2.0, 0.02
+    ev = _scalar_ray([0.0, -1.0, 0.0, 0.0, 1e307], [0.0, 0.0], e, sigma)
+    assert ev.deriv(100.0) == math.inf
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), ev.value(0.0))
+    assert tau == pytest.approx(2.924017738212866e-103, rel=1e-12)
+    assert value == ev.value(tau) < ev.value(0.0)
+
+
 def test_step_power_rule_branch_requires_motion():
     # at s = 0 the power branch would read |g| <= 0 and must stay silent
     m = _linear_model([1.0, 0.5], sigma=1.0)
@@ -366,18 +380,17 @@ def test_remembered_ray_point_gives_the_bits_of_a_fresh_evaluation(r, p, t, zero
     e = p + 0.5
     args = (coeffs, anchor, d, r, e, 1.3 / math.gamma(e + 1.0), 1.3 / math.gamma(e))
     ev = _RayEval(*args)
-    nw, u = _lr(anchor, r)
-    ev.remember(0.0, anchor, nw, u, _duality(u, r))
+    ev.remember(0.0, anchor, *_lr(anchor, r))
     # repeated and alternating queries, each against a ray with no memory
     for q, kind in [(0.0, "deriv"), (0.0, "value"), (t, "deriv"), (t, "value"), (t, "deriv"),
                     (0.0, "value"), (t, "value"), (t, "deriv"), (2.0 * t, "value")]:
         fresh = _RayEval(*args)
         assert _bits(getattr(ev, kind)(q)) == _bits(getattr(fresh, kind)(q)), (q, kind)
-    w, nw, u, du = ev.point(2.0 * t)
+    w, nw, du = ev.point(2.0 * t)
     assert w.tobytes() == (anchor - 2.0 * t * d).tobytes()
-    fresh_nw, fresh_u = _lr(anchor - 2.0 * t * d, r)
-    assert _bits(nw) == _bits(fresh_nw) and u.tobytes() == fresh_u.tobytes()
-    assert du.tobytes() == _duality(fresh_u, r).tobytes()
+    fresh_nw, fresh_du = _lr(anchor - 2.0 * t * d, r)
+    assert _bits(nw) == _bits(fresh_nw) and du.tobytes() == fresh_du.tobytes()
+    assert du.tobytes() == two_step_lr(w, r)[1].tobytes()
 
 
 def test_line_search_shares_its_lr_passes(monkeypatch):
