@@ -42,27 +42,28 @@ def _as_vector(n: int, v) -> np.ndarray:
 
 def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     """``(|a|_r, v)`` for a vector, with v its duality vector
-    ``sign(a_i) (|a_i| / |a|_r)^(r-1)`` (at r = 2, ``a / |a|_r``), or
-    ``(norms, unit rows a / |a|_r)`` row by row for a 2-D array.
+    ``sign(a_i) (|a_i| / |a|_r)^(r-1)`` (at r = 2, ``a / |a|_r``), or the
+    norms and duality vectors of the rows of a 2-D array; ``a`` is only read.
 
     Entries are multiplied by ``2^-k``, where ``2^k`` is the power of two
     just above the largest magnitude (the ``frexp`` exponent), before they
     are raised to the power r, and the sum's root is multiplied back by
-    ``2^k``.  A zero vector or row is returned unchanged with norm 0.
+    ``2^k``.  A zero vector or row has norm 0 and a zero duality vector.
     A subnormal peak, whose ``2^-k`` need not be a double, is first lifted
-    by an exact ``2^1000``; a norm past the largest double is ``inf``, with
-    a zero duality vector or unit row.  A NaN or infinite entry gives a
+    by an exact ``2^1000`` in a copy; a norm past the largest double is
+    ``inf``, with a zero duality vector.  A NaN or infinite entry gives a
     NaN or infinite norm and a meaningless vector; ``NormedSpace`` rejects
     such input before it gets here.  The peak and the sum are the
     ``np.maximum`` / ``np.add`` reductions that ``ndarray.max`` /
     ``ndarray.sum`` wrap, called directly: the same bits without the
     wrappers' per-call overhead.
 
-    A vector's v is formed in place from ``|a|``, which the scaled powers
-    leave intact, and has the bits of ``_duality`` of ``a / |a|_r``.  A
-    2-D ``a`` is normalized in place and returned as the unit rows, and
-    ``work``, an array of a's shape (or None, to allocate one), holds the
-    powers; the in-place steps carry the bits of their out-of-place forms.
+    v is formed in place from ``|a|`` (for a 2-D ``a`` in ``work``, an
+    array of a's shape or None to allocate one, which holds the scaled
+    powers first), with the bits of ``copysign(|u|^(r-1), u)`` for the unit
+    vector ``u = a / |a|_r``.  A vector's root is a Python float power and
+    a row's a NumPy array power, so a row's norm may be one ulp off its
+    vector's.
     """
     if a.ndim == 1:
         b = np.abs(a)
@@ -81,21 +82,20 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
         if r == 2.0:
             return nrm, a / nrm
         b /= nrm
-        b **= r - 1.0
-        return nrm, np.copysign(b, a, out=b)
-    b = np.abs(a, out=work)
-    peaks = np.maximum.reduce(b, axis=1)
-    k = np.frexp(peaks)[1]  # 0 for a zero or non-finite row
-    if np.minimum.reduce(k) < -1021:
-        lift = np.where(k < -1021, 1000, 0)
-        a *= np.ldexp(1.0, lift)[:, None]
-        nrm, u = _lr(a, r, b)
-        return np.ldexp(nrm, -lift), u
-    b *= np.ldexp(1.0, -k)[:, None]
-    b **= r
-    nrm = np.ldexp(np.add.reduce(b, axis=1) ** (1.0 / r), k)
-    a /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
-    return nrm, a
+    else:
+        b = np.abs(a, out=work)
+        k = np.frexp(np.maximum.reduce(b, axis=1))[1]  # 0 for a zero or non-finite row
+        if np.minimum.reduce(k) < -1021:
+            lift = np.where(k < -1021, 1000, 0)
+            nrm, v = _lr(a * np.ldexp(1.0, lift)[:, None], r, b)
+            return np.ldexp(nrm, -lift), v
+        b *= np.ldexp(1.0, -k)[:, None]
+        b **= r
+        nrm = np.ldexp(np.add.reduce(b, axis=1) ** (1.0 / r), k)
+        np.abs(a, out=b)
+        b /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    b **= r - 1.0
+    return nrm, np.copysign(b, a, out=b)
 
 
 def _pow(x: float, y: float) -> float:
@@ -105,14 +105,6 @@ def _pow(x: float, y: float) -> float:
         return x ** y
     except OverflowError:
         return math.inf
-
-
-def _duality(u: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
-    """``sign(u_i) |u_i|^(r-1)``, the duality vectors of the unit rows u of
-    ``_lr``'s 2-D pass, written to ``out``, an array of u's shape."""
-    b = np.abs(u, out=out)
-    b **= r - 1.0
-    return np.copysign(b, u, out=b)
 
 
 @dataclass(frozen=True)
@@ -188,8 +180,7 @@ def smoothness_modulus_estimate(
     The modulus is the supremum of ``(|x+y| + |x-y|)/2 - 1`` over |x| = 1
     and |y| = t; sampling pairs gives a lower bound on it, so the estimate
     can be compared against upper envelopes such as t^2/2 in the r = 2
-    case.  The samples are drawn here and discarded, so ``_lr`` normalizes
-    them in place.
+    case.  Each sample is divided by its row norm from one ``_lr`` pass.
     """
     if t < 0:
         raise GeometryError("modulus argument t must be nonnegative")
@@ -204,8 +195,8 @@ def smoothness_modulus_estimate(
         m = min(remaining, 200_000)
         x = rng.standard_normal((m, space.n))
         y = rng.standard_normal((m, space.n))
-        x = _lr(x, space.r)[1]
-        y = t * _lr(y, space.r)[1]
+        x = x / _lr(x, space.r)[0][:, None]
+        y = t * (y / _lr(y, space.r)[0][:, None])
         vals = (_lr(x + y, space.r)[0] + _lr(x - y, space.r)[0]) / 2.0 - 1.0
         best = max(best, float(vals.max()))
         remaining -= m

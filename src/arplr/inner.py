@@ -28,7 +28,8 @@ bits of its dense form.  The line search runs on the coefficients as
 Python floats; on the r = 2 path it is pure scalar arithmetic when the ray
 polynomial is convex, otherwise one array scan of the ray brackets its
 minima.  For r != 2 that scan is one row-wise l^r pass over the grid
-points, run in place in two (grid x n) buffers that each thread keeps
+points, which gives each point's norm and duality vector as a scalar
+evaluation's does, in two (grid x n) buffers that each thread keeps
 (``_scratch``): after its first scan of a shape it allocates only arrays
 of one entry per grid point, and it has the bits of the out-of-place
 expressions.  The gradient and direction have the bits of
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _duality, _lr, _pow
+from .geometry import _lr, _pow
 from .tensors import RegularizedModel
 
 __all__ = ["InnerResult", "Termination", "minimize_model", "default_max_iters"]
@@ -209,8 +210,8 @@ class _RayEval:
         pts, work = _scratch(len(ts), len(self.direction))
         np.multiply.outer(ts, self.direction, out=pts)
         np.subtract(self.anchor, pts, out=pts)
-        norms, units = _lr(pts, self.r, work)
-        num = -np.dot(_duality(units, self.r, work), self.direction)
+        norms, du = _lr(pts, self.r, work)  # deriv's pass, row by row
+        num = -np.dot(du, self.direction)
         vals = pvals + self.reg_v * norms ** self.e
         return vals, pders + self.reg_d * norms ** (self.e - 1.0) * num
 

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 
+from arplr.geometry import _lr
+
 
 def symmetrize(arr) -> np.ndarray:
     """Average an array over all index permutations."""
@@ -48,3 +50,16 @@ def two_step_lr(a, r: float):
     u = a / nrm
     v = u if r == 2.0 else np.copysign(np.abs(u) ** (r - 1.0), u)
     return math.ldexp(nrm, -lift), v
+
+
+def two_step_rows(a, r: float) -> np.ndarray:
+    """The duality rows of ``_lr``'s 2-D pass in out-of-place two steps,
+    each from the norm that pass gives the row: a row whose peak is
+    subnormal is lifted by 2^1000 first (the pass's norm of the lifted
+    row), then ``u = a / |a|_r`` (a zero row divides by 1) and
+    ``copysign(|u|^(r-1), u)``."""
+    lift = np.where(np.abs(a).max(axis=1) < 2.0 ** -1022, 2.0 ** 1000, 1.0)
+    a = a * lift[:, None]
+    nrm = _lr(a, r)[0]
+    u = a / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    return np.copysign(np.abs(u) ** (r - 1.0), u)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arplr import GeometryError, NormedSpace, smoothness_modulus_estimate
 from arplr.geometry import _lr
-from helpers import two_step_lr
+from helpers import two_step_lr, two_step_rows
 
 
 def test_norm_examples():
@@ -276,22 +276,22 @@ def test_norm_homogeneity_at_any_magnitude(r, k, u):
 def test_norm_is_finite_down_to_subnormals_and_inf_past_the_largest_double(r, j):
     # v = 2^j u is exact, so |v|_r = 2^j |u|_r: rounded into the subnormals
     # below 2^-1022, inf where it passes the largest double; the vector and
-    # the row path agree, the unit row is that of u, and the duality vector
-    # is that of u, with the bits of its two-step form (zeros at inf)
+    # the row path agree, and the duality vector and row are those of u,
+    # the vector with the bits of its two-step form (zeros at inf)
     u = np.array([1.0, -0.5, 0.75, 0.0])
     nu, du = _lr(u, r)
     v = np.ldexp(u, j)
     ref = math.inf if math.frexp(nu)[1] + j > 1024 else math.ldexp(nu, j)
-    rows_nrm, rows_unit = _lr(np.array([v, u, np.zeros(4)]), r)
+    rows_nrm, rows_dual = _lr(np.array([v, u, np.zeros(4)]), r)
     nv, dv = _lr(v, r)
     for nrm in (NormedSpace(4, r).norm(v), nv, rows_nrm[0]):
         assert nrm == ref or math.isclose(nrm, ref, rel_tol=1e-12, abs_tol=1e-323)
     assert dv.tobytes() == two_step_lr(v, r)[1].tobytes()
     if math.isfinite(ref):
-        np.testing.assert_allclose(rows_unit[0], u / nu, rtol=1e-12)
+        np.testing.assert_allclose(rows_dual[0], du, rtol=1e-12)
         np.testing.assert_allclose(dv, du, rtol=1e-12)
     else:
-        assert not dv.any()
+        assert not dv.any() and not rows_dual[0].any()
     assert rows_nrm[1] == nu and rows_nrm[2] == 0.0
 
 
@@ -328,3 +328,33 @@ def test_one_lr_pass_gives_the_bits_of_the_two_step_duality_vector(r, a):
     assert v.tobytes() == ref_v.tobytes()
     if nrm == math.inf:
         assert not v.any()
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_lr_only_reads_its_argument(r):
+    # a vector, normal rows with a zero row, and rows of which one has a
+    # subnormal peak (lifted in a copy) and one a norm past the largest double
+    u = np.array([1.0, -0.5, 0.75, -0.0])
+    for a in (u, np.array([u, -3.0 * u, np.zeros(4)]),
+              np.array([u, np.ldexp(u, -1060), np.ldexp(u, 1023)])):
+        before = a.copy()
+        with np.errstate(over="ignore"):
+            _lr(a, r)
+        assert a.tobytes() == before.tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(r=st.sampled_from([1.5, 2.0, 3.0]), rows=st.lists(_wide_vectors(), min_size=1, max_size=6))
+def test_row_pass_is_the_vector_pass_up_to_one_ulp_of_the_norm(r, rows):
+    # a row's root is a NumPy array power and a vector's a Python float
+    # power, which may round differently; the duality rows are the
+    # two-step form built from the row pass's own norms
+    n = max(len(v) for v in rows)
+    a = np.array([np.pad(v, (0, n - len(v))) for v in rows])
+    with np.errstate(over="ignore"):
+        nrm, dual = _lr(a, r)
+        ref = two_step_rows(a, r)
+    for got, row in zip(nrm, a):
+        want = _lr(row, r)[0]
+        assert got in (want, np.nextafter(want, -math.inf), np.nextafter(want, math.inf))
+    assert dual.tobytes() == ref.tobytes()
