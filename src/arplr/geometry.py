@@ -53,10 +53,11 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     by an exact ``2^1000`` in a copy; a norm past the largest double is
     ``inf``, with a zero duality vector.  A NaN or infinite entry gives a
     NaN or infinite norm and a meaningless vector; ``NormedSpace`` rejects
-    such input before it gets here.  The peak and the sum are the
-    ``np.maximum`` / ``np.add`` reductions that ``ndarray.max`` /
-    ``ndarray.sum`` wrap, called directly: the same bits without the
-    wrappers' per-call overhead.
+    such input before it gets here.  A vector's peak is the entry
+    ``argmax`` finds (a NaN if there is one), a row's the ``np.maximum``
+    reduction, and each sum the ``np.add`` reduction that ``ndarray.sum``
+    wraps: the bits of ``max`` and ``sum`` without the wrappers' overhead.
+    At r = 2 a vector's scaled squares overwrite ``|a|``.
 
     v is formed in place from ``|a|`` (for a 2-D ``a`` in ``work``, an
     array of a's shape or None to allocate one, which holds the scaled
@@ -67,14 +68,14 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     """
     if a.ndim == 1:
         b = np.abs(a)
-        peak = float(np.maximum.reduce(b))
+        peak = float(b[b.argmax()])
         if not 0.0 < peak < math.inf:
             return peak, a
         k = math.frexp(peak)[1]
         if k < -1021:
             nrm, v = _lr(a * 2.0 ** 1000, r)
             return math.ldexp(nrm, -1000), v
-        c = b * math.ldexp(1.0, -k)
+        c = np.multiply(b, math.ldexp(1.0, -k), out=b if r == 2.0 else None)
         c **= r
         root = float(np.add.reduce(c)) ** (1.0 / r)
         # only a peak above 2^960 can push the norm past the largest double
@@ -91,7 +92,8 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
             return np.ldexp(nrm, -lift), v
         b *= np.ldexp(1.0, -k)[:, None]
         b **= r
-        nrm = np.ldexp(np.add.reduce(b, axis=1) ** (1.0 / r), k)
+        with np.errstate(over="ignore"):  # a norm past the largest double is inf
+            nrm = np.ldexp(np.add.reduce(b, axis=1) ** (1.0 / r), k)
         np.abs(a, out=b)
         b /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
     b **= r - 1.0
@@ -111,8 +113,7 @@ def _pow(x: float, y: float) -> float:
 class NormedSpace:
     """R^n equipped with the l^r norm, 1 < r < infinity.
 
-    The dual space carries the conjugate norm with exponent r/(r-1), and
-    the smoothness order is q = min(r, 2).
+    The dual space carries the conjugate norm with exponent r/(r-1).
     """
 
     n: int
@@ -130,11 +131,6 @@ class NormedSpace:
     def r_dual(self) -> float:
         """Conjugate exponent, 1/r + 1/r_dual = 1."""
         return self.r / (self.r - 1.0)
-
-    @property
-    def q(self) -> float:
-        """Uniform smoothness order of the space, min(r, 2)."""
-        return min(self.r, 2.0)
 
     # -- norms -------------------------------------------------------------
 

@@ -32,7 +32,13 @@ points, which gives each point's norm and duality vector as a scalar
 evaluation's does, in two (grid x n) buffers that each thread keeps
 (``_scratch``): after its first scan of a shape it allocates only arrays
 of one entry per grid point, and it has the bits of the out-of-place
-expressions.  The gradient and direction have the bits of
+expressions.  At r = 2 the ray costs two dot products (|s|^2 and
+<s, d>), and the line search calls two closures over its floats
+(``_RayEval.scalar``), about 4.6 slopes and one value per iteration on the
+pendulum meshes; an r = 2, p = 2 iteration on the banded pendulum Hessian
+is then 29 NumPy calls on n floats, 12 of them in its two ``_lr`` passes,
+and takes 32-46 us at n = 127 on a 2-core shared VM whose speed drifts
+(Python 3.11, NumPy 2.4, one BLAS thread).  The gradient and direction have the bits of
 ``RegularizedModel.gradient`` and ``NormedSpace.dual_direction`` (but for
 p = 2, which updates H s), and the coefficients those of full
 contractions: ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
@@ -128,11 +134,12 @@ class _RayEval:
     regularizer ``reg_v |s|^e`` has derivative weight ``reg_d``, both as
     ``minimize_model`` computes them once per model.  Scalar evaluations
     stay in Python arithmetic.  For r = 2 the squared norm along the ray is
-    a quadratic in t, so scalar evaluations are O(1) after caching its
-    coefficients.  For other r a scalar evaluation makes an ``_lr`` pass
-    over ``w = anchor - t direction``; the last one is remembered (t, w,
-    |w|_r and the duality vector), so a repeated t costs none, and
-    ``remember`` seeds it with data the caller holds.
+    a quadratic in t, so a scalar evaluation is O(1): ``scalar`` returns
+    closures over the ray's floats, which ``deriv`` and ``value`` call too.
+    For other r a scalar evaluation makes an ``_lr`` pass over ``w = anchor
+    - t direction``; the last one is remembered (t, w, |w|_r and the
+    duality vector), so a repeated t costs none, and ``remember`` seeds it
+    with data the caller holds.
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
@@ -149,8 +156,8 @@ class _RayEval:
         self.reg_d = reg_d
         self.is_r2 = self.r == 2.0
         if self.is_r2:
-            self.qa = float(np.dot(self.anchor, self.anchor))
-            self.qb = float(np.dot(self.anchor, self.direction))
+            self.qa = float(self.anchor.dot(self.anchor))
+            self.qb = float(self.anchor.dot(self.direction))
         self.t = math.nan  # nothing remembered: NaN equals no t
 
     def remember(self, t: float, w, nw: float, du) -> None:
@@ -172,28 +179,47 @@ class _RayEval:
         self._norm(t)
         return self.w, self.nw, self.du
 
-    def _qnorm(self, t: float) -> float:
-        # |anchor - t d|^2 for r = 2 (unit direction)
-        return max(self.qa - 2.0 * self.qb * t + t * t, 0.0)
+    def scalar(self):
+        """``(slope, value)``: the ray's derivative and value as functions
+        of a float t.  For r = 2 they are closures over local floats (the
+        polynomial coefficients, the squared norm ``qa - 2 qb t + t^2``
+        clamped at 0, the regularizer weights and exponents); the slope
+        inlines ``_horner``'s recurrence, bit for bit.  For other r,
+        ``deriv`` and ``value``."""
+        if not self.is_r2:
+            return self.deriv, self.value
+        coeffs, dtop, drest = self.coeffs, self.dcoeffs[-1], self.dcoeffs[-2::-1]
+        qa, qb, qb2 = self.qa, self.qb, 2.0 * self.qb
+        reg_v, reg_d = self.reg_v, self.reg_d
+        vexp, dexp = 0.5 * self.e, 0.5 * (self.e - 2.0)
+
+        def slope(t: float) -> float:
+            poly = dtop + t * 0.0  # as _horner: NaN at an infinite t
+            for c in drest:
+                poly = c + poly * t
+            q = qa - qb2 * t + t * t
+            if q <= 0.0:  # clamped at 0, where the regularizer's slope vanishes
+                return poly
+            return poly + reg_d * _pow(q, dexp) * (t - qb)
+
+        def value(t: float) -> float:
+            return _horner(coeffs, t) + reg_v * _pow(max(qa - qb2 * t + t * t, 0.0), vexp)
+
+        return slope, value
 
     def value(self, t: float) -> float:
-        poly = _horner(self.coeffs, t)
         if self.is_r2:
-            return poly + self.reg_v * _pow(self._qnorm(t), 0.5 * self.e)
-        return poly + self.reg_v * _pow(self._norm(t), self.e)
+            return self.scalar()[1](t)
+        return _horner(self.coeffs, t) + self.reg_v * _pow(self._norm(t), self.e)
 
     def deriv(self, t: float) -> float:
-        poly = _horner(self.dcoeffs, t)
         if self.is_r2:
-            q = self._qnorm(t)
-            if q == 0.0:
-                return poly
-            return poly + self.reg_d * _pow(q, 0.5 * (self.e - 2.0)) * (t - self.qb)
+            return self.scalar()[0](t)
         # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
         # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
         nw = self._norm(t)
-        num = -float(np.dot(self.du, self.direction))
-        return poly + self.reg_d * _pow(nw, self.e - 1.0) * num
+        num = -float(self.du.dot(self.direction))
+        return _horner(self.dcoeffs, t) + self.reg_d * _pow(nw, self.e - 1.0) * num
 
     def batch(self, ts: np.ndarray):
         """Ray values and derivatives at every t of ``ts``, as new arrays."""
@@ -219,15 +245,18 @@ class _RayEval:
 def _add_ray_share(coeffs: list, tensor, lead, s0: np.ndarray, d: np.ndarray) -> None:
     """Add an order-l tensor's share of the Taylor coefficients 2..l along
     ``s0 - t d``, given ``lead = tensor.contract([d] * (l - 1))``: every
-    full contraction ends in the ``np.dot`` that finishes it here."""
+    full contraction ends in the ``dot`` that finishes it here."""
     l = tensor.order
+    if l == 2:  # the loop and the l - 1 term below are empty, the sign +1
+        coeffs[2] += float(lead.dot(d)) / 2.0
+        return
     scale = math.factorial(l)
     for j in range(2, l - 1):
         partial = tensor.contract([d] * j + [s0] * (l - j))
         coeffs[j] += math.comb(l, j) * (-1.0) ** j * float(partial) / scale
     if l > 2:
-        coeffs[l - 1] += l * (-1.0) ** (l - 1) * float(np.dot(lead, s0)) / scale
-    coeffs[l] += (-1.0) ** l * float(np.dot(lead, d)) / scale
+        coeffs[l - 1] += l * (-1.0) ** (l - 1) * float(lead.dot(s0)) / scale
+    coeffs[l] += (-1.0) ** l * float(lead.dot(d)) / scale
 
 
 def _refine_root(fun, a, b, fa, fb, ftol):
@@ -303,7 +332,8 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     arithmetic).  An overflowing bracket start reads NaN and gives none.
     """
     v0 = value
-    slope0 = ev.deriv(0.0)
+    slope, val = ev.scalar()
+    slope0 = slope(0.0)
     ftol = 1e-12 * max(1.0, -slope0)  # root tolerance on the ray derivative
 
     # scale at which the regularizer alone overtakes the initial slope
@@ -313,11 +343,11 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     if all(c >= 0.0 for c in ev.coeffs[2:]):
         # polynomial part convex, so the whole ray function is: the global
         # minimizer is the unique positive root of the derivative
-        t_hi, d_hi = _grow(ev.deriv, scale, lambda d: -math.inf < d <= 0.0)
+        t_hi, d_hi = _grow(slope, scale, lambda d: -math.inf < d <= 0.0)
         if d_hi > 0.0:
-            candidates.append(_refine_root(ev.deriv, 0.0, t_hi, slope0, d_hi, ftol))
+            candidates.append(_refine_root(slope, 0.0, t_hi, slope0, d_hi, ftol))
     else:
-        t_hi, _ = _grow(ev.value, scale, lambda v: math.isfinite(v) and v <= v0)
+        t_hi, _ = _grow(val, scale, lambda v: math.isfinite(v) and v <= v0)
         grid = t_hi * _unit_grid(64 * len(ev.coeffs))
         vals, dvals = ev.batch(grid)
         finite = np.isfinite(vals)
@@ -325,12 +355,12 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
             candidates.append(float(grid[int(np.argmin(np.where(finite, vals, np.inf)))]))
         for i in np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] > 0.0))[0]:
             candidates.append(
-                _refine_root(ev.deriv, grid[i], grid[i + 1], dvals[i], dvals[i + 1], ftol)
+                _refine_root(slope, grid[i], grid[i + 1], dvals[i], dvals[i + 1], ftol)
             )
 
     best_t, best_v = 0.0, v0
     for t in candidates:
-        v = ev.value(t)
+        v = val(t)
         if math.isfinite(v) and v < best_v:
             best_t, best_v = float(t), v
     return (best_t, best_v) if best_t > 0.0 else None
@@ -382,9 +412,13 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
             taylor_grad = grad0 + hessian_s
         else:
             taylor_grad = model.taylor.gradient(s)
-        # regularizer gradient as RegularizedModel.gradient forms it
-        # (NormedSpace.duality_map of s)
-        grad = taylor_grad + reg_d * (du_s * _pow(step_norm, power))
+        # plus the regularizer gradient as RegularizedModel.gradient forms
+        # it (NormedSpace.duality_map of s), in one temporary: a product or
+        # a sum has the same bits in either operand order
+        pw = _pow(step_norm, power)
+        grad = du_s * pw
+        grad *= reg_d
+        grad += taylor_grad
         # its dual norm and NormedSpace.dual_direction of it
         grad_norm, d = _lr(grad, r_dual)
         if not grad_norm < math.inf:  # NaN or inf: the model left the double range
@@ -396,7 +430,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         if grad_norm <= grad_tol:
             term = Termination.GRADIENT_BELOW_TOL
             break
-        if theta is not None and step_norm > 0.0 and grad_norm <= theta * _pow(step_norm, power):
+        if theta is not None and step_norm > 0.0 and grad_norm <= theta * pw:
             term = Termination.STEP_POWER_RULE
             break
         if iters >= max_iters:
@@ -406,14 +440,16 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         taylor_value = value - reg_v * _pow(step_norm, e)
         # the Taylor part along s - t d as a polynomial in t: its value and
         # slope at s, then each tensor's share of the higher coefficients
-        coeffs = [float(taylor_value), -float(np.dot(taylor_grad, d)), *pad]
+        coeffs = [float(taylor_value), -float(taylor_grad.dot(d)), *pad]
         for tensor in higher:
             lead = tensor.contract([d] * (tensor.order - 1))
             _add_ray_share(coeffs, tensor, lead, s, d)
         ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d)
-        # the anchor's l^r pass serves the ray at t = 0 (s in place of
-        # s - 0 d: they differ at most in the sign of zero entries)
-        ev.remember(0.0, s, step_norm, du_s)
+        if not ev.is_r2:
+            # the anchor's l^r pass serves the ray at t = 0 (s in place of
+            # s - 0 d: they differ at most in the sign of zero entries);
+            # the scalar r = 2 ray makes no pass
+            ev.remember(0.0, s, step_norm, du_s)
         found = _line_minimize(ev, model.sigma, gamma_e1, value)
         if found is None:
             term = Termination.PROGRESS_FLOOR
@@ -425,7 +461,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         history.append(value)
         iters += 1
         if quadratic:
-            hessian_s = hessian_s - tau * lead  # H d at p = 2
+            hessian_s -= tau * lead  # H d at p = 2
             if iters % 256 == 0:
                 hessian_s = hessian.contract([s])
     return InnerResult(

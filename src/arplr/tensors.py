@@ -1,19 +1,19 @@
 """Symmetric multilinear forms, truncated Taylor models, and regularized models.
 
 Two storages share one interface (``order``, ``dim``, ``entries``,
-``contract``, ``apply``, ``dense``): ``SymmetricTensor`` keeps all
-dim^order entries (desk scale: dimension up to a few hundred for order 2, a
-few dozen for order 3; symmetry is an invariant of the entries, not a
-storage format), and ``DiagonalTensor`` keeps only the diagonal of a
-separable objective's derivative, plus at order 2 an optional off-diagonal
-band (a tridiagonal Hessian such as the pendulum lattice's), so its
-contractions cost O(dim) whatever the order.  A pure diagonal contracts to
-the same bits as its dense form; a band sums each row left to right, in
-ascending column order.  ``entries`` is what a tensor stores and
-``contract`` returns the stored entries of what is left after a
-contraction, unchecked, for the inner loop; ``apply`` checks its vectors
-and returns the full contraction as a float.  Callers that need the full
-array use ``dense()``.  Derivative tensors are supplied by problem oracles
+``contract``, ``apply``): ``SymmetricTensor`` keeps all dim^order entries
+(desk scale: dimension up to a few hundred for order 2, a few dozen for
+order 3; symmetry is an invariant of the entries, not a storage format),
+and ``DiagonalTensor`` keeps only the diagonal of a separable objective's
+derivative, plus at order 2 an optional off-diagonal band (a tridiagonal
+Hessian such as the pendulum lattice's), so its contractions cost O(dim)
+whatever the order.  A pure diagonal contracts to the same bits as its
+dense form; a band sums each row left to right, in ascending column order.
+``entries`` is what a tensor stores and ``contract`` returns the stored
+entries of what is left after a contraction, unchecked, for the inner
+loop; ``apply`` checks its vectors and returns the full contraction as a
+float.  Nothing in the package needs a tensor as a full dim^order array.
+Derivative tensors are supplied by problem oracles
 — nothing here differentiates an objective itself.  ``TaylorModel(f0,
 tensors)`` and ``RegularizedModel(taylor, sigma, beta, space)`` take their
 dimension and model order p from the tensors.  Restricting a model to a
@@ -81,12 +81,8 @@ class SymmetricTensor:
         (unchecked; ``apply`` validates)."""
         arr = self.entries
         for v in vs:
-            arr = np.dot(arr, v)
+            arr = arr.dot(v)
         return arr
-
-    def dense(self) -> np.ndarray:
-        """The full dim^order array; here the entries themselves."""
-        return self.entries
 
     apply = _apply
 
@@ -101,13 +97,13 @@ class DiagonalTensor:
     or for a band the diagonal followed by the off diagonal, shape
     ``(2 dim - 1,)``; ``diag`` and ``off`` (None without a band) are views
     of it.  Without a band ``contract`` forms the products
-    ``diag * v_1 * ...`` in the order the dense ``np.dot`` chain does, and
+    ``diag * v_1 * ...`` in the order the dense ``dot`` chain does, and
     each dense row sum adds exact zeros to a single product, so both
     storages give the same bits.  With a band, ``contract([v])`` sums each
     row as ``(off[i-1] v[i-1] + diag[i] v[i]) + off[i] v[i+1]``, the order
     of a left-to-right loop over the dense row, which need not be the
     order of a BLAS matrix-vector product.  A full contraction ends in one
-    ``np.dot``.
+    ``ndarray.dot``: ``np.dot`` without its dispatch layer.
     """
 
     order: int
@@ -138,21 +134,12 @@ class DiagonalTensor:
             out = self.diag * v
             out[1:] += off * v[:-1]  # the row loop's first sum: float + commutes
             out[:-1] += off * v[1:]
-            return np.dot(out, vs[1]) if len(vs) == 2 else out
+            return out.dot(vs[1]) if len(vs) == 2 else out
         arr = self.entries
         full = len(vs) == self.order
         for v in vs[:-1] if full else vs:
             arr = arr * v
-        return np.dot(arr, vs[-1]) if full else arr
-
-    def dense(self) -> np.ndarray:
-        """The full dim^order array, allocated on every call."""
-        arr = np.zeros((self.dim,) * self.order)
-        idx = np.arange(self.dim)
-        arr[(idx,) * self.order] = self.diag
-        if self.off is not None:
-            arr[idx[:-1], idx[1:]] = arr[idx[1:], idx[:-1]] = self.off
-        return arr
+        return arr.dot(vs[-1]) if full else arr
 
     apply = _apply
 

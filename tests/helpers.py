@@ -5,6 +5,7 @@ from itertools import permutations
 
 import numpy as np
 
+from arplr import DiagonalTensor
 from arplr.geometry import _lr
 
 
@@ -19,6 +20,24 @@ def symmetrize(arr) -> np.ndarray:
         total += np.transpose(arr, perm)
         count += 1
     return total / count
+
+
+def dense_array(tensor) -> np.ndarray:
+    """The full dim^order array of a tensor: a ``SymmetricTensor``'s entries,
+    or a ``DiagonalTensor``'s diagonal and band placed among zeros."""
+    if not isinstance(tensor, DiagonalTensor):
+        return tensor.entries
+    arr = np.zeros((tensor.dim,) * tensor.order)
+    idx = np.arange(tensor.dim)
+    arr[(idx,) * tensor.order] = tensor.diag
+    if tensor.off is not None:
+        arr[idx[:-1], idx[1:]] = arr[idx[1:], idx[:-1]] = tensor.off
+    return arr
+
+
+def smoothness_order(space) -> float:
+    """Uniform smoothness order of the l^r space, q = min(r, 2)."""
+    return min(space.r, 2.0)
 
 
 def full_ray_coefficients(tensors, s0, d) -> list:

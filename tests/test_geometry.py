@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from arplr import GeometryError, NormedSpace, smoothness_modulus_estimate
 from arplr.geometry import _lr
-from helpers import two_step_lr, two_step_rows
+from helpers import smoothness_order, two_step_lr, two_step_rows
 
 
 def test_norm_examples():
@@ -70,7 +71,7 @@ def test_conjugate_exponent_relation():
     for r in (1.2, 1.5, 2.0, 3.0, 7.5):
         sp = NormedSpace(2, r)
         assert 1.0 / sp.r + 1.0 / sp.r_dual == pytest.approx(1.0, abs=1e-14)
-        assert sp.q == min(r, 2.0)
+        assert smoothness_order(sp) == min(r, 2.0)
 
 
 def test_duality_map_hilbert_is_identity():
@@ -189,7 +190,7 @@ def test_modulus_power_envelope():
     # classical envelopes: t^r / r for r <= 2, (r-1) t^2 / 2 for r >= 2
     for r in (1.5, 2.0, 3.0):
         sp = NormedSpace(6, r)
-        q = sp.q
+        q = smoothness_order(sp)
         kappa = 1.0 / r if r <= 2.0 else (r - 1.0) / 2.0
         for t in (0.1, 0.25, 0.5, 1.0):
             est = smoothness_modulus_estimate(sp, t, 5_000, seed=6)
@@ -203,7 +204,7 @@ def test_duality_map_difference_ratio_stays_bounded():
     for r in (1.5, 2.0, 3.0):
         sp = NormedSpace(4, r)
         for ell in (1.5, 2.5, 3.5):
-            q_eff = min(sp.q, ell)
+            q_eff = min(smoothness_order(sp), ell)
             level_max = []
             for exponent in range(1, 9):
                 delta = 10.0 ** (-exponent)
@@ -341,6 +342,21 @@ def test_lr_only_reads_its_argument(r):
         with np.errstate(over="ignore"):
             _lr(a, r)
         assert a.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_rows_past_the_largest_double_are_inf_without_a_warning(r):
+    # as for a vector, whose pass is silent: the overflowing row reads inf
+    # with a zero duality row, and every finite row keeps its bits
+    a = np.array([[1.5e308] * 4, [1.0, 2.0, 3.0, 4.0], [0.0] * 4, [-4.0, 1e-300, 0.5, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nrm, dual = _lr(a, r)
+        assert _lr(a[0], r)[0] == math.inf
+    assert nrm[0] == math.inf and not dual[0].any()
+    finite_nrm, finite_dual = _lr(a[1:], r)
+    assert nrm[1:].tobytes() == finite_nrm.tobytes()
+    assert dual[1:].tobytes() == finite_dual.tobytes()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

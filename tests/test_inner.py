@@ -19,6 +19,7 @@ from arplr import (
     SymmetricTensor,
     TaylorModel,
     Termination,
+    diagonal_tensor,
     minimize_model,
     solve,
 )
@@ -300,6 +301,32 @@ def test_scalar_ray_matches_numpy_polynomial_bit_for_bit(coeffs, t, r, beta, see
     deriv = float(npoly.polyval(t, npoly.polyder(coeffs))) + reg.deriv(t)
     assert np.float64(ev.value(t)).tobytes() == np.float64(value).tobytes()
     assert np.float64(ev.deriv(t)).tobytes() == np.float64(deriv).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_inner_solve_writes_to_no_array_it_does_not_own(p, r):
+    # the model's tensors (dense, and at p = 2 also a banded Hessian) and
+    # the step of an earlier result keep every byte through later solves;
+    # a solve that stops at s = 0, where the l^r pass returns s itself as
+    # the duality vector, returns a zero step
+    rng = np.random.default_rng(10 * p + int(2 * r))
+    models = [_random_model(p, 0.7, 1.1, 5, r, rng)]
+    if p == 2:
+        hessian = diagonal_tensor(2, 2.0 + rng.random(5), -rng.random(4))
+        tm = TaylorModel(0.5, (models[0].taylor.tensors[0], hessian))
+        models.append(RegularizedModel(tm, 1.1, 0.7, NormedSpace(5, r)))
+    for m in models:
+        entries = [t.entries.copy() for t in m.taylor.tensors]
+        first = minimize_model(m, 1e-8, max_iters=100)
+        step = first.s.copy()
+        assert first.iterations >= 1
+        assert minimize_model(m, 1e-8, max_iters=100).s.tobytes() == step.tobytes()
+        at_zero = minimize_model(m, 1e300, max_iters=100)
+        assert at_zero.iterations == 0 and not at_zero.s.any()
+        minimize_model(m, 1e-8, max_iters=100)
+        assert first.s.tobytes() == step.tobytes()
+        assert all(t.entries.tobytes() == e.tobytes() for t, e in zip(m.taylor.tensors, entries))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

@@ -16,6 +16,7 @@ from arplr import (
     problem_ids,
 )
 from arplr.problems import SuiteEntry
+from helpers import dense_array
 
 
 def _jittered_start(problem, rng):
@@ -77,7 +78,7 @@ def test_double_well_analytics():
     x = np.array([1.0, -2.0, 0.5])
     assert problem.eval_f(x) == pytest.approx(np.sum(x ** 4 / 4 - x ** 2 / 2), rel=1e-14)
     assert np.allclose(problem.eval_derivative(x, 1).entries, x ** 3 - x)
-    assert np.allclose(np.diag(problem.eval_derivative(x, 2).dense()), 3 * x ** 2 - 1)
+    assert np.allclose(np.diag(dense_array(problem.eval_derivative(x, 2))), 3 * x ** 2 - 1)
     assert problem.f_low == -0.75
 
 
@@ -122,8 +123,8 @@ def test_metadata_constant_dominates_sampled_quotient():
             if sep == 0.0:
                 continue
             dt = (
-                problem.eval_derivative(x, order).dense()
-                - problem.eval_derivative(y, order).dense()
+                dense_array(problem.eval_derivative(x, order))
+                - dense_array(problem.eval_derivative(y, order))
             )
             # sampled lower estimate of the l^r operator norm of the difference
             op = 0.0

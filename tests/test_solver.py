@@ -555,3 +555,26 @@ def test_sigma_overflow_ends_the_run_with_the_records(bad):
     assert np.array_equal(run.final_point, x0) and run.f_final == run.f_initial
     # the checks report the runaway sigma instead of overflowing themselves
     assert "b" in {v.code for v in check_trajectory(run, OuterConfig(p=2, beta=1.0), 1.0, 0.0)}
+
+
+# (outer, successful, inner, f_evals, deriv_evals, repr(f_final)) and
+# repr(final_grad_dual_norm) of the pendulum at mesh 32, p = 2, eps = 1e-4
+# in l^2 from its default start, criterion 7's smallest mesh: the inner
+# line search runs on the scalar r = 2 ray, whose closures must give the
+# bits of the polynomial and norm formulas they inline
+_PINNED_R2 = ((6, 6, 2296, 7, 7, "1.0000000000802856"), "4.991720425642743e-05")
+
+
+def test_pendulum_r2_counters_pinned():
+    cfg = ExperimentConfig(problem="pendulum", n=32, p=2, epsilon=1e-4, inner_max_iters=600_000)
+    problem, space, x0, outer = cfg.build()
+    run = solve(problem, x0, outer, space)
+    counters = (
+        run.total_iterations,
+        run.successes,
+        sum(rec.inner_iters for rec in run.records),
+        run.f_evals,
+        run.deriv_evals,
+        repr(run.f_final),
+    )
+    assert (counters, repr(run.final_grad_dual_norm)) == _PINNED_R2

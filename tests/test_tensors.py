@@ -16,7 +16,7 @@ from arplr import (
 )
 from arplr.inner import _add_ray_share, _RayEval
 from arplr.tensors import TensorError
-from helpers import full_ray_coefficients, symmetrize
+from helpers import dense_array, full_ray_coefficients, symmetrize
 
 
 def _random_symmetric(order, dim, rng):
@@ -93,8 +93,8 @@ def test_arity_and_range_errors():
 
 def test_diagonal_tensor():
     t = diagonal_tensor(3, [1.0, 2.0])
-    assert t.dense()[0, 0, 0] == 1.0 and t.dense()[1, 1, 1] == 2.0
-    assert t.dense()[0, 1, 0] == 0.0
+    assert dense_array(t)[0, 0, 0] == 1.0 and dense_array(t)[1, 1, 1] == 2.0
+    assert dense_array(t)[0, 1, 0] == 0.0
 
 
 def test_diagonal_tensor_validation():
@@ -140,7 +140,7 @@ def test_banded_tensor_contracts_like_a_row_loop(n):
     main, off = 1e3 * rng.standard_normal(n), rng.standard_normal(n - 1)
     v, w = rng.standard_normal(n), rng.standard_normal(n)
     t = diagonal_tensor(2, main, off)
-    dense = t.dense()
+    dense = dense_array(t)
     # symmetric tridiagonal, with the stored floats in place
     assert np.array_equal(dense, dense.T) and not np.triu(dense, 2).any()
     assert np.array_equal(np.diag(dense), main) and np.array_equal(np.diag(dense, 1), off)
@@ -151,7 +151,7 @@ def test_banded_tensor_contracts_like_a_row_loop(n):
     assert full == np.dot(hv, w) and t.apply([v, w]) == full
     # entries hold every stored float, so the constructor rebuilds the band
     again = type(t)(t.order, t.dim, t.entries)
-    assert np.array_equal(again.dense(), dense)
+    assert np.array_equal(dense_array(again), dense)
     assert again.contract([v]).tobytes() == hv.tobytes()
 
 
@@ -184,23 +184,23 @@ def _draw(n, scaled):
 )
 def test_diagonal_tensor_contracts_like_dense_bit_for_bit(order, n, diag, grad, a, b, c):
     t = diagonal_tensor(order, _draw(n, diag))
-    dense = SymmetricTensor(order, n, t.dense())
+    dense = SymmetricTensor(order, n, dense_array(t))
     vs = [_draw(n, a), _draw(n, b), _draw(n, c)]
     assert t.apply(vs[:order]) == dense.apply(vs[:order])
     for times in range(order + 1):
         out, ref = t.contract([vs[0]] * times), dense.contract([vs[0]] * times)
         left = order - times  # the diagonal remainder, expanded when of order 2 up
-        assert np.array_equal(diagonal_tensor(left, out).dense() if left >= 2 else out, ref)
+        assert np.array_equal(dense_array(diagonal_tensor(left, out)) if left >= 2 else out, ref)
     # the p = 2 Hessian products of the inner solver
     hess = diagonal_tensor(2, t.entries)
-    assert np.array_equal(hess.contract([vs[1]]), np.dot(hess.dense(), vs[1]))
+    assert np.array_equal(hess.contract([vs[1]]), np.dot(dense_array(hess), vs[1]))
     # the ray coefficients of the order-p model with these tensors
     g = SymmetricTensor(1, n, _draw(n, grad))
     higher = [diagonal_tensor(l, _draw(n, diag) / l) for l in range(2, order + 1)]
     space = NormedSpace(n, 2.0)
     models = [
         RegularizedModel(TaylorModel(0.5, (g, *ts)), 1.0, 1.0, space)
-        for ts in (higher, [SymmetricTensor(x.order, n, x.dense()) for x in higher])
+        for ts in (higher, [SymmetricTensor(x.order, n, dense_array(x)) for x in higher])
     ]
     s0, d = vs[1], vs[2]
     assert _ray_coeffs(models[0], s0, d) == _ray_coeffs(models[1], s0, d)
