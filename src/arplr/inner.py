@@ -1,44 +1,37 @@
-"""Steepest descent in the dual pairing with exact one-dimensional minimization.
+"""Steepest descent in the dual pairing with a one-dimensional line search.
 
 Minimizes a regularized model starting from s = 0: at each iteration the
 dual-attaining unit direction of the current model gradient is computed and
-the model is globally minimized along that ray.  The iteration stops once
-the dual gradient norm falls below ``max(grad_tol, theta |s|^(p+beta-1))``
+the model is minimized along that ray (see "One-dimensional minimization"
+below for what the line search returns).  The iteration stops once the
+dual gradient norm falls below ``max(grad_tol, theta |s|^(p+beta-1))``
 (the step-power branch is only armed once s is nonzero, since at s = 0 it
 could never fire before the absolute branch).
 
 Cost of one iteration, in l^r passes (``geometry._lr``, each of which
 returns a vector's norm and its duality vector): one over the model
-gradient, which gives its dual norm and the dual direction, and for r != 2
-one per new point that the line search evaluates on the ray, whose slope
-there is one dot product of that duality vector with d.  The pass over s,
+gradient, which gives its dual norm and the dual direction; one over s,
 which gives the regularizer's gradient, its value at s and the step-power
-norm, is the one the line search made at the point it accepted
-(``_RayEval`` remembers its last point), and it serves the ray at t = 0
-too; it is a pass of its own only at r = 2, where the ray is scalar, or
-when the accepted point was not the last one evaluated.  Then one
-contraction (``contract``) per order-l tensor with l - 1 copies of d,
-which dot products with s and d finish into the ray coefficients l - 1
-and l (from order 4 up a lower one contracts the full tensor); at p = 2 it
-is H d, which also updates H s, and otherwise the Taylor gradient at s
-takes one more per tensor.  A contraction costs O(n) for the diagonal
-tensors of separable oracles and for the banded (tridiagonal) pendulum
-Hessian, and O(n^l) for a dense order-l tensor; a pure diagonal gives the
-bits of its dense form.  The line search runs on the coefficients as
-Python floats; on the r = 2 path it is pure scalar arithmetic when the ray
-polynomial is convex, otherwise one array scan of the ray brackets its
-minima.  For r != 2 that scan is one row-wise l^r pass over the grid
-points, which gives each point's norm and duality vector as a scalar
-evaluation's does, in two (grid x n) buffers that each thread keeps
-(``_scratch``): after its first scan of a shape it allocates only arrays
-of one entry per grid point, and it has the bits of the out-of-place
-expressions.  At r = 2 the ray costs two dot products (|s|^2 and
-<s, d>), and the line search calls two closures over its floats
-(``_RayEval.scalar``), about 4.6 slopes and one value per iteration on the
-pendulum meshes; an r = 2, p = 2 iteration on the banded pendulum Hessian
-is then 29 NumPy calls on n floats, 12 of them in its two ``_lr`` passes,
-and takes 32-46 us at n = 127 on a 2-core shared VM whose speed drifts
-(Python 3.11, NumPy 2.4, one BLAS thread).  The gradient and direction have the bits of
+norm, and which the ray (``_RayEval``) is built with for t = 0; and for
+r != 2 one per new point that the line search evaluates on the ray, whose
+slope there is one dot product of that duality vector with d.  The next
+pass over s is the ray's at the accepted point, which for r != 2 costs
+none when that was the last point evaluated.  Then one contraction
+(``contract``) per order-l tensor with l - 1 copies of d, which dot
+products with s and d finish into the ray coefficients l - 1 and l (from
+order 4 up a lower one contracts the full tensor); at p = 2 it is H d,
+which also updates H s, and otherwise the Taylor gradient at s takes one
+more per tensor.  A
+contraction costs O(n) for the diagonal tensors of separable oracles and
+for the banded (tridiagonal) pendulum Hessian, and O(n^l) for a dense
+order-l tensor; a pure diagonal gives the bits of its dense form.  The
+line search runs on the coefficients as Python floats, through the ray's
+slope and value functions (``_RayEval.scalar``): at r = 2 two closures
+over the ray's floats, since the squared norm along the ray is a quadratic
+in t.  When the ray polynomial is not convex, one array scan of the ray
+brackets its minima; for r != 2 that scan is one row-wise l^r pass over
+the grid points, in two (grid x n) buffers that each thread keeps
+(``_scratch``).  The gradient and direction have the bits of
 ``RegularizedModel.gradient`` and ``NormedSpace.dual_direction`` (but for
 p = 2, which updates H s), and the coefficients those of full
 contractions: ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
@@ -49,18 +42,20 @@ One-dimensional minimization: the polynomial restriction of the Taylor part
 is combined with the norm regularizer, which is convex in the ray parameter.
 When the polynomial part is convex too (nonnegative coefficients beyond the
 linear one — always the case for order-1 models and for order-2 models with
-nonnegative curvature along the ray) the minimizer is the unique root of the
-derivative: a bracket doubles until the slope turns positive or +inf
-(``_grow``), and regula falsi (``_refine_root``, which bisects while that
-slope is infinite) refines the root until the slope is small or the bracket
-is narrower than 1e-15 of its upper end, a relative exit that resolves
-roots far below 1 too.  ``psi.psi_minimize`` runs on the same two routines.
-Otherwise a bracket is grown until the ray value exceeds its value at 0,
-the derivative is scanned on a mixed linear/geometric grid, and the grid's
-least point and each minimum that a slope change from - to + brackets are
-the candidates.  The best one is taken if its value is finite and strictly
-below m(s); else (say the bracket stopped on a NaN or -inf slope, or at the
-1e30 cap still descending) the solve ends on ``PROGRESS_FLOOR``.
+nonnegative curvature along the ray) the line search returns the unique
+minimizer, the root of the derivative (``_first_root``): a bracket doubles
+until the slope turns positive or +inf (``_grow``), and regula falsi
+(``_refine_root``, which bisects while that slope is infinite) refines the
+root until the slope is small or the bracket is narrower than 1e-15 of its
+upper end, a relative exit that resolves roots far below 1 too.
+``psi.psi_minimize`` runs on the same search.  Otherwise a bracket is grown
+until the ray value exceeds its value at 0, the derivative is scanned on a
+mixed linear/geometric grid, and the grid's least point and each minimum
+that a slope change from - to + brackets are the candidates; the best of
+them can miss a deeper minimum beyond the bracket.  The best one is taken
+if its value is finite and strictly below m(s); else (say the bracket
+stopped on a NaN or -inf slope, or at the 1e30 cap still descending) the
+solve ends on ``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
@@ -132,20 +127,21 @@ class _RayEval:
 
     ``coeffs`` (Python floats) is the Taylor part as a polynomial in t; the
     regularizer ``reg_v |s|^e`` has derivative weight ``reg_d``, both as
-    ``minimize_model`` computes them once per model.  Scalar evaluations
-    stay in Python arithmetic.  For r = 2 the squared norm along the ray is
-    a quadratic in t, so a scalar evaluation is O(1): ``scalar`` returns
-    closures over the ray's floats, which ``deriv`` and ``value`` call too.
-    For other r a scalar evaluation makes an ``_lr`` pass over ``w = anchor
-    - t direction``; the last one is remembered (t, w, |w|_r and the
-    duality vector), so a repeated t costs none, and ``remember`` seeds it
-    with data the caller holds.
+    ``minimize_model`` computes them once per model, and ``(nw, du) =
+    _lr(anchor, r)`` is the anchor's l^r pass.  ``scalar`` gives the ray's
+    slope and value as functions of a Python float t, and ``batch`` both on
+    an array of t.  For r != 2 a scalar evaluation makes an ``_lr`` pass
+    over ``w = anchor - t direction``, and the last one is remembered (t,
+    w, |w|_r and the duality vector), so a repeated t costs none; the
+    memory starts with the anchor's pass at t = 0 (``anchor`` in place of
+    ``anchor - 0 direction``: they differ at most in the sign of zero
+    entries).
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
                  "reg_v", "reg_d", "is_r2", "qa", "qb", "t", "w", "nw", "du")
 
-    def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d):
+    def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d, nw: float, du):
         self.anchor = anchor
         self.direction = direction
         self.coeffs = coeffs
@@ -158,12 +154,7 @@ class _RayEval:
         if self.is_r2:
             self.qa = float(self.anchor.dot(self.anchor))
             self.qb = float(self.anchor.dot(self.direction))
-        self.t = math.nan  # nothing remembered: NaN equals no t
-
-    def remember(self, t: float, w, nw: float, du) -> None:
-        """Take ``w = anchor - t direction``, with ``(nw, du) = _lr(w, r)``,
-        as the last evaluation."""
-        self.t, self.w, self.nw, self.du = t, w, nw, du
+        self.t, self.w, self.nw, self.du = 0.0, anchor, nw, du
 
     def _norm(self, t: float) -> float:
         # |w|_r at w = anchor - t d, from memory when t is the remembered one
@@ -185,9 +176,9 @@ class _RayEval:
         polynomial coefficients, the squared norm ``qa - 2 qb t + t^2``
         clamped at 0, the regularizer weights and exponents); the slope
         inlines ``_horner``'s recurrence, bit for bit.  For other r,
-        ``deriv`` and ``value``."""
+        ``_deriv`` and ``_value``."""
         if not self.is_r2:
-            return self.deriv, self.value
+            return self._deriv, self._value
         coeffs, dtop, drest = self.coeffs, self.dcoeffs[-1], self.dcoeffs[-2::-1]
         qa, qb, qb2 = self.qa, self.qb, 2.0 * self.qb
         reg_v, reg_d = self.reg_v, self.reg_d
@@ -207,14 +198,10 @@ class _RayEval:
 
         return slope, value
 
-    def value(self, t: float) -> float:
-        if self.is_r2:
-            return self.scalar()[1](t)
+    def _value(self, t: float) -> float:
         return _horner(self.coeffs, t) + self.reg_v * _pow(self._norm(t), self.e)
 
-    def deriv(self, t: float) -> float:
-        if self.is_r2:
-            return self.scalar()[0](t)
+    def _deriv(self, t: float) -> float:
         # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
         # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
         nw = self._norm(t)
@@ -254,8 +241,7 @@ def _add_ray_share(coeffs: list, tensor, lead, s0: np.ndarray, d: np.ndarray) ->
     for j in range(2, l - 1):
         partial = tensor.contract([d] * j + [s0] * (l - j))
         coeffs[j] += math.comb(l, j) * (-1.0) ** j * float(partial) / scale
-    if l > 2:
-        coeffs[l - 1] += l * (-1.0) ** (l - 1) * float(lead.dot(s0)) / scale
+    coeffs[l - 1] += l * (-1.0) ** (l - 1) * float(lead.dot(s0)) / scale
     coeffs[l] += (-1.0) ** l * float(lead.dot(d)) / scale
 
 
@@ -322,14 +308,27 @@ def _grow(fun, t: float, test):
     return t, ft
 
 
-def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
-    """Global minimizer of ``tau -> m(s - tau d)`` over tau >= 0, for a
-    model of weight sigma with ``gamma_e1 = Gamma(e + 1)``.
+def _first_root(slope, start: float, slope0: float, ftol: float):
+    """The root past 0 of an increasing slope that is ``slope0 < 0`` at 0:
+    ``_grow`` doubles the bracket [0, start] until the slope turns positive
+    or +inf, then ``_refine_root`` refines the root on it.  None if the
+    slope reads NaN or -inf first, or is still negative at the 1e30 cap."""
+    t_hi, d_hi = _grow(slope, start, lambda d: -math.inf < d <= 0.0)
+    if not d_hi > 0.0:
+        return None
+    return _refine_root(slope, 0.0, t_hi, slope0, d_hi, ftol)
 
-    Returns the best bracket candidate ``(tau, m(s - tau d))`` if its value
-    is finite and strictly below ``value = m(s)``, else None (the slope at
+
+def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
+    """A minimizer of ``tau -> m(s - tau d)`` over tau >= 0, for a model of
+    weight sigma with ``gamma_e1 = Gamma(e + 1)``: on a convex ray the
+    unique one, otherwise the best candidate of a grid scan, which can miss
+    a deeper minimum beyond the scan's bracket.
+
+    Returns ``(tau, m(s - tau d))`` as Python floats if that value is
+    finite and strictly below ``value = m(s)``, else None (the slope at
     tau = 0 is minus the dual gradient norm, so a decrease exists in exact
-    arithmetic).  An overflowing bracket start reads NaN and gives none.
+    arithmetic).  An overflowing bracket start gives none.
     """
     v0 = value
     slope, val = ev.scalar()
@@ -338,15 +337,16 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
 
     # scale at which the regularizer alone overtakes the initial slope
     scale = max(_pow((-slope0) * gamma_e1 / sigma, 1.0 / (ev.e - 1.0)), 1e-12)
+    if not scale < math.inf:  # overflowed to inf or NaN
+        return None
 
-    candidates = []
     if all(c >= 0.0 for c in ev.coeffs[2:]):
-        # polynomial part convex, so the whole ray function is: the global
+        # polynomial part convex, so the whole ray function is: the
         # minimizer is the unique positive root of the derivative
-        t_hi, d_hi = _grow(slope, scale, lambda d: -math.inf < d <= 0.0)
-        if d_hi > 0.0:
-            candidates.append(_refine_root(slope, 0.0, t_hi, slope0, d_hi, ftol))
+        root = _first_root(slope, scale, slope0, ftol)
+        candidates = [] if root is None else [root]
     else:
+        candidates = []
         t_hi, _ = _grow(val, scale, lambda v: math.isfinite(v) and v <= v0)
         grid = t_hi * _unit_grid(64 * len(ev.coeffs))
         vals, dvals = ev.batch(grid)
@@ -354,15 +354,14 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
         if finite.any():
             candidates.append(float(grid[int(np.argmin(np.where(finite, vals, np.inf)))]))
         for i in np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] > 0.0))[0]:
-            candidates.append(
-                _refine_root(slope, grid[i], grid[i + 1], dvals[i], dvals[i + 1], ftol)
-            )
+            (a, b), (fa, fb) = grid[i:i + 2].tolist(), dvals[i:i + 2].tolist()
+            candidates.append(_refine_root(slope, a, b, fa, fb, ftol))
 
     best_t, best_v = 0.0, v0
     for t in candidates:
         v = val(t)
         if math.isfinite(v) and v < best_v:
-            best_t, best_v = float(t), v
+            best_t, best_v = t, v
     return (best_t, best_v) if best_t > 0.0 else None
 
 
@@ -444,12 +443,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         for tensor in higher:
             lead = tensor.contract([d] * (tensor.order - 1))
             _add_ray_share(coeffs, tensor, lead, s, d)
-        ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d)
-        if not ev.is_r2:
-            # the anchor's l^r pass serves the ray at t = 0 (s in place of
-            # s - 0 d: they differ at most in the sign of zero entries);
-            # the scalar r = 2 ray makes no pass
-            ev.remember(0.0, s, step_norm, du_s)
+        ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s)
         found = _line_minimize(ev, model.sigma, gamma_e1, value)
         if found is None:
             term = Termination.PROGRESS_FLOOR

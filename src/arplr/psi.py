@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .inner import _grow, _refine_root
+from .inner import _first_root
 
 __all__ = ["PsiSpec", "psi_eval", "psi_derivative", "psi_minimize", "psi_descent_bound"]
 
@@ -58,18 +58,17 @@ def psi_minimize(spec: PsiSpec) -> tuple:
 
     The derivative is strictly increasing with a single sign change, so the
     minimizer is its root, found as the inner line search finds a convex
-    ray's: the bracket [0, 1] doubles until the derivative turns positive
-    (``inner._grow``), then regula falsi (``inner._refine_root``) polishes
-    the root until ``|psi'(t)| <= 1e-12 * max(1, alpha)`` or the bracket is
-    narrower than 1e-15 t.  The bracket stops doubling at 2^100 (about
-    1.3e30, where ``_grow`` caps the line search too), so a profile whose
-    minimizer lies beyond it raises ``ArithmeticError``.
+    ray's (``inner._first_root``): the bracket [0, 1] doubles until the
+    derivative turns positive, then regula falsi polishes the root until
+    ``|psi'(t)| <= 1e-12 * max(1, alpha)`` or the bracket is narrower than
+    1e-15 t.  The bracket stops doubling at 2^100 (about 1.3e30, where the
+    line search's is capped too), so a profile whose minimizer lies beyond
+    it raises ``ArithmeticError``.
     """
     deriv = functools.partial(psi_derivative, spec)
-    hi, d_hi = _grow(deriv, 1.0, lambda d: d <= 0.0)
-    if not d_hi > 0.0:
+    t = _first_root(deriv, 1.0, -spec.alpha, 1e-12 * max(1.0, spec.alpha))
+    if t is None:
         raise ArithmeticError("minimizer bracket grew beyond float range")
-    t = _refine_root(deriv, 0.0, hi, -spec.alpha, d_hi, 1e-12 * max(1.0, spec.alpha))
     return t, psi_eval(spec, t)
 
 

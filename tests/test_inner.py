@@ -154,8 +154,9 @@ def test_overflowing_model_gradient_ends_on_the_progress_floor():
 def _scalar_ray(coeffs, anchor, e, sigma):
     # ray of a 2-d l^2 model along d = (1, 0), with the regularizer weights
     # minimize_model derives from sigma and e
-    return _RayEval(coeffs, np.array(anchor, float), np.array([1.0, 0.0]), 2.0, e,
-                    sigma / math.gamma(e + 1.0), sigma / math.gamma(e))
+    anchor = np.array(anchor, float)
+    return _RayEval(coeffs, anchor, np.array([1.0, 0.0]), 2.0, e,
+                    sigma / math.gamma(e + 1.0), sigma / math.gamma(e), *_lr(anchor, 2.0))
 
 
 def test_convex_ray_grows_its_bracket_until_the_slope_turns():
@@ -165,12 +166,13 @@ def test_convex_ray_grows_its_bracket_until_the_slope_turns():
     # bracket doubles three times before the root is refined
     e, sigma = 1.5, 1.0
     ev = _scalar_ray([0.0, -1.0], [0.0, 100.0], e, sigma)
-    slope0 = ev.deriv(0.0)
+    slope, val = ev.scalar()
+    slope0 = slope(0.0)
     scale = ((-slope0) * math.gamma(e + 1.0) / sigma) ** (1.0 / (e - 1.0))
-    assert ev.deriv(scale) < 0.0
-    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), ev.value(0.0))
+    assert slope(scale) < 0.0
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0))
     assert tau > scale
-    assert abs(ev.deriv(tau)) <= 1e-12 * max(1.0, -slope0)
+    assert abs(slope(tau)) <= 1e-12 * max(1.0, -slope0)
     assert tau.hex() == "0x1.1c26660ac3bcfp+3" and value.hex() == "0x1.75e89cf842a70p+9"
 
 
@@ -181,11 +183,12 @@ def test_convex_ray_with_an_infinite_slope_at_the_bracket_end_is_refined():
     # finds the minimizer near 1/2
     e, sigma = 2.0, 2e288
     ev = _scalar_ray([0.0, -1e300, 1e300], [0.0, 0.0], e, sigma)
-    slope0 = ev.deriv(0.0)
-    assert ev.deriv(1e12) == math.inf
-    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), ev.value(0.0))
-    assert value < ev.value(0.0) and value == ev.value(tau)
-    assert abs(ev.deriv(tau)) <= 1e-12 * max(1.0, -slope0)
+    slope, val = ev.scalar()
+    slope0 = slope(0.0)
+    assert slope(1e12) == math.inf
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0))
+    assert value < val(0.0) and value == val(tau)
+    assert abs(slope(tau)) <= 1e-12 * max(1.0, -slope0)
     assert abs(tau - 0.5) < 1e-11
 
 
@@ -196,8 +199,9 @@ def test_convex_ray_still_descending_at_the_bracket_cap_gives_no_step():
     # that minimizer would be representable
     e, sigma = 1.5, 1.0
     ev = _scalar_ray([0.0, -1e14], [0.0, 1e40], e, sigma)
-    assert ev.deriv(2e30) < 0.0 < ev.deriv(1e34) and ev.value(1e34) < ev.value(0.0)
-    assert _line_minimize(ev, sigma, math.gamma(e + 1.0), ev.value(0.0)) is None
+    slope, val = ev.scalar()
+    assert slope(2e30) < 0.0 < slope(1e34) and val(1e34) < val(0.0)
+    assert _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0)) is None
 
 
 def test_root_refinement_resolves_a_root_far_below_one():
@@ -218,10 +222,11 @@ def test_root_refinement_bisects_when_regula_falsi_keeps_one_end():
     # them reaches the minimizer, 2.924017738212866e-103 (mpmath, 60 digits)
     e, sigma = 2.0, 0.02
     ev = _scalar_ray([0.0, -1.0, 0.0, 0.0, 1e307], [0.0, 0.0], e, sigma)
-    assert ev.deriv(100.0) == math.inf
-    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), ev.value(0.0))
+    slope, val = ev.scalar()
+    assert slope(100.0) == math.inf
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0))
     assert tau == pytest.approx(2.924017738212866e-103, rel=1e-12)
-    assert value == ev.value(tau) < ev.value(0.0)
+    assert value == val(tau) < val(0.0)
 
 
 def test_step_power_rule_branch_requires_motion():
@@ -294,13 +299,14 @@ def test_scalar_ray_matches_numpy_polynomial_bit_for_bit(coeffs, t, r, beta, see
     coeffs = np.array(coeffs)
     e = model.reg_exponent
     reg_v, reg_d = model.sigma / math.gamma(e + 1.0), model.sigma / math.gamma(e)
-    ev = _RayEval(coeffs.tolist(), anchor, d, r, e, reg_v, reg_d)
+    rest = (r, e, reg_v, reg_d, *_lr(anchor, r))
+    slope, val = _RayEval(coeffs.tolist(), anchor, d, *rest).scalar()
     # the regularizer term alone: the same ray with a zero polynomial
-    reg = _RayEval([0.0] * len(coeffs), anchor, d, r, e, reg_v, reg_d)
-    value = float(npoly.polyval(t, coeffs)) + reg.value(t)
-    deriv = float(npoly.polyval(t, npoly.polyder(coeffs))) + reg.deriv(t)
-    assert np.float64(ev.value(t)).tobytes() == np.float64(value).tobytes()
-    assert np.float64(ev.deriv(t)).tobytes() == np.float64(deriv).tobytes()
+    reg_slope, reg_val = _RayEval([0.0] * len(coeffs), anchor, d, *rest).scalar()
+    value = float(npoly.polyval(t, coeffs)) + reg_val(t)
+    deriv = float(npoly.polyval(t, npoly.polyder(coeffs))) + reg_slope(t)
+    assert np.float64(val(t)).tobytes() == np.float64(value).tobytes()
+    assert np.float64(slope(t)).tobytes() == np.float64(deriv).tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -428,7 +434,7 @@ def test_each_inner_step_decreases_the_model_by_the_descent_profile_bound(p, sig
     values = res.value_history
     assert len(rays) >= res.iterations >= 1
     for ev, before, after in zip(rays, values, values[1:]):
-        spec = PsiSpec(-ev.deriv(0.0), _envelope_terms(ev, p))
+        spec = PsiSpec(-ev.scalar()[0](0.0), _envelope_terms(ev, p))
         bound = psi_descent_bound(spec)
         slack = 1e-9 * abs(bound) + 8.0 * math.ulp(max(abs(before), abs(after)))
         assert after - before <= bound + slack
@@ -456,18 +462,51 @@ def test_remembered_ray_point_gives_the_bits_of_a_fresh_evaluation(r, p, t, zero
     coeffs = rng.standard_normal(p + 1).tolist()
     e = p + 0.5
     args = (coeffs, anchor, d, r, e, 1.3 / math.gamma(e + 1.0), 1.3 / math.gamma(e))
-    ev = _RayEval(*args)
-    ev.remember(0.0, anchor, *_lr(anchor, r))
-    # repeated and alternating queries, each against a ray with no memory
-    for q, kind in [(0.0, "deriv"), (0.0, "value"), (t, "deriv"), (t, "value"), (t, "deriv"),
-                    (0.0, "value"), (t, "value"), (t, "deriv"), (2.0 * t, "value")]:
-        fresh = _RayEval(*args)
-        assert _bits(getattr(ev, kind)(q)) == _bits(getattr(fresh, kind)(q)), (q, kind)
+    ev = _RayEval(*args, *_lr(anchor, r))
+    slope, val = ev.scalar()
+    calls = []
+
+    def counted(a, r):
+        calls.append(r)
+        return _lr(a, r)
+
+    # the built ray answers at t = 0 from the anchor's pass alone
+    with mock.patch("arplr.inner._lr", counted):
+        answers = [slope(0.0), val(0.0)]
+    assert calls == []
+    # then repeated and alternating queries; each answer is checked against
+    # a ray built on a fresh pass over anchor - 0 d, the pass that a ray
+    # without memory would make at t = 0
+    queries = [(0.0, 0), (0.0, 1), (t, 0), (t, 1), (t, 0),
+               (0.0, 1), (t, 1), (t, 0), (2.0 * t, 1)]
+    answers += [(slope, val)[k](q) for q, k in queries[2:]]
+    for (q, k), got in zip(queries, answers):
+        fresh = _RayEval(*args, *_lr(anchor - 0.0 * d, r)).scalar()[k](q)
+        assert _bits(got) == _bits(fresh), (q, k)
     w, nw, du = ev.point(2.0 * t)
     assert w.tobytes() == (anchor - 2.0 * t * d).tobytes()
     fresh_nw, fresh_du = _lr(anchor - 2.0 * t * d, r)
     assert _bits(nw) == _bits(fresh_nw) and du.tobytes() == fresh_du.tobytes()
     assert du.tobytes() == two_step_lr(w, r)[1].tobytes()
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_inner_value_histories_hold_python_floats(r):
+    # an order-3 double well from a random start runs the grid scan, whose
+    # roots are refined from NumPy floats unless the scan hands over floats
+    cfg = ExperimentConfig(problem="double_well", n=8, p=3, x0="random", seed=3, r=r)
+    problem, space, x0, outer = cfg.build()
+    results = []
+
+    def recorded(*args):
+        results.append(minimize_model(*args))
+        return results[-1]
+
+    with mock.patch("arplr.solver.minimize_model", recorded):
+        solve(problem, x0, outer, space)
+    history = [v for res in results for v in res.value_history]
+    assert len(results) >= 8
+    assert [type(v) for v in history if type(v) is not float] == []
 
 
 def test_line_search_shares_its_lr_passes(monkeypatch):
@@ -506,8 +545,9 @@ def _scan_ray(r, p, n, seed, size=1.0):
     d = NormedSpace(n, r).dual_direction(rng.standard_normal(n))
     e = p + 0.5
     coeffs = rng.standard_normal(p + 1).tolist()
-    return _RayEval(coeffs, size * rng.standard_normal(n), d, r, e,
-                    1.3 / math.gamma(e + 1.0), 1.3 / math.gamma(e))
+    anchor = size * rng.standard_normal(n)
+    return _RayEval(coeffs, anchor, d, r, e, 1.3 / math.gamma(e + 1.0), 1.3 / math.gamma(e),
+                    *_lr(anchor, r))
 
 
 @pytest.mark.parametrize("n", [2, 96])

@@ -4,6 +4,7 @@ typed status, and every valid run satisfies the trajectory inequalities."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,9 @@ def _faulty_runs(draw):
     return _Faulty(base, target, k, bad), p, beta, draw(_R)
 
 
+# the nonconvex scan's array Horner overflows on some draws (first at
+# p = 2, beta = 0.5, r = 1.5), which NumPy reports as a RuntimeWarning
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(_faulty_runs())
 def test_faulty_oracles_end_with_a_typed_status(case):

@@ -506,6 +506,7 @@ class _GradientTurnsHuge(HolderGradient):
         return t if self.calls < 2 else type(t)(1, self.dim, np.array([1e200, 0.0, 0.0, 0.0]))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 def test_gradient_near_overflow_ends_with_a_status(r):
     problem = _GradientTurnsHuge()

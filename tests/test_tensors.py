@@ -14,6 +14,7 @@ from arplr import (
     TaylorModel,
     diagonal_tensor,
 )
+from arplr.geometry import _lr
 from arplr.inner import _add_ray_share, _RayEval
 from arplr.tensors import TensorError
 from helpers import dense_array, full_ray_coefficients, symmetrize
@@ -339,9 +340,8 @@ def _ray_eval(m, s0, d):
     # the inner solver's restriction of m to t -> s0 - t d
     coeffs = _ray_coeffs(m, s0, d)
     e = m.reg_exponent
-    return _RayEval(
-        coeffs, s0, d, m.space.r, e, m.sigma / math.gamma(e + 1.0), m.sigma / math.gamma(e)
-    )
+    return _RayEval(coeffs, s0, d, m.space.r, e, m.sigma / math.gamma(e + 1.0),
+                    m.sigma / math.gamma(e), *_lr(s0, m.space.r))
 
 
 def test_restrict_to_ray_linear_coefficients():
@@ -395,11 +395,12 @@ def test_restrict_to_ray_evaluation_consistency(r, p, beta):
     ev = _ray_eval(m, s0, d)
     ts = rng.uniform(0.0, 3.0, size=20)
     vals, ders = ev.batch(ts)
+    slope, val = ev.scalar()
     for t, v, dv in zip(ts, vals, ders):
         direct = m.value(s0 - t * d)
-        assert abs(ev.value(t) - direct) <= 1e-10 * max(1.0, abs(direct))
-        assert v == pytest.approx(ev.value(t), rel=1e-12, abs=1e-12)
-        assert dv == pytest.approx(ev.deriv(t), rel=1e-12, abs=1e-12)
+        assert abs(val(t) - direct) <= 1e-10 * max(1.0, abs(direct))
+        assert v == pytest.approx(val(t), rel=1e-12, abs=1e-12)
+        assert dv == pytest.approx(slope(t), rel=1e-12, abs=1e-12)
 
 
 def test_ray_derivatives_match_finite_differences():
@@ -409,11 +410,11 @@ def test_ray_derivatives_match_finite_differences():
             m = _model(p, 0.8, 1.1, 4, r, rng)
             s0 = rng.standard_normal(4)
             d = m.space.dual_direction(rng.standard_normal(4))
-            ev = _ray_eval(m, s0, d)
+            slope = _ray_eval(m, s0, d).scalar()[0]
             h = 1e-6
             for t in (0.3, 1.0, 2.2):
                 fd = (m.value(s0 - (t + h) * d) - m.value(s0 - (t - h) * d)) / (2.0 * h)
-                assert ev.deriv(t) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+                assert slope(t) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_model_coercivity_witness():
