@@ -15,11 +15,15 @@ to the unscaled formula, and for other r they agree up to the rounding of
 ``pow``.  Outside that range the geometry stays finite and nonzero at every
 representable magnitude, subnormal peaks included, instead of overflowing
 to NaN or underflowing to 0; a norm past the largest double is ``inf``.
+It does so at every exponent: past r = 1022 the scaled peak term 2^-r may
+fall below the smallest normal double, and a power sum that does is redone
+on the vector divided by its peak, whose peak term is exactly 1.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,10 @@ def _as_vector(n: int, v) -> np.ndarray:
     return arr
 
 
+# the smallest normal double: a scaled power sum below it lost its peak term
+_TINY = sys.float_info.min
+
+
 def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     """``(|a|_r, v)`` for a vector, with v its duality vector
     ``sign(a_i) (|a_i| / |a|_r)^(r-1)`` (at r = 2, ``a / |a|_r``), or the
@@ -48,7 +56,10 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     Entries are multiplied by ``2^-k``, where ``2^k`` is the power of two
     just above the largest magnitude (the ``frexp`` exponent), before they
     are raised to the power r, and the sum's root is multiplied back by
-    ``2^k``.  A zero vector or row has norm 0 and a zero duality vector.
+    ``2^k``.  Where that sum is below the smallest normal double, which
+    takes r > 1022, the vector or row is redone on ``|a| / peak``, whose
+    peak term is exactly 1, and the root is multiplied by the peak.  A zero
+    vector or row has norm 0 and a zero duality vector.
     A subnormal peak, whose ``2^-k`` need not be a double, is first lifted
     by an exact ``2^1000`` in a copy; a norm past the largest double is
     ``inf``, with a zero duality vector.  A NaN or infinite entry gives a
@@ -77,23 +88,34 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
             return math.ldexp(nrm, -1000), v
         c = np.multiply(b, math.ldexp(1.0, -k), out=b if r == 2.0 else None)
         c **= r
-        root = float(np.add.reduce(c)) ** (1.0 / r)
-        # only a peak above 2^960 can push the norm past the largest double
-        nrm = math.inf if k > 960 and k + math.frexp(root)[1] > 1024 else math.ldexp(root, k)
+        total = float(np.add.reduce(c))
+        if total < _TINY:  # r > 1022: redo on |a| / peak, whose peak term is 1
+            nrm = peak * float(np.add.reduce((b / peak) ** r)) ** (1.0 / r)
+        else:
+            root = total ** (1.0 / r)
+            # only a peak above 2^960 can push the norm past the largest double
+            nrm = math.inf if k > 960 and k + math.frexp(root)[1] > 1024 else math.ldexp(root, k)
         if r == 2.0:
             return nrm, a / nrm
         b /= nrm
     else:
         b = np.abs(a, out=work)
-        k = np.frexp(np.maximum.reduce(b, axis=1))[1]  # 0 for a zero or non-finite row
+        peak = np.maximum.reduce(b, axis=1)
+        k = np.frexp(peak)[1]  # 0 for a zero or non-finite row
         if np.minimum.reduce(k) < -1021:
             lift = np.where(k < -1021, 1000, 0)
             nrm, v = _lr(a * np.ldexp(1.0, lift)[:, None], r, b)
             return np.ldexp(nrm, -lift), v
         b *= np.ldexp(1.0, -k)[:, None]
         b **= r
+        total = np.add.reduce(b, axis=1)
         with np.errstate(over="ignore"):  # a norm past the largest double is inf
-            nrm = np.ldexp(np.add.reduce(b, axis=1) ** (1.0 / r), k)
+            nrm = np.ldexp(total ** (1.0 / r), k)
+            low = total < _TINY
+            if low.any():  # a zero row, or r > 1022: redo on |a| / peak
+                low &= peak > 0.0
+                rows = np.abs(a[low]) / peak[low, None]
+                nrm[low] = peak[low] * np.add.reduce(rows ** r, axis=1) ** (1.0 / r)
         np.abs(a, out=b)
         b /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
     b **= r - 1.0

@@ -208,8 +208,10 @@ class _RayEval:
         num = -float(self.du.dot(self.direction))
         return _horner(self.dcoeffs, t) + self.reg_d * _pow(nw, self.e - 1.0) * num
 
+    @np.errstate(over="ignore", invalid="ignore")
     def batch(self, ts: np.ndarray):
-        """Ray values and derivatives at every t of ``ts``, as new arrays."""
+        """Ray values and derivatives at every t of ``ts``, as new arrays;
+        where the polynomial overflows on a far grid point they are inf or NaN."""
         pvals = _horner(self.coeffs, ts)
         pders = _horner(self.dcoeffs, ts)
         if self.is_r2:

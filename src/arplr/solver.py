@@ -212,7 +212,8 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
         trial = x + s
         f_trial = float(problem.eval_f(trial))
         f_evals += 1
-        model_decrease = fx - taylor.value(s)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: unsuccessful
+            model_decrease = fx - taylor.value(s)
         actual_decrease = fx - f_trial
         rho = actual_decrease / model_decrease if model_decrease > 0.0 else -math.inf
 

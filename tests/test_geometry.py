@@ -1,6 +1,8 @@
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -374,3 +376,39 @@ def test_row_pass_is_the_vector_pass_up_to_one_ulp_of_the_norm(r, rows):
         want = _lr(row, r)[0]
         assert got in (want, np.nextafter(want, -math.inf), np.nextafter(want, math.inf))
     assert dual.tobytes() == ref.tobytes()
+
+
+def _mp_norm(a, r):
+    """|a|_r in the working precision of mpmath."""
+    return mpmath.fsum(abs(mpmath.mpf(x)) ** r for x in a) ** (1 / r)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    r=st.one_of(st.floats(1.0 + 1e-7, 1.01), st.floats(8.0, 1e7)),
+    rows=st.lists(_wide_vectors(), min_size=1, max_size=4),
+)
+@example(r=1075.0, rows=[np.array([1.0, 0.0])])
+def test_lr_is_exact_at_extreme_exponents(r, rows):
+    # near r = 1 the dual exponent is huge, and past r = 1022 the scaled
+    # power sum loses its peak term below the smallest normal double; the
+    # duality vector's power r - 1 turns a rounding of |a_i| / |a|_r into
+    # about r roundings, so its identities hold to a tolerance that grows
+    # with r, while the norm holds to a few roundings
+    n = max(len(v) for v in rows)
+    a = np.array([np.pad(v, (0, n - len(v))) for v in rows])
+    with np.errstate(over="ignore"):
+        passes = [_lr(row, r) for row in a] + list(zip(*_lr(a, r)))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        mr = mpmath.mpf(r)
+        for row, (nrm, v) in zip(list(a) * 2, passes):
+            peak, ref = float(np.abs(row).max()), _mp_norm(row, mr)
+            if peak == 0.0 or ref > sys.float_info.max:
+                assert nrm == float(ref) and not v.any()
+                continue
+            assert peak * (1 - 2 * eps) <= nrm <= n ** (1 / r) * peak * (1 + 2 * eps)
+            assert abs(nrm - ref) <= 2 * n * eps * ref + 5e-324
+            pairing = mpmath.fsum(mpmath.mpf(x) * mpmath.mpf(y) for x, y in zip(v, row))
+            assert abs(pairing / ref - 1) <= 2 * n * r * eps
+            assert abs(_mp_norm(v, mr / (mr - 1)) - 1) <= 2 * n * r * eps

@@ -112,6 +112,9 @@ def test_metadata_constant_dominates_sampled_quotient():
         (DoubleWell(4), NormedSpace(4, 3.0), 2),
         (Rosenbrock(), NormedSpace(2, 2.0), 2),
         (HolderGradient(4, 0.8), NormedSpace(4, 1.8), 1),
+        (Rosenbrock(), NormedSpace(2, 1.5), 3),
+        (Rosenbrock(), NormedSpace(2, 3.0), 3),
+        (DoubleWell(4), NormedSpace(4, 3.0), 3),
     ]
     for problem, space, order in cases:
         L = problem.holder_constant(space, order, radius=1.0)
