@@ -14,9 +14,10 @@ gradient, which gives its dual norm and the dual direction; one over s,
 which gives the regularizer's gradient, its value at s and the step-power
 norm, and which the ray (``_RayEval``) is built with for t = 0; and for
 r != 2 one per new point that the line search evaluates on the ray, whose
-slope there is one dot product of that duality vector with d.  The next
-pass over s is the ray's at the accepted point, which for r != 2 costs
-none when that was the last point evaluated.  Then one contraction
+slope there is one dot product of that duality vector with d (about 2 per
+convex line search on the l^r pendulum runs).  The next pass over s is the
+ray's at the accepted point, which for r != 2 costs none when that was the
+last point evaluated.  Then one contraction
 (``contract``) per order-l tensor with l - 1 copies of d, which dot
 products with s and d finish into the ray coefficients l - 1 and l (from
 order 4 up a lower one contracts the full tensor); at p = 2 it is H d,
@@ -43,11 +44,17 @@ is combined with the norm regularizer, which is convex in the ray parameter.
 When the polynomial part is convex too (nonnegative coefficients beyond the
 linear one — always the case for order-1 models and for order-2 models with
 nonnegative curvature along the ray) the line search returns the unique
-minimizer, the root of the derivative (``_first_root``): a bracket doubles
-until the slope turns positive or +inf (``_grow``), and regula falsi
-(``_refine_root``, which bisects while that slope is infinite) refines the
-root until the slope is small or the bracket is narrower than 1e-15 of its
-upper end, a relative exit that resolves roots far below 1 too.
+minimizer, the root of the derivative.  Its bracket is [0, t_T] at the
+Taylor scale t_T, the least ``(-c_1 / (j c_j))^(1/(j-1))`` over the
+coefficients c_j > 0 beyond a descending linear one c_1 < 0, past which
+that one term's slope alone cancels c_1, when t_T lies below the scale at
+which the regularizer alone overtakes the initial slope and the ray's slope
+is positive there.  Otherwise (``_first_root``) a bracket from the
+regularizer scale doubles until the slope turns positive or +inf
+(``_grow``).  Regula falsi (``_refine_root``, which bisects while that
+slope is infinite) refines the root until the slope is small or the
+bracket is narrower than 1e-15 of its upper end, a relative exit that
+resolves roots far below 1 too.
 ``psi.psi_minimize`` runs on the same search.  Otherwise a bracket is grown
 until the ray value exceeds its value at 0, the derivative is scanned on a
 mixed linear/geometric grid, and the grid's least point and each minimum
@@ -330,7 +337,8 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     Returns ``(tau, m(s - tau d))`` as Python floats if that value is
     finite and strictly below ``value = m(s)``, else None (the slope at
     tau = 0 is minus the dual gradient norm, so a decrease exists in exact
-    arithmetic).  An overflowing bracket start gives none.
+    arithmetic).  An overflowing regularizer scale gives none unless a
+    convex ray's Taylor scale brackets the minimizer.
     """
     v0 = value
     slope, val = ev.scalar()
@@ -339,14 +347,26 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
 
     # scale at which the regularizer alone overtakes the initial slope
     scale = max(_pow((-slope0) * gamma_e1 / sigma, 1.0 / (ev.e - 1.0)), 1e-12)
-    if not scale < math.inf:  # overflowed to inf or NaN
-        return None
 
     if all(c >= 0.0 for c in ev.coeffs[2:]):
         # polynomial part convex, so the whole ray function is: the
-        # minimizer is the unique positive root of the derivative
-        root = _first_root(slope, scale, slope0, ftol)
+        # minimizer is the unique positive root of the derivative.  Past
+        # the Taylor scale one term j c_j t^(j-1) alone cancels c_1 < 0,
+        # so the polynomial's slope is >= 0 there
+        c1, t_taylor = ev.dcoeffs[0], math.inf
+        if c1 < 0.0:
+            for k, jc in enumerate(ev.dcoeffs[1:], 1):  # jc = j c_j with j = k + 1
+                if jc > 0.0:
+                    t_taylor = min(t_taylor, _pow(-c1 / jc, 1.0 / k))
+        if t_taylor < scale and (d_taylor := slope(t_taylor)) > 0.0:
+            root = _refine_root(slope, 0.0, t_taylor, slope0, d_taylor, ftol)
+        elif scale < math.inf:  # else overflowed to inf or NaN
+            root = _first_root(slope, scale, slope0, ftol)
+        else:
+            return None
         candidates = [] if root is None else [root]
+    elif not scale < math.inf:
+        return None
     else:
         candidates = []
         t_hi, _ = _grow(val, scale, lambda v: math.isfinite(v) and v <= v0)

@@ -178,18 +178,22 @@ def test_convex_ray_grows_its_bracket_until_the_slope_turns():
 
 def test_convex_ray_with_an_infinite_slope_at_the_bracket_end_is_refined():
     # m(t) = -1e300 t + 1e300 t^2 + sigma t^2 / 2: the slope overflows to
-    # +inf at the first bracket end t = 1e12, which closes the bracket;
-    # bisection brings its upper end back into range and regula falsi then
-    # finds the minimizer near 1/2
+    # +inf at the regularizer scale t = 1e12; the line search brackets at
+    # the Taylor scale 1/2 instead, and on the bracket [0, 1e12] bisection
+    # brings the infinite upper end back into range and regula falsi then
+    # finds the same minimizer near 1/2
     e, sigma = 2.0, 2e288
     ev = _scalar_ray([0.0, -1e300, 1e300], [0.0, 0.0], e, sigma)
     slope, val = ev.scalar()
     slope0 = slope(0.0)
+    ftol = 1e-12 * max(1.0, -slope0)
     assert slope(1e12) == math.inf
     tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0))
     assert value < val(0.0) and value == val(tau)
-    assert abs(slope(tau)) <= 1e-12 * max(1.0, -slope0)
+    assert abs(slope(tau)) <= ftol
     assert abs(tau - 0.5) < 1e-11
+    t = _refine_root(slope, 0.0, 1e12, slope0, math.inf, ftol)
+    assert abs(slope(t)) <= ftol and abs(t - 0.5) < 1e-11
 
 
 def test_convex_ray_still_descending_at_the_bracket_cap_gives_no_step():
@@ -204,6 +208,29 @@ def test_convex_ray_still_descending_at_the_bracket_cap_gives_no_step():
     assert _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0)) is None
 
 
+@pytest.mark.parametrize("coeffs, e, sigma, tau_exact, value_exact", [
+    # regularizer scale 1.0e159, where the slope is +inf
+    ([0.0, -1e224, 1e280], 2.5, 1e-14, 5e-57, -2.5e167),
+    # regularizer scale 6.2e58; the cubic term sets the root
+    ([0.0, -1e108, 1e-63, 1e236], 4.0, 1e-67, math.sqrt(1e108 / 3e236),
+     -2.0 / 3.0 * 1e108 * math.sqrt(1e108 / 3e236)),
+    # the regularizer scale overflows to inf
+    ([0.0, -1.0, 1.0], 2.5, 1e-310, 0.5, -0.25),
+], ids=["slope-inf-at-start", "cubic-root", "scale-overflows"])
+def test_convex_ray_far_below_the_regularizer_scale_is_bracketed(coeffs, e, sigma, tau_exact,
+                                                                value_exact):
+    # a 2-d l^2 ray from 0 whose regularizer is negligible at the minimizer,
+    # so the minimizer is the root of the Taylor slope: the bracket at the
+    # Taylor scale holds it, where the regularizer scale lies 1e123 to
+    # 1e216 times above it or overflows
+    ev = _scalar_ray(coeffs, [0.0, 0.0], e, sigma)
+    _, val = ev.scalar()
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0))
+    assert tau == pytest.approx(tau_exact, rel=1e-12)
+    assert value == pytest.approx(value_exact, rel=1e-12)
+    assert value == val(tau)
+
+
 def test_root_refinement_resolves_a_root_far_below_one():
     # f(t) = -1 + sqrt(t / 1e-17) has its root at 1e-17; a width exit with
     # an absolute floor near 1e-15 stops on an unresolved point there
@@ -215,11 +242,13 @@ def test_root_refinement_resolves_a_root_far_below_one():
 
 
 def test_root_refinement_bisects_when_regula_falsi_keeps_one_end():
-    # m(t) = -t + 1e307 t^4 + sigma t^2 / 2: the slope is +inf at the
-    # bracket start t = 100, and once bisection has brought that end into
-    # range its slope is so large that each Illinois step lands below the
-    # root and only halves it; a bisection step in the exponent after 6 of
-    # them reaches the minimizer, 2.924017738212866e-103 (mpmath, 60 digits)
+    # m(t) = -t + 1e307 t^4 + sigma t^2 / 2, whose minimizer is
+    # 2.924017738212866e-103 (mpmath, 60 digits).  The line search brackets
+    # it at the Taylor scale (4e307)^(-1/3).  On the bracket [0, 100] the
+    # slope is +inf at the upper end, and once bisection has brought that
+    # end into range its slope is so large that each Illinois step lands
+    # below the root and only halves it; a bisection step in the exponent
+    # after 6 of them reaches the minimizer
     e, sigma = 2.0, 0.02
     ev = _scalar_ray([0.0, -1.0, 0.0, 0.0, 1e307], [0.0, 0.0], e, sigma)
     slope, val = ev.scalar()
@@ -227,6 +256,8 @@ def test_root_refinement_bisects_when_regula_falsi_keeps_one_end():
     tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0))
     assert tau == pytest.approx(2.924017738212866e-103, rel=1e-12)
     assert value == val(tau) < val(0.0)
+    t = _refine_root(slope, 0.0, 100.0, slope(0.0), math.inf, 1e-12)
+    assert t == pytest.approx(2.924017738212866e-103, rel=1e-12)
 
 
 def test_step_power_rule_branch_requires_motion():
@@ -528,6 +559,33 @@ def test_line_search_shares_its_lr_passes(monkeypatch):
     run = solve(problem, x0, outer, space)
     assert run.status is SolveStatus.CONVERGED
     assert len(calls) <= 5 * sum(rec.inner_iters for rec in run.records)
+
+
+@pytest.mark.parametrize("a", [1.3, 2.7])
+@pytest.mark.parametrize("r", [1.5, 3.0])
+def test_convex_line_search_needs_about_two_ray_passes(monkeypatch, r, a):
+    # the pinned l^r pendulum runs at mesh 32: a convex line search that
+    # brackets at the Taylor scale evaluates the ray about twice, so with
+    # the pass over the model gradient an inner iteration makes about 3.1
+    # l^r passes (about 5 when the bracket starts at the regularizer scale);
+    # the pass over s is the ray's at the accepted step
+    m, h = 32, 1.0 / 32
+    wave = a * (math.sqrt(h) * np.sin(math.pi * np.arange(1, m) * h))
+    cfg = ExperimentConfig(problem="pendulum", n=m, r=r, p=2, epsilon=1e-4,
+                           x0=",".join(repr(float(v)) for v in wave))
+    problem, space, x0, outer = cfg.build()
+    calls = 0
+
+    def counted(v, r):
+        nonlocal calls
+        calls += 1
+        return _lr(v, r)
+
+    monkeypatch.setattr("arplr.inner._lr", counted)
+    run = solve(problem, x0, outer, space)
+    assert run.status is SolveStatus.CONVERGED
+    inner = sum(rec.inner_iters for rec in run.records)
+    assert calls < 3.5 * inner
 
 
 def _scan_reference(ev, ts):

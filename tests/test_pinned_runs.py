@@ -4,10 +4,12 @@ its pins: outer, successful and inner iterations, f and derivative
 evaluations, ``repr(f_final)`` and the sha256 of the record file of
 ``harness.run_single``, which holds every iteration's values to the last
 bit.  The runs: the built-in suite without Rosenbrock and two accuracy
-sweeps, as the seed code recorded them; the double well n = 96, p = 3 from
+sweeps, with the seed code's counters; the double well n = 96, p = 3 from
 random starts; Rosenbrock, p = 3; the pendulum at mesh 32 in l^1.5 and l^3
 from sine waves and in l^2 at 1e-4; and the six records CI compares.  A
-change that moves bits on purpose pastes in the entry its failure prints.
+change that moves bits on purpose pastes in the entry its failure prints;
+the Taylor-scale start of the convex line search moved the digests and
+some ``f_final`` digits, and one inner count (``pendulum32-r3-a1.3``).
 """
 
 import hashlib
@@ -31,11 +33,11 @@ _RUNS = [
     # label, config, (outer, successful, inner, f_evals, deriv_evals), repr(f_final),
     # sha256 of the record file
     ("quadratic-n6-r2-p2", dict(problem="quadratic", r=2.0, epsilon=1e-5),
-     (10, 10, 18, 11, 11), "-1.721167721165828",
-     "b1ebf7fd2c41834da77ee5df8f245749982fbaf6df70981044a0c80ebe78362a"),
+     (10, 10, 18, 11, 11), "-1.7211677211658276",
+     "020edad38819cce8baea65290524a95c7d72dfab42216a1747238a799872532a"),
     ("double_well-n4-r2-p2", dict(problem="double_well", r=2.0, epsilon=1e-5),
      (5, 5, 5, 6, 6), "-0.9999999999999973",
-     "e4409fa14b166c47a2d5493120d81cc59c8e91c3c68b18e14bbb9a895ffeef46"),
+     "5cf9706b9361fa81ae79c8b1b0d4fd641bfaae689f65e843d06af3d1250451c4"),
     ("double_well-n4-r2-p3", dict(problem="double_well", r=2.0, p=3, epsilon=1e-5),
      (5, 4, 5, 6, 5), "-1.0",
      "632deab6f3bf54a71a2a8124e0013715383bb744d552ede672ab3472e2ea9022"),
@@ -46,20 +48,20 @@ _RUNS = [
      (7, 7, 7, 8, 8), "9.942817805073173e-14",
      "b7f6c1be09ba5044084f53f312be1165ca06dd83f96455aa3079eccc549e1e63"),
     ("pendulum32-r2-p2", dict(problem="pendulum", epsilon=1e-5),
-     (6, 6, 2816, 7, 7), "1.0000000000008054",
-     "42b508d50e5b0eeaf2004cd04335676cb3d89aef0c33da34e531096253fa08b5"),
+     (6, 6, 2816, 7, 7), "1.0000000000008022",
+     "3404436bde7e619a74fa06e5e7bf821b215430e40608750e612003dee51a2bec"),
     ("double_well-eps0", dict(problem="double_well", epsilon=0.1),
-     (3, 3, 3, 4, 4), "-0.99965607661713",
-     "1bc543a845124a001faf7636a10b1d7c4dc3423965ee16a5991466b6d08495b3"),
+     (3, 3, 3, 4, 4), "-0.999656076617128",
+     "2bbe2de04548bec1a87ee5bf901e7647764c2fd7b524843b5f91f56a20851f87"),
     ("double_well-eps1", dict(problem="double_well", epsilon=0.01),
      (4, 4, 4, 5, 5), "-0.9999999322549116",
-     "9565027d4c4f7518a103f05995011037e2ec95fa8d3f3454593e4db81f12697b"),
+     "491057539c8c7edca98df830f73b1941c9682817774fc521b40c58342f1b0621"),
     ("double_well-eps2", dict(problem="double_well", epsilon=0.001),
      (4, 4, 4, 5, 5), "-0.9999999322549116",
-     "bd8eeb617538ffca4eee328b9189a8fe49e6c227821c88c621cfdf0bf0045d59"),
+     "6eafeb25c26aab833c7da6dd1c953194783275f20a2ae809e98eb24fdff9145e"),
     ("double_well-eps3", dict(problem="double_well", epsilon=0.0001),
      (5, 5, 5, 6, 6), "-0.9999999999999973",
-     "b26a795c163666104f9b28ea6d071b66ea34a5d8c27fe53cb24aa5b96bc57904"),
+     "3baf260735304e76d929f82f878086fb811486d00cfb84bee6caf1e2103cfce1"),
     ("holder-eps0", dict(problem="holder", p=1, beta=0.5, epsilon=0.1),
      (4, 4, 4, 5, 5), "0.00033882295212907",
      "344a807227d8f754e2ca4befc40da849c6bb42d2c9f036db61d0380b1b418645"),
@@ -74,52 +76,52 @@ _RUNS = [
      "73d21aa5a12499199f3ee77e855fbf76cd25cd704e0863c3822413f16d2dfb9f"),
     ("dw96-r1.5-p3-seed1", dict(problem="double_well", n=96, r=1.5, p=3, x0="random", seed=1),
      (48, 29, 59, 49, 30), "-23.999999999980858",
-     "ec6e64f8149516eb90cce564d75fed3e475665bfcad097ef12bbc9ea35e2d719"),
+     "5af7651e4f4be7f5c4c04a8f15eb1bfc00b081c2453725a0674fa576403b7306"),
     ("dw96-r1.5-p3-seed2", dict(problem="double_well", n=96, r=1.5, p=3, x0="random", seed=2),
      (34, 19, 41, 35, 20), "-23.999999999992816",
-     "417c553f0e91eaeb5cc8b41169363b4cbdf706b58b6370b38d01cbc09bc7ee17"),
+     "c8bda60128f75013f5c84a837f387ca9802649b52a277aae8956ce5aeaaf692a"),
     ("dw96-r3-p3-seed3", dict(problem="double_well", n=96, r=3.0, p=3, x0="random", seed=3),
      (12, 10, 34, 13, 11), "-23.99999999999808",
-     "e6a7465d6cd25ae2e23696db672108b48e382e60080e1020e7f834409696a7fa"),
+     "6e27cf1a7ed6f98b6acb619bb67c05c13d30418f7209cf545c59d64292809502"),
     ("dw96-r3-p3-seed4", dict(problem="double_well", n=96, r=3.0, p=3, x0="random", seed=4),
      (13, 11, 35, 14, 12), "-23.9999999999976",
-     "31a67dddc38595bdf04b6c2d61865a925b9f46c56bf1f04265aa4ca3b3c72424"),
+     "17ae2e2c5d69e7efe1cc8b30124ca9bfa038101fc1bd816bf9e243618f700e75"),
     ("rosenbrock-r2-p3", dict(problem="rosenbrock", r=2.0, p=3, epsilon=1e-5),
-     (52, 25, 7151, 53, 26), "2.99599878492989e-11",
-     "41f8d9c4335cc1dfed9956d9fe9f82d43b136f8a94f7df7d79c5aa6533439078"),
+     (52, 25, 7151, 53, 26), "2.9959824333646325e-11",
+     "4de5ffc55fe22e44f854e6ea849a4ed90f0435cc0bcdb28316dfeefe636aa0ca"),
     ("pendulum32-r1.5-a1.3", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(1.3)),
-     (11, 11, 3116, 12, 12), "1.0000000004427143",
-     "5ea608cb0ed5637c1a1db7db33df0623aeeccb2999dd7a797ddb0ee1bfb90dc3"),
+     (11, 11, 3116, 12, 12), "1.0000000004427188",
+     "0a8e1c00ee057230fef498acf7ad70b11dd040724681bc2ae5f42a1a63515253"),
     ("pendulum32-r1.5-a2.7", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(2.7)),
      (16, 16, 3514, 17, 17), "1.0000000001856595",
-     "42035ffe5738bdd764147955a5c7275beeaa40e0278c0c90e1eeae64e3bb0260"),
+     "da869a9e903964e17ca0f11e168d8a578abec2caec07229444b2c4ed01490fbc"),
     ("pendulum32-r3-a1.3", dict(problem="pendulum", r=3.0, epsilon=1e-4, x0=_sine(1.3)),
-     (5, 5, 2305, 6, 6), "1.0000000000229652",
-     "2d627538dea3b1e6bd8ca9be99b692ec6da457ba43c1f8ddad1be76b4d32efbb"),
+     (5, 5, 2304, 6, 6), "1.0000000000231903",
+     "2cafc05ea92ff4ed66c0c39082af675bf82cc2ccc9eafd9f872f2295117f8341"),
     ("pendulum32-r3-a2.7", dict(problem="pendulum", r=3.0, epsilon=1e-4, x0=_sine(2.7)),
-     (6, 6, 2446, 7, 7), "1.0000000000226683",
-     "2f97051da708e9a670344127c43fb8976ec4a7f7eebec2b0b3267f682af406df"),
+     (6, 6, 2446, 7, 7), "1.0000000000226752",
+     "32038215485c31c42084f170382875c5c3357a4d835e565e58c4b2ca85042f9f"),
     ("pendulum32-r2-eps1e-4", dict(problem="pendulum", epsilon=1e-4, inner_max_iters=600_000),
-     (6, 6, 2296, 7, 7), "1.0000000000802856",
-     "a47b8066e5141ed416f4b151f7f0767b6b890c893f9267399734ad3ea2bcf96d"),
+     (6, 6, 2296, 7, 7), "1.0000000000800362",
+     "b27e98fa2eba03abfc21ba56cfa297ff09cddce23c1f6e6b99144d0fb419cd2f"),
     ("ci-pendulum16-r1.5", dict(problem="pendulum", n=16, r=1.5, epsilon=1e-3),
      (11, 11, 518, 12, 12), "1.0000000126412358",
-     "41e8357a7972242560d9547ba2e8e9e12036befd667c93b1c4177ab0b5fd9c57"),
+     "b912affe27148bbc015ccd3a18b49dd520cdf3c1511585d4613124d791d56670"),
     ("ci-pendulum16-r2", dict(problem="pendulum", n=16, r=2.0, epsilon=1e-3),
-     (6, 6, 448, 7, 7), "1.0000000072468618",
-     "a19837904bc0483281e31191a865a195460584c68be47ad5857d16e39f7a6b93"),
+     (6, 6, 448, 7, 7), "1.0000000072468584",
+     "f5d6d8aeaeb727f4895734fb3df10ef553a31cb0ed383e96c6635cf699ae4b00"),
     ("ci-pendulum16-r3", dict(problem="pendulum", n=16, r=3.0, epsilon=1e-3),
-     (6, 6, 379, 7, 7), "1.000000003550523",
-     "5dbd633e44d885bc2cb0cfc0e4f5413d0ed74a461571663d3441f99a4d36340e"),
+     (6, 6, 379, 7, 7), "1.0000000035508838",
+     "af612256ff8083e41c0839bdd326f31b53e8b3ce146e1eab1b5719e696962425"),
     ("ci-double_well8-r1.5-p3", dict(problem="double_well", n=8, r=1.5, p=3, x0="random", seed=3),
      (10, 8, 15, 11, 9), "-1.9999999999995275",
-     "f7fed76bc8e90c26895921cf71ae891a0837e3fda2a8c4fa9200ffbf8b643d98"),
+     "7731c930689b65051adfac1736dcf45a36e81ca2be38cef838f1ccf31a860312"),
     ("ci-double_well8-r2-p3", dict(problem="double_well", n=8, r=2.0, p=3, x0="random", seed=3),
      (8, 6, 9, 9, 7), "-2.0",
-     "67aa64c822eb95658905e75c3ed083b245b83b2c92591f457436cf807da1d7ef"),
+     "0e2949fd9f3a5fb41064f850976922a718cf63bae297283ff9b60572f18de7bd"),
     ("ci-double_well8-r3-p3", dict(problem="double_well", n=8, r=3.0, p=3, x0="random", seed=3),
      (9, 6, 15, 10, 7), "-1.999999999997165",
-     "2ddabdeadfd67d4038e5d99a1d5be7ccbd8254902376ec4142c4ca284934bc45"),
+     "5461623adf552464ff960d6ad4f43b9ef7307d33c34762469ff01892caaa7886"),
 ]
 
 
