@@ -30,12 +30,12 @@ line search runs on the coefficients as Python floats, through the ray's
 slope and value functions (``_RayEval.scalar``): at r = 2 two closures
 over the ray's floats, since the squared norm along the ray is a quadratic
 in t.  When the ray polynomial is not convex, one array scan of the ray
-brackets its minima; for r != 2 that scan is one row-wise l^r pass over
-the grid points, in two (grid x n) buffers that each thread keeps
-(``_scratch``).  The gradient and direction have the bits of
-``RegularizedModel.gradient`` and ``NormedSpace.dual_direction`` (but for
-p = 2, which updates H s), and the coefficients those of full
-contractions: ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
+brackets its minima, for every r one row-wise l^r pass over the grid
+points, in two (grid x n) buffers that each thread keeps (``_scratch``).
+The gradient and direction have the bits of ``RegularizedModel.gradient``
+and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s), and
+the coefficients those of full contractions:
+``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
 ``test_inner_rays_match_the_model_methods_bit_for_bit`` and
 ``test_ray_share_matches_full_contractions`` pin it.
 
@@ -44,25 +44,24 @@ is combined with the norm regularizer, which is convex in the ray parameter.
 When the polynomial part is convex too (nonnegative coefficients beyond the
 linear one — always the case for order-1 models and for order-2 models with
 nonnegative curvature along the ray) the line search returns the unique
-minimizer, the root of the derivative.  Its bracket is [0, t_T] at the
-Taylor scale t_T, the least ``(-c_1 / (j c_j))^(1/(j-1))`` over the
-coefficients c_j > 0 beyond a descending linear one c_1 < 0, past which
-that one term's slope alone cancels c_1, when t_T lies below the scale at
-which the regularizer alone overtakes the initial slope and the ray's slope
-is positive there.  Otherwise (``_first_root``) a bracket from the
-regularizer scale doubles until the slope turns positive or +inf
-(``_grow``).  Regula falsi (``_refine_root``, which bisects while that
-slope is infinite) refines the root until the slope is small or the
-bracket is narrower than 1e-15 of its upper end, a relative exit that
-resolves roots far below 1 too.
-``psi.psi_minimize`` runs on the same search.  Otherwise a bracket is grown
-until the ray value exceeds its value at 0, the derivative is scanned on a
-mixed linear/geometric grid, and the grid's least point and each minimum
-that a slope change from - to + brackets are the candidates; the best of
-them can miss a deeper minimum beyond the bracket.  The best one is taken
-if its value is finite and strictly below m(s); else (say the bracket
-stopped on a NaN or -inf slope, or at the 1e30 cap still descending) the
-solve ends on ``PROGRESS_FLOOR``.
+minimizer, the root of the derivative, by one search (``_first_root``).  Its
+bracket [0, t] starts at the lesser of two scales: the Taylor scale t_T,
+the least ``(-c_1 / (j c_j))^(1/(j-1))`` over the coefficients c_j > 0
+beyond a descending linear one c_1 < 0, past which that one term's slope
+alone cancels c_1, and the scale at which the regularizer alone overtakes
+the initial slope.  The bracket doubles until the slope turns positive or
++inf (``_grow``); an end whose slope is at most 1e-12 of the initial
+slope's size is the root, else regula falsi (``_refine_root``, which
+bisects while that slope is infinite) refines it until the slope is small
+or the bracket is narrower than 1e-15 of its upper end, a relative exit
+that resolves roots far below 1 too.  ``psi.psi_minimize`` runs on the same
+search.  Otherwise a bracket is grown until the ray value exceeds its value
+at 0, the derivative is scanned on a mixed linear/geometric grid, and the
+grid's least point and each minimum that a slope change from - to +
+brackets are the candidates; the best of them can miss a deeper minimum
+beyond the bracket.  The best one is taken if its value is finite and
+strictly below m(s); else (say the bracket stopped on a NaN or -inf slope,
+or at the 1e30 cap still descending) the solve ends on ``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
@@ -137,7 +136,8 @@ class _RayEval:
     ``minimize_model`` computes them once per model, and ``(nw, du) =
     _lr(anchor, r)`` is the anchor's l^r pass.  ``scalar`` gives the ray's
     slope and value as functions of a Python float t, and ``batch`` both on
-    an array of t.  For r != 2 a scalar evaluation makes an ``_lr`` pass
+    an array of t, by one row-wise ``_lr`` pass for every r.  For r != 2 a
+    scalar evaluation makes an ``_lr`` pass
     over ``w = anchor - t direction``, and the last one is remembered (t,
     w, |w|_r and the duality vector), so a repeated t costs none; the
     memory starts with the anchor's pass at t = 0 (``anchor`` in place of
@@ -146,7 +146,7 @@ class _RayEval:
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
-                 "reg_v", "reg_d", "is_r2", "qa", "qb", "t", "w", "nw", "du")
+                 "reg_v", "reg_d", "t", "w", "nw", "du")
 
     def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d, nw: float, du):
         self.anchor = anchor
@@ -157,10 +157,6 @@ class _RayEval:
         self.e = e
         self.reg_v = reg_v
         self.reg_d = reg_d
-        self.is_r2 = self.r == 2.0
-        if self.is_r2:
-            self.qa = float(self.anchor.dot(self.anchor))
-            self.qb = float(self.anchor.dot(self.direction))
         self.t, self.w, self.nw, self.du = 0.0, anchor, nw, du
 
     def _norm(self, t: float) -> float:
@@ -180,14 +176,17 @@ class _RayEval:
     def scalar(self):
         """``(slope, value)``: the ray's derivative and value as functions
         of a float t.  For r = 2 they are closures over local floats (the
-        polynomial coefficients, the squared norm ``qa - 2 qb t + t^2``
-        clamped at 0, the regularizer weights and exponents); the slope
+        polynomial coefficients, the squared norm ``qa - 2 qb t + t^2`` of
+        ``qa = |anchor|^2`` and ``qb = anchor . direction``, clamped at 0,
+        the regularizer weights and exponents); the slope
         inlines ``_horner``'s recurrence, bit for bit.  For other r,
         ``_deriv`` and ``_value``."""
-        if not self.is_r2:
+        if self.r != 2.0:
             return self._deriv, self._value
         coeffs, dtop, drest = self.coeffs, self.dcoeffs[-1], self.dcoeffs[-2::-1]
-        qa, qb, qb2 = self.qa, self.qb, 2.0 * self.qb
+        qa = float(self.anchor.dot(self.anchor))
+        qb = float(self.anchor.dot(self.direction))
+        qb2 = 2.0 * qb
         reg_v, reg_d = self.reg_v, self.reg_d
         vexp, dexp = 0.5 * self.e, 0.5 * (self.e - 2.0)
 
@@ -221,14 +220,6 @@ class _RayEval:
         where the polynomial overflows on a far grid point they are inf or NaN."""
         pvals = _horner(self.coeffs, ts)
         pders = _horner(self.dcoeffs, ts)
-        if self.is_r2:
-            q = np.maximum(self.qa - 2.0 * self.qb * ts + ts * ts, 0.0)
-            vals = pvals + self.reg_v * q ** (0.5 * self.e)
-            pos = q > 0.0
-            ders = pders + np.where(
-                pos, self.reg_d * np.where(pos, q, 1.0) ** (0.5 * (self.e - 2.0)) * (ts - self.qb), 0.0
-            )
-            return vals, ders
         pts, work = _scratch(len(ts), len(self.direction))
         np.multiply.outer(ts, self.direction, out=pts)
         np.subtract(self.anchor, pts, out=pts)
@@ -308,8 +299,8 @@ def _unit_grid(points: int) -> np.ndarray:
 
 def _grow(fun, t: float, test):
     """Double t while ``test(fun(t))`` holds and t < 1e30; the last
-    ``(t, fun(t))``.  From a start of at least 1e-12 that is at most 140
-    doublings, and a NaN or infinite start stops at once."""
+    ``(t, fun(t))``.  From a positive start that is at most 1175 doublings
+    (140 from 1e-12), and a NaN or infinite start stops at once."""
     ft = fun(t)
     while test(ft) and t < 1e30:
         t *= 2.0
@@ -319,12 +310,16 @@ def _grow(fun, t: float, test):
 
 def _first_root(slope, start: float, slope0: float, ftol: float):
     """The root past 0 of an increasing slope that is ``slope0 < 0`` at 0:
-    ``_grow`` doubles the bracket [0, start] until the slope turns positive
-    or +inf, then ``_refine_root`` refines the root on it.  None if the
-    slope reads NaN or -inf first, or is still negative at the 1e30 cap."""
+    ``_grow`` doubles the bracket [0, start] from a positive start until the
+    slope turns positive or +inf.  Its end is the root if the slope there is
+    at most ``1e-12 * -slope0`` (``ftol`` is absolute below ``-slope0 = 1``),
+    else ``_refine_root`` refines the root on it.  None if the slope reads
+    NaN or -inf first, or is still negative at the 1e30 cap."""
     t_hi, d_hi = _grow(slope, start, lambda d: -math.inf < d <= 0.0)
     if not d_hi > 0.0:
         return None
+    if d_hi <= 1e-12 * -slope0:
+        return t_hi
     return _refine_root(slope, 0.0, t_hi, slope0, d_hi, ftol)
 
 
@@ -337,8 +332,10 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     Returns ``(tau, m(s - tau d))`` as Python floats if that value is
     finite and strictly below ``value = m(s)``, else None (the slope at
     tau = 0 is minus the dual gradient norm, so a decrease exists in exact
-    arithmetic).  An overflowing regularizer scale gives none unless a
-    convex ray's Taylor scale brackets the minimizer.
+    arithmetic).  A convex ray's root search (``_first_root``) starts at the
+    lesser of its Taylor and regularizer scales, so it has no start only
+    when neither is finite; a nonconvex ray's scan has none when the
+    regularizer scale overflows.
     """
     v0 = value
     slope, val = ev.scalar()
@@ -358,12 +355,12 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
             for k, jc in enumerate(ev.dcoeffs[1:], 1):  # jc = j c_j with j = k + 1
                 if jc > 0.0:
                     t_taylor = min(t_taylor, _pow(-c1 / jc, 1.0 / k))
-        if t_taylor < scale and (d_taylor := slope(t_taylor)) > 0.0:
-            root = _refine_root(slope, 0.0, t_taylor, slope0, d_taylor, ftol)
-        elif scale < math.inf:  # else overflowed to inf or NaN
-            root = _first_root(slope, scale, slope0, ftol)
-        else:
+        # a Taylor scale that underflowed to 0 would never grow: the
+        # regularizer scale stands in for it
+        start = min(t_taylor, scale) or scale
+        if not start < math.inf:  # overflowed to inf or NaN
             return None
+        root = _first_root(slope, start, slope0, ftol)
         candidates = [] if root is None else [root]
     elif not scale < math.inf:
         return None

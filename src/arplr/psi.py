@@ -59,11 +59,11 @@ def psi_minimize(spec: PsiSpec) -> tuple:
     The derivative is strictly increasing with a single sign change, so the
     minimizer is its root, found as the inner line search finds a convex
     ray's (``inner._first_root``): the bracket [0, 1] doubles until the
-    derivative turns positive, then regula falsi polishes the root until
-    ``|psi'(t)| <= 1e-12 * max(1, alpha)`` or the bracket is narrower than
-    1e-15 t.  The bracket stops doubling at 2^100 (about 1.3e30, where the
-    line search's is capped too), so a profile whose minimizer lies beyond
-    it raises ``ArithmeticError``.
+    derivative turns positive; an end where ``psi' <= 1e-12 alpha`` is the
+    root, else regula falsi polishes it until |psi'| <= 1e-12 max(1, alpha)
+    or the bracket is narrower than 1e-15 t.  The bracket stops doubling at
+    2^100 (about 1.3e30, as the line search's), so a profile whose
+    minimizer lies beyond it raises ``ArithmeticError``.
     """
     deriv = functools.partial(psi_derivative, spec)
     t = _first_root(deriv, 1.0, -spec.alpha, 1e-12 * max(1.0, spec.alpha))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy import optimize
@@ -26,6 +26,7 @@ from arplr import (
 from arplr.geometry import _lr
 from arplr.harness import ExperimentConfig
 from arplr.inner import (
+    _first_root,
     _horner,
     _line_minimize,
     _RayEval,
@@ -151,12 +152,12 @@ def test_overflowing_model_gradient_ends_on_the_progress_floor():
     assert res.iterations == 0 and res.model_grad_dual_norm == math.inf
 
 
-def _scalar_ray(coeffs, anchor, e, sigma):
-    # ray of a 2-d l^2 model along d = (1, 0), with the regularizer weights
+def _scalar_ray(coeffs, anchor, e, sigma, r=2.0):
+    # ray of a 2-d l^r model along d = (1, 0), with the regularizer weights
     # minimize_model derives from sigma and e
     anchor = np.array(anchor, float)
-    return _RayEval(coeffs, anchor, np.array([1.0, 0.0]), 2.0, e,
-                    sigma / math.gamma(e + 1.0), sigma / math.gamma(e), *_lr(anchor, 2.0))
+    return _RayEval(coeffs, anchor, np.array([1.0, 0.0]), r, e,
+                    sigma / math.gamma(e + 1.0), sigma / math.gamma(e), *_lr(anchor, r))
 
 
 def test_convex_ray_grows_its_bracket_until_the_slope_turns():
@@ -229,6 +230,152 @@ def test_convex_ray_far_below_the_regularizer_scale_is_bracketed(coeffs, e, sigm
     assert tau == pytest.approx(tau_exact, rel=1e-12)
     assert value == pytest.approx(value_exact, rel=1e-12)
     assert value == val(tau)
+
+
+def test_convex_ray_whose_taylor_scale_meets_the_root_tolerance_takes_one_pass(monkeypatch):
+    # m(t) = -t + t^2 / 2 + sigma |t|^2.5 / Gamma(3.5) on a 2-d l^1.5 ray from
+    # 0: at the Taylor scale t_T = 1 the slope is sigma / Gamma(2.5), about
+    # 7.5e-15, already within the root tolerance, so the bracket end is the
+    # step, and its l^r pass is the only one of the line search and the step
+    e, sigma = 2.5, 1e-14
+    ev = _scalar_ray([0.0, -1.0, 0.5], [0.0, 0.0], e, sigma, r=1.5)
+    slope, val = ev.scalar()
+    v0 = val(0.0)
+    calls = 0
+
+    def counted(v, r):
+        nonlocal calls
+        calls += 1
+        return _lr(v, r)
+
+    monkeypatch.setattr("arplr.inner._lr", counted)
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), v0)
+    ev.point(tau)
+    assert tau == 1.0 and calls == 1
+    assert 0.0 < slope(1.0) <= 1e-12 and value == val(1.0) < v0
+
+
+def test_convex_ray_with_an_overflowing_scale_and_a_descending_taylor_scale_is_solved():
+    # m(t) = -t + t^2 / 2 + sigma |(2 - t, 0)|^2.5 / Gamma(3.5) on an l^2 ray
+    # from (2, 0): the regularizer scale overflows, and at the Taylor scale
+    # t_T = 1 the regularizer still pulls the slope below 0, so the bracket
+    # doubles from t_T; regula falsi on [0, 2] lands on the minimizer 1
+    e, sigma = 2.5, 1e-310
+    ev = _scalar_ray([0.0, -1.0, 0.5], [2.0, 0.0], e, sigma)
+    slope, val = ev.scalar()
+    assert -slope(0.0) * math.gamma(e + 1.0) / sigma == math.inf
+    assert slope(1.0) == pytest.approx(-7.5e-311, rel=1e-2) and slope(1.0) < 0.0
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0))
+    assert tau == 1.0 and value == -0.5
+
+
+def test_convex_ray_whose_taylor_scale_underflows_searches_from_the_regularizer_scale():
+    # c_1 / (2 c_2) = 5e-601 underflows to a Taylor scale of 0, from which
+    # doubling never grows; the regularizer, which pulls toward the anchor
+    # (1, 0), puts the minimizer at about 3.76e-11, and the search from the
+    # regularizer scale finds it
+    e, sigma = 2.5, 1e290
+    ev = _scalar_ray([0.0, -1e-300, 1e300], [1.0, 0.0], e, sigma)
+    slope, val = ev.scalar()
+    slope0 = slope(0.0)
+    tau, value = _line_minimize(ev, sigma, math.gamma(e + 1.0), val(0.0))
+    assert tau == pytest.approx(sigma / math.gamma(e) / 2e300, rel=1e-9)
+    assert abs(slope(tau)) <= 1e-12 * -slope0
+    assert value == val(tau) < val(0.0)
+
+
+def _magnitudes():
+    # 1e-300 up to 1e300
+    return st.builds(lambda m, k: m * 10.0 ** k, st.floats(min_value=1.0, max_value=9.99),
+                     st.integers(min_value=-300, max_value=299))
+
+
+def _reference_root(slope):
+    # the first sign change of the slope on 5e-324 * 2^k, then brentq on it
+    # with the slope clipped to the finite doubles; None if the slope reads
+    # NaN first or stays nonpositive up to 1e300
+    lo, hi = 0.0, 5e-324
+    while not (d := slope(hi)) > 0.0:
+        if math.isnan(d) or hi > 1e300:
+            return None
+        lo, hi = hi, 2.0 * hi
+    big = sys.float_info.max
+    return optimize.brentq(lambda t: min(max(slope(t), -big), big), lo, hi,
+                           xtol=1e-320, rtol=4 * sys.float_info.epsilon, maxiter=500)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    r=st.sampled_from([1.5, 2.0, 3.0]),
+    p=st.sampled_from([1, 2, 3]),
+    beta=st.sampled_from([0.5, 1.0]),
+    sigma=_magnitudes(),
+    c0=st.one_of(st.just(0.0), _magnitudes(), _magnitudes().map(lambda v: -v)),
+    c1=_magnitudes(),
+    higher=st.lists(st.one_of(st.just(0.0), _magnitudes()), min_size=2, max_size=2),
+    size=st.one_of(st.just(0.0), _magnitudes()),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c0, c1, higher,
+                                                        size, seed):
+    # a convex ray of a 3-d l^r model (c_j >= 0 for j >= 2) from an anchor of
+    # the drawn size along a dual direction.  The step _first_root returns
+    # is taken exactly when its value is finite and below m(s); it is a root
+    # within the line search's tolerances (|slope| <= ftol, or within a
+    # bracket narrower than 1e-15 tau, plus brentq's own tolerance) wherever
+    # brentq finds a root below the 1e30 bracket cap with such a value, and
+    # there a decrease close to the least value
+    rng = np.random.default_rng(seed)
+    space = NormedSpace(3, r)
+    d = space.dual_direction(rng.standard_normal(3))
+    anchor = size * rng.standard_normal(3)
+    e = p + beta
+    ev = _RayEval([c0, -c1, *higher[:p - 1]], anchor, d, r, e, sigma / math.gamma(e + 1.0),
+                  sigma / math.gamma(e), *_lr(anchor, r))
+    with np.errstate(over="ignore"):  # r = 2: |anchor|^2 passes the largest double
+        slope, val = ev.scalar()
+    slope0, v0 = slope(0.0), val(0.0)
+    assume(-math.inf < slope0 < 0.0 and math.isfinite(v0))
+    steps = []
+
+    def recorded(*args):
+        steps.append(_first_root(*args))
+        return steps[-1]
+
+    with mock.patch("arplr.inner._first_root", recorded):
+        found = _line_minimize(ev, sigma, math.gamma(e + 1.0), v0)
+    if not steps:  # no finite bracket start
+        assert found is None
+        return
+    (tau,) = steps
+    if tau is not None and -math.inf < val(tau) < v0:
+        assert found == (tau, val(tau))
+    else:
+        assert found is None
+    root = _reference_root(slope)
+    if root is None or root > 1e30 or not -math.inf < val(root) < v0:
+        return
+    # where |w|^(e - 1), or at r = 2 the squared norm, is not a normal double,
+    # the slope functions lose the regularizer's share, so their root is not
+    # the convex ray's: a limit of the ray's evaluation, not of the search
+    nw = space.norm(anchor - root * d)
+    factor = min(nw ** (e - 1.0), nw * nw if r == 2.0 else math.inf)
+    if not sys.float_info.min <= factor < math.inf:
+        return
+    assert tau is not None
+    ftol = 1e-12 * max(1.0, -slope0)
+    width = (1e-15 + 4 * sys.float_info.epsilon) * tau + 1e-320
+    assert abs(slope(tau)) <= ftol or abs(tau - root) <= width
+    # an initial slope within the absolute tolerance ftol = 1e-12 meets it
+    # at any point, so the step need not decrease m (a known fault of the
+    # tolerance, not of the search).  Otherwise the step is a decrease, and
+    # its value misses the least by at most the share ftol / -slope0 (a
+    # relative slope error), or 1e-6, of the decrease, plus rounding
+    if -slope0 < ftol:
+        return
+    gain = v0 - val(root)
+    slack = max(1e-6, ftol / -slope0) * gain + 4 * sys.float_info.epsilon * abs(v0)
+    assert found is not None and found[1] - val(root) <= slack
 
 
 def test_root_refinement_resolves_a_root_far_below_one():
@@ -610,7 +757,7 @@ def _scan_ray(r, p, n, seed, size=1.0):
 
 @pytest.mark.parametrize("n", [2, 96])
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("r", [1.5, 3.0])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("t_hi, size", [(2.5, 1.0), (1e-300, 1e-310), (1e308, 1e307)])
 def test_grid_scan_keeps_its_bits_and_owns_its_results(r, p, n, t_hi, size):
     # the second case puts subnormal peaks on the rows near t = 0 and

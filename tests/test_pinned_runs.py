@@ -6,10 +6,15 @@ evaluations, ``repr(f_final)`` and the sha256 of the record file of
 bit.  The runs: the built-in suite without Rosenbrock and two accuracy
 sweeps, with the seed code's counters; the double well n = 96, p = 3 from
 random starts; Rosenbrock, p = 3; the pendulum at mesh 32 in l^1.5 and l^3
-from sine waves and in l^2 at 1e-4; and the six records CI compares.  A
-change that moves bits on purpose pastes in the entry its failure prints;
-the Taylor-scale start of the convex line search moved the digests and
-some ``f_final`` digits, and one inner count (``pendulum32-r3-a1.3``).
+from sine waves and in l^2 at 1e-4; and six runs whose records
+``test_cli_writes_the_pinned_record`` also writes through ``arplr run``.  A
+change that moves bits on purpose pastes in the entry its failure prints.
+Sending every convex line search through one root search, which takes a
+bracket end whose slope is at most 1e-12 of the initial slope's size, moved
+three l^1.5 entries, and sending every grid scan through the row-wise l^r
+pass moved the three r = 2, p = 3 ones: four only in the digest,
+``rosenbrock-r2-p3`` and ``pendulum32-r1.5-a1.3`` also in the last digits
+of ``f_final``; no counter moved.
 """
 
 import hashlib
@@ -19,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arplr.cli import main
 from arplr.harness import ExperimentConfig, run_single
 
 _WAVE = math.sqrt(1.0 / 32) * np.sin(math.pi * np.arange(1, 32) * (1.0 / 32))
@@ -40,7 +46,7 @@ _RUNS = [
      "5cf9706b9361fa81ae79c8b1b0d4fd641bfaae689f65e843d06af3d1250451c4"),
     ("double_well-n4-r2-p3", dict(problem="double_well", r=2.0, p=3, epsilon=1e-5),
      (5, 4, 5, 6, 5), "-1.0",
-     "632deab6f3bf54a71a2a8124e0013715383bb744d552ede672ab3472e2ea9022"),
+     "99fb44d1d4f14f86b3b81ff760bbdeab4fbc5514c1cbdc44e004ec2a448a7229"),
     ("holder0.5-n4-p1", dict(problem="holder", p=1, beta=0.5, epsilon=1e-5),
      (16, 16, 16, 17, 17), "3.1577257333911167e-16",
      "2c8a6ec8a7cc505e56fb01bd431127244e4eab3552a9d9c556d24a42c84b3faa"),
@@ -87,14 +93,14 @@ _RUNS = [
      (13, 11, 35, 14, 12), "-23.9999999999976",
      "17ae2e2c5d69e7efe1cc8b30124ca9bfa038101fc1bd816bf9e243618f700e75"),
     ("rosenbrock-r2-p3", dict(problem="rosenbrock", r=2.0, p=3, epsilon=1e-5),
-     (52, 25, 7151, 53, 26), "2.9959824333646325e-11",
-     "4de5ffc55fe22e44f854e6ea849a4ed90f0435cc0bcdb28316dfeefe636aa0ca"),
+     (52, 25, 7151, 53, 26), "2.995982867218854e-11",
+     "376090d3468391abf8790306965194cc41cc072f18c835b5ee8b51940c4cc954"),
     ("pendulum32-r1.5-a1.3", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(1.3)),
-     (11, 11, 3116, 12, 12), "1.0000000004427188",
-     "0a8e1c00ee057230fef498acf7ad70b11dd040724681bc2ae5f42a1a63515253"),
+     (11, 11, 3116, 12, 12), "1.000000000442719",
+     "42486966d94653c172085e7e860e4b0c6ce65901cf01a091dcfbdd64fe759737"),
     ("pendulum32-r1.5-a2.7", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(2.7)),
      (16, 16, 3514, 17, 17), "1.0000000001856595",
-     "da869a9e903964e17ca0f11e168d8a578abec2caec07229444b2c4ed01490fbc"),
+     "ca5f75e1783af3175180342c3638ab7278a184016071213ec12b13dd80d3b3ff"),
     ("pendulum32-r3-a1.3", dict(problem="pendulum", r=3.0, epsilon=1e-4, x0=_sine(1.3)),
      (5, 5, 2304, 6, 6), "1.0000000000231903",
      "2cafc05ea92ff4ed66c0c39082af675bf82cc2ccc9eafd9f872f2295117f8341"),
@@ -106,7 +112,7 @@ _RUNS = [
      "b27e98fa2eba03abfc21ba56cfa297ff09cddce23c1f6e6b99144d0fb419cd2f"),
     ("ci-pendulum16-r1.5", dict(problem="pendulum", n=16, r=1.5, epsilon=1e-3),
      (11, 11, 518, 12, 12), "1.0000000126412358",
-     "b912affe27148bbc015ccd3a18b49dd520cdf3c1511585d4613124d791d56670"),
+     "a4310ba8e81441523fe6a0cb22d19b7a9380495bb229b095d6279387468c1c21"),
     ("ci-pendulum16-r2", dict(problem="pendulum", n=16, r=2.0, epsilon=1e-3),
      (6, 6, 448, 7, 7), "1.0000000072468584",
      "f5d6d8aeaeb727f4895734fb3df10ef553a31cb0ed383e96c6635cf699ae4b00"),
@@ -118,7 +124,7 @@ _RUNS = [
      "7731c930689b65051adfac1736dcf45a36e81ca2be38cef838f1ccf31a860312"),
     ("ci-double_well8-r2-p3", dict(problem="double_well", n=8, r=2.0, p=3, x0="random", seed=3),
      (8, 6, 9, 9, 7), "-2.0",
-     "0e2949fd9f3a5fb41064f850976922a718cf63bae297283ff9b60572f18de7bd"),
+     "091f94dfbf5cfb401e109b2b235fcbda3738e039d4d3428760e8f4b355197a53"),
     ("ci-double_well8-r3-p3", dict(problem="double_well", n=8, r=3.0, p=3, x0="random", seed=3),
      (9, 6, 15, 10, 7), "-1.999999999997165",
      "5461623adf552464ff960d6ad4f43b9ef7307d33c34762469ff01892caaa7886"),
@@ -142,3 +148,14 @@ def test_pinned_run(label, config, counters, f_final, digest, tmp_path):
         f"{label} moved off its pins; if on purpose, its entry now ends\n"
         f'     {got}, "{run.f_final!r}",\n     "{got_digest}"),'
     )
+
+
+@pytest.mark.parametrize(
+    "config, digest", [pytest.param(e[1], e[4], id=e[0]) for e in _RUNS if e[0].startswith("ci-")]
+)
+def test_cli_writes_the_pinned_record(config, digest, tmp_path):
+    # the same solve through ``arplr run``, one flag per config field
+    flags = [a for k, v in config.items() for a in (f"--{k.replace('_', '-')}", str(v))]
+    assert main(["run", *flags, "--out", str(tmp_path)]) == 0
+    (path,) = tmp_path.glob("run_*.txt")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

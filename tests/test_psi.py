@@ -53,6 +53,16 @@ def test_minimize_cubic_profile():
     assert v == pytest.approx(-2.0 / 3.0, rel=1e-12)
 
 
+def test_minimize_profile_with_a_tiny_alpha():
+    # -1e-14 t + 1e-14 t^2: psi'(1) = 1e-14 lies within the absolute root
+    # tolerance 1e-12 but is the whole initial slope, so the bracket end 1 is
+    # not the root; regula falsi on the linear derivative lands on 1/2
+    spec = PsiSpec(1e-14, ((1e-14, 2.0),))
+    t, v = psi_minimize(spec)
+    assert t == 0.5
+    assert v == pytest.approx(-2.5e-15, rel=1e-12) and v <= psi_descent_bound(spec) < 0.0
+
+
 def test_minimize_monotone_in_alpha():
     spec = PsiSpec(1.0, ((0.7, 1.8), (0.2, 3.2)))
     _, v1 = psi_minimize(spec)
