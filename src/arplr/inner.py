@@ -29,8 +29,8 @@ order-l tensor; a pure diagonal gives the bits of its dense form.  The
 line search runs on the coefficients as Python floats, through the ray's
 slope and value functions (``_RayEval.scalar``): at r = 2 two closures
 over the ray's floats, since the squared norm along the ray is a quadratic
-in t.  When the ray polynomial is not convex, one array scan of the ray
-brackets its minima, for every r one row-wise l^r pass over the grid
+in t.  When the ray polynomial is not convex, one array scan of the ray's
+slope brackets its minima, for every r one row-wise l^r pass over the grid
 points, in two (grid x n) buffers that each thread keeps (``_scratch``).
 The gradient and direction have the bits of ``RegularizedModel.gradient``
 and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s), and
@@ -56,12 +56,13 @@ bisects while that slope is infinite) refines it until the slope is small
 or the bracket is narrower than 1e-15 of its upper end, a relative exit
 that resolves roots far below 1 too.  ``psi.psi_minimize`` runs on the same
 search.  Otherwise a bracket is grown until the ray value exceeds its value
-at 0, the derivative is scanned on a mixed linear/geometric grid, and the
-grid's least point and each minimum that a slope change from - to +
-brackets are the candidates; the best of them can miss a deeper minimum
-beyond the bracket.  The best one is taken if its value is finite and
-strictly below m(s); else (say the bracket stopped on a NaN or -inf slope,
-or at the 1e30 cap still descending) the solve ends on ``PROGRESS_FLOOR``.
+at 0, the slope is scanned on a mixed linear/geometric grid, and
+``_refine_root`` refines each root that a sign change from - to + brackets
+(a slope of exactly 0 at a grid point brackets none, and a deeper minimum
+can lie beyond the bracket).  The best root is taken if its value is finite
+and strictly below m(s); else (say the bracket stopped on a NaN or -inf
+slope, or at the 1e30 cap still descending) the solve ends on
+``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
@@ -135,14 +136,13 @@ class _RayEval:
     regularizer ``reg_v |s|^e`` has derivative weight ``reg_d``, both as
     ``minimize_model`` computes them once per model, and ``(nw, du) =
     _lr(anchor, r)`` is the anchor's l^r pass.  ``scalar`` gives the ray's
-    slope and value as functions of a Python float t, and ``batch`` both on
-    an array of t, by one row-wise ``_lr`` pass for every r.  For r != 2 a
-    scalar evaluation makes an ``_lr`` pass
-    over ``w = anchor - t direction``, and the last one is remembered (t,
-    w, |w|_r and the duality vector), so a repeated t costs none; the
-    memory starts with the anchor's pass at t = 0 (``anchor`` in place of
-    ``anchor - 0 direction``: they differ at most in the sign of zero
-    entries).
+    slope and value as functions of a Python float t, and ``batch`` the
+    slope alone on an array of t, by one row-wise ``_lr`` pass for every r.
+    For r != 2 a scalar evaluation makes an ``_lr`` pass over ``w = anchor
+    - t direction``, and the last one is remembered (t, w, |w|_r and the
+    duality vector), so a repeated t costs none; the memory starts with the
+    anchor's pass at t = 0 (``anchor`` in place of ``anchor - 0
+    direction``: they differ at most in the sign of zero entries).
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
@@ -216,17 +216,15 @@ class _RayEval:
 
     @np.errstate(over="ignore", invalid="ignore")
     def batch(self, ts: np.ndarray):
-        """Ray values and derivatives at every t of ``ts``, as new arrays;
-        where the polynomial overflows on a far grid point they are inf or NaN."""
-        pvals = _horner(self.coeffs, ts)
+        """Ray derivatives at every t of ``ts``, as a new array; where the
+        polynomial overflows on a far grid point they are inf or NaN."""
         pders = _horner(self.dcoeffs, ts)
         pts, work = _scratch(len(ts), len(self.direction))
         np.multiply.outer(ts, self.direction, out=pts)
         np.subtract(self.anchor, pts, out=pts)
         norms, du = _lr(pts, self.r, work)  # deriv's pass, row by row
         num = -np.dot(du, self.direction)
-        vals = pvals + self.reg_v * norms ** self.e
-        return vals, pders + self.reg_d * norms ** (self.e - 1.0) * num
+        return pders + self.reg_d * norms ** (self.e - 1.0) * num
 
 
 def _add_ray_share(coeffs: list, tensor, lead, s0: np.ndarray, d: np.ndarray) -> None:
@@ -324,10 +322,11 @@ def _first_root(slope, start: float, slope0: float, ftol: float):
 
 
 def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
-    """A minimizer of ``tau -> m(s - tau d)`` over tau >= 0, for a model of
-    weight sigma with ``gamma_e1 = Gamma(e + 1)``: on a convex ray the
-    unique one, otherwise the best candidate of a grid scan, which can miss
-    a deeper minimum beyond the scan's bracket.
+    """A local minimizer of ``tau -> m(s - tau d)``, tau > 0, for a model of
+    weight sigma with ``gamma_e1 = Gamma(e + 1)``: a root of the ray's slope
+    as ``_refine_root`` leaves it (|slope| <= ftol, or a sign change within
+    1e-15 tau), on a convex ray the unique one, otherwise the best one that
+    the grid scan brackets (a deeper minimum can lie beyond the scan).
 
     Returns ``(tau, m(s - tau d))`` as Python floats if that value is
     finite and strictly below ``value = m(s)``, else None (the slope at
@@ -365,13 +364,10 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     elif not scale < math.inf:
         return None
     else:
-        candidates = []
         t_hi, _ = _grow(val, scale, lambda v: math.isfinite(v) and v <= v0)
         grid = t_hi * _unit_grid(64 * len(ev.coeffs))
-        vals, dvals = ev.batch(grid)
-        finite = np.isfinite(vals)
-        if finite.any():
-            candidates.append(float(grid[int(np.argmin(np.where(finite, vals, np.inf)))]))
+        dvals = ev.batch(grid)
+        candidates = []
         for i in np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] > 0.0))[0]:
             (a, b), (fa, fb) = grid[i:i + 2].tolist(), dvals[i:i + 2].tolist()
             candidates.append(_refine_root(slope, a, b, fa, fb, ftol))

@@ -28,16 +28,16 @@ class PsiSpec:
     terms: tuple
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         terms = tuple((float(k), float(g)) for k, g in self.terms)
         if not terms:
             raise ValueError("at least one power term is required")
         for k, g in terms:
-            if not k > 0.0:
-                raise ValueError("term weights must be positive")
-            if not g > 1.0:
-                raise ValueError("term exponents must exceed 1")
+            if not 0.0 < k < math.inf:
+                raise ValueError("term weights must be positive and finite")
+            if not 1.0 < g < math.inf:
+                raise ValueError("term exponents must exceed 1 and be finite")
         if any(terms[i][1] > terms[i + 1][1] for i in range(len(terms) - 1)):
             raise ValueError("terms must be sorted ascending by exponent")
         object.__setattr__(self, "terms", terms)
@@ -60,13 +60,13 @@ def psi_minimize(spec: PsiSpec) -> tuple:
     minimizer is its root, found as the inner line search finds a convex
     ray's (``inner._first_root``): the bracket [0, 1] doubles until the
     derivative turns positive; an end where ``psi' <= 1e-12 alpha`` is the
-    root, else regula falsi polishes it until |psi'| <= 1e-12 max(1, alpha)
-    or the bracket is narrower than 1e-15 t.  The bracket stops doubling at
+    root, else regula falsi polishes it until |psi'| <= 1e-12 alpha or the
+    bracket is narrower than 1e-15 t.  The bracket stops doubling at
     2^100 (about 1.3e30, as the line search's), so a profile whose
     minimizer lies beyond it raises ``ArithmeticError``.
     """
     deriv = functools.partial(psi_derivative, spec)
-    t = _first_root(deriv, 1.0, -spec.alpha, 1e-12 * max(1.0, spec.alpha))
+    t = _first_root(deriv, 1.0, -spec.alpha, 1e-12 * spec.alpha)
     if t is None:
         raise ArithmeticError("minimizer bracket grew beyond float range")
     return t, psi_eval(spec, t)

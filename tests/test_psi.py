@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ def test_spec_validation():
         PsiSpec(1.0, ((1.0, 3.0), (1.0, 2.0)))
 
 
+@pytest.mark.parametrize("alpha, terms", [
+    (math.inf, ((1.0, 2.0),)),
+    (math.nan, ((1.0, 2.0),)),
+    (1.0, ((math.inf, 2.0),)),
+    (1.0, ((1.0, 2.0), (math.nan, 3.0))),
+    (1.0, ((1.0, math.inf),)),
+    (1.0, ((1.0, 2.0), (1.0, math.nan))),
+])
+def test_spec_rejects_nonfinite_parameters(alpha, terms):
+    # an infinite weight made psi_minimize return inf and the bound NaN, an
+    # infinite alpha made the bound -inf, an infinite exponent the bound NaN
+    with pytest.raises(ValueError):
+        PsiSpec(alpha, terms)
+
+
 def test_minimize_quadratic_profile():
     # -t + t^2 has its minimum at 1/2 with value -1/4
     t, v = psi_minimize(PsiSpec(1.0, ((1.0, 2.0),)))
@@ -54,13 +71,25 @@ def test_minimize_cubic_profile():
 
 
 def test_minimize_profile_with_a_tiny_alpha():
-    # -1e-14 t + 1e-14 t^2: psi'(1) = 1e-14 lies within the absolute root
-    # tolerance 1e-12 but is the whole initial slope, so the bracket end 1 is
-    # not the root; regula falsi on the linear derivative lands on 1/2
+    # -1e-14 t + 1e-14 t^2: psi'(1) = 1e-14 is the whole initial slope, far
+    # above the root tolerance 1e-12 alpha, so the bracket end 1 is not the
+    # root; regula falsi on the linear derivative lands on 1/2
     spec = PsiSpec(1e-14, ((1e-14, 2.0),))
     t, v = psi_minimize(spec)
     assert t == 0.5
     assert v == pytest.approx(-2.5e-15, rel=1e-12) and v <= psi_descent_bound(spec) < 0.0
+
+
+def test_minimize_profile_with_an_alpha_below_the_root_tolerance():
+    # -1e-20 t + 1e-20 t^3 has its minimizer at 1/sqrt(3), where it attains
+    # the bound.  A tolerance of 1e-12 that is not scaled by alpha would
+    # accept regula falsi's first point 1/3, 23 % short of the bound
+    spec = PsiSpec(1e-20, ((1e-20, 3.0),))
+    t, v = psi_minimize(spec)
+    bound = psi_descent_bound(spec)
+    assert t == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+    assert bound == pytest.approx(-2e-20 / (3.0 * math.sqrt(3.0)), rel=1e-12)
+    assert v == pytest.approx(bound, rel=1e-12)
 
 
 def test_minimize_monotone_in_alpha():
@@ -76,7 +105,7 @@ def test_minimizer_is_critical_point():
         spec = _random_spec(rng)
         t, v = psi_minimize(spec)
         assert t > 0.0 and v < 0.0
-        assert abs(psi_derivative(spec, t)) <= 1e-12 * max(1.0, spec.alpha)
+        assert abs(psi_derivative(spec, t)) <= 1e-12 * spec.alpha
 
 
 def test_minimizer_beyond_the_bracket_cap_raises():
