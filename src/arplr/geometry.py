@@ -11,10 +11,12 @@ by the power of two just above its largest entry before raising entries to
 the r-th power.  Multiplying by a power of two is exact in binary floating
 point, so wherever the unscaled power sum neither overflows nor underflows
 the scaled one carries the same bits: at r = 2 every result is identical
-to the unscaled formula, and for other r they agree up to the rounding of
-``pow``.  Outside that range the geometry stays finite and nonzero at every
-representable magnitude, subnormal peaks included, instead of overflowing
-to NaN or underflowing to 0; a norm past the largest double is ``inf``.
+to the unscaled formula, which a vector whose sum of squares lies in
+(2^-900, 2^1000) takes directly, and a row's norm is its vector's; for
+other r they agree up to the rounding of ``pow``.  Where the unscaled sum
+fails, the geometry stays finite and nonzero at every representable
+magnitude, subnormal peaks included, instead of overflowing to NaN or
+underflowing to 0; a norm past the largest double is ``inf``.
 It does so at every exponent: past r = 1022 the scaled peak term 2^-r may
 fall below the smallest normal double, and a power sum that does is redone
 on the vector divided by its peak, whose peak term is exactly 1.
@@ -53,6 +55,10 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     ``sign(a_i) (|a_i| / |a|_r)^(r-1)`` (at r = 2, ``a / |a|_r``), or the
     norms and duality vectors of the rows of a 2-D array; ``a`` is only read.
 
+    At r = 2 a vector with ``2^-900 < np.vdot(a, a) < 2^1000`` skips the
+    scaling: there the ``np.add`` reduction of ``a * a``, not vdot's BLAS
+    sum, has the bits of the scaled sum times 2^2k.
+
     Entries are multiplied by ``2^-k``, where ``2^k`` is the power of two
     just above the largest magnitude (the ``frexp`` exponent), before they
     are raised to the power r, and the sum's root is multiplied back by
@@ -73,11 +79,15 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     v is formed in place from ``|a|`` (for a 2-D ``a`` in ``work``, an
     array of a's shape or None to allocate one, which holds the scaled
     powers first), with the bits of ``copysign(|u|^(r-1), u)`` for the unit
-    vector ``u = a / |a|_r``.  A vector's root is a Python float power and
-    a row's a NumPy array power, so a row's norm may be one ulp off its
-    vector's.
+    vector ``u = a / |a|_r``.  At r = 2 every root is a correctly rounded
+    square root (``math.sqrt``, NumPy's ``** 0.5``), so a row's norm is its
+    vector's; otherwise a vector's root is a Python float power and a row's
+    a NumPy array power, and the two may differ by one ulp.
     """
     if a.ndim == 1:
+        if r == 2.0 and 2.0 ** -900 < float(np.vdot(a, a)) < 2.0 ** 1000:  # silent on overflow
+            nrm = math.sqrt(float(np.add.reduce(a * a)))
+            return nrm, a / nrm
         b = np.abs(a)
         peak = float(b[b.argmax()])
         if not 0.0 < peak < math.inf:
@@ -92,7 +102,7 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
         if total < _TINY:  # r > 1022: redo on |a| / peak, whose peak term is 1
             nrm = peak * float(np.add.reduce((b / peak) ** r)) ** (1.0 / r)
         else:
-            root = total ** (1.0 / r)
+            root = math.sqrt(total) if r == 2.0 else total ** (1.0 / r)
             # only a peak above 2^960 can push the norm past the largest double
             nrm = math.inf if k > 960 and k + math.frexp(root)[1] > 1024 else math.ldexp(root, k)
         if r == 2.0:
@@ -200,8 +210,8 @@ def smoothness_modulus_estimate(
     can be compared against upper envelopes such as t^2/2 in the r = 2
     case.  Each sample is divided by its row norm from one ``_lr`` pass.
     """
-    if t < 0:
-        raise GeometryError("modulus argument t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise GeometryError(f"modulus argument t must be finite and nonnegative, got {t!r}")
     if t == 0.0:
         return 0.0
     if samples < 1:

@@ -9,32 +9,32 @@ dual gradient norm falls below ``max(grad_tol, theta |s|^(p+beta-1))``
 could never fire before the absolute branch).
 
 Cost of one iteration, in l^r passes (``geometry._lr``, each of which
-returns a vector's norm and its duality vector): one over the model
-gradient, which gives its dual norm and the dual direction; one over s,
-which gives the regularizer's gradient, its value at s and the step-power
-norm, and which the ray (``_RayEval``) is built with for t = 0; and for
-r != 2 one per new point that the line search evaluates on the ray, whose
-slope there is one dot product of that duality vector with d (about 2 per
-convex line search on the l^r pendulum runs).  The next pass over s is the
-ray's at the accepted point, which for r != 2 costs none when that was the
-last point evaluated.  Then one contraction
-(``contract``) per order-l tensor with l - 1 copies of d, which dot
-products with s and d finish into the ray coefficients l - 1 and l (from
-order 4 up a lower one contracts the full tensor); at p = 2 it is H d,
-which also updates H s, and otherwise the Taylor gradient at s takes one
-more per tensor.  A
-contraction costs O(n) for the diagonal tensors of separable oracles and
-for the banded (tridiagonal) pendulum Hessian, and O(n^l) for a dense
-order-l tensor; a pure diagonal gives the bits of its dense form.  The
+returns a vector's norm and its duality vector; at r = 2 one over a vector
+whose sum of squares lies in (2^-900, 2^1000) is four NumPy calls, without
+the power-of-two scaling): one over the model gradient, which gives its dual
+norm and the dual direction; one over s, which gives the regularizer's
+gradient, its value at s and the step-power norm, and which the ray
+(``_RayEval``) is built with for t = 0; and for r != 2 one per new point
+that the line search evaluates on the ray, whose slope there is one dot
+product of that duality vector with d (about 2 per convex line search on the
+l^r pendulum runs).  The next pass over s is the ray's at the accepted point,
+which for r != 2 costs none when that was the last point evaluated.  Then one
+contraction (``contract``) per order-l tensor with l - 1 copies of d, which
+dot products with s and d finish into the ray coefficients l - 1 and l (from
+order 4 up a lower one contracts the full tensor); at p = 2 it is H d, which
+also updates H s, and otherwise the Taylor gradient at s takes one more per
+tensor.  A contraction costs O(n) for the diagonal tensors of separable
+oracles and for the banded (tridiagonal) pendulum Hessian, and O(n^l) for a
+dense order-l tensor; a pure diagonal gives the bits of its dense form.  The
 line search runs on the coefficients as Python floats, through the ray's
-slope and value functions (``_RayEval.scalar``): at r = 2 two closures
-over the ray's floats, since the squared norm along the ray is a quadratic
-in t.  When the ray polynomial is not convex, one array scan of the ray's
-slope brackets its minima, for every r one row-wise l^r pass over the grid
-points, in two (grid x n) buffers that each thread keeps (``_scratch``).
-The gradient and direction have the bits of ``RegularizedModel.gradient``
-and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s), and
-the coefficients those of full contractions:
+slope and value functions (``_RayEval.scalar``): at r = 2 two closures over
+the ray's floats, since the squared norm along the ray is a quadratic in
+t.  When the ray polynomial is not convex, one array scan of the ray's slope
+brackets its minima, for every r one row-wise l^r pass over the grid points,
+in two (grid x n) buffers that each thread keeps (``_scratch``).  The
+gradient and direction have the bits of ``RegularizedModel.gradient`` and
+``NormedSpace.dual_direction`` (but for p = 2, which updates H s), and the
+coefficients those of full contractions:
 ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
 ``test_inner_rays_match_the_model_methods_bit_for_bit`` and
 ``test_ray_share_matches_full_contractions`` pin it.

@@ -55,8 +55,9 @@ def full_ray_coefficients(tensors, s0, d) -> list:
 def two_step_lr(a, r: float):
     """``(|a|_r, duality vector)`` of a vector in two steps: the norm from
     the power sum of ``|a| 2^-k`` (2^k the power of two above the peak,
-    after lifting a subnormal peak by 2^1000), then the unit vector
-    ``u = a / |a|_r`` and ``copysign(|u|^(r-1), u)``, which is u at r = 2."""
+    after lifting a subnormal peak by 2^1000) and its root, ``math.sqrt``
+    at r = 2, then the unit vector ``u = a / |a|_r`` and
+    ``copysign(|u|^(r-1), u)``, which is u at r = 2."""
     a = np.asarray(a, dtype=float)
     peak = float(np.abs(a).max())
     if peak == 0.0:
@@ -64,7 +65,8 @@ def two_step_lr(a, r: float):
     lift = 1000 if peak < 2.0 ** -1022 else 0
     a = a * 2.0 ** lift
     k = math.frexp(float(np.abs(a).max()))[1]
-    root = float(np.sum((np.abs(a) * 2.0 ** -k) ** r)) ** (1.0 / r)
+    total = float(np.sum((np.abs(a) * 2.0 ** -k) ** r))
+    root = math.sqrt(total) if r == 2.0 else total ** (1.0 / r)
     nrm = math.ldexp(root, k) if k + math.frexp(root)[1] <= 1024 else math.inf
     u = a / nrm
     v = u if r == 2.0 else np.copysign(np.abs(u) ** (r - 1.0), u)

@@ -174,6 +174,12 @@ def test_modulus_zero_at_zero():
     assert smoothness_modulus_estimate(NormedSpace(4, 2.5), 0.0, 100) == 0.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
+def test_modulus_rejects_a_nonfinite_or_negative_argument(t):
+    with pytest.raises(GeometryError):
+        smoothness_modulus_estimate(NormedSpace(4, 2.5), t, 100)
+
+
 @pytest.mark.parametrize("r, expected", [(1.5, 0.09354246493054275), (3.0, 0.08128221215124576)])
 def test_modulus_estimate_keeps_its_bits(r, expected):
     # the row-wise l^r passes over the samples, pinned to their exact floats
@@ -333,6 +339,49 @@ def test_one_lr_pass_gives_the_bits_of_the_two_step_duality_vector(r, a):
         assert not v.any()
 
 
+def _window_edge_vectors():
+    # n entries of size x whose sum of squares is on an edge of the
+    # unscaled r = 2 window (2^-900, 2^1000) or, with x moved by up to two
+    # ulps, just inside or outside it; each also with two entries whose
+    # squares underflow
+    out = []
+    for e in (-900, 1000):
+        for n in (1, 3, 4, 50):
+            for step in range(-2, 3):
+                x = math.ldexp(1.0 + step * 2.0 ** -52, e // 2) / math.sqrt(n)
+                v = x * (-1.0) ** np.arange(n)
+                out += [v, np.append(v, [1e-300, -5e-324])]
+    return out
+
+
+def _with_window_edges(test):
+    for v in _window_edge_vectors():
+        test = example(a=v)(test)
+    return test
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(a=_wide_vectors())
+@_with_window_edges
+def test_r2_pass_has_the_two_step_bits_inside_and_outside_its_window(a):
+    # the unscaled sum of squares inside the window and the scaled one
+    # outside it give the same bits, and neither warns at any magnitude
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nrm, v = _lr(a, 2.0)
+        ref_nrm, ref_v = two_step_lr(a, 2.0)
+    assert np.float64(nrm).tobytes() == np.float64(ref_nrm).tobytes()
+    assert v.tobytes() == ref_v.tobytes()
+
+
+def test_vdot_is_silent_on_overflow():
+    # _lr tests its r = 2 window on vdot's sum of squares, which may
+    # overflow: a NumPy release that makes vdot warn fails here first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.vdot(np.array([1e200, 1e200]), np.array([1e200, 1e200])) == math.inf
+
+
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 def test_lr_only_reads_its_argument(r):
     # a vector, normal rows with a zero row, and rows of which one has a
@@ -365,8 +414,10 @@ def test_rows_past_the_largest_double_are_inf_without_a_warning(r):
 @given(r=st.sampled_from([1.5, 2.0, 3.0]), rows=st.lists(_wide_vectors(), min_size=1, max_size=6))
 def test_row_pass_is_the_vector_pass_up_to_one_ulp_of_the_norm(r, rows):
     # a row's root is a NumPy array power and a vector's a Python float
-    # power, which may round differently; the duality rows are the
-    # two-step form built from the row pass's own norms
+    # power, which may round differently, but at r = 2 both are correctly
+    # rounded square roots (NumPy takes ``** 0.5`` as one), so the norms
+    # are equal; the duality rows are the two-step form built from the row
+    # pass's own norms
     n = max(len(v) for v in rows)
     a = np.array([np.pad(v, (0, n - len(v))) for v in rows])
     with np.errstate(over="ignore"):
@@ -374,7 +425,10 @@ def test_row_pass_is_the_vector_pass_up_to_one_ulp_of_the_norm(r, rows):
         ref = two_step_rows(a, r)
     for got, row in zip(nrm, a):
         want = _lr(row, r)[0]
-        assert got in (want, np.nextafter(want, -math.inf), np.nextafter(want, math.inf))
+        if r == 2.0:
+            assert got == want
+        else:
+            assert got in (want, np.nextafter(want, -math.inf), np.nextafter(want, math.inf))
     assert dual.tobytes() == ref.tobytes()
 
 
