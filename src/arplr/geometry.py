@@ -214,8 +214,8 @@ def smoothness_modulus_estimate(
         raise GeometryError(f"modulus argument t must be finite and nonnegative, got {t!r}")
     if t == 0.0:
         return 0.0
-    if samples < 1:
-        raise GeometryError("need at least one sample")
+    if not 1 <= samples < math.inf:  # a NaN fails both comparisons
+        raise GeometryError(f"need a finite count of at least one sample, got {samples!r}")
     rng = np.random.default_rng(seed)
     best = 0.0
     remaining = int(samples)

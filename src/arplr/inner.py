@@ -11,30 +11,35 @@ could never fire before the absolute branch).
 Cost of one iteration, in l^r passes (``geometry._lr``, each of which
 returns a vector's norm and its duality vector; at r = 2 one over a vector
 whose sum of squares lies in (2^-900, 2^1000) is four NumPy calls, without
-the power-of-two scaling): one over the model gradient, which gives its dual
-norm and the dual direction; one over s, which gives the regularizer's
-gradient, its value at s and the step-power norm, and which the ray
-(``_RayEval``) is built with for t = 0; and for r != 2 one per new point
-that the line search evaluates on the ray, whose slope there is one dot
-product of that duality vector with d (about 2 per convex line search on the
-l^r pendulum runs).  The next pass over s is the ray's at the accepted point,
-which for r != 2 costs none when that was the last point evaluated.  Then one
-contraction (``contract``) per order-l tensor with l - 1 copies of d, which
-dot products with s and d finish into the ray coefficients l - 1 and l (from
-order 4 up a lower one contracts the full tensor); at p = 2 it is H d, which
-also updates H s, and otherwise the Taylor gradient at s takes one more per
-tensor.  A contraction costs O(n) for the diagonal tensors of separable
-oracles and for the banded (tridiagonal) pendulum Hessian, and O(n^l) for a
-dense order-l tensor; a pure diagonal gives the bits of its dense form.  The
-line search runs on the coefficients as Python floats, through the ray's
-slope and value functions (``_RayEval.scalar``): at r = 2 two closures over
-the ray's floats, since the squared norm along the ray is a quadratic in
-t.  When the ray polynomial is not convex, one array scan of the ray's slope
-brackets its minima, for every r one row-wise l^r pass over the grid points,
-in two (grid x n) buffers that each thread keeps (``_scratch``).  The
-gradient and direction have the bits of ``RegularizedModel.gradient`` and
-``NormedSpace.dual_direction`` (but for p = 2, which updates H s), and the
-coefficients those of full contractions:
+the power-of-two scaling, and otherwise eight): one over the model
+gradient, which gives its dual norm and the dual direction; one over s,
+which gives the regularizer's gradient, its value at s and the step-power
+norm, and which the ray (``_RayEval``) is built with for t = 0; and for
+r != 2 one per new point that the line search evaluates on the ray, whose
+slope there is one dot product of that duality vector with d (about 2 per
+convex line search on the l^r pendulum runs).  The next pass over s is the
+ray's at the accepted point, which for r != 2 costs none when that was the
+last point evaluated.  Then one contraction (``contract``) per order-l
+tensor with l - 1 copies of d, which dot products with s and d finish into
+the ray coefficients l - 1 and l (from order 4 up a lower one contracts the
+full tensor); at p = 2 it is H d, which also updates H s, and otherwise
+the Taylor gradient at s takes one more per tensor.  A contraction costs
+O(n) for the diagonal tensors of separable oracles and for the banded
+(tridiagonal) pendulum Hessian, and O(n^l) for a dense order-l tensor; a
+pure diagonal gives the bits of its dense form.  The line search runs on
+the coefficients as Python floats, through the ray's slope and value
+functions (``_RayEval.scalar``): at r = 2 two closures over the ray's
+floats, since the squared norm along the ray is a quadratic in t.  In all,
+an r = 2 iteration of the banded pendulum model makes 25 NumPy calls
+(gradient 4, its pass 4, coefficients 7, squared norm 2, step and its pass
+6, H s 2) and an r != 2 one 22 plus 11 per new ray point, about 44;
+``test_inner_iteration_call_budget`` bounds the Python calls around them.
+When the ray polynomial is not convex, one array scan of the ray's slope
+brackets its minima, for every r one row-wise l^r pass over the grid
+points, in two (grid x n) buffers that each thread keeps (``_scratch``).
+The gradient and direction have the bits of ``RegularizedModel.gradient``
+and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s), and
+the coefficients those of full contractions:
 ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
 ``test_inner_rays_match_the_model_methods_bit_for_bit`` and
 ``test_ray_share_matches_full_contractions`` pin it.
@@ -50,7 +55,7 @@ the least ``(-c_1 / (j c_j))^(1/(j-1))`` over the coefficients c_j > 0
 beyond a descending linear one c_1 < 0, past which that one term's slope
 alone cancels c_1, and the scale at which the regularizer alone overtakes
 the initial slope.  The bracket doubles until the slope turns positive or
-+inf (``_grow``); an end whose slope is at most 1e-12 of the initial
++inf; an end whose slope is at most 1e-12 of the initial
 slope's size is the root, else regula falsi (``_refine_root``, which
 bisects while that slope is infinite) refines it until the slope is small
 or the bracket is narrower than 1e-15 of its upper end, a relative exit
@@ -132,17 +137,18 @@ def _horner(coeffs, t):
 class _RayEval:
     """Cached evaluation of a model along the ray ``anchor - t direction``.
 
-    ``coeffs`` (Python floats) is the Taylor part as a polynomial in t; the
-    regularizer ``reg_v |s|^e`` has derivative weight ``reg_d``, both as
-    ``minimize_model`` computes them once per model, and ``(nw, du) =
-    _lr(anchor, r)`` is the anchor's l^r pass.  ``scalar`` gives the ray's
-    slope and value as functions of a Python float t, and ``batch`` the
-    slope alone on an array of t, by one row-wise ``_lr`` pass for every r.
-    For r != 2 a scalar evaluation makes an ``_lr`` pass over ``w = anchor
-    - t direction``, and the last one is remembered (t, w, |w|_r and the
-    duality vector), so a repeated t costs none; the memory starts with the
-    anchor's pass at t = 0 (``anchor`` in place of ``anchor - 0
-    direction``: they differ at most in the sign of zero entries).
+    ``coeffs`` (Python floats) is the Taylor part as a polynomial in t and
+    ``dcoeffs`` its slope's; the regularizer ``reg_v |s|^e`` has derivative
+    weight ``reg_d``, both as ``minimize_model`` computes them once per
+    model, and ``(nw, du) = _lr(anchor, r)`` is the anchor's l^r pass.
+    ``scalar`` gives the ray's slope and value as functions of a Python
+    float t, and ``batch`` the slope alone on an array of t, by one
+    row-wise ``_lr`` pass for every r.  For r != 2 a scalar evaluation
+    makes an ``_lr`` pass over ``w = anchor - t direction`` (``point``),
+    and the last one is remembered (t, w, |w|_r and the duality vector), so
+    a repeated t costs none; the memory starts with the anchor's pass at
+    t = 0 (``anchor`` in place of ``anchor - 0 direction``: they differ at
+    most in the sign of zero entries).
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
@@ -159,18 +165,13 @@ class _RayEval:
         self.reg_d = reg_d
         self.t, self.w, self.nw, self.du = 0.0, anchor, nw, du
 
-    def _norm(self, t: float) -> float:
-        # |w|_r at w = anchor - t d, from memory when t is the remembered one
+    def point(self, t: float):
+        """``(w, |w|_r, duality vector)`` at ``w = anchor - t direction``,
+        from memory when t is the remembered parameter."""
         if t != self.t:
             w = self.anchor - t * self.direction
             self.nw, self.du = _lr(w, self.r)
             self.t, self.w = t, w
-        return self.nw
-
-    def point(self, t: float):
-        """``(w, |w|_r, duality vector)`` at ``w = anchor - t direction``,
-        from memory when t is the remembered parameter."""
-        self._norm(t)
         return self.w, self.nw, self.du
 
     def scalar(self):
@@ -178,9 +179,10 @@ class _RayEval:
         of a float t.  For r = 2 they are closures over local floats (the
         polynomial coefficients, the squared norm ``qa - 2 qb t + t^2`` of
         ``qa = |anchor|^2`` and ``qb = anchor . direction``, clamped at 0,
-        the regularizer weights and exponents); the slope
-        inlines ``_horner``'s recurrence, bit for bit.  For other r,
-        ``_deriv`` and ``_value``."""
+        the regularizer weights and exponents), which make no NumPy call;
+        the slope, called most, inlines ``_horner``'s recurrence and
+        ``_pow``, bit for bit.  For other r, ``_deriv`` and ``_value``,
+        which make their ``_lr`` pass through ``point``."""
         if self.r != 2.0:
             return self._deriv, self._value
         coeffs, dtop, drest = self.coeffs, self.dcoeffs[-1], self.dcoeffs[-2::-1]
@@ -197,7 +199,11 @@ class _RayEval:
             q = qa - qb2 * t + t * t
             if q <= 0.0:  # clamped at 0, where the regularizer's slope vanishes
                 return poly
-            return poly + reg_d * _pow(q, dexp) * (t - qb)
+            try:
+                qe = q ** dexp
+            except OverflowError:
+                qe = math.inf
+            return poly + reg_d * qe * (t - qb)
 
         def value(t: float) -> float:
             return _horner(coeffs, t) + reg_v * _pow(max(qa - qb2 * t + t * t, 0.0), vexp)
@@ -205,13 +211,13 @@ class _RayEval:
         return slope, value
 
     def _value(self, t: float) -> float:
-        return _horner(self.coeffs, t) + self.reg_v * _pow(self._norm(t), self.e)
+        return _horner(self.coeffs, t) + self.reg_v * _pow(self.point(t)[1], self.e)
 
     def _deriv(self, t: float) -> float:
         # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
         # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
-        nw = self._norm(t)
-        num = -float(self.du.dot(self.direction))
+        _, nw, du = self.point(t)
+        num = -float(du.dot(self.direction))
         return _horner(self.dcoeffs, t) + self.reg_d * _pow(nw, self.e - 1.0) * num
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -295,30 +301,23 @@ def _unit_grid(points: int) -> np.ndarray:
     return grid
 
 
-def _grow(fun, t: float, test):
-    """Double t while ``test(fun(t))`` holds and t < 1e30; the last
-    ``(t, fun(t))``.  From a positive start that is at most 1175 doublings
-    (140 from 1e-12), and a NaN or infinite start stops at once."""
-    ft = fun(t)
-    while test(ft) and t < 1e30:
-        t *= 2.0
-        ft = fun(t)
-    return t, ft
-
-
 def _first_root(slope, start: float, slope0: float, ftol: float):
     """The root past 0 of an increasing slope that is ``slope0 < 0`` at 0:
-    ``_grow`` doubles the bracket [0, start] from a positive start until the
-    slope turns positive or +inf.  Its end is the root if the slope there is
-    at most ``1e-12 * -slope0`` (``ftol`` is absolute below ``-slope0 = 1``),
-    else ``_refine_root`` refines the root on it.  None if the slope reads
-    NaN or -inf first, or is still negative at the 1e30 cap."""
-    t_hi, d_hi = _grow(slope, start, lambda d: -math.inf < d <= 0.0)
-    if not d_hi > 0.0:
+    the bracket [0, start] doubles from a positive start until the slope
+    turns positive or +inf or the end reaches 1e30 (at most 1175 doublings).
+    Its end is the root if the slope there is at most ``1e-12 * -slope0``
+    (``ftol`` is absolute below ``-slope0 = 1``), else ``_refine_root``
+    refines the root on it.  None if the slope reads NaN or -inf first, or
+    is still negative at the 1e30 cap."""
+    t, d = start, slope(start)
+    while -math.inf < d <= 0.0 and t < 1e30:
+        t *= 2.0
+        d = slope(t)
+    if not d > 0.0:
         return None
-    if d_hi <= 1e-12 * -slope0:
-        return t_hi
-    return _refine_root(slope, 0.0, t_hi, slope0, d_hi, ftol)
+    if d <= 1e-12 * -slope0:
+        return t
+    return _refine_root(slope, 0.0, t, slope0, d, ftol)
 
 
 def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
@@ -334,48 +333,65 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     arithmetic).  A convex ray's root search (``_first_root``) starts at the
     lesser of its Taylor and regularizer scales, so it has no start only
     when neither is finite; a nonconvex ray's scan has none when the
-    regularizer scale overflows.
+    regularizer scale overflows.  One pass over the slope coefficients
+    ``j c_j`` (j >= 2, each of the sign of c_j) finds convexity and the
+    Taylor scale, and the scales are compared in the operand order of
+    ``min`` and ``max``, which keep or pass over a NaN as those do.
     """
-    v0 = value
     slope, val = ev.scalar()
     slope0 = slope(0.0)
-    ftol = 1e-12 * max(1.0, -slope0)  # root tolerance on the ray derivative
+    descent = -slope0
+    ftol = 1e-12 * (descent if descent > 1.0 else 1.0)  # max(1.0, -slope0)
 
-    # scale at which the regularizer alone overtakes the initial slope
-    scale = max(_pow((-slope0) * gamma_e1 / sigma, 1.0 / (ev.e - 1.0)), 1e-12)
+    # scale at which the regularizer alone overtakes the initial slope,
+    # at least 1e-12: max(scale, 1e-12), which keeps a NaN
+    scale = _pow(descent * gamma_e1 / sigma, 1.0 / (ev.e - 1.0))
+    if 1e-12 > scale:
+        scale = 1e-12
 
-    if all(c >= 0.0 for c in ev.coeffs[2:]):
+    # past the Taylor scale one term j c_j t^(j-1) alone cancels c_1 < 0,
+    # so the polynomial's slope is >= 0 there
+    dcoeffs = ev.dcoeffs
+    c1, t_taylor, convex = dcoeffs[0], math.inf, True
+    for k in range(1, len(dcoeffs)):
+        jc = dcoeffs[k]  # j c_j with j = k + 1
+        if not jc >= 0.0:
+            convex = False
+            break
+        if jc > 0.0 and c1 < 0.0:
+            t_j = (-c1 / jc) ** (1.0 / k)  # a root (1/k <= 1): no overflow
+            if t_j < t_taylor:
+                t_taylor = t_j
+
+    if convex:
         # polynomial part convex, so the whole ray function is: the
-        # minimizer is the unique positive root of the derivative.  Past
-        # the Taylor scale one term j c_j t^(j-1) alone cancels c_1 < 0,
-        # so the polynomial's slope is >= 0 there
-        c1, t_taylor = ev.dcoeffs[0], math.inf
-        if c1 < 0.0:
-            for k, jc in enumerate(ev.dcoeffs[1:], 1):  # jc = j c_j with j = k + 1
-                if jc > 0.0:
-                    t_taylor = min(t_taylor, _pow(-c1 / jc, 1.0 / k))
-        # a Taylor scale that underflowed to 0 would never grow: the
-        # regularizer scale stands in for it
-        start = min(t_taylor, scale) or scale
+        # minimizer is the unique positive root of the derivative.  A Taylor
+        # scale that underflowed to 0 would never grow: the regularizer
+        # scale stands in for it
+        start = (scale if scale < t_taylor else t_taylor) or scale  # min(t_taylor, scale)
         if not start < math.inf:  # overflowed to inf or NaN
             return None
-        root = _first_root(slope, start, slope0, ftol)
-        candidates = [] if root is None else [root]
-    elif not scale < math.inf:
+        tau = _first_root(slope, start, slope0, ftol)
+        if tau is None:
+            return None
+        v = val(tau)
+        return (tau, v) if -math.inf < v < value and tau > 0.0 else None
+    if not scale < math.inf:
         return None
-    else:
-        t_hi, _ = _grow(val, scale, lambda v: math.isfinite(v) and v <= v0)
-        grid = t_hi * _unit_grid(64 * len(ev.coeffs))
-        dvals = ev.batch(grid)
-        candidates = []
-        for i in np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] > 0.0))[0]:
-            (a, b), (fa, fb) = grid[i:i + 2].tolist(), dvals[i:i + 2].tolist()
-            candidates.append(_refine_root(slope, a, b, fa, fb, ftol))
-
-    best_t, best_v = 0.0, v0
-    for t in candidates:
+    # grow a bracket until the ray value exceeds m(s) or is not finite,
+    # then refine every root that a - to + sign change on the grid brackets
+    t_hi, v = scale, val(scale)
+    while math.isfinite(v) and v <= value and t_hi < 1e30:
+        t_hi *= 2.0
+        v = val(t_hi)
+    grid = t_hi * _unit_grid(64 * len(ev.coeffs))
+    dvals = ev.batch(grid)
+    best_t, best_v = 0.0, value
+    for i in np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] > 0.0))[0]:
+        (a, b), (fa, fb) = grid[i:i + 2].tolist(), dvals[i:i + 2].tolist()
+        t = _refine_root(slope, a, b, fa, fb, ftol)
         v = val(t)
-        if math.isfinite(v) and v < best_v:
+        if -math.inf < v < best_v:
             best_t, best_v = t, v
     return (best_t, best_v) if best_t > 0.0 else None
 

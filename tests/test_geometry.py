@@ -180,6 +180,12 @@ def test_modulus_rejects_a_nonfinite_or_negative_argument(t):
         smoothness_modulus_estimate(NormedSpace(4, 2.5), t, 100)
 
 
+@pytest.mark.parametrize("samples", [math.nan, math.inf, -math.inf, 0, 0.5])
+def test_modulus_rejects_a_nonfinite_or_too_small_sample_count(samples):
+    with pytest.raises(GeometryError):
+        smoothness_modulus_estimate(NormedSpace(4, 2.5), 0.3, samples)
+
+
 @pytest.mark.parametrize("r, expected", [(1.5, 0.09354246493054275), (3.0, 0.08128221215124576)])
 def test_modulus_estimate_keeps_its_bits(r, expected):
     # the row-wise l^r passes over the samples, pinned to their exact floats

@@ -200,7 +200,7 @@ def test_convex_ray_with_an_infinite_slope_at_the_bracket_end_is_refined():
 def test_convex_ray_still_descending_at_the_bracket_cap_gives_no_step():
     # e = 1.5 and s = (0, 1e40) orthogonal to d: the regularizer's slope
     # t (t^2 + |s|^2)^(-1/4) / Gamma(1.5) stays below the descent rate 1e14
-    # up to about 9e33, past the 1e30 cap of _grow, although the decrease at
+    # up to about 9e33, past the 1e30 bracket cap, although the decrease at
     # that minimizer would be representable
     e, sigma = 1.5, 1.0
     ev = _scalar_ray([0.0, -1e14], [0.0, 1e40], e, sigma)
@@ -282,6 +282,50 @@ def test_convex_ray_whose_taylor_scale_underflows_searches_from_the_regularizer_
     assert tau == pytest.approx(sigma / math.gamma(e) / 2e300, rel=1e-9)
     assert abs(slope(tau)) <= 1e-12 * -slope0
     assert value == val(tau) < val(0.0)
+
+
+class _GivenRay:
+    # a ray for _line_minimize with given slope and value functions: the
+    # slope is slope0 at t = 0 and t - 1 beyond, the value t^2 / 2 - t, and
+    # the slope coefficients (c_1, 2 c_2) set the convexity and Taylor scale
+    def __init__(self, dcoeffs, slope0, e):
+        self.dcoeffs, self.e = dcoeffs, e
+        self.coeffs = [0.0, *(c / j for j, c in enumerate(dcoeffs, 1))]
+        self._pair = (lambda t: slope0 if t == 0.0 else t - 1.0, lambda t: t * t / 2.0 - t)
+
+    def scalar(self):
+        return self._pair
+
+
+@pytest.mark.parametrize("dcoeffs, slope0, e, sigma, value, expected", [
+    # a NaN slope0 makes ftol 1e-12 and the regularizer scale NaN, which
+    # min(t_T, scale) passes over: with no Taylor scale there is no start
+    # (a scale of 1e-12 in its place would find the root 1) ...
+    ([-1.0, 0.0], math.nan, 2.0, 1.0, 0.0, None),
+    # ... and with a Taylor scale of 1 the search starts there
+    ([-1.0, 1.0], math.nan, 2.0, 1.0, 0.0, (1.0, -0.5)),
+    # a -inf slope0 makes ftol and the regularizer scale inf: the first
+    # bracket end with a positive slope, 2, is taken as the root, and
+    # without a Taylor scale there is no start
+    ([-1.0, 1.0], -math.inf, 2.0, 1.0, 1.0, (2.0, 0.0)),
+    ([-1.0, 0.0], -math.inf, 2.0, 1.0, 1.0, None),
+    # the regularizer scale (Gamma(2.5) / 1e-300)^2 overflows: a
+    # convex ray starts at its Taylor scale, a nonconvex one has no scan
+    ([-1.0, 1.0], -1.0, 1.5, 1e-300, 0.0, (1.0, -0.5)),
+    ([-1.0, -1.0], -1.0, 1.5, 1e-300, 0.0, None),
+    # a Taylor scale that underflows to 0 or overflows to +inf: the search
+    # starts at the regularizer scale 2 ...
+    ([-1e-300, 1e300], -1.0, 2.0, 1.0, 0.0, (1.0, -0.5)),
+    ([-1e300, 1e-300], -1.0, 2.0, 1.0, 0.0, (1.0, -0.5)),
+    # ... unless that is NaN, where min(inf, NaN) is inf
+    ([-1e300, 1e-300], math.nan, 2.0, 1.0, 0.0, None),
+], ids=["nan-slope0", "nan-slope0-taylor-scale", "-inf-slope0-taylor-scale", "-inf-slope0",
+        "scale-overflows", "scale-overflows-nonconvex", "taylor-scale-underflows",
+        "taylor-scale-inf", "taylor-scale-inf-nan-slope0"])
+def test_convex_start_keeps_the_nan_and_inf_order_of_min_and_max(dcoeffs, slope0, e, sigma,
+                                                                 value, expected):
+    ray = _GivenRay(dcoeffs, slope0, e)
+    assert _line_minimize(ray, sigma, math.gamma(e + 1.0), value) == expected
 
 
 def _magnitudes():
@@ -725,6 +769,38 @@ def test_inner_value_histories_hold_python_floats(r):
     history = [v for res in results for v in res.value_history]
     assert len(results) >= 8
     assert [type(v) for v in history if type(v) is not float] == []
+
+
+@pytest.mark.parametrize("r, grad_tol, budget", [(2.0, 1e-6, 38.36), (1.5, 1e-5, 69.09)])
+def test_inner_iteration_call_budget(r, grad_tol, budget):
+    # Python-level calls (profile "call" and "c_call" events) per inner
+    # iteration of a fixed solve of the banded pendulum model at mesh 32
+    # and p = 2, which ends on the gradient tolerance after 1,316 (r = 2)
+    # and 2,205 (r = 1.5) iterations.  Before the line search lost its
+    # per-call scaffolding (the bracket-growth helper and its lambda, the
+    # all() generator, min and max, the candidates list, the ray's norm
+    # helper and the r = 2 slope's _pow frame) these were 53.12 and 80.08;
+    # now 38.35 and 69.08 (Python 3.11, NumPy 2.4.6)
+    cfg = ExperimentConfig(problem="pendulum", n=32, r=r, p=2, epsilon=1e-4)
+    problem, space, x0, _ = cfg.build()
+    derivs = tuple(problem.eval_derivative(x0, l) for l in (1, 2))
+    m = RegularizedModel(TaylorModel(problem.eval_f(x0), derivs), 1.0, 1.0, space)
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        if event in ("call", "c_call"):
+            events += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        res = minimize_model(m, grad_tol)
+    finally:
+        sys.setprofile(previous)
+    assert res.termination is Termination.GRADIENT_BELOW_TOL
+    assert res.iterations == (1316 if r == 2.0 else 2205)
+    assert events / res.iterations <= budget
 
 
 def test_line_search_shares_its_lr_passes(monkeypatch):
