@@ -74,15 +74,15 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     ``argmax`` finds (a NaN if there is one), a row's the ``np.maximum``
     reduction, and each sum the ``np.add`` reduction that ``ndarray.sum``
     wraps: the bits of ``max`` and ``sum`` without the wrappers' overhead.
-    At r = 2 a vector's scaled squares overwrite ``|a|``.
 
     v is formed in place from ``|a|`` (for a 2-D ``a`` in ``work``, an
     array of a's shape or None to allocate one, which holds the scaled
     powers first), with the bits of ``copysign(|u|^(r-1), u)`` for the unit
-    vector ``u = a / |a|_r``.  At r = 2 every root is a correctly rounded
-    square root (``math.sqrt``, NumPy's ``** 0.5``), so a row's norm is its
-    vector's; otherwise a vector's root is a Python float power and a row's
-    a NumPy array power, and the two may differ by one ulp.
+    vector ``u = a / |a|_r``, which at r = 2 are u's own.  At r = 2 every
+    root is a correctly rounded square root (``math.sqrt``, NumPy's
+    ``** 0.5``), so a row's norm is its vector's; otherwise a vector's root
+    is a Python float power and a row's a NumPy array power, and the two may
+    differ by one ulp.
     """
     if a.ndim == 1:
         if r == 2.0 and 2.0 ** -900 < float(np.vdot(a, a)) < 2.0 ** 1000:  # silent on overflow
@@ -96,7 +96,7 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
         if k < -1021:
             nrm, v = _lr(a * 2.0 ** 1000, r)
             return math.ldexp(nrm, -1000), v
-        c = np.multiply(b, math.ldexp(1.0, -k), out=b if r == 2.0 else None)
+        c = b * math.ldexp(1.0, -k)
         c **= r
         total = float(np.add.reduce(c))
         if total < _TINY:  # r > 1022: redo on |a| / peak, whose peak term is 1
@@ -105,8 +105,6 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
             root = math.sqrt(total) if r == 2.0 else total ** (1.0 / r)
             # only a peak above 2^960 can push the norm past the largest double
             nrm = math.inf if k > 960 and k + math.frexp(root)[1] > 1024 else math.ldexp(root, k)
-        if r == 2.0:
-            return nrm, a / nrm
         b /= nrm
     else:
         b = np.abs(a, out=work)

@@ -12,31 +12,35 @@ Cost of one iteration, in l^r passes (``geometry._lr``, each of which
 returns a vector's norm and its duality vector; at r = 2 one over a vector
 whose sum of squares lies in (2^-900, 2^1000) is four NumPy calls, without
 the power-of-two scaling, and otherwise eight): one over the model
-gradient, which gives its dual norm and the dual direction; one over s,
-which gives the regularizer's gradient, its value at s and the step-power
-norm, and which the ray (``_RayEval``) is built with for t = 0; and for
-r != 2 one per new point that the line search evaluates on the ray, whose
-slope there is one dot product of that duality vector with d (about 2 per
-convex line search on the l^r pendulum runs).  The next pass over s is the
-ray's at the accepted point, which for r != 2 costs none when that was the
-last point evaluated.  Then one contraction (``contract``) per order-l
-tensor with l - 1 copies of d, which dot products with s and d finish into
-the ray coefficients l - 1 and l (from order 4 up a lower one contracts the
-full tensor); at p = 2 it is H d, which also updates H s, and otherwise
-the Taylor gradient at s takes one more per tensor.  A contraction costs
-O(n) for the diagonal tensors of separable oracles and for the banded
+gradient, which gives its dual norm and the dual direction, and one per new
+point at which the line search evaluates the ray (``_RayEval``): its value,
+and for r != 2 its slope, one dot product of that point's duality vector
+with d.  The ray starts from the pass over s (the regularizer's gradient
+and value, the step-power norm), and the next s's pass is the ray's at the
+accepted point, so a step's value and the next Taylor value read one norm.
+A convex line search takes the value only at its root: 2 passes per
+iteration at r = 2 (and 2 per solve), about 3 for r != 2 on the l^r
+pendulum runs.  Then one contraction (``contract``) per order-l tensor with
+l - 1 copies of d, which dot products with s and d finish into the ray
+coefficients l - 1 and l (from order 4 up a lower one contracts the full
+tensor); at p = 2 it is H d, which also updates H s, and otherwise the
+Taylor gradient at s takes one more per tensor.  A contraction costs O(n)
+for the diagonal tensors of separable oracles and for the banded
 (tridiagonal) pendulum Hessian, and O(n^l) for a dense order-l tensor; a
 pure diagonal gives the bits of its dense form.  The line search runs on
 the coefficients as Python floats, through the ray's slope and value
-functions (``_RayEval.scalar``): at r = 2 two closures over the ray's
-floats, since the squared norm along the ray is a quadratic in t.  In all,
-an r = 2 iteration of the banded pendulum model makes 25 NumPy calls
-(gradient 4, its pass 4, coefficients 7, squared norm 2, step and its pass
-6, H s 2) and an r != 2 one 22 plus 11 per new ray point, about 44;
-``test_inner_iteration_call_budget`` bounds the Python calls around them.
-When the ray polynomial is not convex, one array scan of the ray's slope
-brackets its minima, for every r one row-wise l^r pass over the grid
-points, in two (grid x n) buffers that each thread keeps (``_scratch``).
+functions (``_RayEval.scalar``).  In all, an r = 2 iteration of the banded
+pendulum model makes 25 NumPy calls (gradient 4, its pass 4, coefficients
+7, squared norm 2, step and its pass 6, H s 2) and an r != 2 one 22 plus 11
+per new ray point, about 44; ``test_inner_iteration_call_budget`` bounds
+the Python calls around them: 38.35 per r = 2 iteration at mesh 32, against
+44.35 without ``_lr``'s unscaled r = 2 pass, 58.48 without the r = 2 slope
+closure (the squared norm is a quadratic in t: no pass), 52.35 without the
+p = 2 update of H s by H d and 39.35 without ``_add_ray_share``'s order-2
+exit, so each of these shortcuts pays.  When the ray polynomial is not
+convex, one array scan of the ray's slope brackets its minima, for every r
+one row-wise l^r pass over the grid points, in two (grid x n) buffers that
+each thread keeps (``_scratch``).
 The gradient and direction have the bits of ``RegularizedModel.gradient``
 and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s), and
 the coefficients those of full contractions:
@@ -98,7 +102,8 @@ class Termination(enum.Enum):
 
 def default_max_iters(n: int, p: int, grad_tol: float) -> int:
     """Pragmatic iteration guard: 10 n (p+1) ceil(log10(1/grad_tol))."""
-    digits = max(1, math.ceil(math.log10(1.0 / grad_tol)))
+    inv = 1.0 / grad_tol  # inf for a subnormal grad_tol, whose own digits count
+    digits = max(1, math.ceil(math.log10(inv) if inv < math.inf else -math.log10(grad_tol)))
     return 10 * n * (p + 1) * digits
 
 
@@ -143,7 +148,7 @@ class _RayEval:
     model, and ``(nw, du) = _lr(anchor, r)`` is the anchor's l^r pass.
     ``scalar`` gives the ray's slope and value as functions of a Python
     float t, and ``batch`` the slope alone on an array of t, by one
-    row-wise ``_lr`` pass for every r.  For r != 2 a scalar evaluation
+    row-wise ``_lr`` pass for every r.  A value, and for r != 2 a slope,
     makes an ``_lr`` pass over ``w = anchor - t direction`` (``point``),
     and the last one is remembered (t, w, |w|_r and the duality vector), so
     a repeated t costs none; the memory starts with the anchor's pass at
@@ -176,21 +181,20 @@ class _RayEval:
 
     def scalar(self):
         """``(slope, value)``: the ray's derivative and value as functions
-        of a float t.  For r = 2 they are closures over local floats (the
-        polynomial coefficients, the squared norm ``qa - 2 qb t + t^2`` of
-        ``qa = |anchor|^2`` and ``qb = anchor . direction``, clamped at 0,
-        the regularizer weights and exponents), which make no NumPy call;
-        the slope, called most, inlines ``_horner``'s recurrence and
-        ``_pow``, bit for bit.  For other r, ``_deriv`` and ``_value``,
-        which make their ``_lr`` pass through ``point``."""
+        of a float t, ``_deriv`` and ``_value``, which read their ``_lr``
+        pass through ``point``; but at r = 2 the slope is a closure over
+        local floats (the slope coefficients, the squared norm
+        ``qa - 2 qb t + t^2`` clamped at 0, with ``qa = |anchor|^2`` and
+        ``qb = anchor . direction``, the regularizer weight and exponent),
+        which makes no NumPy call and inlines ``_horner`` and ``_pow``, bit
+        for bit."""
         if self.r != 2.0:
             return self._deriv, self._value
-        coeffs, dtop, drest = self.coeffs, self.dcoeffs[-1], self.dcoeffs[-2::-1]
+        dtop, drest = self.dcoeffs[-1], self.dcoeffs[-2::-1]
         qa = float(self.anchor.dot(self.anchor))
         qb = float(self.anchor.dot(self.direction))
         qb2 = 2.0 * qb
-        reg_v, reg_d = self.reg_v, self.reg_d
-        vexp, dexp = 0.5 * self.e, 0.5 * (self.e - 2.0)
+        reg_d, dexp = self.reg_d, 0.5 * (self.e - 2.0)
 
         def slope(t: float) -> float:
             poly = dtop + t * 0.0  # as _horner: NaN at an infinite t
@@ -205,10 +209,7 @@ class _RayEval:
                 qe = math.inf
             return poly + reg_d * qe * (t - qb)
 
-        def value(t: float) -> float:
-            return _horner(coeffs, t) + reg_v * _pow(max(qa - qb2 * t + t * t, 0.0), vexp)
-
-        return slope, value
+        return slope, self._value
 
     def _value(self, t: float) -> float:
         return _horner(self.coeffs, t) + self.reg_v * _pow(self.point(t)[1], self.e)
@@ -407,13 +408,13 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
     """
     if not model.sigma > 0.0:
         raise ValueError("model must have a positive regularization weight")
-    if not grad_tol > 0.0:
-        raise ValueError("gradient tolerance must be positive")
+    if not 0.0 < grad_tol < math.inf:
+        raise ValueError("gradient tolerance must be positive and finite")
     if theta is not None and not theta > 0.0:
         raise ValueError("step-power coefficient theta must be positive")
     if max_iters is None:
         max_iters = default_max_iters(model.space.n, model.p, grad_tol)
-    elif max_iters < 1:
+    elif not max_iters >= 1:
         raise ValueError("max_iters must be at least 1")
     space = model.space
     r, r_dual = space.r, space.r_dual

@@ -331,7 +331,7 @@ def check_trajectory(
         floor_rhs = cfg.epsilon * _step_floor_terms(cfg, L, run.sigma_max_observed)
     # the terminating step of a converged run carries no size guarantee
     last_k = run.records[-1].k if run.status is SolveStatus.CONVERGED and run.records else None
-    found_a, found_b, found_c, found_d = [], [], [], []
+    violations = []
 
     for rec in run.records:
         floor = rec.sigma / gamma_e1 * _pow(rec.step_norm, e)
@@ -339,7 +339,7 @@ def check_trajectory(
         size_a = max(1.0, abs(rec.model_decrease), floor if floor < math.inf else 0.0)
         slack_a = 1e-10 * size_a + 1e-13 * f_scale
         if rec.model_decrease + slack_a < floor:
-            found_a.append(
+            violations.append(
                 Violation(
                     "a",
                     "model-decrease-floor",
@@ -351,7 +351,7 @@ def check_trajectory(
         if L is None:
             continue
         if rec.sigma > sigma_cap * (1.0 + 1e-12):
-            found_b.append(
+            violations.append(
                 Violation(
                     "b",
                     "sigma-cap",
@@ -362,7 +362,7 @@ def check_trajectory(
         remainder = abs(rec.model_decrease - rec.actual_decrease)
         bound = L / gamma_e1 * _pow(rec.step_norm, e) + 1e-10 * f_scale
         if remainder > bound:
-            found_c.append(
+            violations.append(
                 Violation(
                     "c",
                     "taylor-remainder",
@@ -373,7 +373,7 @@ def check_trajectory(
             )
         lhs = _pow(rec.step_norm, e - 1.0)
         if rec.successful and rec.k != last_k and lhs < floor_rhs * (1.0 - 1e-9):
-            found_d.append(
+            violations.append(
                 Violation(
                     "d",
                     "step-size-floor",
@@ -381,7 +381,7 @@ def check_trajectory(
                     f"|s|^(p+beta-1) = {lhs:.6e} below floor {floor_rhs:.6e}",
                 )
             )
-    violations = found_a + found_b + found_c + found_d
+    violations.sort(key=lambda v: v.code)  # stable: each check's in record order
 
     total = run.total_iterations
     successes = run.successes

@@ -369,6 +369,13 @@ def _with_window_edges(test):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(a=_wide_vectors())
 @_with_window_edges
+# sums of squares below 2^-900 and above 2^1000, a subnormal peak and a norm
+# past the largest double, each with signed zeros: the scaled pass forms
+# the duality vector as at every r, |a| / |a|_2 signed by a
+@example(a=np.array([3e-140, -0.0, -1e-141, 0.0]))
+@example(a=np.array([-2e151, 0.0, 7e150, -0.0]))
+@example(a=np.array([5e-324, -0.0, -1e-320]))
+@example(a=np.array([1.5 * 2.0 ** 1023, -0.0, -1.5 * 2.0 ** 1023]))
 def test_r2_pass_has_the_two_step_bits_inside_and_outside_its_window(a):
     # the unscaled sum of squares inside the window and the scaled one
     # outside it give the same bits, and neither warns at any magnitude

@@ -197,6 +197,13 @@ def test_cli_run_lists_violations_and_exits_1(monkeypatch, capsys):
     assert "violations (1):\n  (b) sigma-cap [k=3]: sigma 9.0e+00 exceeds cap 4.0e+00\n" in out
 
 
+def test_cli_run_with_a_subnormal_tolerance_reports_its_status(capsys):
+    # 1 / eps overflows, and the inner iteration guard still counts digits
+    code = main(["run", "--problem", "quadratic", "--eps", "1e-320", "--max-outer", "1"])
+    assert code == 1
+    assert "status: max_iters" in capsys.readouterr().out
+
+
 def test_cli_run_unknown_problem_exits_2(capsys):
     code = main(["run", "--problem", "nope"])
     err = capsys.readouterr().err

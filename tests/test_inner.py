@@ -23,7 +23,7 @@ from arplr import (
     minimize_model,
     solve,
 )
-from arplr.geometry import _lr
+from arplr.geometry import _lr, _pow
 from arplr.harness import ExperimentConfig
 from arplr.inner import (
     _first_root,
@@ -503,6 +503,13 @@ def test_step_power_rule_branch_requires_motion():
 def test_exponent_bookkeeping_defaults():
     assert default_max_iters(4, 2, 1e-6) == 10 * 4 * 3 * 6
     assert default_max_iters(1, 1, 0.5) == 10 * 1 * 2 * 1
+    # below about 2.2e-308 the reciprocal 1 / grad_tol overflows to inf; the
+    # guard then counts the digits of grad_tol itself, and keeps its value
+    # wherever the reciprocal is finite
+    assert default_max_iters(1, 1, 1e-320) == 10 * 1 * 2 * 321
+    assert default_max_iters(2, 3, 5e-324) == 10 * 2 * 4 * 324
+    for tol in (1e-300, 2.5e-308, sys.float_info.min):
+        assert default_max_iters(3, 2, tol) == 10 * 3 * 3 * math.ceil(math.log10(1.0 / tol))
     # without max_iters the guard is default_max_iters(n, p, grad_tol): this
     # Rosenbrock model, met in the built-in suite's l^2 solve, runs into it
     problem = Rosenbrock()
@@ -520,12 +527,18 @@ def test_config_validation():
         minimize_model(m, 0.0)
     with pytest.raises(ValueError, match="tolerance"):
         minimize_model(m, -1e-6)
+    with pytest.raises(ValueError, match="tolerance"):
+        minimize_model(m, math.inf)
+    with pytest.raises(ValueError, match="tolerance"):
+        minimize_model(m, math.nan)
     with pytest.raises(ValueError, match="theta"):
         minimize_model(m, 1e-6, 0.0)
     with pytest.raises(ValueError, match="theta"):
         minimize_model(m, 1e-6, -1.0)
     with pytest.raises(ValueError, match="max_iters"):
         minimize_model(m, 1e-6, max_iters=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        minimize_model(m, 1e-6, max_iters=math.nan)
 
 
 # -- scalar ray evaluation ----------------------------------------------------
@@ -708,7 +721,7 @@ def _bits(x) -> bytes:
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
-    r=st.sampled_from([1.5, 3.0]),
+    r=st.sampled_from([1.5, 2.0, 3.0]),
     p=st.sampled_from([1, 2, 3]),
     t=st.floats(min_value=1e-6, max_value=10.0),
     zeros=st.integers(min_value=0, max_value=5),
@@ -750,6 +763,10 @@ def test_remembered_ray_point_gives_the_bits_of_a_fresh_evaluation(r, p, t, zero
     fresh_nw, fresh_du = _lr(anchor - 2.0 * t * d, r)
     assert _bits(nw) == _bits(fresh_nw) and du.tobytes() == fresh_du.tobytes()
     assert du.tobytes() == two_step_lr(w, r)[1].tobytes()
+    # at every r the value reads the norm of the point's own pass, the norm
+    # that minimize_model keeps as |s| and takes the regularizer share of
+    ref = _horner(coeffs, t) + args[5] * _pow(_lr(anchor - t * d, r)[0], e)
+    assert _bits(val(t)) == _bits(ref)
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
@@ -825,13 +842,16 @@ def test_line_search_shares_its_lr_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("a", [1.3, 2.7])
-@pytest.mark.parametrize("r", [1.5, 3.0])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 def test_convex_line_search_needs_about_two_ray_passes(monkeypatch, r, a):
     # the pinned l^r pendulum runs at mesh 32: a convex line search that
     # brackets at the Taylor scale evaluates the ray about twice, so with
     # the pass over the model gradient an inner iteration makes about 3.1
     # l^r passes (about 5 when the bracket starts at the regularizer scale);
-    # the pass over s is the ray's at the accepted step
+    # the pass over s is the ray's at the accepted step.  At r = 2 the slope
+    # makes none, so an iteration makes exactly two, over the gradient and
+    # at the accepted step, and a solve two more, over s = 0 and the last
+    # gradient
     m, h = 32, 1.0 / 32
     wave = a * (math.sqrt(h) * np.sin(math.pi * np.arange(1, m) * h))
     cfg = ExperimentConfig(problem="pendulum", n=m, r=r, p=2, epsilon=1e-4,
@@ -849,6 +869,8 @@ def test_convex_line_search_needs_about_two_ray_passes(monkeypatch, r, a):
     assert run.status is SolveStatus.CONVERGED
     inner = sum(rec.inner_iters for rec in run.records)
     assert calls < 3.5 * inner
+    if r == 2.0:
+        assert calls == 2 * inner + 2 * len(run.records)
 
 
 def _scan_points(ev, ts):
