@@ -17,7 +17,7 @@ point at which the line search evaluates the ray (``_RayEval``): its value,
 and for r != 2 its slope, one dot product of that point's duality vector
 with d.  The ray starts from the pass over s (the regularizer's gradient
 and value, the step-power norm), and the next s's pass is the ray's at the
-accepted point, so a step's value and the next Taylor value read one norm.
+accepted point, so a step's value and the next ray's constant read one norm.
 A convex line search takes the value only at its root: 2 passes per
 iteration at r = 2 (and 2 per solve), about 3 for r != 2 on the l^r
 pendulum runs.  Then one contraction (``contract``) per order-l tensor with
@@ -68,10 +68,11 @@ search.  Otherwise a bracket is grown until the ray value exceeds its value
 at 0, the slope is scanned on a mixed linear/geometric grid, and
 ``_refine_root`` refines each root that a sign change from - to + brackets
 (a slope of exactly 0 at a grid point brackets none, and a deeper minimum
-can lie beyond the bracket).  The best root is taken if its value is finite
-and strictly below m(s); else (say the bracket stopped on a NaN or -inf
-slope, or at the 1e30 cap still descending) the solve ends on
-``PROGRESS_FLOOR``.
+can lie beyond the bracket).  A ray is measured from m(s), so it reads the
+drop ``m(s - t d) - m(s)`` at any size of m(s), and the value history adds
+up the drops from m(0).  The best root is taken if its drop is finite and
+negative; else (say the bracket stopped on a NaN or -inf slope, or at the
+1e30 cap still descending) the solve ends on ``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
@@ -95,16 +96,16 @@ class Termination(enum.Enum):
     STEP_POWER_RULE = "step_power_rule"
     ZERO_GRADIENT = "zero_gradient"
     MAX_ITERS = "max_iters"
-    # no representable decrease (or none below the 1e30 bracket cap) along
-    # the ray, or the model gradient's dual norm passes the largest double
+    # no negative drop m(s - t d) - m(s) along the ray (or none below the
+    # 1e30 cap), or the model gradient's dual norm passes the largest double
     PROGRESS_FLOOR = "progress_floor"
 
 
 def default_max_iters(n: int, p: int, grad_tol: float) -> int:
     """Pragmatic iteration guard: 10 n (p+1) ceil(log10(1/grad_tol))."""
-    inv = 1.0 / grad_tol  # inf for a subnormal grad_tol, whose own digits count
-    digits = max(1, math.ceil(math.log10(inv) if inv < math.inf else -math.log10(grad_tol)))
-    return 10 * n * (p + 1) * digits
+    if not 0.0 < grad_tol < math.inf:
+        raise ValueError("gradient tolerance must be positive and finite")
+    return 10 * n * (p + 1) * max(1, math.ceil(-math.log10(grad_tol)))
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,10 @@ def _horner(coeffs, t):
 class _RayEval:
     """Cached evaluation of a model along the ray ``anchor - t direction``.
 
-    ``coeffs`` (Python floats) is the Taylor part as a polynomial in t and
-    ``dcoeffs`` its slope's; the regularizer ``reg_v |s|^e`` has derivative
-    weight ``reg_d``, both as ``minimize_model`` computes them once per
-    model, and ``(nw, du) = _lr(anchor, r)`` is the anchor's l^r pass.
+    ``coeffs`` (Python floats) is the Taylor part as a polynomial in t, less
+    m(anchor) in ``minimize_model``, and ``dcoeffs`` its slope's; the
+    regularizer ``reg_v |s|^e`` has derivative weight ``reg_d``, and
+    ``(nw, du) = _lr(anchor, r)`` is the anchor's l^r pass.
     ``scalar`` gives the ray's slope and value as functions of a Python
     float t, and ``batch`` the slope alone on an array of t, by one
     row-wise ``_lr`` pass for every r.  A value, and for r != 2 a slope,
@@ -328,8 +329,9 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     1e-15 tau), on a convex ray the unique one, otherwise the best one that
     the grid scan brackets (a deeper minimum can lie beyond the scan).
 
-    Returns ``(tau, m(s - tau d))`` as Python floats if that value is
-    finite and strictly below ``value = m(s)``, else None (the slope at
+    Returns ``(tau, ray value at tau)`` as Python floats if that value is
+    finite and strictly below ``value``, the ray's value at 0 (0 for
+    ``minimize_model``'s rays, measured from m(s)), else None (the slope at
     tau = 0 is minus the dual gradient norm, so a decrease exists in exact
     arithmetic).  A convex ray's root search (``_first_root``) starts at the
     lesser of its Taylor and regularizer scales, so it has no start only
@@ -379,7 +381,7 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
         return (tau, v) if -math.inf < v < value and tau > 0.0 else None
     if not scale < math.inf:
         return None
-    # grow a bracket until the ray value exceeds m(s) or is not finite,
+    # grow a bracket until the ray value exceeds ``value`` or is not finite,
     # then refine every root that a - to + sign change on the grid brackets
     t_hi, v = scale, val(scale)
     while math.isfinite(v) and v <= value and t_hi < 1e30:
@@ -408,12 +410,11 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
     """
     if not model.sigma > 0.0:
         raise ValueError("model must have a positive regularization weight")
-    if not 0.0 < grad_tol < math.inf:
-        raise ValueError("gradient tolerance must be positive and finite")
+    guard = default_max_iters(model.space.n, model.p, grad_tol)  # checks grad_tol
     if theta is not None and not theta > 0.0:
         raise ValueError("step-power coefficient theta must be positive")
     if max_iters is None:
-        max_iters = default_max_iters(model.space.n, model.p, grad_tol)
+        max_iters = guard
     elif not max_iters >= 1:
         raise ValueError("max_iters must be at least 1")
     space = model.space
@@ -467,20 +468,19 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         if iters >= max_iters:
             term = Termination.MAX_ITERS
             break
-        # the Taylor part of the model value at s
-        taylor_value = value - reg_v * _pow(step_norm, e)
-        # the Taylor part along s - t d as a polynomial in t: its value and
-        # slope at s, then each tensor's share of the higher coefficients
-        coeffs = [float(taylor_value), -float(taylor_grad.dot(d)), *pad]
+        # the Taylor part of m(s - t d) - m(s) in t: minus the regularizer's
+        # share at s, the slope at s, then each tensor's higher coefficients
+        coeffs = [-reg_v * _pow(step_norm, e), -float(taylor_grad.dot(d)), *pad]
         for tensor in higher:
             lead = tensor.contract([d] * (tensor.order - 1))
             _add_ray_share(coeffs, tensor, lead, s, d)
         ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s)
-        found = _line_minimize(ev, model.sigma, gamma_e1, value)
+        found = _line_minimize(ev, model.sigma, gamma_e1, 0.0)
         if found is None:
             term = Termination.PROGRESS_FLOOR
             break
-        tau, value = found
+        tau, drop = found
+        value += drop
         # s - tau d and its l^r pass, shared with the line search when it
         # last evaluated the ray at tau
         s, step_norm, du_s = ev.point(tau)

@@ -133,14 +133,20 @@ def test_max_iters_is_reported_not_fatal():
 
 
 def test_progress_floor_is_reported():
-    # the decrease along the ray (about 1e-18) is far below the spacing of
-    # doubles near the model value 1e6, so no representable decrease exists
+    # a ray is measured from m(s): a decrease of about 1e-18 is found even
+    # far below the spacing of doubles near the model value 1e6
     tm = TaylorModel(1e6, (SymmetricTensor(1, 2, np.array([1e-9, 0.0])),))
     m = RegularizedModel(tm, 1.0, 1.0, NormedSpace(2, 2.0))
     res = minimize_model(m, 1e-30, max_iters=50)
+    assert res.termination is Termination.ZERO_GRADIENT
+    assert res.iterations == 1
+    # the decrease along the ray (about 1e-400) underflows: no drop is a double
+    tm = TaylorModel(0.0, (SymmetricTensor(1, 2, np.array([1e-200, 0.0])),))
+    m = RegularizedModel(tm, 1.0, 1.0, NormedSpace(2, 2.0))
+    res = minimize_model(m, 1e-300)
     assert res.termination is Termination.PROGRESS_FLOOR
     assert res.iterations == 0
-    assert not res.value_history[-1] < res.value_history[0]
+    assert res.value_history == (0.0,)
 
 
 def test_overflowing_model_gradient_ends_on_the_progress_floor():
@@ -519,6 +525,21 @@ def test_exponent_bookkeeping_defaults():
     res = minimize_model(m, 0.5e-5, 100.0)
     assert res.termination is Termination.MAX_ITERS
     assert res.iterations == default_max_iters(2, 2, 0.5e-5) == 360
+
+
+@pytest.mark.parametrize("grad_tol, digits", [
+    (0.0, None), (math.inf, None), (-1e-6, None), (math.nan, None),
+    (0.5e-5, 6),  # the Rosenbrock guard of 360 above
+    (1e-320, 321),
+])
+def test_default_max_iters_counts_the_digits_of_a_positive_finite_tolerance(grad_tol, digits):
+    # n = 2, p = 2: 60 iterations per digit; a tolerance that is not
+    # positive and finite raises
+    if digits is None:
+        with pytest.raises(ValueError, match="tolerance"):
+            default_max_iters(2, 2, grad_tol)
+    else:
+        assert default_max_iters(2, 2, grad_tol) == 60 * digits
 
 
 def test_config_validation():

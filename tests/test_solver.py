@@ -136,18 +136,36 @@ def test_inner_cap_maps_to_unsuccessful_iteration():
 
 
 def test_progress_floor_rejects_outer_iteration():
-    class OffsetBowl(QuadraticBowl):
-        # f shifted far above the decrease its models can resolve
-        def eval_f(self, x):
-            return 1e6 + super().eval_f(x)
+    class TinyBowl(QuadraticBowl):
+        # f and every derivative scaled by 1e-200: each model's decrease
+        # along its first ray, about 1e-400, underflows
+        def __init__(self, n):
+            super().__init__(n)
+            self.a, self.b, self.f_low = 1e-200 * self.a, 1e-200 * self.b, 1e-200 * self.f_low
 
-    problem = OffsetBowl(4)
-    cfg = OuterConfig(p=2, beta=1.0, epsilon=1e-12, max_outer_iters=3)
+    problem = TinyBowl(4)
+    cfg = OuterConfig(p=2, beta=1.0, epsilon=1e-250, max_outer_iters=3)
     run = solve(problem, problem.minimizer() + 1e-9, cfg, NormedSpace(4, 2.0))
     assert run.status is SolveStatus.MAX_ITERS
     assert [rec.inner_termination for rec in run.records] == ["progress_floor"] * 3
     assert not any(rec.successful for rec in run.records)
     assert [rec.sigma for rec in run.records] == [1.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("problem, n, epsilon, max_outer", [
+    ("quadratic", None, 1e-8, 11),
+    ("quadratic", None, 1e-11, 11),
+    ("pendulum", 32, 1e-6, 7),
+    ("pendulum", 32, 1e-10, 7),
+])
+def test_tight_accuracy_converges_where_f_dwarfs_the_model_decrease(problem, n, epsilon, max_outer):
+    # near the minimizer each inner step lowers the model by far less than
+    # the spacing of doubles near f; measured from m(s), the rays still see
+    # it, so the inner solves reach their tolerance and sigma stays put
+    run, violations, _ = run_single(ExperimentConfig(problem=problem, n=n, epsilon=epsilon))
+    assert run.status is SolveStatus.CONVERGED
+    assert violations == []
+    assert run.total_iterations <= max_outer
 
 
 def test_sigma_update_endpoints_deterministic():
