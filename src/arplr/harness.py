@@ -158,14 +158,20 @@ def _solve(cfg: ExperimentConfig, suffix: str = ""):
     (problem, outer, run, L, path).  L is the Hoelder constant of the
     order-p derivative on a ball covering the recorded trajectory and trial
     points, or None when the oracle knows none or the solver ran with a
-    Hoelder order other than the oracle's."""
+    Hoelder order other than the oracle's.  The directory is made before
+    the solve, so an unwritable one is a configuration error that costs
+    no solve."""
     problem, space, x0, outer = cfg.build()
+    if cfg.out:
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out: {exc}") from None
     run = solve(problem, x0, outer, space)
     L = path = None
     if outer.beta == problem.beta:
         L = trajectory_holder_constant(problem, space, outer.p, x0, run)
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, f"run_{problem.name}{suffix}.txt")
         write_run_record(path, cfg, space, run)
     return problem, outer, run, L, path
@@ -186,14 +192,18 @@ def _cell(value) -> str:
 
 def _write_table(path: str, cls, rows, head=(), tail=()) -> None:
     """``#`` lines, a CSV header of the dataclass ``cls``'s field names, one
-    row per instance, then trailing ``#`` lines."""
+    row per instance, then trailing ``#`` lines.  A file that cannot be
+    written is a configuration error of the output directory."""
     names = [f.name for f in fields(cls)]
     lines = [f"# {line}" for line in head]
     lines.append(",".join(names))
     lines.extend(",".join(_cell(getattr(row, name)) for name in names) for row in rows)
     lines.extend(f"# {line}" for line in tail)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from None
 
 
 def _echo(obj, names) -> list:

@@ -69,8 +69,9 @@ at 0, the slope is scanned on a mixed linear/geometric grid, and
 ``_refine_root`` refines each root that a sign change from - to + brackets
 (a slope of exactly 0 at a grid point brackets none, and a deeper minimum
 can lie beyond the bracket).  A ray is measured from m(s), so it reads the
-drop ``m(s - t d) - m(s)`` at any size of m(s), and the value history adds
-up the drops from m(0).  The best root is taken if its drop is finite and
+drop ``m(s - t d) - m(s)``, and the value history adds up the drops from
+m(0) = 0: the Taylor part models f(x + s) - f(x), so no model value carries
+the size of f.  The best root is taken if its drop is finite and
 negative; else (say the bracket stopped on a NaN or -inf slope, or at the
 1e30 cap still descending) the solve ends on ``PROGRESS_FLOOR``.
 """
@@ -115,7 +116,7 @@ class InnerResult:
     model_grad_dual_norm: float
     iterations: int
     termination: Termination
-    value_history: tuple  # model values, starting at m(0)
+    value_history: tuple  # model values, starting at m(0) = 0
 
 
 _thread = threading.local()
@@ -425,7 +426,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
     reg_v = model.sigma / gamma_e1
     reg_d = model.sigma / math.gamma(e)
     s = np.zeros(space.n)
-    value = model.value(s)
+    value = 0.0  # m(0): the Taylor model is the change of f, and the regularizer is 0
     history = [value]
     iters = 0
     # for order-2 models the step is rank-one along d, so the Hessian

@@ -203,7 +203,7 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
             status = SolveStatus.SIGMA_OVERFLOW
             break
 
-        taylor = TaylorModel(fx, derivs)
+        taylor = TaylorModel(derivs)
         model = RegularizedModel(taylor, sigma, cfg.beta, space)
         result = minimize_model(model, cfg.chi * cfg.epsilon, cfg.theta, cfg.inner_max_iters)
         s = result.s
@@ -213,7 +213,7 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
         f_trial = float(problem.eval_f(trial))
         f_evals += 1
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: unsuccessful
-            model_decrease = fx - taylor.value(s)
+            model_decrease = -taylor.value(s)
         actual_decrease = fx - f_trial
         rho = actual_decrease / model_decrease if model_decrease > 0.0 else -math.inf
 

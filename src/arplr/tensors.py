@@ -14,8 +14,9 @@ entries of what is left after a contraction, unchecked, for the inner
 loop; ``apply`` checks its vectors and returns the full contraction as a
 float.  Nothing in the package needs a tensor as a full dim^order array.
 Derivative tensors are supplied by problem oracles
-— nothing here differentiates an objective itself.  ``TaylorModel(f0,
-tensors)`` and ``RegularizedModel(taylor, sigma, beta, space)`` take their
+— nothing here differentiates an objective itself.  ``TaylorModel(tensors)``
+models the change f(x + s) - f(x), so it is 0 at s = 0 whatever the size
+of f(x); it and ``RegularizedModel(taylor, sigma, beta, space)`` take their
 dimension and model order p from the tensors.  Restricting a model to a
 ray, and evaluating it there, lives in ``arplr.inner``.
 """
@@ -165,13 +166,14 @@ def diagonal_tensor(order: int, diag, off=None) -> SymmetricTensor | DiagonalTen
 
 @dataclass(frozen=True)
 class TaylorModel:
-    """Truncated Taylor expansion ``TaylorModel(f0, tensors)`` in the step s.
+    """Truncated Taylor expansion ``TaylorModel(tensors)`` of the change
+    f(x + s) - f(x) in the step s: ``value(s)`` is the sum of the terms
+    T_l[s^l] / l!, without f(x), so no constant added to f reaches it.
 
     ``tensors`` holds the derivative forms of orders 1..degree, all of one
     dimension; the order-1 entry is the gradient, viewed as a dual vector.
     """
 
-    f0: float
     tensors: tuple
 
     def __post_init__(self):
@@ -194,10 +196,10 @@ class TaylorModel:
 
     def value(self, s) -> float:
         s = _as_vector(self.dim, s)
-        total = self.f0
+        total = 0.0
         for l, t in enumerate(self.tensors, start=1):
             total += float(t.contract([s] * l)) / math.factorial(l)
-        return float(total)
+        return total
 
     def gradient(self, s) -> np.ndarray:
         s = _as_vector(self.dim, s)

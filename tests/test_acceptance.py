@@ -114,7 +114,7 @@ def test_criterion_4_inner_solver():
     start = time.time()
     # analytic instance: m(s) = <g, s> + |s|^2, minimizer (-1, 0)
     g = np.array([2.0, 0.0])
-    tm = TaylorModel(0.0, (SymmetricTensor(1, 2, g),))
+    tm = TaylorModel((SymmetricTensor(1, 2, g),))
     model = RegularizedModel(tm, 2.0, 1.0, NormedSpace(2, 2.0))
     res = minimize_model(model, 1e-10, max_iters=100)
     analytic_ok = bool(np.allclose(res.s, [-1.0, 0.0], atol=1e-8))
@@ -123,7 +123,7 @@ def test_criterion_4_inner_solver():
     stopping_ok = True
     for entry in builtin_suite():
         derivs = tuple(entry.problem.eval_derivative(entry.x0, l) for l in range(1, entry.p + 1))
-        taylor = TaylorModel(entry.problem.eval_f(entry.x0), derivs)
+        taylor = TaylorModel(derivs)
         beta = entry.problem.beta
         model = RegularizedModel(taylor, 1.0, beta, entry.space)
         grad_tol = 0.5e-5

@@ -211,6 +211,23 @@ def test_cli_run_unknown_problem_exits_2(capsys):
     assert "configuration error" in err and "problem" in err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("run", []),
+    ("sweep-eps", ["--eps-start", "1e-1", "--eps-stop", "1e-3", "--eps-points", "3"]),
+])
+def test_cli_unwritable_out_exits_2_before_any_solve(command, flags, tmp_path, monkeypatch, capsys):
+    # an output directory under a regular file is a configuration error,
+    # found before any solve rather than after it
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    solves = []
+    monkeypatch.setattr("arplr.harness.solve", lambda *args: solves.append(args))
+    code = main([command, "--problem", "quadratic", *flags, "--out", str(blocker / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: out:")
+    assert solves == []
+
+
 def test_cli_check_oracle(capsys):
     assert main(["check-oracle", "--problem", "rosenbrock"]) == 0
     out = capsys.readouterr().out

@@ -40,7 +40,7 @@ from helpers import full_ray_coefficients, symmetrize, two_step_lr, two_step_row
 
 def _linear_model(g, sigma, r=2.0, beta=1.0):
     n = len(g)
-    tm = TaylorModel(0.0, (SymmetricTensor(1, n, np.asarray(g, float)),))
+    tm = TaylorModel((SymmetricTensor(1, n, np.asarray(g, float)),))
     return RegularizedModel(tm, sigma, beta, NormedSpace(n, r))
 
 
@@ -49,8 +49,8 @@ def _random_model(p, beta, sigma, dim, r, rng):
         SymmetricTensor(l, dim, symmetrize(rng.standard_normal((dim,) * l)))
         for l in range(1, p + 1)
     )
-    tm = TaylorModel(float(rng.standard_normal()), tensors)
-    return RegularizedModel(tm, sigma, beta, NormedSpace(dim, r))
+    rng.standard_normal()  # an unused draw: the draws after it keep their values
+    return RegularizedModel(TaylorModel(tensors), sigma, beta, NormedSpace(dim, r))
 
 
 def test_analytic_quadratic_instance():
@@ -133,15 +133,14 @@ def test_max_iters_is_reported_not_fatal():
 
 
 def test_progress_floor_is_reported():
-    # a ray is measured from m(s): a decrease of about 1e-18 is found even
-    # far below the spacing of doubles near the model value 1e6
-    tm = TaylorModel(1e6, (SymmetricTensor(1, 2, np.array([1e-9, 0.0])),))
+    # a decrease of about 1e-18 is found
+    tm = TaylorModel((SymmetricTensor(1, 2, np.array([1e-9, 0.0])),))
     m = RegularizedModel(tm, 1.0, 1.0, NormedSpace(2, 2.0))
     res = minimize_model(m, 1e-30, max_iters=50)
     assert res.termination is Termination.ZERO_GRADIENT
     assert res.iterations == 1
     # the decrease along the ray (about 1e-400) underflows: no drop is a double
-    tm = TaylorModel(0.0, (SymmetricTensor(1, 2, np.array([1e-200, 0.0])),))
+    tm = TaylorModel((SymmetricTensor(1, 2, np.array([1e-200, 0.0])),))
     m = RegularizedModel(tm, 1.0, 1.0, NormedSpace(2, 2.0))
     res = minimize_model(m, 1e-300)
     assert res.termination is Termination.PROGRESS_FLOOR
@@ -521,7 +520,7 @@ def test_exponent_bookkeeping_defaults():
     problem = Rosenbrock()
     x = np.array([0.9814865089856932, 0.9631886045803995])
     derivs = tuple(problem.eval_derivative(x, l) for l in (1, 2))
-    m = RegularizedModel(TaylorModel(problem.eval_f(x), derivs), 1e-8, 1.0, NormedSpace(2, 2.0))
+    m = RegularizedModel(TaylorModel(derivs), 1e-8, 1.0, NormedSpace(2, 2.0))
     res = minimize_model(m, 0.5e-5, 100.0)
     assert res.termination is Termination.MAX_ITERS
     assert res.iterations == default_max_iters(2, 2, 0.5e-5) == 360
@@ -589,7 +588,7 @@ def test_scalar_ray_matches_numpy_polynomial_bit_for_bit(coeffs, t, r, beta, see
     rng = np.random.default_rng(seed)
     space = NormedSpace(n, r)
     zeros = tuple(SymmetricTensor(l, n, np.zeros((n,) * l)) for l in range(1, p + 1))
-    model = RegularizedModel(TaylorModel(0.0, zeros), 1.3, beta, space)
+    model = RegularizedModel(TaylorModel(zeros), 1.3, beta, space)
     anchor = rng.standard_normal(n)
     d = space.dual_direction(rng.standard_normal(n))
     coeffs = np.array(coeffs)
@@ -616,7 +615,7 @@ def test_inner_solve_writes_to_no_array_it_does_not_own(p, r):
     models = [_random_model(p, 0.7, 1.1, 5, r, rng)]
     if p == 2:
         hessian = diagonal_tensor(2, 2.0 + rng.random(5), -rng.random(4))
-        tm = TaylorModel(0.5, (models[0].taylor.tensors[0], hessian))
+        tm = TaylorModel((models[0].taylor.tensors[0], hessian))
         models.append(RegularizedModel(tm, 1.1, 0.7, NormedSpace(5, r)))
     for m in models:
         entries = [t.entries.copy() for t in m.taylor.tensors]
@@ -822,7 +821,7 @@ def test_inner_iteration_call_budget(r, grad_tol, budget):
     cfg = ExperimentConfig(problem="pendulum", n=32, r=r, p=2, epsilon=1e-4)
     problem, space, x0, _ = cfg.build()
     derivs = tuple(problem.eval_derivative(x0, l) for l in (1, 2))
-    m = RegularizedModel(TaylorModel(problem.eval_f(x0), derivs), 1.0, 1.0, space)
+    m = RegularizedModel(TaylorModel(derivs), 1.0, 1.0, space)
     events = 0
 
     def count(frame, event, arg):

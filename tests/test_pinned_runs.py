@@ -18,7 +18,11 @@ of ``f_final``; no counter moved.  Taking the r = 2 root with a correctly
 rounded square root, where ``** 0.5`` rounded a few sums differently,
 moved ``pendulum32-r2-p2`` and ``pendulum32-r2-eps1e-4`` in the digest and
 ``rosenbrock-r2-p3`` also in the last digits of ``f_final``; no counter
-moved.
+moved.  Recording the model decrease as -T_k(s_k) from the Taylor terms
+alone, where f(x_k) - (f(x_k) + T_k(s_k)) rounded at the spacing of
+doubles near f(x_k), moved every entry but the six p = 1 Hoelder runs in
+the digest only, whose records' ``model_decrease`` and ``rho`` columns
+changed in the last bits; no counter and no ``f_final`` moved.
 """
 
 import hashlib
@@ -44,13 +48,13 @@ _RUNS = [
     # sha256 of the record file
     ("quadratic-n6-r2-p2", dict(problem="quadratic", r=2.0, epsilon=1e-5),
      (10, 10, 18, 11, 11), "-1.7211677211658276",
-     "020edad38819cce8baea65290524a95c7d72dfab42216a1747238a799872532a"),
+     "0396fcc3d5f288363cc46383ed933c40bbe7f67210ebfca4fd7da8f82c2581bf"),
     ("double_well-n4-r2-p2", dict(problem="double_well", r=2.0, epsilon=1e-5),
      (5, 5, 5, 6, 6), "-0.9999999999999973",
-     "5cf9706b9361fa81ae79c8b1b0d4fd641bfaae689f65e843d06af3d1250451c4"),
+     "31ea3802338638176074d47d7d895c92a9bdece9b9dfc4d9a848febc701e4ed7"),
     ("double_well-n4-r2-p3", dict(problem="double_well", r=2.0, p=3, epsilon=1e-5),
      (5, 4, 5, 6, 5), "-1.0",
-     "99fb44d1d4f14f86b3b81ff760bbdeab4fbc5514c1cbdc44e004ec2a448a7229"),
+     "184c2ff30414f7c45a15d46d9e894c2f6b3f223f52641cd5df306b1bc6af442f"),
     ("holder0.5-n4-p1", dict(problem="holder", p=1, beta=0.5, epsilon=1e-5),
      (16, 16, 16, 17, 17), "3.1577257333911167e-16",
      "2c8a6ec8a7cc505e56fb01bd431127244e4eab3552a9d9c556d24a42c84b3faa"),
@@ -59,19 +63,19 @@ _RUNS = [
      "b7f6c1be09ba5044084f53f312be1165ca06dd83f96455aa3079eccc549e1e63"),
     ("pendulum32-r2-p2", dict(problem="pendulum", epsilon=1e-5),
      (6, 6, 2816, 7, 7), "1.0000000000008022",
-     "10f773a44bce2bbc39fafc5e52d8580d3170b98bc1649ce7ba59228e7c366f05"),
+     "08256c62fcf2050c7cf3f13701d74b7695585c704c373bb3ac055e505a962d86"),
     ("double_well-eps0", dict(problem="double_well", epsilon=0.1),
      (3, 3, 3, 4, 4), "-0.999656076617128",
-     "2bbe2de04548bec1a87ee5bf901e7647764c2fd7b524843b5f91f56a20851f87"),
+     "621fb5da0c1098a63f40ff3517d2133958adbcdc84265da364b8efab335797cb"),
     ("double_well-eps1", dict(problem="double_well", epsilon=0.01),
      (4, 4, 4, 5, 5), "-0.9999999322549116",
-     "491057539c8c7edca98df830f73b1941c9682817774fc521b40c58342f1b0621"),
+     "d94e148b551b1a37ec3d993774ef93bc7460dfcdf8e3539d4a1c4ea2a582cce1"),
     ("double_well-eps2", dict(problem="double_well", epsilon=0.001),
      (4, 4, 4, 5, 5), "-0.9999999322549116",
-     "6eafeb25c26aab833c7da6dd1c953194783275f20a2ae809e98eb24fdff9145e"),
+     "46d3caa63496874d83260bb2e05f3f91b652bce83dfed476c5a8211bbaf01a5b"),
     ("double_well-eps3", dict(problem="double_well", epsilon=0.0001),
      (5, 5, 5, 6, 6), "-0.9999999999999973",
-     "3baf260735304e76d929f82f878086fb811486d00cfb84bee6caf1e2103cfce1"),
+     "4810a24f01f3c8f76c463c423ccd0226c78848a97fa2a3bbb2159c2e75fdab1e"),
     ("holder-eps0", dict(problem="holder", p=1, beta=0.5, epsilon=0.1),
      (4, 4, 4, 5, 5), "0.00033882295212907",
      "344a807227d8f754e2ca4befc40da849c6bb42d2c9f036db61d0380b1b418645"),
@@ -86,52 +90,52 @@ _RUNS = [
      "73d21aa5a12499199f3ee77e855fbf76cd25cd704e0863c3822413f16d2dfb9f"),
     ("dw96-r1.5-p3-seed1", dict(problem="double_well", n=96, r=1.5, p=3, x0="random", seed=1),
      (48, 29, 59, 49, 30), "-23.999999999980858",
-     "5af7651e4f4be7f5c4c04a8f15eb1bfc00b081c2453725a0674fa576403b7306"),
+     "34e1ffa8eb880287bc519293f55bc3b2b826e6f6502810b5f78909f83b3596a6"),
     ("dw96-r1.5-p3-seed2", dict(problem="double_well", n=96, r=1.5, p=3, x0="random", seed=2),
      (34, 19, 41, 35, 20), "-23.999999999992816",
-     "c8bda60128f75013f5c84a837f387ca9802649b52a277aae8956ce5aeaaf692a"),
+     "3483b4cf438b57865f045696fda0738ce6b66d4bd513bfa20ae4a7730d4232a7"),
     ("dw96-r3-p3-seed3", dict(problem="double_well", n=96, r=3.0, p=3, x0="random", seed=3),
      (12, 10, 34, 13, 11), "-23.99999999999808",
-     "6e27cf1a7ed6f98b6acb619bb67c05c13d30418f7209cf545c59d64292809502"),
+     "519213947c7b1a802f789898c54357301a00a42de46d7f9641ba12d398f80c97"),
     ("dw96-r3-p3-seed4", dict(problem="double_well", n=96, r=3.0, p=3, x0="random", seed=4),
      (13, 11, 35, 14, 12), "-23.9999999999976",
-     "17ae2e2c5d69e7efe1cc8b30124ca9bfa038101fc1bd816bf9e243618f700e75"),
+     "73687a19a8f60fe1abff936e569c0e926b1039079f4360dc5cf0e478d800caa5"),
     ("rosenbrock-r2-p3", dict(problem="rosenbrock", r=2.0, p=3, epsilon=1e-5),
      (52, 25, 7151, 53, 26), "2.9959820993734785e-11",
-     "49ae2a4ebc8823f44f2a3c3d18f5078df7d1ceb28bda749394c40ed2a52bd696"),
+     "95ab9572a88e1314541e4a4a077d69c122ca9fbf1a6b4a921b5c7fb2fc36879f"),
     ("pendulum32-r1.5-a1.3", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(1.3)),
      (11, 11, 3116, 12, 12), "1.000000000442719",
-     "42486966d94653c172085e7e860e4b0c6ce65901cf01a091dcfbdd64fe759737"),
+     "f70c8decbe6736c57e53469f52c0e3f8a6e8c1bcd576e889cc5ac81a0a831a82"),
     ("pendulum32-r1.5-a2.7", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(2.7)),
      (16, 16, 3514, 17, 17), "1.0000000001856595",
-     "ca5f75e1783af3175180342c3638ab7278a184016071213ec12b13dd80d3b3ff"),
+     "08ff2f48193707af3c2bbd489bd81d3c245e732a2d597011f669a5d8835c53d4"),
     ("pendulum32-r3-a1.3", dict(problem="pendulum", r=3.0, epsilon=1e-4, x0=_sine(1.3)),
      (5, 5, 2304, 6, 6), "1.0000000000231903",
-     "2cafc05ea92ff4ed66c0c39082af675bf82cc2ccc9eafd9f872f2295117f8341"),
+     "6116c91a7ebdd602f3d5fef46c6e4e8413f40f7c4f4e975a74c2343b6a4a69c1"),
     ("pendulum32-r3-a2.7", dict(problem="pendulum", r=3.0, epsilon=1e-4, x0=_sine(2.7)),
      (6, 6, 2446, 7, 7), "1.0000000000226752",
-     "32038215485c31c42084f170382875c5c3357a4d835e565e58c4b2ca85042f9f"),
+     "04e57ef92efe272bcca143f8814100295c2dc034063e9949dc3c7a2cdf53b2b8"),
     ("pendulum32-r2-eps1e-4", dict(problem="pendulum", epsilon=1e-4, inner_max_iters=600_000),
      (6, 6, 2296, 7, 7), "1.0000000000800362",
-     "d0ce3c8e2353b3ab7ff2682b0e8a7a909dd1ae40c20c25408cd0d715268f88b3"),
+     "0dd86d4be0439da49b9d800a72955c6b18f3b56f1e4640258b4582138006a552"),
     ("ci-pendulum16-r1.5", dict(problem="pendulum", n=16, r=1.5, epsilon=1e-3),
      (11, 11, 518, 12, 12), "1.0000000126412358",
-     "a4310ba8e81441523fe6a0cb22d19b7a9380495bb229b095d6279387468c1c21"),
+     "0794b0871e24b0ea01377c0749a241ba1f5e64245e713d16bc408f6af1ff45df"),
     ("ci-pendulum16-r2", dict(problem="pendulum", n=16, r=2.0, epsilon=1e-3),
      (6, 6, 448, 7, 7), "1.0000000072468584",
-     "f5d6d8aeaeb727f4895734fb3df10ef553a31cb0ed383e96c6635cf699ae4b00"),
+     "d4046e7150aa9f21e6de949e8b2655aa67d1a6d000f263183714eeeb1fda1c9e"),
     ("ci-pendulum16-r3", dict(problem="pendulum", n=16, r=3.0, epsilon=1e-3),
      (6, 6, 379, 7, 7), "1.0000000035508838",
-     "af612256ff8083e41c0839bdd326f31b53e8b3ce146e1eab1b5719e696962425"),
+     "674caa90662882f533ad5dff37ebb1f6f1f2eb84211d3bd47e6feaed358d513b"),
     ("ci-double_well8-r1.5-p3", dict(problem="double_well", n=8, r=1.5, p=3, x0="random", seed=3),
      (10, 8, 15, 11, 9), "-1.9999999999995275",
-     "7731c930689b65051adfac1736dcf45a36e81ca2be38cef838f1ccf31a860312"),
+     "4c29aaea92766d013323726633792f1b670b718e25011ca6b1d5a09df204fe60"),
     ("ci-double_well8-r2-p3", dict(problem="double_well", n=8, r=2.0, p=3, x0="random", seed=3),
      (8, 6, 9, 9, 7), "-2.0",
-     "091f94dfbf5cfb401e109b2b235fcbda3738e039d4d3428760e8f4b355197a53"),
+     "adb15f4bb17bb321da6df14b93b3fa90fd43206da847af8a98f4c59443285706"),
     ("ci-double_well8-r3-p3", dict(problem="double_well", n=8, r=3.0, p=3, x0="random", seed=3),
      (9, 6, 15, 10, 7), "-1.999999999997165",
-     "5461623adf552464ff960d6ad4f43b9ef7307d33c34762469ff01892caaa7886"),
+     "61454aebe12a9247457bcbda71ecc5ab1038442007a6038273c61b52091f2264"),
 ]
 
 

@@ -168,6 +168,44 @@ def test_tight_accuracy_converges_where_f_dwarfs_the_model_decrease(problem, n, 
     assert run.total_iterations <= max_outer
 
 
+@pytest.mark.parametrize("offset", [1e3, 1e8])
+def test_a_constant_added_to_f_moves_no_model_decrease(offset):
+    # the Taylor model is the model of the change f(x + s) - f(x): no
+    # constant added to f reaches it, so the model decreases are those of
+    # the unshifted run bit for bit
+    class Shifted(QuadraticBowl):
+        def __init__(self, c):
+            super().__init__(6)
+            self.c = c
+            self.f_low += c
+
+        def eval_f(self, x):
+            return super().eval_f(x) + self.c
+
+    cfg = OuterConfig(p=2, beta=1.0, epsilon=1e-5)
+    space = NormedSpace(6, 2.0)
+    runs = []
+    for problem in (Shifted(0.0), Shifted(offset)):
+        x0 = problem.default_x0()
+        run = solve(problem, x0, cfg, space)
+        assert run.status is SolveStatus.CONVERGED and run.total_iterations == 10
+        L = trajectory_holder_constant(problem, space, cfg.p, x0, run)
+        assert check_trajectory(run, cfg, L=L, f_low=problem.f_low) == []
+        runs.append(run)
+    base, shifted = ([rec.model_decrease for rec in run.records] for run in runs)
+    assert shifted == base
+
+
+@pytest.mark.parametrize("r, epsilon, max_outer", [(2.0, 1e-12, 12), (1.5, 1e-9, 9)])
+def test_accuracy_near_the_spacing_of_doubles_converges(r, epsilon, max_outer):
+    # model decreases of about epsilon^2 near f = -1.72 count in full: none
+    # is formed as a difference of values near f
+    run, violations, _ = run_single(ExperimentConfig(problem="quadratic", r=r, epsilon=epsilon))
+    assert run.status is SolveStatus.CONVERGED
+    assert violations == []
+    assert run.total_iterations <= max_outer
+
+
 def test_sigma_update_endpoints_deterministic():
     problem = DoubleWell(4)
     space = NormedSpace(4, 2.0)

@@ -26,7 +26,8 @@ def _random_symmetric(order, dim, rng):
 
 def _random_taylor(p, dim, rng):
     tensors = tuple(_random_symmetric(l, dim, rng) for l in range(1, p + 1))
-    return TaylorModel(float(rng.standard_normal()), tensors)
+    rng.standard_normal()  # an unused draw: the draws after it keep their values
+    return TaylorModel(tensors)
 
 
 def test_apply_linear_form_is_dot():
@@ -200,7 +201,7 @@ def test_diagonal_tensor_contracts_like_dense_bit_for_bit(order, n, diag, grad, 
     higher = [diagonal_tensor(l, _draw(n, diag) / l) for l in range(2, order + 1)]
     space = NormedSpace(n, 2.0)
     models = [
-        RegularizedModel(TaylorModel(0.5, (g, *ts)), 1.0, 1.0, space)
+        RegularizedModel(TaylorModel((g, *ts)), 1.0, 1.0, space)
         for ts in (higher, [SymmetricTensor(x.order, n, dense_array(x)) for x in higher])
     ]
     s0, d = vs[1], vs[2]
@@ -230,17 +231,18 @@ def test_ray_share_matches_full_contractions(order, diagonal, n, entries, a, b):
     assert coeffs == full_ray_coefficients([t], s0, d)
 
 
-def test_taylor_value_at_zero_is_f0():
+def test_taylor_value_at_zero_is_zero():
+    # the model of the change f(x + s) - f(x)
     rng = np.random.default_rng(5)
     tm = _random_taylor(3, 4, rng)
-    assert tm.value(np.zeros(4)) == pytest.approx(tm.f0, rel=1e-15)
+    assert tm.value(np.zeros(4)) == 0.0
 
 
 def test_taylor_linear_model():
     g = np.array([1.0, 2.0])
-    tm = TaylorModel(3.0, (SymmetricTensor(1, 2, g),))
+    tm = TaylorModel((SymmetricTensor(1, 2, g),))
     s = np.array([0.5, -1.0])
-    assert tm.value(s) == pytest.approx(3.0 + np.dot(g, s), rel=1e-15)
+    assert tm.value(s) == pytest.approx(np.dot(g, s), rel=1e-15)
 
 
 def test_taylor_reproduces_quadratic_exactly():
@@ -254,10 +256,11 @@ def test_taylor_reproduces_quadratic_exactly():
 
     x = rng.standard_normal(4)
     grad = a @ x + b
-    tm = TaylorModel(f(x), (SymmetricTensor(1, 4, grad), SymmetricTensor(2, 4, a)))
+    tm = TaylorModel((SymmetricTensor(1, 4, grad), SymmetricTensor(2, 4, a)))
     for _ in range(10):
         s = rng.standard_normal(4)
-        assert tm.value(s) == pytest.approx(f(x + s), abs=1e-12 * max(1, abs(f(x + s))))
+        change = f(x + s) - f(x)
+        assert tm.value(s) == pytest.approx(change, abs=1e-12 * max(1, abs(f(x + s))))
 
 
 def test_taylor_gradient_at_zero_is_base_gradient():
@@ -270,7 +273,7 @@ def test_taylor_gradient_quadratic_case():
     rng = np.random.default_rng(8)
     a = symmetrize(rng.standard_normal((3, 3)))
     g = rng.standard_normal(3)
-    tm = TaylorModel(0.0, (SymmetricTensor(1, 3, g), SymmetricTensor(2, 3, a)))
+    tm = TaylorModel((SymmetricTensor(1, 3, g), SymmetricTensor(2, 3, a)))
     s = rng.standard_normal(3)
     assert np.allclose(tm.gradient(s), g + a @ s, rtol=1e-13)
 
@@ -295,7 +298,7 @@ def _model(p, beta, sigma, dim, r, rng):
 def test_model_value_at_zero_and_sigma_zero():
     rng = np.random.default_rng(10)
     m = _model(2, 1.0, 3.0, 4, 2.0, rng)
-    assert m.value(np.zeros(4)) == pytest.approx(m.taylor.f0, rel=1e-15)
+    assert m.value(np.zeros(4)) == 0.0
     m0 = RegularizedModel(m.taylor, 0.0, 1.0, m.space)
     s = rng.standard_normal(4)
     assert m0.value(s) == pytest.approx(m.taylor.value(s), rel=1e-14)
@@ -304,11 +307,11 @@ def test_model_value_at_zero_and_sigma_zero():
 def test_model_value_p1_beta1_arithmetic():
     # sigma = 2 and Gamma(3) = 2 make the regularizer exactly |s|^2
     g = np.array([1.0, -1.0])
-    tm = TaylorModel(0.25, (SymmetricTensor(1, 2, g),))
+    tm = TaylorModel((SymmetricTensor(1, 2, g),))
     sp = NormedSpace(2, 2.0)
     m = RegularizedModel(tm, 2.0, 1.0, sp)
     s = np.array([0.3, 0.4])
-    assert m.value(s) == pytest.approx(0.25 + np.dot(g, s) + sp.norm(s) ** 2, rel=1e-14)
+    assert m.value(s) == pytest.approx(np.dot(g, s) + sp.norm(s) ** 2, rel=1e-14)
     # a finite s whose regularizer passes the largest double
     assert m.value(np.array([1e200, 1e200])) == math.inf
 
@@ -346,13 +349,13 @@ def _ray_eval(m, s0, d):
 
 def test_restrict_to_ray_linear_coefficients():
     g = np.array([2.0, 1.0])
-    tm = TaylorModel(1.5, (SymmetricTensor(1, 2, g),))
+    tm = TaylorModel((SymmetricTensor(1, 2, g),))
     sp = NormedSpace(2, 2.0)
     m = RegularizedModel(tm, 1.0, 1.0, sp)
     s0 = np.array([0.2, -0.4])
     d = np.array([1.0, 0.0])
     coeffs = _ray_eval(m, s0, d).coeffs
-    assert coeffs[0] == pytest.approx(1.5 + np.dot(g, s0), rel=1e-14)
+    assert coeffs[0] == pytest.approx(np.dot(g, s0), rel=1e-14)
     assert coeffs[1] == pytest.approx(-np.dot(g, d), rel=1e-14)
 
 
@@ -360,7 +363,7 @@ def test_restrict_to_ray_quadratic_coefficient_via_polyfit():
     rng = np.random.default_rng(13)
     a = symmetrize(rng.standard_normal((3, 3)))
     g = rng.standard_normal(3)
-    tm = TaylorModel(0.0, (SymmetricTensor(1, 3, g), SymmetricTensor(2, 3, a)))
+    tm = TaylorModel((SymmetricTensor(1, 3, g), SymmetricTensor(2, 3, a)))
     sp = NormedSpace(3, 2.0)
     m = RegularizedModel(tm, 0.5, 1.0, sp)
     d = rng.standard_normal(3)
@@ -440,9 +443,9 @@ def test_model_order_validation():
 def test_taylor_model_validation():
     g, h = SymmetricTensor(1, 3, np.ones(3)), SymmetricTensor(2, 3, np.eye(3))
     with pytest.raises(TensorError, match="order-1 tensor"):
-        TaylorModel(0.0, ())
+        TaylorModel(())
     with pytest.raises(TensorError, match="position 1 has order 2"):
-        TaylorModel(0.0, (h, g))
-    assert TaylorModel(0.0, (g, h)).dim == 3
+        TaylorModel((h, g))
+    assert TaylorModel((g, h)).dim == 3
     with pytest.raises(TensorError, match="dimension"):
-        TaylorModel(0.0, (SymmetricTensor(1, 2, np.ones(2)), h))
+        TaylorModel((SymmetricTensor(1, 2, np.ones(2)), h))
