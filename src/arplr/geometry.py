@@ -48,6 +48,9 @@ def _as_vector(n: int, v) -> np.ndarray:
 
 # the smallest normal double: a scaled power sum below it lost its peak term
 _TINY = sys.float_info.min
+# at r = 2, the window of a sum of squares np.vdot(a, a) whose square root
+# needs no power-of-two scaling
+_SUMSQ_MIN, _SUMSQ_MAX = 2.0 ** -900, 2.0 ** 1000
 
 
 def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
@@ -85,7 +88,7 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     differ by one ulp.
     """
     if a.ndim == 1:
-        if r == 2.0 and 2.0 ** -900 < float(np.vdot(a, a)) < 2.0 ** 1000:  # silent on overflow
+        if r == 2.0 and _SUMSQ_MIN < float(np.vdot(a, a)) < _SUMSQ_MAX:  # silent on overflow
             nrm = math.sqrt(float(np.add.reduce(a * a)))
             return nrm, a / nrm
         b = np.abs(a)

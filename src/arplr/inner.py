@@ -18,9 +18,15 @@ and for r != 2 its slope, one dot product of that point's duality vector
 with d.  The ray starts from the pass over s (the regularizer's gradient
 and value, the step-power norm), and the next s's pass is the ray's at the
 accepted point, so a step's value and the next ray's constant read one norm.
-A convex line search takes the value only at its root: 2 passes per
-iteration at r = 2 (and 2 per solve), about 3 for r != 2 on the l^r
-pendulum runs.  Then one contraction (``contract``) per order-l tensor with
+At r = 2 and p = 2 no point makes a pass: s carries its sum of squares
+``q = np.vdot(s, s)``, |s| is ``math.sqrt(q)`` inside that window (else the
+pass's norm), the regularizer's gradient is ``s (reg_d |s|^(e-2))``, with
+no duality vector, and the next ray's squared norm at t = 0 is q; one pass
+over the returned step gives ``step_norm`` the bits of ``NormedSpace.norm``.
+A convex line search takes the value only at its root: 1 pass per iteration
+at r = 2 and p = 2 (and 3 per solve: s = 0, the last gradient, the returned
+step), 2 at r = 2 for other p, about 3 for r != 2 on the l^r pendulum runs.
+Then one contraction (``contract``) per order-l tensor with
 l - 1 copies of d, which dot products with s and d finish into the ray
 coefficients l - 1 and l (from order 4 up a lower one contracts the full
 tensor); at p = 2 it is H d, which also updates H s, and otherwise the
@@ -30,23 +36,27 @@ for the diagonal tensors of separable oracles and for the banded
 pure diagonal gives the bits of its dense form.  The line search runs on
 the coefficients as Python floats, through the ray's slope and value
 functions (``_RayEval.scalar``).  In all, an r = 2 iteration of the banded
-pendulum model makes 25 NumPy calls (gradient 4, its pass 4, coefficients
-7, squared norm 2, step and its pass 6, H s 2) and an r != 2 one 22 plus 11
-per new ray point, about 44; ``test_inner_iteration_call_budget`` bounds
-the Python calls around them: 38.35 per r = 2 iteration at mesh 32, against
-44.35 without ``_lr``'s unscaled r = 2 pass, 58.48 without the r = 2 slope
-closure (the squared norm is a quadratic in t: no pass), 52.35 without the
-p = 2 update of H s by H d and 39.35 without ``_add_ray_share``'s order-2
+pendulum model makes 20 NumPy calls (gradient 3, its pass 4, coefficients
+7, the dot of s and d 1, step and its sum of squares 3, H s 2) and an
+r != 2 one 22 plus 11 per new ray point, about 44;
+``test_inner_iteration_call_budget`` bounds the Python calls around them:
+36.33 per r = 2 iteration at mesh 32, against 38.33 with a pass over each
+step, 39.34 without ``_lr``'s unscaled r = 2 pass, 58.46 without the r = 2
+slope closure (the squared norm is a quadratic in t: no pass), 52.33
+without the p = 2 update of H s by H d (both without the carried sum of
+squares, which they need) and 37.33 without ``_add_ray_share``'s order-2
 exit, so each of these shortcuts pays.  When the ray polynomial is not
 convex, one array scan of the ray's slope brackets its minima, for every r
 one row-wise l^r pass over the grid points, in two (grid x n) buffers that
 each thread keeps (``_scratch``).
 The gradient and direction have the bits of ``RegularizedModel.gradient``
-and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s), and
-the coefficients those of full contractions:
+and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s and at
+r = 2 forms the regularizer's share from s), the coefficients those of full
+contractions and the step norm that of ``NormedSpace.norm``:
 ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
-``test_inner_rays_match_the_model_methods_bit_for_bit`` and
-``test_ray_share_matches_full_contractions`` pin it.
+``test_inner_rays_match_the_model_methods_bit_for_bit``,
+``test_ray_share_matches_full_contractions`` and
+``test_reported_step_norm_is_the_norm_of_the_step`` pin it.
 
 One-dimensional minimization: the polynomial restriction of the Taylor part
 is combined with the norm regularizer, which is convex in the ray parameter.
@@ -86,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _lr, _pow
+from .geometry import _SUMSQ_MAX, _SUMSQ_MIN, _lr, _pow
 from .tensors import RegularizedModel
 
 __all__ = ["InnerResult", "Termination", "minimize_model", "default_max_iters"]
@@ -147,21 +157,24 @@ class _RayEval:
     ``coeffs`` (Python floats) is the Taylor part as a polynomial in t, less
     m(anchor) in ``minimize_model``, and ``dcoeffs`` its slope's; the
     regularizer ``reg_v |s|^e`` has derivative weight ``reg_d``, and
-    ``(nw, du) = _lr(anchor, r)`` is the anchor's l^r pass.
+    ``(nw, du) = _lr(anchor, r)`` is the anchor's l^r pass, or at r = 2,
+    given the anchor's sum of squares ``qa``, its norm alone.
     ``scalar`` gives the ray's slope and value as functions of a Python
     float t, and ``batch`` the slope alone on an array of t, by one
     row-wise ``_lr`` pass for every r.  A value, and for r != 2 a slope,
     makes an ``_lr`` pass over ``w = anchor - t direction`` (``point``),
-    and the last one is remembered (t, w, |w|_r and the duality vector), so
-    a repeated t costs none; the memory starts with the anchor's pass at
-    t = 0 (``anchor`` in place of ``anchor - 0 direction``: they differ at
-    most in the sign of zero entries).
+    or with ``qa`` a sum of squares, and the last one is remembered (t, w,
+    |w|_r and the duality vector or the sum of squares q), so a repeated t
+    costs none; the memory starts with the anchor's at t = 0 (``anchor`` in
+    place of ``anchor - 0 direction``: they differ at most in the sign of
+    zero entries).
     """
 
     __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
-                 "reg_v", "reg_d", "t", "w", "nw", "du")
+                 "reg_v", "reg_d", "qa", "t", "w", "nw", "du", "q")
 
-    def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d, nw: float, du):
+    def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d, nw: float, du,
+                 qa: float | None = None):
         self.anchor = anchor
         self.direction = direction
         self.coeffs = coeffs
@@ -170,14 +183,22 @@ class _RayEval:
         self.e = e
         self.reg_v = reg_v
         self.reg_d = reg_d
-        self.t, self.w, self.nw, self.du = 0.0, anchor, nw, du
+        self.qa = qa
+        self.t, self.w, self.nw, self.du, self.q = 0.0, anchor, nw, du, qa
 
     def point(self, t: float):
         """``(w, |w|_r, duality vector)`` at ``w = anchor - t direction``,
-        from memory when t is the remembered parameter."""
+        from memory when t is the remembered parameter.  A ray built with
+        ``qa`` (at r = 2) keeps ``q = np.vdot(w, w)`` and no duality vector
+        (the anchor's du stays), and ``|w|`` is ``math.sqrt(q)`` inside
+        ``_lr``'s unscaled window, else ``_lr``'s scaled norm."""
         if t != self.t:
             w = self.anchor - t * self.direction
-            self.nw, self.du = _lr(w, self.r)
+            if self.qa is None:
+                self.nw, self.du = _lr(w, self.r)
+            else:
+                self.q = q = float(np.vdot(w, w))  # silent on overflow
+                self.nw = math.sqrt(q) if _SUMSQ_MIN < q < _SUMSQ_MAX else _lr(w, 2.0)[0]
             self.t, self.w = t, w
         return self.w, self.nw, self.du
 
@@ -186,15 +207,16 @@ class _RayEval:
         of a float t, ``_deriv`` and ``_value``, which read their ``_lr``
         pass through ``point``; but at r = 2 the slope is a closure over
         local floats (the slope coefficients, the squared norm
-        ``qa - 2 qb t + t^2`` clamped at 0, with ``qa = |anchor|^2`` and
-        ``qb = anchor . direction``, the regularizer weight and exponent),
+        ``qa - 2 qb t + t^2`` clamped at 0, with ``qa = |anchor|^2``, if not
+        given, and ``qb = anchor . direction`` by ``np.vdot``, which is
+        silent on overflow, the regularizer weight and exponent),
         which makes no NumPy call and inlines ``_horner`` and ``_pow``, bit
         for bit."""
         if self.r != 2.0:
             return self._deriv, self._value
         dtop, drest = self.dcoeffs[-1], self.dcoeffs[-2::-1]
-        qa = float(self.anchor.dot(self.anchor))
-        qb = float(self.anchor.dot(self.direction))
+        qa = float(np.vdot(self.anchor, self.anchor)) if self.qa is None else self.qa
+        qb = float(np.vdot(self.anchor, self.direction))
         qb2 = 2.0 * qb
         reg_d, dexp = self.reg_d, 0.5 * (self.e - 2.0)
 
@@ -439,6 +461,9 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         grad0 = model.taylor.tensors[0].entries
         hessian = higher[0]
         hessian_s = np.zeros(space.n)
+    # at r = 2 a p = 2 solve carries sq = |s|^2 and no duality vector of s
+    lean = quadratic and r == 2.0
+    sq = 0.0 if lean else None
     step_norm, du_s = _lr(s, r)
     while True:
         if quadratic:
@@ -449,8 +474,11 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         # it (NormedSpace.duality_map of s), in one temporary: a product or
         # a sum has the same bits in either operand order
         pw = _pow(step_norm, power)
-        grad = du_s * pw
-        grad *= reg_d
+        if lean:  # (s / |s|) |s|^(e-1) reg_d as s (reg_d |s|^(e-2))
+            grad = s * (reg_d * _pow(step_norm, e - 2.0))
+        else:
+            grad = du_s * pw
+            grad *= reg_d
         grad += taylor_grad
         # its dual norm and NormedSpace.dual_direction of it
         grad_norm, d = _lr(grad, r_dual)
@@ -475,22 +503,25 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         for tensor in higher:
             lead = tensor.contract([d] * (tensor.order - 1))
             _add_ray_share(coeffs, tensor, lead, s, d)
-        ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s)
+        ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq)
         found = _line_minimize(ev, model.sigma, gamma_e1, 0.0)
         if found is None:
             term = Termination.PROGRESS_FLOOR
             break
         tau, drop = found
         value += drop
-        # s - tau d and its l^r pass, shared with the line search when it
-        # last evaluated the ray at tau
+        # s - tau d and its l^r pass (at r = 2, p = 2 its sum of squares),
+        # shared with the line search when it last evaluated the ray at tau
         s, step_norm, du_s = ev.point(tau)
+        sq = ev.q
         history.append(value)
         iters += 1
         if quadratic:
             hessian_s -= tau * lead  # H d at p = 2
             if iters % 256 == 0:
                 hessian_s = hessian.contract([s])
+    if lean:  # the bits of NormedSpace.norm
+        step_norm = _lr(s, r)[0]
     return InnerResult(
         s=s,
         step_norm=step_norm,

@@ -185,17 +185,22 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
     sigma = cfg.sigma0
     sigma_max = sigma
     records = []
+    moved = True  # x is x0 or an accepted trial, whose data is not read yet
 
     while True:
-        grad = derivs[0].entries
-        grad_norm = space.dual_norm(grad) if np.isfinite(grad).all() else math.nan
-        higher_finite = all(np.isfinite(t.entries).all() for t in derivs[1:])
-        if not (math.isfinite(grad_norm) and higher_finite and math.isfinite(fx)):
-            status = SolveStatus.ORACLE_NONFINITE
-            break
-        if grad_norm <= cfg.epsilon:
-            status = SolveStatus.CONVERGED
-            break
+        if moved:  # a rejected iteration keeps x and all that is read of it
+            moved = False
+            grad = derivs[0].entries
+            grad_norm = space.dual_norm(grad) if np.isfinite(grad).all() else math.nan
+            higher_finite = all(np.isfinite(t.entries).all() for t in derivs[1:])
+            if not (math.isfinite(grad_norm) and higher_finite and math.isfinite(fx)):
+                status = SolveStatus.ORACLE_NONFINITE
+                break
+            if grad_norm <= cfg.epsilon:
+                status = SolveStatus.CONVERGED
+                break
+            taylor = TaylorModel(derivs)
+            iterate_norm = space.norm(x)
         if len(records) >= cfg.max_outer_iters:
             status = SolveStatus.MAX_ITERS
             break
@@ -203,11 +208,9 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
             status = SolveStatus.SIGMA_OVERFLOW
             break
 
-        taylor = TaylorModel(derivs)
         model = RegularizedModel(taylor, sigma, cfg.beta, space)
         result = minimize_model(model, cfg.chi * cfg.epsilon, cfg.theta, cfg.inner_max_iters)
         s = result.s
-        iterate_norm = space.norm(x)
 
         trial = x + s
         f_trial = float(problem.eval_f(trial))
@@ -227,6 +230,7 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
             fx = f_trial
             derivs = _evaluate_derivatives(problem, x, cfg.p)
             deriv_evals += 1
+            moved = True
 
         records.append(
             IterationRecord(

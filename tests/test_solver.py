@@ -13,6 +13,7 @@ from arplr import (
     QuadraticBowl,
     RunRecord,
     SolveStatus,
+    TaylorModel,
     check_trajectory,
     diagonal_tensor,
     solve,
@@ -133,6 +134,26 @@ def test_inner_cap_maps_to_unsuccessful_iteration():
     for rec in capped[:-1]:
         later = run.records[rec.k + 1]
         assert later.sigma == pytest.approx(cfg.gamma2 * rec.sigma, rel=1e-12)
+
+
+def test_a_rejected_iteration_reads_nothing_new_of_its_point(monkeypatch):
+    # the gradient's dual norm, the finiteness checks, |x| and the Taylor
+    # model are read at x0 and after each success only: the dual norm at
+    # every evaluated point, the model at each but the converged one
+    problem, space, x0, outer = ExperimentConfig(problem="double_well", p=3).build()
+    counts = {"dual_norm": 0, "norm": 0}
+    for name in counts:
+        def counted(self, v, _name=name, _real=getattr(NormedSpace, name)):
+            counts[_name] += 1
+            return _real(self, v)
+        monkeypatch.setattr(NormedSpace, name, counted)
+    built = []
+    monkeypatch.setattr("arplr.solver.TaylorModel", lambda derivs: built.append(derivs) or
+                        TaylorModel(derivs))
+    run = solve(problem, x0, outer, space)
+    assert run.status is SolveStatus.CONVERGED and run.successes < run.total_iterations
+    assert counts == {"dual_norm": run.deriv_evals, "norm": run.deriv_evals - 1}
+    assert len(built) == run.deriv_evals - 1
 
 
 def test_progress_floor_rejects_outer_iteration():
