@@ -35,17 +35,20 @@ for the diagonal tensors of separable oracles and for the banded
 (tridiagonal) pendulum Hessian, and O(n^l) for a dense order-l tensor; a
 pure diagonal gives the bits of its dense form.  The line search runs on
 the coefficients as Python floats, through the ray's slope and value
-functions (``_RayEval.scalar``).  In all, an r = 2 iteration of the banded
-pendulum model makes 20 NumPy calls (gradient 3, its pass 4, coefficients
-7, the dot of s and d 1, step and its sum of squares 3, H s 2) and an
-r != 2 one 22 plus 11 per new ray point, about 44;
-``test_inner_iteration_call_budget`` bounds the Python calls around them:
-36.33 per r = 2 iteration at mesh 32, against 38.33 with a pass over each
-step, 39.34 without ``_lr``'s unscaled r = 2 pass, 58.46 without the r = 2
-slope closure (the squared norm is a quadratic in t: no pass), 52.33
-without the p = 2 update of H s by H d (both without the carried sum of
-squares, which they need) and 37.33 without ``_add_ray_share``'s order-2
-exit, so each of these shortcuts pays.  When the ray polynomial is not
+functions (``_RayEval.scalar``); a convex ray at r = 2 and p = 2 is five
+floats (c0, c1, c2, |s|^2 and s . d), and ``_lean_step`` runs the same
+search on them with no ``_RayEval``, forming one vector, the accepted point.
+In all, an r = 2 iteration of the banded pendulum model makes 20 NumPy
+calls (gradient 3, its pass 4, coefficients 7, the dot of s and d 1, step
+and its sum of squares 3, H s 2) and an r != 2 one 22 plus 11 per new ray
+point, about 44; ``test_inner_iteration_call_budget`` bounds the Python
+calls around them: 28.33 per r = 2 iteration at mesh 32, against 36.33
+with a ``_RayEval`` for every ray.  Measured with one, a pass over each
+step made 38.33, no unscaled r = 2 pass in ``_lr`` 39.34, no r = 2 slope
+closure 58.46 (the squared norm is a quadratic in t: no pass), no p = 2
+update of H s by H d 52.33 (both without the carried sum of squares, which
+they need) and no order-2 exit in ``_add_ray_share`` 37.33, so each of
+these shortcuts pays.  When the ray polynomial is not
 convex, one array scan of the ray's slope brackets its minima, for every r
 one row-wise l^r pass over the grid points, in two (grid x n) buffers that
 each thread keeps (``_scratch``).
@@ -151,6 +154,42 @@ def _horner(coeffs, t):
     return acc
 
 
+def _sumsq_point(anchor, t: float, direction):
+    """``(w, q, |w|_2)`` at ``w = anchor - t direction``, with the sum of
+    squares ``q = np.vdot(w, w)`` (silent on overflow) and ``|w|`` its
+    ``math.sqrt`` inside ``_lr``'s unscaled window, else ``_lr``'s scaled
+    norm: the bits of ``_lr(w, 2)[0]`` either way."""
+    w = anchor - t * direction
+    q = float(np.vdot(w, w))
+    return w, q, (math.sqrt(q) if _SUMSQ_MIN < q < _SUMSQ_MAX else _lr(w, 2.0)[0])
+
+
+def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
+    """The slope of an l^2 ray ``anchor - t direction`` (a unit direction)
+    as a closure over local floats: the Taylor slope coefficients, the
+    squared norm ``qa - 2 qb t + t^2`` clamped at 0 (``qa = |anchor|^2``,
+    ``qb = anchor . direction``), the regularizer weight and exponent.  It
+    makes no NumPy call and inlines ``_horner`` and ``_pow``, bit for bit."""
+    dtop, drest = dcoeffs[-1], dcoeffs[-2::-1]
+    qb2 = 2.0 * qb
+    dexp = 0.5 * (e - 2.0)
+
+    def slope(t: float) -> float:
+        poly = dtop + t * 0.0  # as _horner: NaN at an infinite t
+        for c in drest:
+            poly = c + poly * t
+        q = qa - qb2 * t + t * t
+        if q <= 0.0:  # clamped at 0, where the regularizer's slope vanishes
+            return poly
+        try:
+            qe = q ** dexp
+        except OverflowError:
+            qe = math.inf
+        return poly + reg_d * qe * (t - qb)
+
+    return slope
+
+
 class _RayEval:
     """Cached evaluation of a model along the ray ``anchor - t direction``.
 
@@ -193,47 +232,25 @@ class _RayEval:
         (the anchor's du stays), and ``|w|`` is ``math.sqrt(q)`` inside
         ``_lr``'s unscaled window, else ``_lr``'s scaled norm."""
         if t != self.t:
-            w = self.anchor - t * self.direction
             if self.qa is None:
+                w = self.anchor - t * self.direction
                 self.nw, self.du = _lr(w, self.r)
             else:
-                self.q = q = float(np.vdot(w, w))  # silent on overflow
-                self.nw = math.sqrt(q) if _SUMSQ_MIN < q < _SUMSQ_MAX else _lr(w, 2.0)[0]
+                w, self.q, self.nw = _sumsq_point(self.anchor, t, self.direction)
             self.t, self.w = t, w
         return self.w, self.nw, self.du
 
     def scalar(self):
         """``(slope, value)``: the ray's derivative and value as functions
         of a float t, ``_deriv`` and ``_value``, which read their ``_lr``
-        pass through ``point``; but at r = 2 the slope is a closure over
-        local floats (the slope coefficients, the squared norm
-        ``qa - 2 qb t + t^2`` clamped at 0, with ``qa = |anchor|^2``, if not
-        given, and ``qb = anchor . direction`` by ``np.vdot``, which is
-        silent on overflow, the regularizer weight and exponent),
-        which makes no NumPy call and inlines ``_horner`` and ``_pow``, bit
-        for bit."""
+        pass through ``point``; but at r = 2 the slope is ``_r2_slope``'s
+        closure, with ``qa = |anchor|^2`` if not given and ``qb = anchor .
+        direction`` by ``np.vdot``, which is silent on overflow."""
         if self.r != 2.0:
             return self._deriv, self._value
-        dtop, drest = self.dcoeffs[-1], self.dcoeffs[-2::-1]
         qa = float(np.vdot(self.anchor, self.anchor)) if self.qa is None else self.qa
         qb = float(np.vdot(self.anchor, self.direction))
-        qb2 = 2.0 * qb
-        reg_d, dexp = self.reg_d, 0.5 * (self.e - 2.0)
-
-        def slope(t: float) -> float:
-            poly = dtop + t * 0.0  # as _horner: NaN at an infinite t
-            for c in drest:
-                poly = c + poly * t
-            q = qa - qb2 * t + t * t
-            if q <= 0.0:  # clamped at 0, where the regularizer's slope vanishes
-                return poly
-            try:
-                qe = q ** dexp
-            except OverflowError:
-                qe = math.inf
-            return poly + reg_d * qe * (t - qb)
-
-        return slope, self._value
+        return _r2_slope(self.dcoeffs, qa, qb, self.reg_d, self.e), self._value
 
     def _value(self, t: float) -> float:
         return _horner(self.coeffs, t) + self.reg_v * _pow(self.point(t)[1], self.e)
@@ -345,6 +362,50 @@ def _first_root(slope, start: float, slope0: float, ftol: float):
     return _refine_root(slope, 0.0, t, slope0, d, ftol)
 
 
+def _start(slope0: float, t_taylor: float, sigma: float, gamma_e1: float, e: float):
+    """``(start, ftol)`` of a line search whose ray has slope ``slope0`` at
+    0: the lesser of the Taylor scale and the scale at which the regularizer
+    alone overtakes the initial slope, floored at 1e-12 (``min`` and
+    ``max`` in their operand order, which keep or pass over a NaN as those
+    do), and the root tolerance ``1e-12 max(1, -slope0)``.  A Taylor scale
+    that underflowed to 0 would never grow: the regularizer scale stands in
+    for it, and ``t_taylor = inf`` gives the regularizer scale alone."""
+    descent = -slope0
+    try:  # _pow, inlined, so the helper adds no call to a line search
+        scale = (descent * gamma_e1 / sigma) ** (1.0 / (e - 1.0))
+    except OverflowError:
+        scale = math.inf
+    if 1e-12 > scale:  # max(scale, 1e-12), which keeps a NaN
+        scale = 1e-12
+    start = (scale if scale < t_taylor else t_taylor) or scale  # min(t_taylor, scale)
+    return start, 1e-12 * (descent if descent > 1.0 else 1.0)  # max(1.0, -slope0)
+
+
+def _lean_step(coeffs: list, s, d, qa: float, e: float, reg_v: float, reg_d: float,
+               sigma: float, gamma_e1: float):
+    """``_line_minimize`` on a convex l^2 ray of a p = 2 model, on five
+    floats: ``coeffs = [c0, c1, c2]`` with ``c2 >= 0``, the step's sum of
+    squares ``qa`` and ``qb = s . d``.  Only the accepted point is a vector.
+    Returns ``(tau, drop, w, |w|_2, q)`` (``_sumsq_point`` at tau) with the
+    bits of ``_line_minimize(_RayEval(..., qa), sigma, gamma_e1, 0.0)`` and
+    that ray's ``point(tau)`` and ``q``, or None where that gives None."""
+    c0, c1, c2 = coeffs
+    jc = 2.0 * c2
+    slope = _r2_slope([c1, jc], qa, float(np.vdot(s, d)), reg_d, e)
+    slope0 = slope(0.0)
+    # the Taylor scale as _line_minimize finds it: none (inf) at c1 = -inf
+    t_taylor = -c1 / jc if jc > 0.0 and -math.inf < c1 < 0.0 else math.inf
+    start, ftol = _start(slope0, t_taylor, sigma, gamma_e1, e)
+    if not start < math.inf:
+        return None
+    tau = _first_root(slope, start, slope0, ftol)
+    if tau is None:
+        return None
+    w, q, nw = _sumsq_point(s, tau, d)
+    v = c0 + (c1 + c2 * tau) * tau + reg_v * _pow(nw, e)  # _RayEval._value
+    return (tau, v, w, nw, q) if -math.inf < v < 0.0 and tau > 0.0 else None
+
+
 def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     """A local minimizer of ``tau -> m(s - tau d)``, tau > 0, for a model of
     weight sigma with ``gamma_e1 = Gamma(e + 1)``: a root of the ray's slope
@@ -361,19 +422,11 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
     when neither is finite; a nonconvex ray's scan has none when the
     regularizer scale overflows.  One pass over the slope coefficients
     ``j c_j`` (j >= 2, each of the sign of c_j) finds convexity and the
-    Taylor scale, and the scales are compared in the operand order of
-    ``min`` and ``max``, which keep or pass over a NaN as those do.
+    Taylor scale, and ``_start`` compares the scales in the operand order
+    of ``min`` and ``max``, which keep or pass over a NaN as those do.
     """
     slope, val = ev.scalar()
     slope0 = slope(0.0)
-    descent = -slope0
-    ftol = 1e-12 * (descent if descent > 1.0 else 1.0)  # max(1.0, -slope0)
-
-    # scale at which the regularizer alone overtakes the initial slope,
-    # at least 1e-12: max(scale, 1e-12), which keeps a NaN
-    scale = _pow(descent * gamma_e1 / sigma, 1.0 / (ev.e - 1.0))
-    if 1e-12 > scale:
-        scale = 1e-12
 
     # past the Taylor scale one term j c_j t^(j-1) alone cancels c_1 < 0,
     # so the polynomial's slope is >= 0 there
@@ -391,10 +444,8 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
 
     if convex:
         # polynomial part convex, so the whole ray function is: the
-        # minimizer is the unique positive root of the derivative.  A Taylor
-        # scale that underflowed to 0 would never grow: the regularizer
-        # scale stands in for it
-        start = (scale if scale < t_taylor else t_taylor) or scale  # min(t_taylor, scale)
+        # minimizer is the unique positive root of the derivative
+        start, ftol = _start(slope0, t_taylor, sigma, gamma_e1, ev.e)
         if not start < math.inf:  # overflowed to inf or NaN
             return None
         tau = _first_root(slope, start, slope0, ftol)
@@ -402,6 +453,7 @@ def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
             return None
         v = val(tau)
         return (tau, v) if -math.inf < v < value and tau > 0.0 else None
+    scale, ftol = _start(slope0, math.inf, sigma, gamma_e1, ev.e)  # no Taylor scale
     if not scale < math.inf:
         return None
     # grow a bracket until the ray value exceeds ``value`` or is not finite,
@@ -500,20 +552,30 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         # the Taylor part of m(s - t d) - m(s) in t: minus the regularizer's
         # share at s, the slope at s, then each tensor's higher coefficients
         coeffs = [-reg_v * _pow(step_norm, e), -float(taylor_grad.dot(d)), *pad]
-        for tensor in higher:
-            lead = tensor.contract([d] * (tensor.order - 1))
-            _add_ray_share(coeffs, tensor, lead, s, d)
-        ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq)
-        found = _line_minimize(ev, model.sigma, gamma_e1, 0.0)
+        if lean:  # _add_ray_share's order-2 share
+            lead = hessian.contract([d])
+            coeffs[2] += float(lead.dot(d)) / 2.0
+        else:
+            for tensor in higher:
+                lead = tensor.contract([d] * (tensor.order - 1))
+                _add_ray_share(coeffs, tensor, lead, s, d)
+        if lean and coeffs[2] >= 0.0:  # a convex ray: five floats
+            found = _lean_step(coeffs, s, d, sq, e, reg_v, reg_d, model.sigma, gamma_e1)
+            if found is not None:
+                tau, drop, s, step_norm, sq = found
+        else:
+            ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq)
+            found = _line_minimize(ev, model.sigma, gamma_e1, 0.0)
+            if found is not None:
+                tau, drop = found
+                # s - tau d and its l^r pass (at r = 2, p = 2 its sum of squares),
+                # shared with the line search when it last evaluated the ray at tau
+                s, step_norm, du_s = ev.point(tau)
+                sq = ev.q
         if found is None:
             term = Termination.PROGRESS_FLOOR
             break
-        tau, drop = found
         value += drop
-        # s - tau d and its l^r pass (at r = 2, p = 2 its sum of squares),
-        # shared with the line search when it last evaluated the ray at tau
-        s, step_norm, du_s = ev.point(tau)
-        sq = ev.q
         history.append(value)
         iters += 1
         if quadratic:

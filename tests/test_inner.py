@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import threading
@@ -29,6 +30,7 @@ from arplr.harness import ExperimentConfig
 from arplr.inner import (
     _first_root,
     _horner,
+    _lean_step,
     _line_minimize,
     _RayEval,
     _refine_root,
@@ -466,6 +468,57 @@ def test_nonconvex_line_search_returns_a_refined_slope_root_below_m(r, p, beta, 
     assert abs(slope(tau)) <= ftol or slope(tau - width) <= 0.0 < slope(tau + width)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    scale=st.one_of(
+        st.tuples(st.integers(min_value=-158, max_value=-140), st.sampled_from([0.5, 1.0])),
+        st.tuples(st.integers(min_value=-3, max_value=3), st.sampled_from([0.5, 1.0])),
+        # beta = 0.01 keeps the regularizer's |s|^(2 + beta) below the largest double
+        st.tuples(st.integers(min_value=151, max_value=152), st.just(0.01)),
+    ),
+    n=st.sampled_from([1, 3, 40]),
+    curvature=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    zero=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_lean_step_gives_the_bits_of_the_ray_line_search(scale, n, curvature, zero, seed):
+    # a convex l^2, p = 2 ray as minimize_model builds it at |s| near 10^k
+    # (or at s = 0): the dual direction of the model gradient, g ~ 10^(k/2),
+    # c2 >= 0 ~ 10^(-k/2) and sigma |s|^(e-1) ~ |g|.  The step on five
+    # floats returns the reference's tau, drop, point, norm and sum of
+    # squares, or None with it; outside _lr's unscaled window (|k| > 3) the
+    # point's norm is the scaled pass's, without a warning
+    k, beta = scale
+    rng = np.random.default_rng(seed)
+    e = 2.0 + beta
+    sigma = 1.1 * 10.0 ** (k * (1.5 - e))
+    gamma_e1 = math.gamma(e + 1.0)
+    reg_v, reg_d = sigma / gamma_e1, sigma / math.gamma(e)
+    s = np.zeros(n) if zero else 10.0 ** k * rng.standard_normal(n)
+    g = 10.0 ** (k / 2) * rng.standard_normal(n)
+    step_norm = _lr(s, 2.0)[0]
+    d = _lr(g + s * (reg_d * _pow(step_norm, e - 2.0)), 2.0)[1]
+    c2 = 0.0 + curvature * 10.0 ** (-k / 2) * rng.random()
+    coeffs = [-reg_v * _pow(step_norm, e), -float(g.dot(d)), c2]
+    qa = float(np.vdot(s, s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ev = _RayEval(coeffs, s, d, 2.0, e, reg_v, reg_d, step_norm, None, qa)
+        found = _line_minimize(ev, sigma, gamma_e1, 0.0)
+        with mock.patch("arplr.inner._lr", side_effect=_lr) as passes:
+            lean = _lean_step(coeffs, s, d, qa, e, reg_v, reg_d, sigma, gamma_e1)
+    if found is None:
+        assert lean is None
+        return
+    tau, drop = found
+    w, nw, _ = ev.point(tau)
+    assert lean is not None
+    assert [_bits(x) for x in lean[:2] + lean[3:]] == [_bits(x) for x in (tau, drop, nw, ev.q)]
+    assert lean[2].tobytes() == w.tobytes()
+    # the one l^r pass is the fallback's, outside the window
+    assert passes.call_count == (not _SUMSQ_MIN < ev.q < _SUMSQ_MAX)
+
+
 def test_root_refinement_resolves_a_root_far_below_one():
     # f(t) = -1 + sqrt(t / 1e-17) has its root at 1e-17; a width exit with
     # an absolute floor near 1e-15 stops on an unresolved point there
@@ -697,6 +750,30 @@ def test_r2_quadratic_step_norms_keep_their_bits_at_every_scale(scale, n, seed):
     assert math.isfinite(res.model_grad_dual_norm) and np.isfinite(m.gradient(res.s)).all()
 
 
+@contextlib.contextmanager
+def _recorded_rays():
+    """Every ray that ``minimize_model`` runs a line search on, in order, as
+    a ``_RayEval``: the ones it builds itself, and each convex l^2, p = 2
+    ray that ``_lean_step`` runs on floats, built from that call's
+    arguments (a ray at r = 2 reads its anchor's norm only through
+    ``point``)."""
+    rays = []
+
+    class Recorded(_RayEval):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            rays.append(self)
+
+    def lean(coeffs, s, d, qa, e, reg_v, reg_d, *rest):
+        rays.append(_RayEval(coeffs, s, d, 2.0, e, reg_v, reg_d, *_lr(s, 2.0), qa))
+        return _lean_step(coeffs, s, d, qa, e, reg_v, reg_d, *rest)
+
+    with mock.patch("arplr.inner._RayEval", Recorded), mock.patch("arplr.inner._lean_step", lean):
+        yield rays
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(
     p=st.sampled_from([1, 2, 3]),
@@ -709,19 +786,11 @@ def test_inner_rays_match_the_model_methods_bit_for_bit(p, r, seed):
     # keeps H s up to date instead of contracting the Hessian with s, so its
     # gradient, direction and slope may differ in the last bits
     m = _random_model(p, 0.7, 1.1, 3, r, np.random.default_rng(seed))
-    rays = []
-
-    class Recorded(_RayEval):
-        __slots__ = ()
-
-        def __init__(self, coeffs, anchor, direction, *args):
-            super().__init__(coeffs, anchor, direction, *args)
-            rays.append((coeffs, anchor, direction))
-
-    with mock.patch("arplr.inner._RayEval", Recorded):
+    with _recorded_rays() as rays:
         res = minimize_model(m, 1e-8, max_iters=100)
     assert len(rays) >= res.iterations >= 1
-    for coeffs, s, d in rays:
+    for ev in rays:
+        coeffs, s, d = ev.coeffs, ev.anchor, ev.direction
         if p > 1:
             assert coeffs[2:] == full_ray_coefficients(m.taylor.tensors[1:], s, d)[2:]
         if p != 2:
@@ -758,16 +827,7 @@ def test_each_inner_step_decreases_the_model_by_the_descent_profile_bound(p, sig
     # psi(t) = -alpha t + sum kappa t^gamma, alpha the dual gradient norm
     # at s; p = 1 attains the bound (one term of exponent 2)
     m = _random_model(p, 1.0, sigma, n, 2.0, np.random.default_rng(seed))
-    rays = []
-
-    class Recorded(_RayEval):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            rays.append(self)
-
-    with mock.patch("arplr.inner._RayEval", Recorded):
+    with _recorded_rays() as rays:
         res = minimize_model(m, 1e-8, max_iters=100)
     values = res.value_history
     assert len(rays) >= res.iterations >= 1
@@ -851,7 +911,7 @@ def test_inner_value_histories_hold_python_floats(r):
     assert [type(v) for v in history if type(v) is not float] == []
 
 
-@pytest.mark.parametrize("r, grad_tol, budget", [(2.0, 1e-6, 36.36), (1.5, 1e-5, 69.09)])
+@pytest.mark.parametrize("r, grad_tol, budget", [(2.0, 1e-6, 28.36), (1.5, 1e-5, 69.09)])
 def test_inner_iteration_call_budget(r, grad_tol, budget):
     # Python-level calls (profile "call" and "c_call" events) per inner
     # iteration of a fixed solve of the banded pendulum model at mesh 32
@@ -861,7 +921,8 @@ def test_inner_iteration_call_budget(r, grad_tol, budget):
     # all() generator, min and max, the candidates list, the ray's norm
     # helper and the r = 2 slope's _pow frame) these were 53.12 and 80.08,
     # then 38.35 and 69.08; an r = 2, p = 2 step that carries |s|^2 in
-    # place of an l^r pass brings r = 2 to 36.33 (Python 3.11, NumPy 2.4.6)
+    # place of an l^r pass brings r = 2 to 36.33, and a convex ray on five
+    # floats without a _RayEval to 28.33 (Python 3.11, NumPy 2.4.6)
     cfg = ExperimentConfig(problem="pendulum", n=32, r=r, p=2, epsilon=1e-4)
     problem, space, x0, _ = cfg.build()
     derivs = tuple(problem.eval_derivative(x0, l) for l in (1, 2))
