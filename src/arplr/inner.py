@@ -13,11 +13,11 @@ returns a vector's norm and its duality vector; at r = 2 one over a vector
 whose sum of squares lies in (2^-900, 2^1000) is four NumPy calls, without
 the power-of-two scaling, and otherwise eight): one over the model
 gradient, which gives its dual norm and the dual direction, and one per new
-point at which the line search evaluates the ray (``_RayEval``): its value,
-and for r != 2 its slope, one dot product of that point's duality vector
-with d.  The ray starts from the pass over s (the regularizer's gradient
-and value, the step-power norm), and the next s's pass is the ray's at the
-accepted point, so a step's value and the next ray's constant read one norm.
+point at which the line search evaluates the ray: its value, and for r != 2
+its slope, one dot product of that point's duality vector with d.  The ray
+starts from the pass over s (the regularizer's gradient and value, the
+step-power norm), and the next s's pass is the ray's at the accepted point,
+so a step's value and the next ray's constant read one norm.
 At r = 2 and p = 2 no point makes a pass: s carries its sum of squares
 ``q = np.vdot(s, s)``, |s| is ``math.sqrt(q)`` inside that window (else the
 pass's norm), the regularizer's gradient is ``s (reg_d |s|^(e-2))``, with
@@ -35,14 +35,18 @@ for the diagonal tensors of separable oracles and for the banded
 (tridiagonal) pendulum Hessian, and O(n^l) for a dense order-l tensor; a
 pure diagonal gives the bits of its dense form.  The line search runs on
 the coefficients as Python floats, through the ray's slope and value
-functions (``_RayEval.scalar``); a convex ray at r = 2 and p = 2 is five
-floats (c0, c1, c2, |s|^2 and s . d), and ``_lean_step`` runs the same
-search on them with no ``_RayEval``, forming one vector, the accepted point.
-In all, an r = 2 iteration of the banded pendulum model makes 20 NumPy
-calls (gradient 3, its pass 4, coefficients 7, the dot of s and d 1, step
-and its sum of squares 3, H s 2) and an r != 2 one 22 plus 11 per new ray
-point, about 44; ``test_inner_iteration_call_budget`` bounds the Python
-calls around them: 28.33 per r = 2 iteration at mesh 32, against 36.33
+functions (``_RayEval.scalar``).  A convex ray of a p = 2 model (c2 >= 0)
+runs the same search in ``_lean_step``, with no ``_RayEval``, and forms
+its value once, at the root: at r = 2 on five floats (c0, c1, c2, |s|^2
+and s . d), with one vector, the accepted point, and at other r on the
+slope closure of ``_lr_ray``, which remembers its last point's pass and
+starts from s's.  Only the rays of p != 2 models and nonconvex rays build a
+``_RayEval``.  In all, an r = 2 iteration of the banded pendulum model
+makes 20 NumPy calls (gradient 3, its pass 4, coefficients 7, the dot of s
+and d 1, step and its sum of squares 3, H s 2) and an r != 2 one 22 plus 11
+per new ray point, about 44; ``test_inner_iteration_call_budget`` bounds
+the Python calls around them at mesh 32: 28.33 per r = 2 iteration and
+49.06 and 46.56 per r = 1.5 and r = 3 one, against 36.33, 69.07 and 65.82
 with a ``_RayEval`` for every ray.  Measured with one, a pass over each
 step made 38.33, no unscaled r = 2 pass in ``_lr`` 39.34, no r = 2 slope
 closure 58.46 (the squared norm is a quadratic in t: no pass), no p = 2
@@ -154,14 +158,14 @@ def _horner(coeffs, t):
     return acc
 
 
-def _sumsq_point(anchor, t: float, direction):
-    """``(w, q, |w|_2)`` at ``w = anchor - t direction``, with the sum of
+def _sumsq_point(anchor, direction, t: float):
+    """``(w, |w|_2, q)`` at ``w = anchor - t direction``, with the sum of
     squares ``q = np.vdot(w, w)`` (silent on overflow) and ``|w|`` its
     ``math.sqrt`` inside ``_lr``'s unscaled window, else ``_lr``'s scaled
     norm: the bits of ``_lr(w, 2)[0]`` either way."""
     w = anchor - t * direction
     q = float(np.vdot(w, w))
-    return w, q, (math.sqrt(q) if _SUMSQ_MIN < q < _SUMSQ_MAX else _lr(w, 2.0)[0])
+    return w, (math.sqrt(q) if _SUMSQ_MIN < q < _SUMSQ_MAX else _lr(w, 2.0)[0]), q
 
 
 def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
@@ -188,6 +192,43 @@ def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
         return poly + reg_d * qe * (t - qb)
 
     return slope
+
+
+def _lr_ray(c1: float, jc: float, anchor, direction, r: float, e: float, reg_d: float,
+            nw: float, du):
+    """``(slope, point)`` of the l^r ray ``anchor - t direction`` of a p = 2
+    model, as closures: the slope ``c1 + jc t + reg_d |w|_r^(e-1) (-du .
+    direction)`` at t, and ``point(anchor, direction, t)`` (called as
+    ``_sumsq_point`` is, on this ray), ``(w, |w|_r, du)``, du the duality
+    vector of ``w = anchor - t direction``.  They share ``_RayEval``'s
+    memory of the last new point, seeded at t = 0 with the anchor's pass
+    ``(nw, du) = _lr(anchor, r)``, and give the bits of its ``_deriv`` and
+    ``point``; the slope inlines ``_horner``, ``_pow`` and the memory's
+    update."""
+    de = e - 1.0
+    last_t, last_w = 0.0, anchor
+
+    def slope(t: float) -> float:
+        nonlocal last_t, last_w, nw, du
+        if t != last_t:
+            last_w = anchor - t * direction
+            nw, du = _lr(last_w, r)
+            last_t = t
+        try:
+            pw = nw ** de
+        except OverflowError:
+            pw = math.inf
+        return c1 + (jc + t * 0.0) * t + reg_d * pw * -float(du.dot(direction))
+
+    def point(anchor, direction, t: float):  # as _sumsq_point's
+        nonlocal last_t, last_w, nw, du
+        if t != last_t:
+            last_w = anchor - t * direction
+            nw, du = _lr(last_w, r)
+            last_t = t
+        return last_w, nw, du
+
+    return slope, point
 
 
 class _RayEval:
@@ -236,7 +277,7 @@ class _RayEval:
                 w = self.anchor - t * self.direction
                 self.nw, self.du = _lr(w, self.r)
             else:
-                w, self.q, self.nw = _sumsq_point(self.anchor, t, self.direction)
+                w, self.nw, self.q = _sumsq_point(self.anchor, self.direction, t)
             self.t, self.w = t, w
         return self.w, self.nw, self.du
 
@@ -381,17 +422,24 @@ def _start(slope0: float, t_taylor: float, sigma: float, gamma_e1: float, e: flo
     return start, 1e-12 * (descent if descent > 1.0 else 1.0)  # max(1.0, -slope0)
 
 
-def _lean_step(coeffs: list, s, d, qa: float, e: float, reg_v: float, reg_d: float,
-               sigma: float, gamma_e1: float):
-    """``_line_minimize`` on a convex l^2 ray of a p = 2 model, on five
-    floats: ``coeffs = [c0, c1, c2]`` with ``c2 >= 0``, the step's sum of
-    squares ``qa`` and ``qb = s . d``.  Only the accepted point is a vector.
-    Returns ``(tau, drop, w, |w|_2, q)`` (``_sumsq_point`` at tau) with the
-    bits of ``_line_minimize(_RayEval(..., qa), sigma, gamma_e1, 0.0)`` and
-    that ray's ``point(tau)`` and ``q``, or None where that gives None."""
+def _lean_step(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: float,
+               nw: float, du, qa: float | None, sigma: float, gamma_e1: float):
+    """``_line_minimize`` on a convex ray of a p = 2 model, on floats, with
+    no ``_RayEval``: ``coeffs = [c0, c1, c2]`` with ``c2 >= 0`` and, at
+    r = 2, the step's sum of squares ``qa`` and ``qb = s . d`` (the slope of
+    ``_r2_slope``, ``_sumsq_point`` at tau), else the pass ``(nw, du) =
+    _lr(s, r)`` (``_lr_ray``).  Returns ``(tau, drop, w, |w|_r, x)`` with
+    the bits of ``_line_minimize(_RayEval(coeffs, s, d, r, e, reg_v, reg_d,
+    nw, du, qa), sigma, gamma_e1, 0.0)`` and that ray's ``point(tau)``,
+    where x is its ``q`` at r = 2 and else the duality vector of w, or None
+    where that gives None.  The value is formed once, at the root."""
     c0, c1, c2 = coeffs
     jc = 2.0 * c2
-    slope = _r2_slope([c1, jc], qa, float(np.vdot(s, d)), reg_d, e)
+    if r == 2.0:  # only the accepted point is a vector
+        slope = _r2_slope([c1, jc], qa, float(np.vdot(s, d)), reg_d, e)
+        point = _sumsq_point
+    else:  # a pass per new point, the last one remembered
+        slope, point = _lr_ray(c1, jc, s, d, r, e, reg_d, nw, du)
     slope0 = slope(0.0)
     # the Taylor scale as _line_minimize finds it: none (inf) at c1 = -inf
     t_taylor = -c1 / jc if jc > 0.0 and -math.inf < c1 < 0.0 else math.inf
@@ -401,9 +449,9 @@ def _lean_step(coeffs: list, s, d, qa: float, e: float, reg_v: float, reg_d: flo
     tau = _first_root(slope, start, slope0, ftol)
     if tau is None:
         return None
-    w, q, nw = _sumsq_point(s, tau, d)
+    w, nw, x = point(s, d, tau)
     v = c0 + (c1 + c2 * tau) * tau + reg_v * _pow(nw, e)  # _RayEval._value
-    return (tau, v, w, nw, q) if -math.inf < v < 0.0 and tau > 0.0 else None
+    return (tau, v, w, nw, x) if -math.inf < v < 0.0 and tau > 0.0 else None
 
 
 def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
@@ -514,8 +562,8 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         hessian = higher[0]
         hessian_s = np.zeros(space.n)
     # at r = 2 a p = 2 solve carries sq = |s|^2 and no duality vector of s
-    lean = quadratic and r == 2.0
-    sq = 0.0 if lean else None
+    sumsq = quadratic and r == 2.0
+    sq = 0.0 if sumsq else None
     step_norm, du_s = _lr(s, r)
     while True:
         if quadratic:
@@ -526,7 +574,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         # it (NormedSpace.duality_map of s), in one temporary: a product or
         # a sum has the same bits in either operand order
         pw = _pow(step_norm, power)
-        if lean:  # (s / |s|) |s|^(e-1) reg_d as s (reg_d |s|^(e-2))
+        if sumsq:  # (s / |s|) |s|^(e-1) reg_d as s (reg_d |s|^(e-2))
             grad = s * (reg_d * _pow(step_norm, e - 2.0))
         else:
             grad = du_s * pw
@@ -552,17 +600,22 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         # the Taylor part of m(s - t d) - m(s) in t: minus the regularizer's
         # share at s, the slope at s, then each tensor's higher coefficients
         coeffs = [-reg_v * _pow(step_norm, e), -float(taylor_grad.dot(d)), *pad]
-        if lean:  # _add_ray_share's order-2 share
+        if quadratic:  # _add_ray_share's order-2 share
             lead = hessian.contract([d])
             coeffs[2] += float(lead.dot(d)) / 2.0
         else:
             for tensor in higher:
                 lead = tensor.contract([d] * (tensor.order - 1))
                 _add_ray_share(coeffs, tensor, lead, s, d)
-        if lean and coeffs[2] >= 0.0:  # a convex ray: five floats
-            found = _lean_step(coeffs, s, d, sq, e, reg_v, reg_d, model.sigma, gamma_e1)
+        if quadratic and coeffs[2] >= 0.0:  # a convex ray: a few floats
+            found = _lean_step(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq,
+                               model.sigma, gamma_e1)
             if found is not None:
-                tau, drop, s, step_norm, sq = found
+                tau, drop, s, step_norm, carry = found
+                if sumsq:
+                    sq = carry
+                else:
+                    du_s = carry
         else:
             ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq)
             found = _line_minimize(ev, model.sigma, gamma_e1, 0.0)
@@ -582,7 +635,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
             hessian_s -= tau * lead  # H d at p = 2
             if iters % 256 == 0:
                 hessian_s = hessian.contract([s])
-    if lean:  # the bits of NormedSpace.norm
+    if sumsq:  # the bits of NormedSpace.norm
         step_norm = _lr(s, r)[0]
     return InnerResult(
         s=s,
