@@ -45,17 +45,19 @@ starts from s's.  Only the rays of p != 2 models and nonconvex rays build a
 makes 20 NumPy calls (gradient 3, its pass 4, coefficients 7, the dot of s
 and d 1, step and its sum of squares 3, H s 2) and an r != 2 one 22 plus 11
 per new ray point, about 44; ``test_inner_iteration_call_budget`` bounds
-the Python calls around them at mesh 32: 28.33 per r = 2 iteration and
-49.06 and 46.56 per r = 1.5 and r = 3 one, against 36.33, 69.07 and 65.82
-with a ``_RayEval`` for every ray.  Measured with one, a pass over each
+the Python calls around them at mesh 32: 27.33 per r = 2 iteration and
+48.06 and 45.56 per r = 1.5 and r = 3 one.  The shortcuts were measured
+while each iteration also appended its model value to a list, one call
+more (28.33, 49.06 and 46.56): with a ``_RayEval`` for every ray an
+iteration made 36.33, 69.07 and 65.82, and with one, a pass over each
 step made 38.33, no unscaled r = 2 pass in ``_lr`` 39.34, no r = 2 slope
 closure 58.46 (the squared norm is a quadratic in t: no pass), no p = 2
 update of H s by H d 52.33 (both without the carried sum of squares, which
 they need) and no order-2 exit in ``_add_ray_share`` 37.33, so each of
-these shortcuts pays.  When the ray polynomial is not
-convex, one array scan of the ray's slope brackets its minima, for every r
-one row-wise l^r pass over the grid points, in two (grid x n) buffers that
-each thread keeps (``_scratch``).
+these shortcuts pays.  When the ray polynomial is not convex, one array
+scan of the ray's slope brackets its minima, for every r one row-wise l^r
+pass over the grid points, in two (grid x n) buffers that each thread
+keeps (``_scratch``).
 The gradient and direction have the bits of ``RegularizedModel.gradient``
 and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s and at
 r = 2 forms the regularizer's share from s), the coefficients those of full
@@ -86,9 +88,9 @@ at 0, the slope is scanned on a mixed linear/geometric grid, and
 ``_refine_root`` refines each root that a sign change from - to + brackets
 (a slope of exactly 0 at a grid point brackets none, and a deeper minimum
 can lie beyond the bracket).  A ray is measured from m(s), so it reads the
-drop ``m(s - t d) - m(s)``, and the value history adds up the drops from
-m(0) = 0: the Taylor part models f(x + s) - f(x), so no model value carries
-the size of f.  The best root is taken if its drop is finite and
+drop ``m(s - t d) - m(s)``: the Taylor part models f(x + s) - f(x), so no
+drop carries the size of f, and the solve keeps none of them (from m(0) =
+0 they add up to m(s)).  The best root is taken if its drop is finite and
 negative; else (say the bracket stopped on a NaN or -inf slope, or at the
 1e30 cap still descending) the solve ends on ``PROGRESS_FLOOR``.
 """
@@ -128,12 +130,15 @@ def default_max_iters(n: int, p: int, grad_tol: float) -> int:
 
 @dataclass(frozen=True)
 class InnerResult:
+    """The step of an inner solve and how it ended.  The solve keeps no
+    per-iteration values, so its memory does not depend on its iteration
+    count."""
+
     s: np.ndarray
     step_norm: float  # |s|_r
     model_grad_dual_norm: float
     iterations: int
     termination: Termination
-    value_history: tuple  # model values, starting at m(0) = 0
 
 
 _thread = threading.local()
@@ -529,7 +534,9 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
     From s = 0 it stops once ``|grad m(s)|_* <= max(grad_tol, theta
     |s|^(p+beta-1))``, the theta branch armed only when theta is given and
     s is nonzero, or after ``max_iters`` iterations, by default
-    ``default_max_iters(n, p, grad_tol)``.
+    ``default_max_iters(n, p, grad_tol)``.  It carries only the step, its
+    norm, its pass and at p = 2 H s from one iteration to the next, so its
+    memory does not depend on its iteration count.
     """
     if not model.sigma > 0.0:
         raise ValueError("model must have a positive regularization weight")
@@ -548,8 +555,6 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
     reg_v = model.sigma / gamma_e1
     reg_d = model.sigma / math.gamma(e)
     s = np.zeros(space.n)
-    value = 0.0  # m(0): the Taylor model is the change of f, and the regularizer is 0
-    history = [value]
     iters = 0
     # for order-2 models the step is rank-one along d, so the Hessian
     # product with s can be maintained incrementally (one product per
@@ -611,7 +616,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
             found = _lean_step(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq,
                                model.sigma, gamma_e1)
             if found is not None:
-                tau, drop, s, step_norm, carry = found
+                tau, _, s, step_norm, carry = found
                 if sumsq:
                     sq = carry
                 else:
@@ -620,7 +625,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
             ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq)
             found = _line_minimize(ev, model.sigma, gamma_e1, 0.0)
             if found is not None:
-                tau, drop = found
+                tau, _ = found
                 # s - tau d and its l^r pass (at r = 2, p = 2 its sum of squares),
                 # shared with the line search when it last evaluated the ray at tau
                 s, step_norm, du_s = ev.point(tau)
@@ -628,8 +633,6 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         if found is None:
             term = Termination.PROGRESS_FLOOR
             break
-        value += drop
-        history.append(value)
         iters += 1
         if quadratic:
             hessian_s -= tau * lead  # H d at p = 2
@@ -643,5 +646,4 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         model_grad_dual_norm=grad_norm,
         iterations=iters,
         termination=term,
-        value_history=tuple(history),
     )

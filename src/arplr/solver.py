@@ -103,7 +103,7 @@ class OuterConfig:
                 raise ValueError(msg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     k: int
     sigma: float

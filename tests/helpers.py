@@ -1,11 +1,13 @@
 """Shared test helpers."""
 
+import contextlib
 import math
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 
-from arplr import DiagonalTensor
+from arplr import DiagonalTensor, inner
 from arplr.geometry import _lr
 
 
@@ -84,3 +86,28 @@ def two_step_rows(a, r: float) -> np.ndarray:
     nrm = _lr(a, r)[0]
     u = a / np.where(nrm > 0.0, nrm, 1.0)[:, None]
     return np.copysign(np.abs(u) ** (r - 1.0), u)
+
+
+@contextlib.contextmanager
+def model_values():
+    """The model values of the inner solves run inside the block, as a list
+    that grows while they run: m(0) = 0.0, then ``value += drop`` for each
+    drop that ``inner._lean_step`` or ``inner._line_minimize`` returns, in
+    order (a step is accepted exactly when its line search returns one), so
+    each value has the bits of the solve's own running sum.  The wrapped
+    functions are the ones in place on entry, so the seam stacks with other
+    patches of them; one list spans every solve in the block."""
+    values = [0.0]
+
+    def recorded(search):
+        def wrapper(*args):
+            found = search(*args)
+            if found is not None:
+                values.append(values[-1] + found[1])
+            return found
+
+        return wrapper
+
+    with mock.patch.object(inner, "_lean_step", recorded(inner._lean_step)), \
+            mock.patch.object(inner, "_line_minimize", recorded(inner._line_minimize)):
+        yield values

@@ -36,6 +36,7 @@ from arplr.harness import (
     trajectory_holder_constant,
 )
 from arplr.solver import IterationRecord, RunRecord
+from helpers import model_values
 
 
 def _report(number: int, ok: bool, detail: str):
@@ -127,9 +128,10 @@ def test_criterion_4_inner_solver():
         beta = entry.problem.beta
         model = RegularizedModel(taylor, 1.0, beta, entry.space)
         grad_tol = 0.5e-5
-        res = minimize_model(model, grad_tol, 100.0, 100_000)
-        hist = np.array(res.value_history)
-        monotone_ok = monotone_ok and bool(np.all(np.diff(hist) < 0.0))
+        with model_values() as values:
+            res = minimize_model(model, grad_tol, 100.0, 100_000)
+        monotone_ok = monotone_ok and len(values) == res.iterations + 1
+        monotone_ok = monotone_ok and bool(np.all(np.diff(values) < 0.0))
         bar = max(grad_tol, 100.0 * entry.space.norm(res.s) ** (entry.p + beta - 1.0))
         stopping_ok = stopping_ok and res.termination not in (
             Termination.MAX_ITERS, Termination.PROGRESS_FLOOR

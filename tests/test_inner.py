@@ -38,7 +38,7 @@ from arplr.inner import (
     default_max_iters,
 )
 from arplr.psi import PsiSpec, psi_descent_bound
-from helpers import full_ray_coefficients, symmetrize, two_step_lr, two_step_rows
+from helpers import full_ray_coefficients, model_values, symmetrize, two_step_lr, two_step_rows
 
 
 def _linear_model(g, sigma, r=2.0, beta=1.0):
@@ -59,20 +59,23 @@ def _random_model(p, beta, sigma, dim, r, rng):
 def test_analytic_quadratic_instance():
     # m(s) = <g, s> + |s|^2 with g = (2, 0): minimizer (-1, 0), decrease -1
     m = _linear_model([2.0, 0.0], sigma=2.0)
-    res = minimize_model(m, 1e-10, max_iters=50)
+    with model_values() as values:
+        res = minimize_model(m, 1e-10, max_iters=50)
     assert np.allclose(res.s, [-1.0, 0.0], atol=1e-8)
-    assert res.value_history[-1] == pytest.approx(-1.0, abs=1e-8)
+    assert values[-1] == pytest.approx(-1.0, abs=1e-8)
+    assert m.value(res.s) == pytest.approx(-1.0, abs=1e-8)
     assert res.iterations == 1
-    assert res.value_history[-1] < res.value_history[0]
+    assert values[-1] < values[0]
 
 
 def test_zero_gradient_at_entry():
     m = _linear_model([0.0, 0.0], sigma=1.0)
-    res = minimize_model(m, 1e-8, max_iters=10)
+    with model_values() as values:
+        res = minimize_model(m, 1e-8, max_iters=10)
     assert res.termination is Termination.ZERO_GRADIENT
     assert res.iterations == 0
     assert np.all(res.s == 0.0)
-    assert not res.value_history[-1] < res.value_history[0]
+    assert values == [0.0]
 
 
 def test_rejects_noncoercive_model():
@@ -85,9 +88,10 @@ def test_strict_monotone_decrease_and_stopping_rule():
     rng = np.random.default_rng(0)
     for r, p, beta in [(2.0, 2, 1.0), (1.5, 2, 0.5), (3.0, 3, 1.0), (1.5, 1, 0.5)]:
         m = _random_model(p, beta, 1.0, 4, r, rng)
-        res = minimize_model(m, 1e-6, 100.0, 20_000)
-        hist = np.array(res.value_history)
-        assert np.all(np.diff(hist) < 0.0)
+        with model_values() as values:
+            res = minimize_model(m, 1e-6, 100.0, 20_000)
+        assert len(values) == res.iterations + 1
+        assert np.all(np.diff(values) < 0.0)
         assert res.termination not in (Termination.MAX_ITERS, Termination.PROGRESS_FLOOR)
         bar = max(1e-6, 100.0 * m.space.norm(res.s) ** (p + beta - 1.0))
         assert res.model_grad_dual_norm <= bar
@@ -102,37 +106,40 @@ def test_multistart_oracle_confirms_near_global_value():
         start = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
         out = optimize.minimize(m.value, start, jac=m.gradient, method="L-BFGS-B")
         best = min(best, float(out.fun))
-    assert best >= res.value_history[-1] - 1e-6
+    assert best >= m.value(res.s) - 1e-6
 
 
 def test_cumulative_decrease_bounded_by_total_available():
     rng = np.random.default_rng(2)
     m = _random_model(2, 1.0, 0.7, 4, 2.0, rng)
     res = minimize_model(m, 1e-7, max_iters=50_000)
-    cumulative = res.value_history[0] - res.value_history[-1]
+    cumulative = m.value(np.zeros(4)) - m.value(res.s)
     assert cumulative > 0.0
     best = min(
         float(optimize.minimize(m.value, rng.standard_normal(4), jac=m.gradient).fun)
         for _ in range(30)
     )
-    assert cumulative <= res.value_history[0] - best + 1e-6
+    assert cumulative <= m.value(np.zeros(4)) - best + 1e-6
 
 
 def test_level_set_confinement():
     rng = np.random.default_rng(3)
     m = _random_model(3, 1.0, 1.2, 3, 1.5, rng)
-    res = minimize_model(m, 1e-7, max_iters=20_000)
-    m0 = res.value_history[0]
-    assert all(v <= m0 for v in res.value_history)
+    with model_values() as values:
+        res = minimize_model(m, 1e-7, max_iters=20_000)
+    assert len(values) == res.iterations + 1
+    m0 = values[0]
+    assert all(v <= m0 for v in values)
 
 
 def test_max_iters_is_reported_not_fatal():
     rng = np.random.default_rng(4)
     m = _random_model(2, 1.0, 1e-3, 6, 2.0, rng)
-    res = minimize_model(m, 1e-14, max_iters=2)
+    with model_values() as values:
+        res = minimize_model(m, 1e-14, max_iters=2)
     assert res.termination is Termination.MAX_ITERS
     assert res.iterations == 2
-    assert res.value_history[-1] < res.value_history[0]
+    assert values[-1] < values[0]
 
 
 def test_progress_floor_is_reported():
@@ -145,10 +152,11 @@ def test_progress_floor_is_reported():
     # the decrease along the ray (about 1e-400) underflows: no drop is a double
     tm = TaylorModel((SymmetricTensor(1, 2, np.array([1e-200, 0.0])),))
     m = RegularizedModel(tm, 1.0, 1.0, NormedSpace(2, 2.0))
-    res = minimize_model(m, 1e-300)
+    with model_values() as values:
+        res = minimize_model(m, 1e-300)
     assert res.termination is Termination.PROGRESS_FLOOR
     assert res.iterations == 0
-    assert res.value_history == (0.0,)
+    assert values == [0.0]
 
 
 def test_overflowing_model_gradient_ends_on_the_progress_floor():
@@ -840,9 +848,9 @@ def test_each_inner_step_decreases_the_model_by_the_descent_profile_bound(p, sig
     # psi(t) = -alpha t + sum kappa t^gamma, alpha the dual gradient norm
     # at s; p = 1 attains the bound (one term of exponent 2)
     m = _random_model(p, 1.0, sigma, n, 2.0, np.random.default_rng(seed))
-    with _recorded_rays() as rays:
+    with _recorded_rays() as rays, model_values() as values:
         res = minimize_model(m, 1e-8, max_iters=100)
-    values = res.value_history
+    assert len(values) == res.iterations + 1
     assert len(rays) >= res.iterations >= 1
     for ev, before, after in zip(rays, values, values[1:]):
         spec = PsiSpec(-ev.scalar()[0](0.0), _envelope_terms(ev, p))
@@ -908,24 +916,35 @@ def test_remembered_ray_point_gives_the_bits_of_a_fresh_evaluation(r, p, t, zero
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 def test_inner_value_histories_hold_python_floats(r):
     # an order-3 double well from a random start runs the grid scan, whose
-    # roots are refined from NumPy floats unless the scan hands over floats
+    # roots are refined from NumPy floats unless the scan hands over floats;
+    # each solve's model values are rebuilt from its own drops
     cfg = ExperimentConfig(problem="double_well", n=8, p=3, x0="random", seed=3, r=r)
     problem, space, x0, outer = cfg.build()
-    results = []
+    results, history = [], []
 
     def recorded(*args):
-        results.append(minimize_model(*args))
+        with model_values() as values:
+            results.append(minimize_model(*args))
+        assert len(values) == results[-1].iterations + 1
+        history.extend(values)
         return results[-1]
 
     with mock.patch("arplr.solver.minimize_model", recorded):
         solve(problem, x0, outer, space)
-    history = [v for res in results for v in res.value_history]
     assert len(results) >= 8
     assert [type(v) for v in history if type(v) is not float] == []
 
 
+def _pendulum_model(r):
+    # the banded pendulum p = 2 model at mesh 32, from the default start
+    cfg = ExperimentConfig(problem="pendulum", n=32, r=r, p=2, epsilon=1e-4)
+    problem, space, x0, _ = cfg.build()
+    derivs = tuple(problem.eval_derivative(x0, l) for l in (1, 2))
+    return RegularizedModel(TaylorModel(derivs), 1.0, 1.0, space)
+
+
 @pytest.mark.parametrize("r, grad_tol, budget",
-                         [(2.0, 1e-6, 28.36), (1.5, 1e-5, 49.09), (3.0, 1e-5, 46.59)])
+                         [(2.0, 1e-6, 27.36), (1.5, 1e-5, 48.09), (3.0, 1e-5, 45.59)])
 def test_inner_iteration_call_budget(r, grad_tol, budget):
     # Python-level calls (profile "call" and "c_call" events) per inner
     # iteration of a fixed solve of the banded pendulum model at mesh 32
@@ -939,11 +958,10 @@ def test_inner_iteration_call_budget(r, grad_tol, budget):
     # convex ray on five floats without a _RayEval to 28.33.  With a
     # _RayEval for every r != 2 ray, r = 1.5 and 3 made 69.07 and 65.82;
     # on floats, with the slope a closure over the last point's pass, they
-    # make 49.06 and 46.56 (Python 3.11, NumPy 2.4.6)
-    cfg = ExperimentConfig(problem="pendulum", n=32, r=r, p=2, epsilon=1e-4)
-    problem, space, x0, _ = cfg.build()
-    derivs = tuple(problem.eval_derivative(x0, l) for l in (1, 2))
-    m = RegularizedModel(TaylorModel(derivs), 1.0, 1.0, space)
+    # make 49.06 and 46.56.  A solve that kept no list of its model values
+    # saved one append per iteration: 27.33, 48.06 and 45.56 (Python 3.11,
+    # NumPy 2.4.6)
+    m = _pendulum_model(r)
     events = 0
 
     def count(frame, event, arg):
@@ -960,6 +978,26 @@ def test_inner_iteration_call_budget(r, grad_tol, budget):
     assert res.termination is Termination.GRADIENT_BELOW_TOL
     assert res.iterations == {2.0: 1316, 1.5: 2205, 3.0: 2304}[r]
     assert events / res.iterations <= budget
+
+
+@pytest.mark.parametrize("r, grad_tol", [(2.0, 1e-6), (1.5, 1e-5)])
+def test_inner_solve_memory_does_not_grow_with_its_iterations(r, grad_tol):
+    # the call-budget solves, cut at 100 iterations and run to the
+    # tolerance (1,316 and 2,205 iterations), after a warm-up solve: the
+    # traced peaks agree to within 1 KB, where a list of per-iteration
+    # model values grew them by 49 KB (r = 2) and 81 KB (r = 1.5)
+    m = _pendulum_model(r)
+    minimize_model(m, grad_tol)
+    peaks = []
+    for max_iters in (100, None):
+        tracemalloc.start()
+        try:
+            res = minimize_model(m, grad_tol, max_iters=max_iters)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert res.iterations == {2.0: 1316, 1.5: 2205}[r]
+    assert abs(peaks[1] - peaks[0]) < 1024
 
 
 def test_line_search_shares_its_lr_passes(monkeypatch):

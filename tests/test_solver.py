@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -286,6 +287,16 @@ def _record(k=0, sigma=1.0, step=1.0, grad=1.0, md=1.0, ad=0.9, successful=True)
         f_evals_so_far=k + 2,
         deriv_evals_so_far=k + 2,
     )
+
+
+def test_iteration_record_is_slotted_and_frozen():
+    # a run keeps one record per outer iteration: slots, no per-record dict
+    rec = _record(k=4)
+    assert not hasattr(rec, "__dict__")
+    assert dataclasses.replace(rec, sigma=2.0) == _record(k=4, sigma=2.0)
+    assert rec == _record(k=4) and rec != _record(k=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.k = 5
 
 
 def test_check_trajectory_flags_model_decrease_violation():
