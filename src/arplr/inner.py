@@ -2,62 +2,64 @@
 
 Minimizes a regularized model starting from s = 0: at each iteration the
 dual-attaining unit direction of the current model gradient is computed and
-the model is minimized along that ray (see "One-dimensional minimization"
-below for what the line search returns).  The iteration stops once the
-dual gradient norm falls below ``max(grad_tol, theta |s|^(p+beta-1))``
-(the step-power branch is only armed once s is nonzero, since at s = 0 it
-could never fire before the absolute branch).
+the model is minimized along that ray by one call of ``_line_search`` (see
+"One-dimensional minimization" below for what it returns).  The iteration
+stops once the dual gradient norm falls below ``max(grad_tol, theta
+|s|^(p+beta-1))`` (the step-power branch is only armed once s is nonzero,
+since at s = 0 it could never fire before the absolute branch).
 
-Cost of one iteration, in l^r passes (``geometry._lr``, each of which
-returns a vector's norm and its duality vector; at r = 2 one over a vector
-whose sum of squares lies in (2^-900, 2^1000) is four NumPy calls, without
-the power-of-two scaling, and otherwise eight): one over the model
-gradient, which gives its dual norm and the dual direction, and one per new
-point at which the line search evaluates the ray: its value, and for r != 2
-its slope, one dot product of that point's duality vector with d.  The ray
-starts from the pass over s (the regularizer's gradient and value, the
-step-power norm), and the next s's pass is the ray's at the accepted point,
-so a step's value and the next ray's constant read one norm.
-At r = 2 and p = 2 no point makes a pass: s carries its sum of squares
-``q = np.vdot(s, s)``, |s| is ``math.sqrt(q)`` inside that window (else the
-pass's norm), the regularizer's gradient is ``s (reg_d |s|^(e-2))``, with
-no duality vector, and the next ray's squared norm at t = 0 is q; one pass
-over the returned step gives ``step_norm`` the bits of ``NormedSpace.norm``.
-A convex line search takes the value only at its root: 1 pass per iteration
-at r = 2 and p = 2 (and 3 per solve: s = 0, the last gradient, the returned
-step), 2 at r = 2 for other p, about 3 for r != 2 on the l^r pendulum runs.
-Then one contraction (``contract``) per order-l tensor with
-l - 1 copies of d, which dot products with s and d finish into the ray
-coefficients l - 1 and l (from order 4 up a lower one contracts the full
-tensor); at p = 2 it is H d, which also updates H s, and otherwise the
-Taylor gradient at s takes one more per tensor.  A contraction costs O(n)
-for the diagonal tensors of separable oracles and for the banded
-(tridiagonal) pendulum Hessian, and O(n^l) for a dense order-l tensor; a
-pure diagonal gives the bits of its dense form.  The line search runs on
-the coefficients as Python floats, through the ray's slope and value
-functions (``_RayEval.scalar``).  A convex ray of a p = 2 model (c2 >= 0)
-runs the same search in ``_lean_step``, with no ``_RayEval``, and forms
-its value once, at the root: at r = 2 on five floats (c0, c1, c2, |s|^2
-and s . d), with one vector, the accepted point, and at other r on the
-slope closure of ``_lr_ray``, which remembers its last point's pass and
-starts from s's.  Only the rays of p != 2 models and nonconvex rays build a
-``_RayEval``.  In all, an r = 2 iteration of the banded pendulum model
-makes 20 NumPy calls (gradient 3, its pass 4, coefficients 7, the dot of s
-and d 1, step and its sum of squares 3, H s 2) and an r != 2 one 22 plus 11
-per new ray point, about 44; ``test_inner_iteration_call_budget`` bounds
-the Python calls around them at mesh 32: 27.33 per r = 2 iteration and
-48.06 and 45.56 per r = 1.5 and r = 3 one.  The shortcuts were measured
-while each iteration also appended its model value to a list, one call
-more (28.33, 49.06 and 46.56): with a ``_RayEval`` for every ray an
-iteration made 36.33, 69.07 and 65.82, and with one, a pass over each
-step made 38.33, no unscaled r = 2 pass in ``_lr`` 39.34, no r = 2 slope
-closure 58.46 (the squared norm is a quadratic in t: no pass), no p = 2
-update of H s by H d 52.33 (both without the carried sum of squares, which
-they need) and no order-2 exit in ``_add_ray_share`` 37.33, so each of
-these shortcuts pays.  When the ray polynomial is not convex, one array
-scan of the ray's slope brackets its minima, for every r one row-wise l^r
-pass over the grid points, in two (grid x n) buffers that each thread
-keeps (``_scratch``).
+Cost of one iteration.  An l^r pass (``geometry._lr``) returns a vector's
+norm and its duality vector; at r = 2 over a vector whose sum of squares
+lies in (2^-900, 2^1000) it is four NumPy calls, without the power-of-two
+scaling, and otherwise eight.  An iteration makes one pass over the model
+gradient, which gives its dual norm and the dual direction, and the line
+search one per new point of the ray at which it reads a slope (for r != 2:
+one dot product of that point's duality vector with d) or the value.  Then
+one contraction (``contract``) per order-l tensor with l - 1 copies of d,
+which dot products with s and d finish into the ray coefficients l - 1 and
+l (from order 4 up a lower one contracts the full tensor); at p = 2 it is
+H d, which also updates H s, and otherwise the Taylor gradient at s takes
+one more per tensor.  A contraction costs O(n) for the diagonal tensors of
+separable oracles and for the banded (tridiagonal) pendulum Hessian, and
+O(n^l) for a dense order-l tensor; a pure diagonal gives the bits of its
+dense form.  On the banded pendulum model an r = 2 iteration makes 20 NumPy
+calls (gradient 3, its pass 4, coefficients 7, the dot of s and d 1, step
+and its sum of squares 3, H s 2) and an r != 2 one 22 plus 11 per new ray
+point, about 44.
+
+The Python calls around the NumPy ones cost time on every iteration too,
+so each shortcut below pays by the calls or the passes it saves:
+
+- the line search is one function on the coefficients as Python floats,
+  with the slope a closure (``_r2_slope`` or ``_lr_ray``): it builds no
+  object per ray, and forms the ray's value once, at the accepted point,
+  since a convex search reads slopes only;
+- the ray starts from the pass over s (the regularizer's gradient and
+  value, the step-power norm), and the next s's pass is the one the line
+  search made at the accepted point; ``_lr_ray``'s slope and point share a
+  memory of their last point, so a slope and a value at one t make one pass;
+- at r = 2 a slope makes no pass: the squared norm along the ray is the
+  quadratic ``|s|^2 - 2 (s . d) t + t^2``;
+- at r = 2 and p = 2 s carries its sum of squares ``q = np.vdot(s, s)`` in
+  place of its pass: |s| is ``math.sqrt(q)`` inside that window (else the
+  pass's norm), the regularizer's gradient ``s (reg_d |s|^(e-2))`` needs no
+  duality vector, and the accepted point costs three NumPy calls
+  (``_sumsq_point``); one pass over the returned step gives ``step_norm``
+  the bits of ``NormedSpace.norm``.  At other p, r = 2 keeps the pass over
+  s, whose duality vector the gradient reads;
+- at p = 2 H s is updated by H d, one contraction per iteration in place of
+  two, and the Hessian's share of the ray coefficients is formed inline.
+
+So a convex line search makes 1 pass per iteration at r = 2 and p = 2 (and
+3 per solve: s = 0, the last gradient, the returned step), 2 at r = 2 for
+other p and about 3 for r != 2 on the l^r pendulum runs, and
+``test_inner_iteration_call_budget`` bounds the Python calls per iteration:
+23.80 on the pendulum model at mesh 32 in l^2, 44.05 and 42.05 in l^1.5 and
+l^3, and 96.81 on an order-3 double well.  When the ray polynomial is not
+convex, one array scan of the ray's slope (``_scan_slopes``) brackets its
+minima, for every r one row-wise l^r pass over the grid points, in two
+(grid x n) buffers that each thread keeps (``_scratch``).
+
 The gradient and direction have the bits of ``RegularizedModel.gradient``
 and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s and at
 r = 2 forms the regularizer's share from s), the coefficients those of full
@@ -83,8 +85,8 @@ slope's size is the root, else regula falsi (``_refine_root``, which
 bisects while that slope is infinite) refines it until the slope is small
 or the bracket is narrower than 1e-15 of its upper end, a relative exit
 that resolves roots far below 1 too.  ``psi.psi_minimize`` runs on the same
-search.  Otherwise a bracket is grown until the ray value exceeds its value
-at 0, the slope is scanned on a mixed linear/geometric grid, and
+search.  Otherwise a bracket is grown until the ray's drop is positive,
+the slope is scanned on a mixed linear/geometric grid, and
 ``_refine_root`` refines each root that a sign change from - to + brackets
 (a slope of exactly 0 at a grid point brackets none, and a deeper minimum
 can lie beyond the bracket).  A ray is measured from m(s), so it reads the
@@ -105,7 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _SUMSQ_MAX, _SUMSQ_MIN, _lr, _pow
+from .geometry import _SUMSQ_MAX, _SUMSQ_MIN, _TINY, _lr, _pow
 from .tensors import RegularizedModel
 
 __all__ = ["InnerResult", "Termination", "minimize_model", "default_max_iters"]
@@ -145,7 +147,7 @@ _thread = threading.local()
 
 
 def _scratch(rows: int, n: int):
-    """Two ``(rows, n)`` float arrays for the grid scan of ``_RayEval.batch``,
+    """Two ``(rows, n)`` float arrays for the grid scan of ``_scan_slopes``,
     views of one array that each thread keeps and replaces only when the
     shape changes, so a repeated scan allocates no (rows x n) memory."""
     buf = getattr(_thread, "scratch", None)
@@ -167,7 +169,8 @@ def _sumsq_point(anchor, direction, t: float):
     """``(w, |w|_2, q)`` at ``w = anchor - t direction``, with the sum of
     squares ``q = np.vdot(w, w)`` (silent on overflow) and ``|w|`` its
     ``math.sqrt`` inside ``_lr``'s unscaled window, else ``_lr``'s scaled
-    norm: the bits of ``_lr(w, 2)[0]`` either way."""
+    norm.  Inside the window vdot's BLAS sum need not be ``_lr``'s pairwise
+    one, so ``|w|`` can differ from ``_lr(w, 2)[0]`` in the last bit."""
     w = anchor - t * direction
     q = float(np.vdot(w, w))
     return w, (math.sqrt(q) if _SUMSQ_MIN < q < _SUMSQ_MAX else _lr(w, 2.0)[0]), q
@@ -178,20 +181,32 @@ def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
     as a closure over local floats: the Taylor slope coefficients, the
     squared norm ``qa - 2 qb t + t^2`` clamped at 0 (``qa = |anchor|^2``,
     ``qb = anchor . direction``), the regularizer weight and exponent.  It
-    makes no NumPy call and inlines ``_horner`` and ``_pow``, bit for bit."""
+    makes no NumPy call and inlines ``_horner`` and ``_pow``, bit for bit.
+    Where the squared norm is not a normal double and ``qa < 2^-900``, so
+    that every term is tiny, it is formed again from terms scaled by the
+    exact 2^1022, and |w|^(e-2) from its root, so the regularizer's share
+    keeps its bits down to the subnormal |w| (else the root of a ray from
+    s = 0 whose regularizer is heavy, near |w| ~ 1e-162, is missed)."""
     dtop, drest = dcoeffs[-1], dcoeffs[-2::-1]
     qb2 = 2.0 * qb
     dexp = 0.5 * (e - 2.0)
+    tiny = qa < _SUMSQ_MIN  # a sum below the normal range is then of tiny terms, not cancellation
 
     def slope(t: float) -> float:
         poly = dtop + t * 0.0  # as _horner: NaN at an infinite t
         for c in drest:
             poly = c + poly * t
         q = qa - qb2 * t + t * t
-        if q <= 0.0:  # clamped at 0, where the regularizer's slope vanishes
-            return poly
         try:
-            qe = q ** dexp
+            if q < _TINY:  # not a normal double
+                if tiny:  # t < 2^-449 too: no scaled term overflows
+                    ts = t * 2.0 ** 511
+                    q = qa * 2.0 ** 1022 - qb2 * 2.0 ** 511 * ts + ts * ts
+                if q <= 0.0:  # clamped at 0, where the regularizer's slope vanishes
+                    return poly
+                qe = math.ldexp(math.sqrt(q), -511) ** (e - 2.0) if tiny else q ** dexp
+            else:
+                qe = q ** dexp
         except OverflowError:
             qe = math.inf
         return poly + reg_d * qe * (t - qb)
@@ -199,31 +214,39 @@ def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
     return slope
 
 
-def _lr_ray(c1: float, jc: float, anchor, direction, r: float, e: float, reg_d: float,
-            nw: float, du):
-    """``(slope, point)`` of the l^r ray ``anchor - t direction`` of a p = 2
-    model, as closures: the slope ``c1 + jc t + reg_d |w|_r^(e-1) (-du .
-    direction)`` at t, and ``point(anchor, direction, t)`` (called as
-    ``_sumsq_point`` is, on this ray), ``(w, |w|_r, du)``, du the duality
-    vector of ``w = anchor - t direction``.  They share ``_RayEval``'s
-    memory of the last new point, seeded at t = 0 with the anchor's pass
-    ``(nw, du) = _lr(anchor, r)``, and give the bits of its ``_deriv`` and
-    ``point``; the slope inlines ``_horner``, ``_pow`` and the memory's
-    update."""
+def _lr_ray(dcoeffs: list, anchor, direction, r: float, e: float, reg_d: float, nw: float,
+            du):
+    """``(slope, point)`` of the l^r ray ``anchor - t direction``, as
+    closures: the slope ``sum_j dcoeffs[j] t^j + reg_d |w|_r^(e-1) (-du .
+    direction)`` at t, the Taylor part by ``_horner``'s recurrence, and
+    ``point(anchor, direction, t)`` (called as ``_sumsq_point`` is, on this
+    ray), ``(w, |w|_r, du)``, du the duality vector of ``w = anchor - t
+    direction``.  They share a memory of the last new point and its l^r
+    pass, seeded at t = 0 with the anchor's ``(nw, du) = _lr(anchor, r)``
+    (``anchor`` in place of ``anchor - 0 direction``: they differ at most in
+    the sign of zero entries), so a slope and a point at the same t make one
+    pass.  The slope inlines ``_horner``, ``_pow`` and the memory's update.
+    """
+    dtop, drest = dcoeffs[-1], dcoeffs[-2::-1]
     de = e - 1.0
     last_t, last_w = 0.0, anchor
 
     def slope(t: float) -> float:
+        # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
+        # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
         nonlocal last_t, last_w, nw, du
         if t != last_t:
             last_w = anchor - t * direction
             nw, du = _lr(last_w, r)
             last_t = t
+        poly = dtop + t * 0.0  # as _horner: NaN at an infinite t
+        for c in drest:
+            poly = c + poly * t
         try:
             pw = nw ** de
         except OverflowError:
             pw = math.inf
-        return c1 + (jc + t * 0.0) * t + reg_d * pw * -float(du.dot(direction))
+        return poly + reg_d * pw * -float(du.dot(direction))
 
     def point(anchor, direction, t: float):  # as _sumsq_point's
         nonlocal last_t, last_w, nw, du
@@ -236,89 +259,20 @@ def _lr_ray(c1: float, jc: float, anchor, direction, r: float, e: float, reg_d: 
     return slope, point
 
 
-class _RayEval:
-    """Cached evaluation of a model along the ray ``anchor - t direction``.
-
-    ``coeffs`` (Python floats) is the Taylor part as a polynomial in t, less
-    m(anchor) in ``minimize_model``, and ``dcoeffs`` its slope's; the
-    regularizer ``reg_v |s|^e`` has derivative weight ``reg_d``, and
-    ``(nw, du) = _lr(anchor, r)`` is the anchor's l^r pass, or at r = 2,
-    given the anchor's sum of squares ``qa``, its norm alone.
-    ``scalar`` gives the ray's slope and value as functions of a Python
-    float t, and ``batch`` the slope alone on an array of t, by one
-    row-wise ``_lr`` pass for every r.  A value, and for r != 2 a slope,
-    makes an ``_lr`` pass over ``w = anchor - t direction`` (``point``),
-    or with ``qa`` a sum of squares, and the last one is remembered (t, w,
-    |w|_r and the duality vector or the sum of squares q), so a repeated t
-    costs none; the memory starts with the anchor's at t = 0 (``anchor`` in
-    place of ``anchor - 0 direction``: they differ at most in the sign of
-    zero entries).
-    """
-
-    __slots__ = ("anchor", "direction", "coeffs", "dcoeffs", "r", "e",
-                 "reg_v", "reg_d", "qa", "t", "w", "nw", "du", "q")
-
-    def __init__(self, coeffs: list, anchor, direction, r, e, reg_v, reg_d, nw: float, du,
-                 qa: float | None = None):
-        self.anchor = anchor
-        self.direction = direction
-        self.coeffs = coeffs
-        self.dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-        self.r = r
-        self.e = e
-        self.reg_v = reg_v
-        self.reg_d = reg_d
-        self.qa = qa
-        self.t, self.w, self.nw, self.du, self.q = 0.0, anchor, nw, du, qa
-
-    def point(self, t: float):
-        """``(w, |w|_r, duality vector)`` at ``w = anchor - t direction``,
-        from memory when t is the remembered parameter.  A ray built with
-        ``qa`` (at r = 2) keeps ``q = np.vdot(w, w)`` and no duality vector
-        (the anchor's du stays), and ``|w|`` is ``math.sqrt(q)`` inside
-        ``_lr``'s unscaled window, else ``_lr``'s scaled norm."""
-        if t != self.t:
-            if self.qa is None:
-                w = self.anchor - t * self.direction
-                self.nw, self.du = _lr(w, self.r)
-            else:
-                w, self.nw, self.q = _sumsq_point(self.anchor, self.direction, t)
-            self.t, self.w = t, w
-        return self.w, self.nw, self.du
-
-    def scalar(self):
-        """``(slope, value)``: the ray's derivative and value as functions
-        of a float t, ``_deriv`` and ``_value``, which read their ``_lr``
-        pass through ``point``; but at r = 2 the slope is ``_r2_slope``'s
-        closure, with ``qa = |anchor|^2`` if not given and ``qb = anchor .
-        direction`` by ``np.vdot``, which is silent on overflow."""
-        if self.r != 2.0:
-            return self._deriv, self._value
-        qa = float(np.vdot(self.anchor, self.anchor)) if self.qa is None else self.qa
-        qb = float(np.vdot(self.anchor, self.direction))
-        return _r2_slope(self.dcoeffs, qa, qb, self.reg_d, self.e), self._value
-
-    def _value(self, t: float) -> float:
-        return _horner(self.coeffs, t) + self.reg_v * _pow(self.point(t)[1], self.e)
-
-    def _deriv(self, t: float) -> float:
-        # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
-        # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
-        _, nw, du = self.point(t)
-        num = -float(du.dot(self.direction))
-        return _horner(self.dcoeffs, t) + self.reg_d * _pow(nw, self.e - 1.0) * num
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def batch(self, ts: np.ndarray):
-        """Ray derivatives at every t of ``ts``, as a new array; where the
-        polynomial overflows on a far grid point they are inf or NaN."""
-        pders = _horner(self.dcoeffs, ts)
-        pts, work = _scratch(len(ts), len(self.direction))
-        np.multiply.outer(ts, self.direction, out=pts)
-        np.subtract(self.anchor, pts, out=pts)
-        norms, du = _lr(pts, self.r, work)  # deriv's pass, row by row
-        num = -np.dot(du, self.direction)
-        return pders + self.reg_d * norms ** (self.e - 1.0) * num
+@np.errstate(over="ignore", invalid="ignore")
+def _scan_slopes(dcoeffs: list, anchor, direction, r: float, e: float, reg_d: float,
+                 ts: np.ndarray):
+    """The slopes of the ray ``anchor - t direction`` at every t of ``ts``,
+    as a new array, by one row-wise ``_lr`` pass over the grid points for
+    every r; where the polynomial overflows on a far grid point they are
+    inf or NaN."""
+    pders = _horner(dcoeffs, ts)
+    pts, work = _scratch(len(ts), len(direction))
+    np.multiply.outer(ts, direction, out=pts)
+    np.subtract(anchor, pts, out=pts)
+    norms, du = _lr(pts, r, work)  # the slope's pass, row by row
+    num = -np.dot(du, direction)
+    return pders + reg_d * norms ** (e - 1.0) * num
 
 
 def _add_ray_share(coeffs: list, tensor, lead, s0: np.ndarray, d: np.ndarray) -> None:
@@ -359,7 +313,7 @@ def _refine_root(fun, a, b, fa, fb, ftol):
             if not a < t < b:
                 t = 0.5 * (a + b)
         ft = fun(t)
-        if abs(ft) <= ftol or (b - a) <= 1e-15 * abs(b):
+        if -ftol <= ft <= ftol or b - a <= 1e-15 * b:  # |ft| <= ftol; b > 0
             return t
         if (ft > 0.0) == (fb > 0.0):
             b, fb = t, ft
@@ -408,123 +362,115 @@ def _first_root(slope, start: float, slope0: float, ftol: float):
     return _refine_root(slope, 0.0, t, slope0, d, ftol)
 
 
-def _start(slope0: float, t_taylor: float, sigma: float, gamma_e1: float, e: float):
-    """``(start, ftol)`` of a line search whose ray has slope ``slope0`` at
-    0: the lesser of the Taylor scale and the scale at which the regularizer
-    alone overtakes the initial slope, floored at 1e-12 (``min`` and
-    ``max`` in their operand order, which keep or pass over a NaN as those
-    do), and the root tolerance ``1e-12 max(1, -slope0)``.  A Taylor scale
-    that underflowed to 0 would never grow: the regularizer scale stands in
-    for it, and ``t_taylor = inf`` gives the regularizer scale alone."""
-    descent = -slope0
-    try:  # _pow, inlined, so the helper adds no call to a line search
-        scale = (descent * gamma_e1 / sigma) ** (1.0 / (e - 1.0))
-    except OverflowError:
-        scale = math.inf
-    if 1e-12 > scale:  # max(scale, 1e-12), which keeps a NaN
-        scale = 1e-12
-    start = (scale if scale < t_taylor else t_taylor) or scale  # min(t_taylor, scale)
-    return start, 1e-12 * (descent if descent > 1.0 else 1.0)  # max(1.0, -slope0)
+def _scan_root(coeffs: list, dcoeffs: list, s, d, r: float, e: float, reg_v: float,
+               reg_d: float, slope, point, start: float, ftol: float):
+    """The root of a nonconvex ray's slope with the least finite negative
+    drop among those that the grid scan brackets, or None: a bracket grown
+    from ``start`` until the drop is positive or not finite, the slope
+    scanned on a mixed linear/geometric grid over it, and each root that a
+    - to + sign change brackets refined by ``_refine_root``."""
 
+    def value(t: float) -> float:  # the drop at t
+        return _horner(coeffs, t) + reg_v * _pow(point(s, d, t)[1], e)
 
-def _lean_step(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: float,
-               nw: float, du, qa: float | None, sigma: float, gamma_e1: float):
-    """``_line_minimize`` on a convex ray of a p = 2 model, on floats, with
-    no ``_RayEval``: ``coeffs = [c0, c1, c2]`` with ``c2 >= 0`` and, at
-    r = 2, the step's sum of squares ``qa`` and ``qb = s . d`` (the slope of
-    ``_r2_slope``, ``_sumsq_point`` at tau), else the pass ``(nw, du) =
-    _lr(s, r)`` (``_lr_ray``).  Returns ``(tau, drop, w, |w|_r, x)`` with
-    the bits of ``_line_minimize(_RayEval(coeffs, s, d, r, e, reg_v, reg_d,
-    nw, du, qa), sigma, gamma_e1, 0.0)`` and that ray's ``point(tau)``,
-    where x is its ``q`` at r = 2 and else the duality vector of w, or None
-    where that gives None.  The value is formed once, at the root."""
-    c0, c1, c2 = coeffs
-    jc = 2.0 * c2
-    if r == 2.0:  # only the accepted point is a vector
-        slope = _r2_slope([c1, jc], qa, float(np.vdot(s, d)), reg_d, e)
-        point = _sumsq_point
-    else:  # a pass per new point, the last one remembered
-        slope, point = _lr_ray(c1, jc, s, d, r, e, reg_d, nw, du)
-    slope0 = slope(0.0)
-    # the Taylor scale as _line_minimize finds it: none (inf) at c1 = -inf
-    t_taylor = -c1 / jc if jc > 0.0 and -math.inf < c1 < 0.0 else math.inf
-    start, ftol = _start(slope0, t_taylor, sigma, gamma_e1, e)
-    if not start < math.inf:
-        return None
-    tau = _first_root(slope, start, slope0, ftol)
-    if tau is None:
-        return None
-    w, nw, x = point(s, d, tau)
-    v = c0 + (c1 + c2 * tau) * tau + reg_v * _pow(nw, e)  # _RayEval._value
-    return (tau, v, w, nw, x) if -math.inf < v < 0.0 and tau > 0.0 else None
-
-
-def _line_minimize(ev: _RayEval, sigma: float, gamma_e1: float, value: float):
-    """A local minimizer of ``tau -> m(s - tau d)``, tau > 0, for a model of
-    weight sigma with ``gamma_e1 = Gamma(e + 1)``: a root of the ray's slope
-    as ``_refine_root`` leaves it (|slope| <= ftol, or a sign change within
-    1e-15 tau), on a convex ray the unique one, otherwise the best one that
-    the grid scan brackets (a deeper minimum can lie beyond the scan).
-
-    Returns ``(tau, ray value at tau)`` as Python floats if that value is
-    finite and strictly below ``value``, the ray's value at 0 (0 for
-    ``minimize_model``'s rays, measured from m(s)), else None (the slope at
-    tau = 0 is minus the dual gradient norm, so a decrease exists in exact
-    arithmetic).  A convex ray's root search (``_first_root``) starts at the
-    lesser of its Taylor and regularizer scales, so it has no start only
-    when neither is finite; a nonconvex ray's scan has none when the
-    regularizer scale overflows.  One pass over the slope coefficients
-    ``j c_j`` (j >= 2, each of the sign of c_j) finds convexity and the
-    Taylor scale, and ``_start`` compares the scales in the operand order
-    of ``min`` and ``max``, which keep or pass over a NaN as those do.
-    """
-    slope, val = ev.scalar()
-    slope0 = slope(0.0)
-
-    # past the Taylor scale one term j c_j t^(j-1) alone cancels c_1 < 0,
-    # so the polynomial's slope is >= 0 there
-    dcoeffs = ev.dcoeffs
-    c1, t_taylor, convex = dcoeffs[0], math.inf, True
-    for k in range(1, len(dcoeffs)):
-        jc = dcoeffs[k]  # j c_j with j = k + 1
-        if not jc >= 0.0:
-            convex = False
-            break
-        if jc > 0.0 and c1 < 0.0:
-            t_j = (-c1 / jc) ** (1.0 / k)  # a root (1/k <= 1): no overflow
-            if t_j < t_taylor:
-                t_taylor = t_j
-
-    if convex:
-        # polynomial part convex, so the whole ray function is: the
-        # minimizer is the unique positive root of the derivative
-        start, ftol = _start(slope0, t_taylor, sigma, gamma_e1, ev.e)
-        if not start < math.inf:  # overflowed to inf or NaN
-            return None
-        tau = _first_root(slope, start, slope0, ftol)
-        if tau is None:
-            return None
-        v = val(tau)
-        return (tau, v) if -math.inf < v < value and tau > 0.0 else None
-    scale, ftol = _start(slope0, math.inf, sigma, gamma_e1, ev.e)  # no Taylor scale
-    if not scale < math.inf:
-        return None
-    # grow a bracket until the ray value exceeds ``value`` or is not finite,
-    # then refine every root that a - to + sign change on the grid brackets
-    t_hi, v = scale, val(scale)
-    while math.isfinite(v) and v <= value and t_hi < 1e30:
+    t_hi, v = start, value(start)
+    while math.isfinite(v) and v <= 0.0 and t_hi < 1e30:
         t_hi *= 2.0
-        v = val(t_hi)
-    grid = t_hi * _unit_grid(64 * len(ev.coeffs))
-    dvals = ev.batch(grid)
-    best_t, best_v = 0.0, value
+        v = value(t_hi)
+    grid = t_hi * _unit_grid(64 * len(coeffs))
+    dvals = _scan_slopes(dcoeffs, s, d, r, e, reg_d, grid)
+    tau, best = None, 0.0
     for i in np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] > 0.0))[0]:
         (a, b), (fa, fb) = grid[i:i + 2].tolist(), dvals[i:i + 2].tolist()
         t = _refine_root(slope, a, b, fa, fb, ftol)
-        v = val(t)
-        if -math.inf < v < best_v:
-            best_t, best_v = t, v
-    return (best_t, best_v) if best_t > 0.0 else None
+        v = value(t)
+        if -math.inf < v < best:
+            tau, best = t, v
+    return tau
+
+
+def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: float,
+                 nw: float, du, qa: float | None, sigma: float, gamma_e1: float):
+    """A local minimizer tau > 0 of the drop ``m(s - tau d) - m(s)`` along
+    the ray, for a model of weight sigma with ``gamma_e1 = Gamma(e + 1)``
+    and regularizer ``reg_v |w|^e`` of slope weight ``reg_d``: ``coeffs``
+    (Python floats) is the drop's Taylor part as a polynomial in t, ``(nw,
+    du) = _lr(s, r)`` the pass over s, and ``qa = np.vdot(s, s)`` where an
+    r = 2 solve carries it (else None, and the point makes an l^r pass).
+
+    Returns ``(tau, drop, w, |w|_r, carry)`` with ``w = s - tau d`` and
+    carry its sum of squares when ``qa`` is given, else its duality vector,
+    if the drop is finite and negative, else None (the slope at tau = 0 is
+    minus the dual gradient norm, so a decrease exists in exact
+    arithmetic).  tau is a root of the ray's slope as ``_refine_root``
+    leaves it (|slope| <= ftol, or a sign change within 1e-15 tau): on a
+    convex ray the unique one (``_first_root``), otherwise the best one that
+    the grid scan brackets (``_scan_root``).  A convex ray's search has no
+    start only when neither its Taylor nor its regularizer scale is finite,
+    a nonconvex ray's scan when the regularizer scale is not.  The drop is
+    formed once, at tau, by ``_horner``'s recurrence, inlined.
+    """
+    # one pass over the coefficients: the slope coefficients j c_j (a float
+    # counter gives the bits of j * coeffs[j]), convexity (every j c_j past
+    # the linear one >= 0, which a NaN fails) and the Taylor scale, past
+    # which one term j c_j t^(j-1) alone cancels c_1 < 0
+    c1 = coeffs[1]
+    dcoeffs = [c1]
+    t_taylor = math.inf
+    convex = True
+    j = 1.0
+    for c in coeffs[2:]:
+        j += 1.0
+        jc = j * c
+        dcoeffs = [*dcoeffs, jc]
+        if jc > 0.0:
+            if c1 < 0.0:
+                # a root (exponent <= 1): no overflow; x ** 1.0 is x
+                t_j = -c1 / jc if j == 2.0 else (-c1 / jc) ** (1.0 / (j - 1.0))
+                if t_j < t_taylor:
+                    t_taylor = t_j
+        elif not jc == 0.0:  # negative or NaN
+            convex = False
+    # at r = 2 the slope makes no pass, nor the point where qa is carried
+    if qa is not None:
+        point = _sumsq_point
+        slope = _r2_slope(dcoeffs, qa, float(np.vdot(s, d)), reg_d, e)
+    else:  # a pass per new point, the last one remembered
+        slope, point = _lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du)
+        if r == 2.0:
+            slope = _r2_slope(dcoeffs, float(np.vdot(s, s)), float(np.vdot(s, d)), reg_d, e)
+    slope0 = slope(0.0)
+    # the search starts at the scale where the regularizer alone overtakes
+    # the initial slope, floored at 1e-12, or at a convex ray's Taylor
+    # scale if that is less: max and min in their operand order, which keep
+    # or pass over a NaN as those do.  A Taylor scale that underflowed to 0
+    # would never grow, so the regularizer scale stands in for it
+    descent = -slope0
+    try:  # _pow, inlined
+        start = (descent * gamma_e1 / sigma) ** (1.0 / (e - 1.0))
+    except OverflowError:
+        start = math.inf
+    if 1e-12 > start:  # max(scale, 1e-12), which keeps a NaN
+        start = 1e-12
+    if convex and t_taylor and not start < t_taylor:  # min(t_taylor, scale)
+        start = t_taylor
+    if not start < math.inf:  # overflowed to inf or NaN
+        return None
+    ftol = 1e-12 * (descent if descent > 1.0 else 1.0)  # max(1.0, -slope0)
+    if convex:
+        # polynomial part convex, so the whole ray function is: the
+        # minimizer is the unique positive root of the derivative
+        tau = _first_root(slope, start, slope0, ftol)
+    else:
+        tau = _scan_root(coeffs, dcoeffs, s, d, r, e, reg_v, reg_d, slope, point, start, ftol)
+    if tau is None:
+        return None
+    w, nw, carry = point(s, d, tau)
+    v = 0.0
+    for c in coeffs[::-1]:
+        v = c + v * tau
+    v += reg_v * _pow(nw, e)
+    return (tau, v, w, nw, carry) if -math.inf < v < 0.0 and tau > 0.0 else None
 
 
 def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None = None,
@@ -604,35 +550,27 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
             break
         # the Taylor part of m(s - t d) - m(s) in t: minus the regularizer's
         # share at s, the slope at s, then each tensor's higher coefficients
-        coeffs = [-reg_v * _pow(step_norm, e), -float(taylor_grad.dot(d)), *pad]
-        if quadratic:  # _add_ray_share's order-2 share
+        c0, c1 = -reg_v * _pow(step_norm, e), -float(taylor_grad.dot(d))
+        if quadratic:  # _add_ray_share's order-2 share, added to 0.0
             lead = hessian.contract([d])
-            coeffs[2] += float(lead.dot(d)) / 2.0
+            coeffs = [c0, c1, 0.0 + float(lead.dot(d)) / 2.0]
         else:
+            coeffs = [c0, c1, *pad]
             for tensor in higher:
                 lead = tensor.contract([d] * (tensor.order - 1))
                 _add_ray_share(coeffs, tensor, lead, s, d)
-        if quadratic and coeffs[2] >= 0.0:  # a convex ray: a few floats
-            found = _lean_step(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq,
-                               model.sigma, gamma_e1)
-            if found is not None:
-                tau, _, s, step_norm, carry = found
-                if sumsq:
-                    sq = carry
-                else:
-                    du_s = carry
-        else:
-            ev = _RayEval(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq)
-            found = _line_minimize(ev, model.sigma, gamma_e1, 0.0)
-            if found is not None:
-                tau, _ = found
-                # s - tau d and its l^r pass (at r = 2, p = 2 its sum of squares),
-                # shared with the line search when it last evaluated the ray at tau
-                s, step_norm, du_s = ev.point(tau)
-                sq = ev.q
+        found = _line_search(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq,
+                             model.sigma, gamma_e1)
         if found is None:
             term = Termination.PROGRESS_FLOOR
             break
+        # s - tau d and its l^r pass (at r = 2, p = 2 its sum of squares),
+        # the pass that the line search made at tau
+        tau, _, s, step_norm, carry = found
+        if sumsq:
+            sq = carry
+        else:
+            du_s = carry
         iters += 1
         if quadratic:
             hessian_s -= tau * lead  # H d at p = 2

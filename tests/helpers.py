@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 
 from arplr import DiagonalTensor, inner
-from arplr.geometry import _lr
+from arplr.geometry import _lr, _pow
 
 
 def symmetrize(arr) -> np.ndarray:
@@ -88,26 +88,46 @@ def two_step_rows(a, r: float) -> np.ndarray:
     return np.copysign(np.abs(u) ** (r - 1.0), u)
 
 
+def ray_functions(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: float,
+                  nw: float, du, qa: float | None = None):
+    """``(slope, value, point)`` of the ray ``s - t d`` whose Taylor part has
+    the coefficients ``coeffs``, built as ``inner._line_search`` builds its
+    slope and point from the pass ``(nw, du) = _lr(s, r)`` (at r = 2 the
+    slope is ``_r2_slope``'s, with ``qa = |s|^2`` or ``np.vdot(s, s)``, and
+    the point ``_sumsq_point`` when ``qa`` is given, else ``_lr_ray``'s),
+    with the value ``_horner(coeffs, t) + reg_v |w|^e`` of the point's norm,
+    as the line search forms its drop."""
+    dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
+    slope, point = inner._lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du)
+    if r == 2.0:
+        qs = float(np.vdot(s, s)) if qa is None else qa
+        slope = inner._r2_slope(dcoeffs, qs, float(np.vdot(s, d)), reg_d, e)
+        if qa is not None:
+            point = inner._sumsq_point
+
+    def value(t: float) -> float:
+        return inner._horner(coeffs, t) + reg_v * _pow(point(s, d, t)[1], e)
+
+    return slope, value, point
+
+
 @contextlib.contextmanager
 def model_values():
     """The model values of the inner solves run inside the block, as a list
     that grows while they run: m(0) = 0.0, then ``value += drop`` for each
-    drop that ``inner._lean_step`` or ``inner._line_minimize`` returns, in
-    order (a step is accepted exactly when its line search returns one), so
-    each value has the bits of the solve's own running sum.  The wrapped
-    functions are the ones in place on entry, so the seam stacks with other
-    patches of them; one list spans every solve in the block."""
+    drop that ``inner._line_search`` returns, in order (a step is accepted
+    exactly when its line search returns one), so each value has the bits
+    of the solve's own running sum.  The wrapped function is the one in
+    place on entry, so the seam stacks with other patches of it; one list
+    spans every solve in the block."""
     values = [0.0]
+    search = inner._line_search
 
-    def recorded(search):
-        def wrapper(*args):
-            found = search(*args)
-            if found is not None:
-                values.append(values[-1] + found[1])
-            return found
+    def recorded(*args):
+        found = search(*args)
+        if found is not None:
+            values.append(values[-1] + found[1])
+        return found
 
-        return wrapper
-
-    with mock.patch.object(inner, "_lean_step", recorded(inner._lean_step)), \
-            mock.patch.object(inner, "_line_minimize", recorded(inner._line_minimize)):
+    with mock.patch.object(inner, "_line_search", recorded):
         yield values

@@ -3,6 +3,8 @@
 Each test prints one pass/fail line; run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import csv
+import hashlib
 import math
 import time
 
@@ -197,26 +199,52 @@ def test_criterion_6_complexity_exponent_sweeps():
     _report(6, ok, f"accuracy sweeps ({detail}), {elapsed:.1f}s")
 
 
-def test_criterion_7_mesh_independence():
+@pytest.fixture(scope="module")
+def mesh_sweep(tmp_path_factory):
+    """Criterion 7's sweep, run once: its rows, its wall time and the
+    directory its records are written to."""
+    out = tmp_path_factory.mktemp("mesh")
     start = time.time()
     # the finest mesh needs an inner budget beyond the default guard: the
     # descent iterations of one model minimization scale with the mesh
     # stiffness even though the outer counts do not
     cfg = ExperimentConfig(
         problem="pendulum", p=2, epsilon=1e-4, mesh=(32, 128, 512),
-        inner_max_iters=600_000,
+        inner_max_iters=600_000, out=str(out),
     )
     rows = run_mesh_sweep(cfg)
+    return rows, time.time() - start, out
+
+
+def test_criterion_7_mesh_independence(mesh_sweep):
+    rows, elapsed, _ = mesh_sweep
     counts = [row.total_iters for row in rows]
     converged = all(row.converged for row in rows)
     ratio = max(counts) / min(counts)
-    elapsed = time.time() - start
     _report(
         7,
         converged and ratio <= 2.0 and elapsed < 300.0,
         f"outer iteration counts {counts} across meshes (32, 128, 512) agree within "
         f"factor {ratio:.2f}, {elapsed:.1f}s",
     )
+
+
+@pytest.mark.parametrize("i, mesh, inner, digest", [
+    (0, 32, 2296, "6b448ccc5f637ad7d6b72c67c06ad036fc94ee7abbd088e9b0279ef38d965da5"),
+    (1, 128, 27247, "d1d52ed6e5d79a573fb71dc687e88097e8dbb645815c7ca20699c03801dbeaa5"),
+    (2, 512, 459646, "56a3ccf180129fd8fc5c5d1a53a1b31816928a96adae4d28813343216e31be7a"),
+], ids=["mesh32", "mesh128", "mesh512"])
+def test_mesh_sweep_records_keep_their_bits(mesh_sweep, i, mesh, inner, digest):
+    # each record of criterion 7's sweep: its inner iterations, summed from
+    # the CSV, and its sha256, which pins the whole run bit for bit.  Mesh
+    # 512 takes the inner iterations of the record that `arplr run --n 512`
+    # writes; the digests differ from such records', since these echo the
+    # sweep's configuration
+    path = mesh_sweep[2] / f"run_pendulum{mesh}_mesh{i}.txt"
+    with open(path) as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        total = sum(int(row["inner_iters"]) for row in rows)
+    assert (total, hashlib.sha256(path.read_bytes()).hexdigest()) == (inner, digest)
 
 
 def test_criterion_8_negative_controls():

@@ -6,7 +6,8 @@ evaluations, ``repr(f_final)`` and the sha256 of the record file of
 bit.  The runs: the built-in suite without Rosenbrock and two accuracy
 sweeps, with the seed code's counters; the double well n = 96, p = 3 from
 random starts; Rosenbrock, p = 3; the pendulum at mesh 32 in l^1.5 and l^3
-from sine waves and in l^2 at 1e-4; and six runs whose records
+from sine waves and in l^2 at 1e-4, and at mesh 128 in l^1.5 (the record
+that CI's ``arplr run --n 128 --r 1.5`` writes); and six runs whose records
 ``test_cli_writes_the_pinned_record`` also writes through ``arplr run``.  A
 change that moves bits on purpose pastes in the entry its failure prints.
 Sending every convex line search through one root search, which takes a
@@ -123,6 +124,10 @@ _RUNS = [
     ("pendulum32-r2-eps1e-4", dict(problem="pendulum", epsilon=1e-4, inner_max_iters=600_000),
      (6, 6, 2296, 7, 7), "1.0000000000800362",
      "0dd86d4be0439da49b9d800a72955c6b18f3b56f1e4640258b4582138006a552"),
+    ("pendulum128-r1.5", dict(problem="pendulum", n=128, r=1.5, epsilon=1e-4,
+                              inner_max_iters=600_000),
+     (21, 21, 34105, 22, 22), "1.000000000644245",
+     "7c7a31d9b76f1835d1618d13e2da9e5302adcdd11eb77f678b67641185a2bf54"),
     ("ci-pendulum16-r1.5", dict(problem="pendulum", n=16, r=1.5, epsilon=1e-3),
      (11, 11, 518, 12, 12), "1.0000000126412358",
      "0794b0871e24b0ea01377c0749a241ba1f5e64245e713d16bc408f6af1ff45df"),

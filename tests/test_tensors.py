@@ -15,9 +15,9 @@ from arplr import (
     diagonal_tensor,
 )
 from arplr.geometry import _lr
-from arplr.inner import _add_ray_share, _RayEval
+from arplr.inner import _add_ray_share, _scan_slopes
 from arplr.tensors import TensorError
-from helpers import dense_array, full_ray_coefficients, symmetrize
+from helpers import dense_array, full_ray_coefficients, ray_functions, symmetrize
 
 
 def _random_symmetric(order, dim, rng):
@@ -339,12 +339,13 @@ def test_model_gradient_matches_finite_differences(r, beta):
         assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-7)
 
 
-def _ray_eval(m, s0, d):
-    # the inner solver's restriction of m to t -> s0 - t d
-    coeffs = _ray_coeffs(m, s0, d)
+def _ray(m, s0, d):
+    # the arguments of the inner solver's restriction of m to t -> s0 - t d:
+    # its Taylor coefficients (the constant m's Taylor value at s0), the ray,
+    # r, e, the regularizer weights and the l^r pass over s0
     e = m.reg_exponent
-    return _RayEval(coeffs, s0, d, m.space.r, e, m.sigma / math.gamma(e + 1.0),
-                    m.sigma / math.gamma(e), *_lr(s0, m.space.r))
+    return (_ray_coeffs(m, s0, d), s0, d, m.space.r, e, m.sigma / math.gamma(e + 1.0),
+            m.sigma / math.gamma(e), *_lr(s0, m.space.r))
 
 
 def test_restrict_to_ray_linear_coefficients():
@@ -354,7 +355,7 @@ def test_restrict_to_ray_linear_coefficients():
     m = RegularizedModel(tm, 1.0, 1.0, sp)
     s0 = np.array([0.2, -0.4])
     d = np.array([1.0, 0.0])
-    coeffs = _ray_eval(m, s0, d).coeffs
+    coeffs = _ray(m, s0, d)[0]
     assert coeffs[0] == pytest.approx(np.dot(g, s0), rel=1e-14)
     assert coeffs[1] == pytest.approx(-np.dot(g, d), rel=1e-14)
 
@@ -368,7 +369,7 @@ def test_restrict_to_ray_quadratic_coefficient_via_polyfit():
     m = RegularizedModel(tm, 0.5, 1.0, sp)
     d = rng.standard_normal(3)
     d /= sp.norm(d)
-    coeffs = _ray_eval(m, np.zeros(3), d).coeffs
+    coeffs = _ray(m, np.zeros(3), d)[0]
     # oracle: sample the polynomial part (sigma = 0 model) and fit degree 2
     m_plain = RegularizedModel(tm, 0.0, 1.0, sp)
     ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -395,10 +396,12 @@ def test_restrict_to_ray_evaluation_consistency(r, p, beta):
     m = _model(p, beta, 1.3, 4, r, rng)
     s0 = rng.standard_normal(4)
     d = m.space.dual_direction(rng.standard_normal(4))
-    ev = _ray_eval(m, s0, d)
+    ray = _ray(m, s0, d)
     ts = rng.uniform(0.0, 3.0, size=20)
-    ders = ev.batch(ts)
-    slope, val = ev.scalar()
+    dcoeffs = [j * c for j, c in enumerate(ray[0][1:], 1)]
+    reg_d = ray[6]
+    ders = _scan_slopes(dcoeffs, s0, d, r, m.reg_exponent, reg_d, ts)
+    slope, val, _ = ray_functions(*ray)
     for t, dv in zip(ts, ders):
         direct = m.value(s0 - t * d)
         assert abs(val(t) - direct) <= 1e-10 * max(1.0, abs(direct))
@@ -412,7 +415,7 @@ def test_ray_derivatives_match_finite_differences():
             m = _model(p, 0.8, 1.1, 4, r, rng)
             s0 = rng.standard_normal(4)
             d = m.space.dual_direction(rng.standard_normal(4))
-            slope = _ray_eval(m, s0, d).scalar()[0]
+            slope = ray_functions(*_ray(m, s0, d))[0]
             h = 1e-6
             for t in (0.3, 1.0, 2.2):
                 fd = (m.value(s0 - (t + h) * d) - m.value(s0 - (t - h) * d)) / (2.0 * h)
