@@ -24,8 +24,9 @@ separable oracles and for the banded (tridiagonal) pendulum Hessian, and
 O(n^l) for a dense order-l tensor; a pure diagonal gives the bits of its
 dense form.  On the banded pendulum model an r = 2 iteration makes 20 NumPy
 calls (gradient 3, its pass 4, coefficients 7, the dot of s and d 1, step
-and its sum of squares 3, H s 2) and an r != 2 one 22 plus 11 per new ray
-point, about 44.
+and its sum of squares 3, H s 2) and an r != 2 one 22, plus 3 for the
+ray's curvature at 0 (4 below r = 2) and 11 per new ray point, about 38
+where most rays take their Newton point (below).
 
 The Python calls around the NumPy ones cost time on every iteration too,
 so each shortcut below pays by the calls or the passes it saves:
@@ -50,15 +51,17 @@ so each shortcut below pays by the calls or the passes it saves:
 - at p = 2 H s is updated by H d, one contraction per iteration in place of
   two, and the Hessian's share of the ray coefficients is formed inline.
 
-So a convex line search makes 1 pass per iteration at r = 2 and p = 2 (and
-3 per solve: s = 0, the last gradient, the returned step), 2 at r = 2 for
-other p and about 3 for r != 2 on the l^r pendulum runs, and
-``test_inner_iteration_call_budget`` bounds the Python calls per iteration:
-23.80 on the pendulum model at mesh 32 in l^2, 44.05 and 42.05 in l^1.5 and
-l^3, and 96.81 on an order-3 double well.  When the ray polynomial is not
-convex, one array scan of the ray's slope (``_scan_slopes``) brackets its
-minima, for every r one row-wise l^r pass over the grid points, in two
-(grid x n) buffers that each thread keeps (``_scratch``).
+So an iteration with a convex ray makes 1 pass at r = 2 and p = 2 (and 3
+per solve: s = 0, the last gradient, the returned step), 2 at r = 2 for
+other p and 2.2 to 2.7 for r != 2 on the l^r pendulum runs (2.23 on the
+pendulum at mesh 128 in l^1.5 and l^3, where a search that bracketed at the
+Taylor scale made 3.00), and ``test_inner_iteration_call_budget`` bounds
+the Python calls per iteration: 21.90 on the pendulum model at mesh 32 in
+l^2, 38.42 and 36.83 in l^1.5 and l^3, and 96.81 on an order-3 double well.
+When the ray polynomial is not convex, one array scan of the ray's slope
+(``_scan_slopes``) brackets its minima, for every r one row-wise l^r pass
+over the grid points, in two (grid x n) buffers that each thread keeps
+(``_scratch``).
 
 The gradient and direction have the bits of ``RegularizedModel.gradient``
 and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s and at
@@ -70,31 +73,48 @@ contractions and the step norm that of ``NormedSpace.norm``:
 ``test_reported_step_norm_is_the_norm_of_the_step`` pin it.
 
 One-dimensional minimization: the polynomial restriction of the Taylor part
-is combined with the norm regularizer, which is convex in the ray parameter.
-When the polynomial part is convex too (nonnegative coefficients beyond the
-linear one — always the case for order-1 models and for order-2 models with
-nonnegative curvature along the ray) the line search returns the unique
-minimizer, the root of the derivative, by one search (``_first_root``).  Its
-bracket [0, t] starts at the lesser of two scales: the Taylor scale t_T,
-the least ``(-c_1 / (j c_j))^(1/(j-1))`` over the coefficients c_j > 0
-beyond a descending linear one c_1 < 0, past which that one term's slope
-alone cancels c_1, and the scale at which the regularizer alone overtakes
-the initial slope.  The bracket doubles until the slope turns positive or
-+inf; an end whose slope is at most 1e-12 of the initial
-slope's size is the root, else regula falsi (``_refine_root``, which
-bisects while that slope is infinite) refines it until the slope is small
-or the bracket is narrower than 1e-15 of its upper end, a relative exit
-that resolves roots far below 1 too.  ``psi.psi_minimize`` runs on the same
-search.  Otherwise a bracket is grown until the ray's drop is positive,
-the slope is scanned on a mixed linear/geometric grid, and
-``_refine_root`` refines each root that a sign change from - to + brackets
-(a slope of exactly 0 at a grid point brackets none, and a deeper minimum
-can lie beyond the bracket).  A ray is measured from m(s), so it reads the
-drop ``m(s - t d) - m(s)``: the Taylor part models f(x + s) - f(x), so no
-drop carries the size of f, and the solve keeps none of them (from m(0) =
-0 they add up to m(s)).  The best root is taken if its drop is finite and
-negative; else (say the bracket stopped on a NaN or -inf slope, or at the
-1e30 cap still descending) the solve ends on ``PROGRESS_FLOOR``.
+is combined with the norm regularizer, which is convex in the ray
+parameter.  When the polynomial part is convex too (nonnegative
+coefficients beyond the linear one — always the case for order-1 models and
+for order-2 models with nonnegative curvature along the ray) the line
+search returns the unique minimizer, the root of the derivative.  At p = 2
+it first reads the slope at the Newton point t_N = -slope(0) / slope'(0),
+with slope'(0) in closed form from the coefficients and the pass over s (at
+r = 2 from |s|^2 and s . d, in floats), and takes t_N as the step when that
+slope is at most 1e-12 of the initial slope's size, on either side of the
+root: the relative end test of the bracket search below (its absolute
+``ftol``, which any point meets where the initial slope is tiny, would take
+points that are not roots).  When t_N lies past the root but not past the
+bracket start, regula falsi refines the root on [0, t_N].  On the pendulum
+runs t_N is the step on 79 % of the rays in l^1.5 and l^3 and 73 % in l^2,
+and on 25 % of the built-in suite's.  Otherwise (t_N short of the root or
+past the bracket start, or slope'(0) not finite and positive, as at a zero
+coordinate of s below r = 2, where no power that would overflow is formed)
+and at every other p, one search (``_first_root``) from its bracket start
+finds the root.  Only p = 2 tries t_N: on the order-3 double wells of the
+benchmark's random starts t_N met the end test on none of 2,992 convex
+rays, so there it would cost a pass per ray.  The search's bracket [0, t]
+starts at the lesser of two scales: the Taylor scale t_T, the least
+``(-c_1 / (j c_j))^(1/(j-1))`` over the coefficients c_j > 0 beyond a
+descending linear one c_1 < 0, past which that one term's slope alone
+cancels c_1, and the scale at which the regularizer alone overtakes the
+initial slope.  The bracket doubles until the slope turns positive or +inf,
+up to a cap of 2^100 times its start (1e30 for a start below about 0.79);
+an end whose slope is at most 1e-12 of the initial slope's size is the
+root, else regula falsi (``_refine_root``, which bisects while that slope
+is infinite) refines it until the slope is small or the bracket is narrower
+than 1e-15 of its upper end, a relative exit that resolves roots far below
+1 too.  ``psi.psi_minimize`` runs on the same search.  On a nonconvex ray a
+bracket is grown until the drop is positive, the slope is scanned on a
+mixed linear/geometric grid, and ``_refine_root`` refines each root that a
+sign change from - to + brackets (a slope of exactly 0 at a grid point
+brackets none, and a deeper minimum can lie beyond the bracket).  A ray is
+measured from m(s), so it reads the drop ``m(s - t d) - m(s)``: the Taylor
+part models f(x + s) - f(x), so no drop carries the size of f, and the
+solve keeps none of them (from m(0) = 0 they add up to m(s)).  The best
+root is taken if its drop is finite and negative; else (say the bracket
+stopped on a NaN or -inf slope, or at its cap still descending) the solve
+ends on ``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
@@ -119,7 +139,7 @@ class Termination(enum.Enum):
     ZERO_GRADIENT = "zero_gradient"
     MAX_ITERS = "max_iters"
     # no negative drop m(s - t d) - m(s) along the ray (or none below the
-    # 1e30 cap), or the model gradient's dual norm passes the largest double
+    # bracket cap), or the model gradient's dual norm passes the largest double
     PROGRESS_FLOOR = "progress_floor"
 
 
@@ -346,13 +366,18 @@ def _unit_grid(points: int) -> np.ndarray:
 def _first_root(slope, start: float, slope0: float, ftol: float):
     """The root past 0 of an increasing slope that is ``slope0 < 0`` at 0:
     the bracket [0, start] doubles from a positive start until the slope
-    turns positive or +inf or the end reaches 1e30 (at most 1175 doublings).
-    Its end is the root if the slope there is at most ``1e-12 * -slope0``
-    (``ftol`` is absolute below ``-slope0 = 1``), else ``_refine_root``
-    refines the root on it.  None if the slope reads NaN or -inf first, or
-    is still negative at the 1e30 cap."""
+    turns positive or +inf or the end reaches the cap, the larger of 1e30
+    and 2^100 start (at most 1175 doublings; a start below about 0.79 has
+    the cap 1e30, and one above it 100 doublings).  Its end is the root if
+    the slope there is at most ``1e-12 * -slope0`` (``ftol`` is absolute
+    below ``-slope0 = 1``), else ``_refine_root`` refines the root on it.
+    None if the slope reads NaN or -inf first, or is still negative at the
+    cap."""
+    cap = start * 2.0 ** 100
+    if cap < 1e30:
+        cap = 1e30
     t, d = start, slope(start)
-    while -math.inf < d <= 0.0 and t < 1e30:
+    while -math.inf < d <= 0.0 and t < cap:
         t *= 2.0
         d = slope(t)
     if not d > 0.0:
@@ -404,8 +429,11 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
     minus the dual gradient norm, so a decrease exists in exact
     arithmetic).  tau is a root of the ray's slope as ``_refine_root``
     leaves it (|slope| <= ftol, or a sign change within 1e-15 tau): on a
-    convex ray the unique one (``_first_root``), otherwise the best one that
-    the grid scan brackets (``_scan_root``).  A convex ray's search has no
+    convex ray the unique one, at p = 2 the Newton point t_N itself where
+    its slope is at most 1e-12 |slope(0)| or refined on [0, t_N] where t_N
+    lies past the root and not past the bracket start, else by
+    ``_first_root`` from that start; otherwise the best one that the grid
+    scan brackets (``_scan_root``).  A convex ray's search has no
     start only when neither its Taylor nor its regularizer scale is finite,
     a nonconvex ray's scan when the regularizer scale is not.  The drop is
     formed once, at tau, by ``_horner``'s recurrence, inlined.
@@ -434,11 +462,13 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
     # at r = 2 the slope makes no pass, nor the point where qa is carried
     if qa is not None:
         point = _sumsq_point
-        slope = _r2_slope(dcoeffs, qa, float(np.vdot(s, d)), reg_d, e)
+        qb = float(np.vdot(s, d))
+        slope = _r2_slope(dcoeffs, qa, qb, reg_d, e)
     else:  # a pass per new point, the last one remembered
         slope, point = _lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du)
         if r == 2.0:
-            slope = _r2_slope(dcoeffs, float(np.vdot(s, s)), float(np.vdot(s, d)), reg_d, e)
+            qb = float(np.vdot(s, d))
+            slope = _r2_slope(dcoeffs, float(np.vdot(s, s)), qb, reg_d, e)
     slope0 = slope(0.0)
     # the search starts at the scale where the regularizer alone overtakes
     # the initial slope, floored at 1e-12, or at a convex ray's Taylor
@@ -460,7 +490,44 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
     if convex:
         # polynomial part convex, so the whole ray function is: the
         # minimizer is the unique positive root of the derivative
-        tau = _first_root(slope, start, slope0, ftol)
+        tau = None
+        if j == 2.0:
+            # p = 2 (j is the degree): first the Newton point descent /
+            # slope'(0), where slope'(0) is 2 c_2 plus the regularizer's
+            # curvature along d at s, reg_d |s|^(e-2) ((e-1) g^2 + (r-1)
+            # (sum_i |du_i|^((r-2)/(r-1)) d_i^2 - g^2)) with g = du . d, at
+            # r = 2 reg_d |s|^(e-2) (1 + (e-2) g^2) with g = qb / |s|, and 0
+            # at s = 0 (e > 2)
+            curv = dcoeffs[1]
+            if nw > 0.0:
+                pw = nw ** (e - 2.0)  # e - 2 is beta, in (0, 1]: no overflow
+                if r == 2.0:
+                    g = qb / nw
+                    curv += reg_d * pw * (1.0 + (e - 2.0) * g * g)
+                else:
+                    x = (r - 2.0) / (r - 1.0)
+                    a = np.abs(du)
+                    # below r = 2 a zero (or tiny) |du_i| makes the curvature
+                    # infinite: no power is formed that would overflow
+                    if x > 0.0 or np.minimum.reduce(a) > 2.0 ** (1000.0 / x):
+                        g = float(du.dot(d))
+                        a **= x
+                        a *= d
+                        sq = float(a.dot(d))
+                        curv += reg_d * pw * ((e - 1.0) * g * g + (r - 1.0) * (sq - g * g))
+                    else:
+                        curv = math.inf
+            # it is the step where its slope is at most 1e-12 of the initial
+            # slope's size, on either side of the root; past the root it is
+            # the bracket end, short of it the search runs from its start
+            if 0.0 < curv < math.inf and 0.0 < (t_n := descent / curv) < math.inf:
+                d_n = slope(t_n)
+                if -1e-12 * descent <= d_n <= 1e-12 * descent:
+                    tau = t_n
+                elif d_n > 0.0 and t_n <= start:
+                    tau = _refine_root(slope, 0.0, t_n, slope0, d_n, ftol)
+        if tau is None:
+            tau = _first_root(slope, start, slope0, ftol)
     else:
         tau = _scan_root(coeffs, dcoeffs, s, d, r, e, reg_v, reg_d, slope, point, start, ftol)
     if tau is None:

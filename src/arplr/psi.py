@@ -62,8 +62,8 @@ def psi_minimize(spec: PsiSpec) -> tuple:
     derivative turns positive; an end where ``psi' <= 1e-12 alpha`` is the
     root, else regula falsi polishes it until |psi'| <= 1e-12 alpha or the
     bracket is narrower than 1e-15 t.  The bracket stops doubling at
-    2^100 (about 1.3e30, as the line search's), so a profile whose
-    minimizer lies beyond it raises ``ArithmeticError``.
+    2^100 (about 1.3e30, the line search's cap at a start of 1), so a
+    profile whose minimizer lies beyond it raises ``ArithmeticError``.
     """
     deriv = functools.partial(psi_derivative, spec)
     t = _first_root(deriv, 1.0, -spec.alpha, 1e-12 * spec.alpha)

@@ -230,9 +230,9 @@ def test_criterion_7_mesh_independence(mesh_sweep):
 
 
 @pytest.mark.parametrize("i, mesh, inner, digest", [
-    (0, 32, 2296, "6b448ccc5f637ad7d6b72c67c06ad036fc94ee7abbd088e9b0279ef38d965da5"),
-    (1, 128, 27247, "d1d52ed6e5d79a573fb71dc687e88097e8dbb645815c7ca20699c03801dbeaa5"),
-    (2, 512, 459646, "56a3ccf180129fd8fc5c5d1a53a1b31816928a96adae4d28813343216e31be7a"),
+    (0, 32, 2296, "580c3413ecb5bcf835d69d4b2aecfbab496161666b030cd8f3ac8d9de71ff7d0"),
+    (1, 128, 27247, "c03b93f3a2e6f1eed1d76b933f40443466d47b3976391af3de3a38ecf992f72a"),
+    (2, 512, 459646, "aa35bee451c0685bd210c24b2343dec3f7b1a6625833889c2f022599208aaae6"),
 ], ids=["mesh32", "mesh128", "mesh512"])
 def test_mesh_sweep_records_keep_their_bits(mesh_sweep, i, mesh, inner, digest):
     # each record of criterion 7's sweep: its inner iterations, summed from

@@ -198,6 +198,15 @@ def _search(ray, sigma):
     return None if found is None else found[:2]
 
 
+def _bracket_start(coeffs, slope0, e, sigma):
+    # the start of a convex ray's bracket as _line_search sets it: the lesser
+    # of the Taylor scales and the regularizer scale, floored at 1e-12
+    scale = max((-slope0 * math.gamma(e + 1.0) / sigma) ** (1.0 / (e - 1.0)), 1e-12)
+    taylor = [(-coeffs[1] / (j * c)) ** (1.0 / (j - 1.0))
+              for j, c in enumerate(coeffs[2:], 2) if c > 0.0 and coeffs[1] < 0.0]
+    return min([scale, *taylor])
+
+
 def test_convex_ray_grows_its_bracket_until_the_slope_turns():
     # e = 1.5 and s = (0, 100) orthogonal to d: the regularizer's slope is
     # about t / 10 near 0, so at the scale where the regularizer alone would
@@ -239,15 +248,43 @@ def test_convex_ray_with_an_infinite_slope_at_the_bracket_end_is_refined():
 
 
 def test_convex_ray_still_descending_at_the_bracket_cap_gives_no_step():
-    # e = 1.5 and s = (0, 1e40) orthogonal to d: the regularizer's slope
+    # e = 1.5 and s = (0, 1e100) orthogonal to d: the regularizer's slope
     # t (t^2 + |s|^2)^(-1/4) / Gamma(1.5) stays below the descent rate 1e14
-    # up to about 9e33, past the 1e30 bracket cap, although the decrease at
-    # that minimizer would be representable
+    # up to about 8.9e63, past the bracket cap 2^100 times the start 1.8e28
+    # (about 2.2e58).  The drop there, about -1e78 against a regularizer
+    # share of 7.5e149, would round away: a ray that is still descending at
+    # a cap relative to its start has no drop that m resolves.  From
+    # s = (0, 1e40) the root, near 8.9e33, lies below the cap, though past
+    # the absolute 1e30 that missed it, and its drop is the step's
     e, sigma = 1.5, 1.0
+    ray = _scalar_ray([0.0, -1e14], [0.0, 1e100], e, sigma)
+    slope, val, _ = ray_functions(*ray)
+    assert slope(4e58) < 0.0 < slope(1e64)
+    assert _search(ray, sigma) is None
     ray = _scalar_ray([0.0, -1e14], [0.0, 1e40], e, sigma)
     slope, val, _ = ray_functions(*ray)
-    assert slope(2e30) < 0.0 < slope(1e34) and val(1e34) < val(0.0)
-    assert _search(ray, sigma) is None
+    assert slope(2e30) < 0.0 < slope(1e34)
+    tau, value = _search(ray, sigma)
+    assert tau == pytest.approx(1e14 * math.gamma(1.5) * 1e20, rel=1e-6)
+    assert abs(slope(tau)) <= 1e-12 * 1e14 and value == val(tau) < val(0.0)
+
+
+def test_convex_ray_whose_start_lies_past_1e30_finds_its_root():
+    # an l^2 ray of a p = 2 model at |s| ~ 1.8e151 (beta = 0.01), as
+    # test_line_search_step_is_the_point_it_reports draws it: the bracket
+    # starts at the Taylor scale 2.6e149, where the slope is still -4.5e75,
+    # and it turns positive near 9.3e149.  A bracket capped at an absolute
+    # 1e30 gave None there; the cap 2^100 times the start holds the root
+    c1, c2x2 = -1.6404303740949115e+75, 6.336650374833505e-75
+    qa, qb = 3.1082127602739867e+302, 1.3122653169191125e+151
+    slope = inner._r2_slope([c1, c2x2], qa, qb, 1.0703913250592168e-77, 2.01)
+    slope0 = slope(0.0)
+    start = -c1 / c2x2
+    assert start == pytest.approx(2.6e149, rel=1e-2)
+    assert slope(start) == pytest.approx(-4.5e75, rel=1e-2)
+    tau = _first_root(slope, start, slope0, 1e-12 * -slope0)
+    assert tau == pytest.approx(9.289351068302541e+149, rel=1e-12)
+    assert abs(slope(tau)) <= 1e-12 * -slope0
 
 
 @pytest.mark.parametrize("coeffs, e, sigma, tau_exact, value_exact", [
@@ -293,6 +330,61 @@ def test_convex_ray_whose_taylor_scale_meets_the_root_tolerance_takes_one_pass(m
     tau, value = _search(ray, sigma)
     assert tau == 1.0 and calls == 1
     assert 0.0 < slope(1.0) <= 1e-12 and value == val(1.0) < v0
+
+
+def test_newton_point_is_skipped_without_a_warning_where_the_curvature_is_infinite():
+    # an l^1.5 ray of a p = 2 model from s = (0, 0.7, -1.2), along the dual
+    # direction of its model gradient: at the zero coordinate of s the term
+    # |du_0|^((r-2)/(r-1)) = 1 / |du_0| of the ray's curvature at 0 is
+    # infinite, and d_0 is not 0.  The search forms no such power (no
+    # RuntimeWarning), makes its first pass at the bracket start, and takes
+    # the step _first_root takes from there, bit for bit
+    r, e, sigma = 1.5, 2.5, 1.0
+    s, g = np.array([0.0, 0.7, -1.2]), np.array([0.9, -0.4, 0.3])
+    nw, du = _lr(s, r)
+    d = _lr(g + du * _pow(nw, e - 1.0) * (sigma / math.gamma(e)), r / (r - 1.0))[1]
+    assert du[0] == 0.0 and d[0] != 0.0
+    ray = _ray([0.0, -float(g.dot(d)), 0.8], s, d, r, e, sigma)
+    slope, _, _ = ray_functions(*ray)
+    slope0 = slope(0.0)
+    start = _bracket_start(ray[0], slope0, e, sigma)
+    tau = _first_root(slope, start, slope0, 1e-12 * max(1.0, -slope0))
+    points = []
+
+    def counted(v, r):
+        points.append(v.copy())
+        return _lr(v, r)
+
+    with warnings.catch_warnings(), mock.patch("arplr.inner._lr", counted):
+        warnings.simplefilter("error", RuntimeWarning)
+        found = _search(ray, sigma)
+    assert points[0].tobytes() == (s - start * d).tobytes()
+    assert found is not None and _bits(found[0]) == _bits(tau)
+
+
+def test_rays_near_r_1_take_the_steps_of_the_bracket_search():
+    # the double well of test_double_well_converges_at_extreme_exponents at
+    # r = 1.0000001, whose power (r-2)/(r-1) in the ray's curvature is about
+    # -1e7: the solve makes no RuntimeWarning, and every convex ray's step
+    # has the bits of the step _first_root takes from the bracket start
+    problem, space, x0, outer = ExperimentConfig(problem="double_well", r=1.0000001).build()
+    with warnings.catch_warnings(), _recorded_rays() as rays:
+        warnings.simplefilter("error", RuntimeWarning)
+        run = solve(problem, x0, outer, space)
+    assert run.status is SolveStatus.CONVERGED
+    steps = 0
+    for ray in rays:
+        coeffs, e, sigma = ray[0], ray[4], ray[10]
+        if min(coeffs[2:]) < 0.0:
+            continue
+        slope = ray_functions(*ray[:10])[0]
+        slope0 = slope(0.0)
+        start = _bracket_start(coeffs, slope0, e, sigma)
+        tau = _first_root(slope, start, slope0, 1e-12 * max(1.0, -slope0))
+        found = _line_search(*ray)
+        assert found is not None and _bits(found[0]) == _bits(tau)
+        steps += 1
+    assert steps == sum(rec.inner_iters for rec in run.records) == 20
 
 
 def test_convex_ray_with_an_overflowing_scale_and_a_descending_taylor_scale_is_solved():
@@ -420,12 +512,15 @@ def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c1, h
                                                         seed):
     # a convex ray of a 3-d l^r model (c_j >= 0 for j >= 2) from an anchor of
     # the drawn size along a dual direction, measured from m(s) as
-    # minimize_model measures it.  The step _first_root returns
-    # is taken exactly when its value is finite and below m(s); it is a root
-    # within the line search's tolerances (|slope| <= ftol, or within a
-    # bracket narrower than 1e-15 tau, plus brentq's own tolerance) wherever
-    # brentq finds a root below the 1e30 bracket cap with such a value, and
-    # there a decrease close to the least value
+    # minimize_model measures it.  The step of the search, on each of its
+    # paths (at p = 2 the Newton point or its refinement on [0, t_N], else
+    # _first_root's), is recorded where the search reads the ray's point,
+    # once, at its step.  It is taken exactly when its value is finite and
+    # below m(s); it is a root within the line search's tolerances
+    # (|slope| <= ftol, or within a bracket narrower than 1e-15 tau, plus
+    # brentq's own tolerance) wherever brentq finds a root below 1e30 with
+    # such a value, and there a decrease close to the least value.  A
+    # Newton point taken as it is has |slope| <= 1e-12 |slope(0)|
     rng = np.random.default_rng(seed)
     space = NormedSpace(3, r)
     d = space.dual_direction(rng.standard_normal(3))
@@ -435,18 +530,36 @@ def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c1, h
     slope, val, _ = ray_functions(*ray)
     slope0, v0 = slope(0.0), val(0.0)
     assume(-math.inf < slope0 < 0.0 and math.isfinite(v0))
-    steps = []
+    steps, searches = [], []
 
-    def recorded(*args):
-        steps.append(_first_root(*args))
-        return steps[-1]
+    def recorded_ray(*args):
+        slope, point = ray_closures(*args)
 
-    with mock.patch("arplr.inner._first_root", recorded):
+        def recorded_point(s, d, t):
+            steps.append(t)
+            return point(s, d, t)
+
+        return slope, recorded_point
+
+    def recorded(search):
+        def run(*args):
+            searches.append(search.__name__)
+            return search(*args)
+
+        return run
+
+    ray_closures = inner._lr_ray
+    with mock.patch("arplr.inner._lr_ray", recorded_ray), \
+            mock.patch("arplr.inner._first_root", recorded(_first_root)), \
+            mock.patch("arplr.inner._refine_root", recorded(_refine_root)):
         found = _search(ray, sigma)
-    if not steps:  # no finite bracket start
+    if not steps and not searches:  # no finite bracket start
         assert found is None
         return
-    (tau,) = steps
+    assert len(steps) <= 1
+    tau = steps[0] if steps else None  # None: _first_root found no root
+    if tau is not None and not searches:  # the Newton point, as it is
+        assert p == 2 and abs(slope(tau)) <= 1e-12 * -slope0
     if tau is not None and -math.inf < val(tau) < v0:
         assert found == (tau, val(tau))
     else:
@@ -989,7 +1102,7 @@ def _double_well_model():
 
 
 @pytest.mark.parametrize("r, p, grad_tol, budget", [
-    (2.0, 2, 1e-6, 23.83), (1.5, 2, 1e-5, 44.08), (3.0, 2, 1e-5, 42.08), (3.0, 3, 1e-6, 96.84),
+    (2.0, 2, 1e-6, 21.93), (1.5, 2, 1e-5, 38.45), (3.0, 2, 1e-5, 36.87), (3.0, 3, 1e-6, 96.84),
 ], ids=["2.0-1e-06-27.36", "1.5-1e-05-48.09", "3.0-1e-05-45.59", "double_well-r3-p3"])
 def test_inner_iteration_call_budget(r, p, grad_tol, budget):
     # Python-level calls (profile "call" and "c_call" events) per inner
@@ -998,10 +1111,11 @@ def test_inner_iteration_call_budget(r, p, grad_tol, budget):
     # 32 and p = 2, which ends on the gradient tolerance after 1,316
     # (r = 2), 2,205 (r = 1.5) and 2,304 (r = 3) iterations, and the order-3
     # double well, which ends there after 95.  Each bound is the count plus
-    # 0.03: 23.80, 44.05, 42.05 and 96.81 with one line search for every
-    # ray, where a second path for p = 2 convex rays and a ray object for
-    # the others made 27.33, 48.06, 45.56 and 120.48 (Python 3.11, NumPy
-    # 2.4.6).  The test ids keep the earlier bounds
+    # 0.03: 21.90, 38.42, 36.83 and 96.81 with a p = 2 search that tries the
+    # Newton point first, where one bracketing at the Taylor scale made
+    # 23.80, 44.05 and 42.05, and a second path for p = 2 convex rays and a
+    # ray object for the others 27.33, 48.06, 45.56 and 120.48 (Python 3.11,
+    # NumPy 2.4.6).  The test ids keep the earlier bounds
     m = _pendulum_model(r) if p == 2 else _double_well_model()
     minimize_model(m, grad_tol)
     events = 0
@@ -1043,10 +1157,11 @@ def test_inner_solve_memory_does_not_grow_with_its_iterations(r, grad_tol):
 
 
 def test_line_search_shares_its_lr_passes(monkeypatch):
-    # l^1.5 pendulum at mesh 32: 9,498 l^r passes over 3,068 inner
-    # iterations, 3.10 each.  Without sharing, the ray's slope at t = 0, the
-    # value at the accepted step and the next iteration's pass over s would
-    # each repeat a pass that the line search already made
+    # l^1.5 pendulum at mesh 32: 8,203 l^r passes over 3,068 inner
+    # iterations, 2.67 each (3.10 before the search tried the Newton point
+    # first).  Without sharing, the ray's slope at t = 0, the value at the
+    # accepted step and the next iteration's pass over s would each repeat a
+    # pass that the line search already made
     m, h = 32, 1.0 / 32
     wave = 1.3 * math.sqrt(h) * np.sin(math.pi * np.arange(1, m) * h)
     cfg = ExperimentConfig(problem="pendulum", n=m, r=1.5, p=2, epsilon=1e-4,
@@ -1062,23 +1177,24 @@ def test_line_search_shares_its_lr_passes(monkeypatch):
     run = solve(problem, x0, outer, space)
     assert run.status is SolveStatus.CONVERGED
     assert sum(rec.inner_iters for rec in run.records) == 3068
-    assert len(calls) == 9498
+    assert len(calls) == 8203
 
 
 @pytest.mark.parametrize("a", [1.3, 2.7])
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 def test_convex_line_search_needs_about_two_ray_passes(monkeypatch, r, a):
-    # the pinned l^r pendulum runs at mesh 32: a convex line search that
-    # brackets at the Taylor scale evaluates the ray about twice, so with
-    # the pass over the model gradient an inner iteration makes about 3.1
-    # l^r passes (about 5 when the bracket starts at the regularizer scale);
-    # the pass over s is the ray's at the accepted step.  At r = 2 the slope
-    # makes none and the accepted step none in the sum-of-squares window
-    # (at p = 2 s carries |s|^2), so an iteration makes exactly one, over
-    # the gradient, and a solve three more, over s = 0, the last gradient
-    # and the returned step.  For r != 2 the exact counts are pinned too:
-    # a line search that repeats the pass over s or the accepted point's
-    # makes more
+    # the pinned l^r pendulum runs at mesh 32: a convex line search reads
+    # the ray's slope once at the Newton point, which most rays take as the
+    # step, else once more in its refinement (or from the bracket start), so
+    # with the pass over the model gradient an inner iteration makes 2.5 to
+    # 2.75 l^r passes, where a search that bracketed at the Taylor scale
+    # made about 3.1; the pass over s is the ray's at the accepted step.  At
+    # r = 2 the slope makes none and the accepted step none in the
+    # sum-of-squares window (at p = 2 s carries |s|^2), so an iteration
+    # makes exactly one, over the gradient, and a solve three more, over
+    # s = 0, the last gradient and the returned step.  For r != 2 the exact
+    # counts are pinned too: a line search that repeats the pass over s or
+    # the accepted point's makes more
     m, h = 32, 1.0 / 32
     wave = a * (math.sqrt(h) * np.sin(math.pi * np.arange(1, m) * h))
     cfg = ExperimentConfig(problem="pendulum", n=m, r=r, p=2, epsilon=1e-4,
@@ -1095,12 +1211,12 @@ def test_convex_line_search_needs_about_two_ray_passes(monkeypatch, r, a):
     run = solve(problem, x0, outer, space)
     assert run.status is SolveStatus.CONVERGED
     inner = sum(rec.inner_iters for rec in run.records)
-    assert calls < 3.5 * inner
+    assert calls < 2.9 * inner
     if r == 2.0:
         assert calls == inner + 3 * len(run.records)
     else:
-        assert calls == {(1.5, 1.3): 9636, (1.5, 2.7): 10739, (3.0, 1.3): 7146,
-                         (3.0, 2.7): 7706}[r, a]
+        assert calls == {(1.5, 1.3): 8298, (1.5, 2.7): 8767, (3.0, 1.3): 6346,
+                         (3.0, 2.7): 6626}[r, a]
 
 
 def _scan_points(ray, ts):

@@ -28,7 +28,15 @@ the sum of squares of an r = 2, p = 2 inner step, whose norm is then the
 square root of the BLAS sum, moved ``ci-pendulum16-r2`` in the digest only:
 from its third record on the step, iterate, dual gradient norm, model
 decrease and rho columns changed in the last bits; no counter and no
-``f_final`` moved.
+``f_final`` moved.  Taking a p = 2 convex ray's Newton point as its step
+where its slope is at most 1e-12 of the initial slope's size, or refining
+the root below it, moved every p = 2 entry but ``double_well-n4-r2-p2`` and
+the ``double_well-eps`` sweep: each step is still a root of the ray's slope
+within the tolerance, at another point of it.  Two counters moved,
+``pendulum32-r3-a1.3`` from 2,304 to 2,306 inner iterations and
+``pendulum128-r1.5`` from 34,105 to 34,319; ``f_final`` moved in the last
+digits in those two, ``quadratic-n6-r2-p2``, ``pendulum32-r3-a2.7`` and
+``ci-pendulum16-r3``, and the others in the digest only.
 """
 
 import hashlib
@@ -53,8 +61,8 @@ _RUNS = [
     # label, config, (outer, successful, inner, f_evals, deriv_evals), repr(f_final),
     # sha256 of the record file
     ("quadratic-n6-r2-p2", dict(problem="quadratic", r=2.0, epsilon=1e-5),
-     (10, 10, 18, 11, 11), "-1.7211677211658276",
-     "0396fcc3d5f288363cc46383ed933c40bbe7f67210ebfca4fd7da8f82c2581bf"),
+     (10, 10, 18, 11, 11), "-1.7211677211658274",
+     "6db97009c2198e266111a5dff62e8656a52a6dd49f4e84e472723bbb0efb14da"),
     ("double_well-n4-r2-p2", dict(problem="double_well", r=2.0, epsilon=1e-5),
      (5, 5, 5, 6, 6), "-0.9999999999999973",
      "31ea3802338638176074d47d7d895c92a9bdece9b9dfc4d9a848febc701e4ed7"),
@@ -69,7 +77,7 @@ _RUNS = [
      "b7f6c1be09ba5044084f53f312be1165ca06dd83f96455aa3079eccc549e1e63"),
     ("pendulum32-r2-p2", dict(problem="pendulum", epsilon=1e-5),
      (6, 6, 2816, 7, 7), "1.0000000000008022",
-     "08256c62fcf2050c7cf3f13701d74b7695585c704c373bb3ac055e505a962d86"),
+     "de4a653d0e8b6c31ebd1028aeee0708c6c3c4b764978d73ed7289cb78304bc24"),
     ("double_well-eps0", dict(problem="double_well", epsilon=0.1),
      (3, 3, 3, 4, 4), "-0.999656076617128",
      "621fb5da0c1098a63f40ff3517d2133958adbcdc84265da364b8efab335797cb"),
@@ -111,32 +119,32 @@ _RUNS = [
      "95ab9572a88e1314541e4a4a077d69c122ca9fbf1a6b4a921b5c7fb2fc36879f"),
     ("pendulum32-r1.5-a1.3", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(1.3)),
      (11, 11, 3116, 12, 12), "1.000000000442719",
-     "f70c8decbe6736c57e53469f52c0e3f8a6e8c1bcd576e889cc5ac81a0a831a82"),
+     "c033b0ed7aec594c384a3d1f4dcd0211ab590237d244d43ab800c694d0ec84a5"),
     ("pendulum32-r1.5-a2.7", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(2.7)),
      (16, 16, 3514, 17, 17), "1.0000000001856595",
-     "08ff2f48193707af3c2bbd489bd81d3c245e732a2d597011f669a5d8835c53d4"),
+     "aa5a3535803b25f3d17c6eebe398d413fa15377420db89b3625c0ed2e1ccd661"),
     ("pendulum32-r3-a1.3", dict(problem="pendulum", r=3.0, epsilon=1e-4, x0=_sine(1.3)),
-     (5, 5, 2304, 6, 6), "1.0000000000231903",
-     "6116c91a7ebdd602f3d5fef46c6e4e8413f40f7c4f4e975a74c2343b6a4a69c1"),
+     (5, 5, 2306, 6, 6), "1.0000000000227303",
+     "82495644db05ebb938273b532023931938e07b966bc765bb958d968b66ae1da8"),
     ("pendulum32-r3-a2.7", dict(problem="pendulum", r=3.0, epsilon=1e-4, x0=_sine(2.7)),
-     (6, 6, 2446, 7, 7), "1.0000000000226752",
-     "04e57ef92efe272bcca143f8814100295c2dc034063e9949dc3c7a2cdf53b2b8"),
+     (6, 6, 2446, 7, 7), "1.0000000000226685",
+     "4c4fe46f7b677ba7ead5e6a8628589f7b463a55d53f7ca481519c3e8b688e304"),
     ("pendulum32-r2-eps1e-4", dict(problem="pendulum", epsilon=1e-4, inner_max_iters=600_000),
      (6, 6, 2296, 7, 7), "1.0000000000800362",
-     "0dd86d4be0439da49b9d800a72955c6b18f3b56f1e4640258b4582138006a552"),
+     "2194df6757ea733aa813fc3cd4ba2a0234108fc71f6cec2d739b098a74746a2a"),
     ("pendulum128-r1.5", dict(problem="pendulum", n=128, r=1.5, epsilon=1e-4,
                               inner_max_iters=600_000),
-     (21, 21, 34105, 22, 22), "1.000000000644245",
-     "7c7a31d9b76f1835d1618d13e2da9e5302adcdd11eb77f678b67641185a2bf54"),
+     (21, 21, 34319, 22, 22), "1.0000000006122207",
+     "49fbe73fc785e7e4c489c481bdd7407e3584aad89f9856fbdc247fb26aa4152a"),
     ("ci-pendulum16-r1.5", dict(problem="pendulum", n=16, r=1.5, epsilon=1e-3),
      (11, 11, 518, 12, 12), "1.0000000126412358",
-     "0794b0871e24b0ea01377c0749a241ba1f5e64245e713d16bc408f6af1ff45df"),
+     "5e6767bb15ebf8c39e6c7ab45c32754cdc0a3dbe813180ae38c15f97360350bf"),
     ("ci-pendulum16-r2", dict(problem="pendulum", n=16, r=2.0, epsilon=1e-3),
      (6, 6, 448, 7, 7), "1.0000000072468584",
-     "63ba9e3f49383336b3f292ddbf9154e8bbb2848fd29ced1fdeecc7b5e8a59db7"),
+     "c371599f505760318b47d21a5c4d30d9e4a3fbe6606703dd1b2c843441dd3c39"),
     ("ci-pendulum16-r3", dict(problem="pendulum", n=16, r=3.0, epsilon=1e-3),
-     (6, 6, 379, 7, 7), "1.0000000035508838",
-     "674caa90662882f533ad5dff37ebb1f6f1f2eb84211d3bd47e6feaed358d513b"),
+     (6, 6, 379, 7, 7), "1.0000000035516183",
+     "208d0a886e32b764f13f56c6362d92ffc84f4aaee079abeddc7226b9ea14e017"),
     ("ci-double_well8-r1.5-p3", dict(problem="double_well", n=8, r=1.5, p=3, x0="random", seed=3),
      (10, 8, 15, 11, 9), "-1.9999999999995275",
      "4c29aaea92766d013323726633792f1b670b718e25011ca6b1d5a09df204fe60"),
