@@ -6,9 +6,10 @@ estimate of the modulus of smoothness.  R^n with the l^r norm is a
 uniformly min(r, 2)-smooth space for 1 < r < infinity, which is why the
 endpoints r = 1 and r = infinity are rejected at construction.
 
-Every power sum goes through one kernel, ``_lr``, which scales the vector
-by the power of two just above its largest entry before raising entries to
-the r-th power.  Multiplying by a power of two is exact in binary floating
+Every power sum goes through one kernel, ``_lr`` (``_lr_rows`` for the
+norms of the rows of an array of samples), which scales the vector by the
+power of two just above its largest entry before raising entries to the
+r-th power.  Multiplying by a power of two is exact in binary floating
 point, so wherever the unscaled power sum neither overflows nor underflows
 the scaled one carries the same bits: at r = 2 every result is identical
 to the unscaled formula, which a vector whose sum of squares lies in
@@ -53,10 +54,10 @@ _TINY = sys.float_info.min
 _SUMSQ_MIN, _SUMSQ_MAX = 2.0 ** -900, 2.0 ** 1000
 
 
-def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
+def _lr(a: np.ndarray, r: float):
     """``(|a|_r, v)`` for a vector, with v its duality vector
-    ``sign(a_i) (|a_i| / |a|_r)^(r-1)`` (at r = 2, ``a / |a|_r``), or the
-    norms and duality vectors of the rows of a 2-D array; ``a`` is only read.
+    ``sign(a_i) (|a_i| / |a|_r)^(r-1)`` (at r = 2, ``a / |a|_r``); ``a`` is
+    only read.
 
     At r = 2 a vector with ``2^-900 < np.vdot(a, a) < 2^1000`` skips the
     scaling: there the ``np.add`` reduction of ``a * a``, not vdot's BLAS
@@ -66,71 +67,73 @@ def _lr(a: np.ndarray, r: float, work: np.ndarray | None = None):
     just above the largest magnitude (the ``frexp`` exponent), before they
     are raised to the power r, and the sum's root is multiplied back by
     ``2^k``.  Where that sum is below the smallest normal double, which
-    takes r > 1022, the vector or row is redone on ``|a| / peak``, whose
-    peak term is exactly 1, and the root is multiplied by the peak.  A zero
-    vector or row has norm 0 and a zero duality vector.
-    A subnormal peak, whose ``2^-k`` need not be a double, is first lifted
-    by an exact ``2^1000`` in a copy; a norm past the largest double is
-    ``inf``, with a zero duality vector.  A NaN or infinite entry gives a
-    NaN or infinite norm and a meaningless vector; ``NormedSpace`` rejects
-    such input before it gets here.  A vector's peak is the entry
-    ``argmax`` finds (a NaN if there is one), a row's the ``np.maximum``
-    reduction, and each sum the ``np.add`` reduction that ``ndarray.sum``
-    wraps: the bits of ``max`` and ``sum`` without the wrappers' overhead.
+    takes r > 1022, the vector is redone on ``|a| / peak``, whose peak term
+    is exactly 1, and the root is multiplied by the peak.  A zero vector has
+    norm 0 and a zero duality vector.  A subnormal peak, whose ``2^-k`` need
+    not be a double, is first lifted by an exact ``2^1000`` in a copy; a
+    norm past the largest double is ``inf``, with a zero duality vector.  A
+    NaN or infinite entry gives a NaN or infinite norm and a meaningless
+    vector; ``NormedSpace`` rejects such input before it gets here.  The
+    peak is the entry ``argmax`` finds (a NaN if there is one), and the sum
+    the ``np.add`` reduction that ``ndarray.sum`` wraps: the bits of ``max``
+    and ``sum`` without the wrappers' overhead.
 
-    v is formed in place from ``|a|`` (for a 2-D ``a`` in ``work``, an
-    array of a's shape or None to allocate one, which holds the scaled
-    powers first), with the bits of ``copysign(|u|^(r-1), u)`` for the unit
-    vector ``u = a / |a|_r``, which at r = 2 are u's own.  At r = 2 every
-    root is a correctly rounded square root (``math.sqrt``, NumPy's
-    ``** 0.5``), so a row's norm is its vector's; otherwise a vector's root
-    is a Python float power and a row's a NumPy array power, and the two may
-    differ by one ulp.
+    v is formed in place from ``|a|``, with the bits of ``copysign(|u|^(r-1),
+    u)`` for the unit vector ``u = a / |a|_r``, which at r = 2 are u's own.
+    At r = 2 the root is a correctly rounded square root (``math.sqrt``),
+    otherwise a Python float power.
     """
-    if a.ndim == 1:
-        if r == 2.0 and _SUMSQ_MIN < float(np.vdot(a, a)) < _SUMSQ_MAX:  # silent on overflow
-            nrm = math.sqrt(float(np.add.reduce(a * a)))
-            return nrm, a / nrm
-        b = np.abs(a)
-        peak = float(b[b.argmax()])
-        if not 0.0 < peak < math.inf:
-            return peak, a
-        k = math.frexp(peak)[1]
-        if k < -1021:
-            nrm, v = _lr(a * 2.0 ** 1000, r)
-            return math.ldexp(nrm, -1000), v
-        c = b * math.ldexp(1.0, -k)
-        c **= r
-        total = float(np.add.reduce(c))
-        if total < _TINY:  # r > 1022: redo on |a| / peak, whose peak term is 1
-            nrm = peak * float(np.add.reduce((b / peak) ** r)) ** (1.0 / r)
-        else:
-            root = math.sqrt(total) if r == 2.0 else total ** (1.0 / r)
-            # only a peak above 2^960 can push the norm past the largest double
-            nrm = math.inf if k > 960 and k + math.frexp(root)[1] > 1024 else math.ldexp(root, k)
-        b /= nrm
+    if r == 2.0 and _SUMSQ_MIN < float(np.vdot(a, a)) < _SUMSQ_MAX:  # silent on overflow
+        nrm = math.sqrt(float(np.add.reduce(a * a)))
+        return nrm, a / nrm
+    b = np.abs(a)
+    peak = float(b[b.argmax()])
+    if not 0.0 < peak < math.inf:
+        return peak, a
+    k = math.frexp(peak)[1]
+    if k < -1021:
+        nrm, v = _lr(a * 2.0 ** 1000, r)
+        return math.ldexp(nrm, -1000), v
+    c = b * math.ldexp(1.0, -k)
+    c **= r
+    total = float(np.add.reduce(c))
+    if total < _TINY:  # r > 1022: redo on |a| / peak, whose peak term is 1
+        nrm = peak * float(np.add.reduce((b / peak) ** r)) ** (1.0 / r)
     else:
-        b = np.abs(a, out=work)
-        peak = np.maximum.reduce(b, axis=1)
-        k = np.frexp(peak)[1]  # 0 for a zero or non-finite row
-        if np.minimum.reduce(k) < -1021:
-            lift = np.where(k < -1021, 1000, 0)
-            nrm, v = _lr(a * np.ldexp(1.0, lift)[:, None], r, b)
-            return np.ldexp(nrm, -lift), v
-        b *= np.ldexp(1.0, -k)[:, None]
-        b **= r
-        total = np.add.reduce(b, axis=1)
-        with np.errstate(over="ignore"):  # a norm past the largest double is inf
-            nrm = np.ldexp(total ** (1.0 / r), k)
-            low = total < _TINY
-            if low.any():  # a zero row, or r > 1022: redo on |a| / peak
-                low &= peak > 0.0
-                rows = np.abs(a[low]) / peak[low, None]
-                nrm[low] = peak[low] * np.add.reduce(rows ** r, axis=1) ** (1.0 / r)
-        np.abs(a, out=b)
-        b /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
+        root = math.sqrt(total) if r == 2.0 else total ** (1.0 / r)
+        # only a peak above 2^960 can push the norm past the largest double
+        nrm = math.inf if k > 960 and k + math.frexp(root)[1] > 1024 else math.ldexp(root, k)
+    b /= nrm
     b **= r - 1.0
     return nrm, np.copysign(b, a, out=b)
+
+
+def _lr_rows(a: np.ndarray, r: float) -> np.ndarray:
+    """The l^r norms of the rows of a 2-D array, by ``_lr``'s scaled power
+    sum row by row: the peak is the ``np.maximum`` reduction, a row with a
+    subnormal peak is lifted by an exact ``2^1000`` in a copy, a zero row
+    has norm 0, a row past the largest double ``inf`` (silently), and one
+    whose scaled sum falls below the smallest normal double is redone on
+    ``|row| / peak``.  The root is a NumPy array power, which at r = 2 is a
+    correctly rounded square root, so a row's norm is its vector's; for
+    other r the two may differ by one ulp."""
+    b = np.abs(a)
+    peak = np.maximum.reduce(b, axis=1)
+    k = np.frexp(peak)[1]  # 0 for a zero or non-finite row
+    if np.minimum.reduce(k) < -1021:
+        lift = np.where(k < -1021, 1000, 0)
+        return np.ldexp(_lr_rows(a * np.ldexp(1.0, lift)[:, None], r), -lift)
+    b *= np.ldexp(1.0, -k)[:, None]
+    b **= r
+    total = np.add.reduce(b, axis=1)
+    with np.errstate(over="ignore"):  # a norm past the largest double is inf
+        nrm = np.ldexp(total ** (1.0 / r), k)
+        low = total < _TINY
+        if low.any():  # a zero row, or r > 1022: redo on |a| / peak
+            low &= peak > 0.0
+            rows = np.abs(a[low]) / peak[low, None]
+            nrm[low] = peak[low] * np.add.reduce(rows ** r, axis=1) ** (1.0 / r)
+    return nrm
 
 
 def _pow(x: float, y: float) -> float:
@@ -209,7 +212,7 @@ def smoothness_modulus_estimate(
     The modulus is the supremum of ``(|x+y| + |x-y|)/2 - 1`` over |x| = 1
     and |y| = t; sampling pairs gives a lower bound on it, so the estimate
     can be compared against upper envelopes such as t^2/2 in the r = 2
-    case.  Each sample is divided by its row norm from one ``_lr`` pass.
+    case.  Each sample is divided by its norm from one ``_lr_rows`` pass.
     """
     if not 0.0 <= t < math.inf:
         raise GeometryError(f"modulus argument t must be finite and nonnegative, got {t!r}")
@@ -224,9 +227,9 @@ def smoothness_modulus_estimate(
         m = min(remaining, 200_000)
         x = rng.standard_normal((m, space.n))
         y = rng.standard_normal((m, space.n))
-        x = x / _lr(x, space.r)[0][:, None]
-        y = t * (y / _lr(y, space.r)[0][:, None])
-        vals = (_lr(x + y, space.r)[0] + _lr(x - y, space.r)[0]) / 2.0 - 1.0
+        x = x / _lr_rows(x, space.r)[:, None]
+        y = t * (y / _lr_rows(y, space.r)[:, None])
+        vals = (_lr_rows(x + y, space.r) + _lr_rows(x - y, space.r)) / 2.0 - 1.0
         best = max(best, float(vals.max()))
         remaining -= m
     return best

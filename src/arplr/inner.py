@@ -57,11 +57,9 @@ other p and 2.2 to 2.7 for r != 2 on the l^r pendulum runs (2.23 on the
 pendulum at mesh 128 in l^1.5 and l^3, where a search that bracketed at the
 Taylor scale made 3.00), and ``test_inner_iteration_call_budget`` bounds
 the Python calls per iteration: 21.90 on the pendulum model at mesh 32 in
-l^2, 38.42 and 36.83 in l^1.5 and l^3, and 96.81 on an order-3 double well.
-When the ray polynomial is not convex, one array scan of the ray's slope
-(``_scan_slopes``) brackets its minima, for every r one row-wise l^r pass
-over the grid points, in two (grid x n) buffers that each thread keeps
-(``_scratch``).
+l^2, 37.42 and 35.83 in l^1.5 and l^3, and 86.69 on an order-3 double well.
+A ray that is not convex takes the same search, so no iteration makes an
+array larger than a vector.
 
 The gradient and direction have the bits of ``RegularizedModel.gradient``
 and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s and at
@@ -90,8 +88,8 @@ runs t_N is the step on 79 % of the rays in l^1.5 and l^3 and 73 % in l^2,
 and on 25 % of the built-in suite's.  Otherwise (t_N short of the root or
 past the bracket start, or slope'(0) not finite and positive, as at a zero
 coordinate of s below r = 2, where no power that would overflow is formed)
-and at every other p, one search (``_first_root``) from its bracket start
-finds the root.  Only p = 2 tries t_N: on the order-3 double wells of the
+at every other p and on every nonconvex ray, one search (``_first_root``)
+from its bracket start finds the root.  Only p = 2 tries t_N: on the order-3 double wells of the
 benchmark's random starts t_N met the end test on none of 2,992 convex
 rays, so there it would cost a pass per ray.  The search's bracket [0, t]
 starts at the lesser of two scales: the Taylor scale t_T, the least
@@ -104,25 +102,25 @@ an end whose slope is at most 1e-12 of the initial slope's size is the
 root, else regula falsi (``_refine_root``, which bisects while that slope
 is infinite) refines it until the slope is small or the bracket is narrower
 than 1e-15 of its upper end, a relative exit that resolves roots far below
-1 too.  ``psi.psi_minimize`` runs on the same search.  On a nonconvex ray a
-bracket is grown until the drop is positive, the slope is scanned on a
-mixed linear/geometric grid, and ``_refine_root`` refines each root that a
-sign change from - to + brackets (a slope of exactly 0 at a grid point
-brackets none, and a deeper minimum can lie beyond the bracket).  A ray is
+1 too.  ``psi.psi_minimize`` runs on the same search.  A nonconvex ray
+(some j c_j < 0 past the linear one) takes it too, from the same start:
+the step has only to be a local minimizer below m(s) (bracket, then refine:
+Nocedal and Wright, Numerical Optimization, 2nd ed., section 3.5), and
+refinement keeps the slope negative at the lower end of the bracket and
+positive at the upper, so it ends on a sign change from - to +, a local
+minimizer, though a deeper one can lie elsewhere on the ray.  A ray is
 measured from m(s), so it reads the drop ``m(s - t d) - m(s)``: the Taylor
 part models f(x + s) - f(x), so no drop carries the size of f, and the
-solve keeps none of them (from m(0) = 0 they add up to m(s)).  The best
-root is taken if its drop is finite and negative; else (say the bracket
-stopped on a NaN or -inf slope, or at its cap still descending) the solve
-ends on ``PROGRESS_FLOOR``.
+solve keeps none of them (from m(0) = 0 they add up to m(s)).  The root is
+taken if its drop is finite and negative; else (say the bracket stopped on
+a NaN or -inf slope, or at its cap still descending, or a nonconvex ray's
+root lies above m(s)) the solve ends on ``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,28 +161,6 @@ class InnerResult:
     termination: Termination
 
 
-_thread = threading.local()
-
-
-def _scratch(rows: int, n: int):
-    """Two ``(rows, n)`` float arrays for the grid scan of ``_scan_slopes``,
-    views of one array that each thread keeps and replaces only when the
-    shape changes, so a repeated scan allocates no (rows x n) memory."""
-    buf = getattr(_thread, "scratch", None)
-    if buf is None or buf.shape != (2, rows, n):
-        buf = _thread.scratch = np.empty((2, rows, n))
-    return buf[0], buf[1]
-
-
-def _horner(coeffs, t):
-    """``sum_j coeffs[j] t^j`` by the recurrence of numpy's ``polyval``, so a
-    Python float t gives the same bits as it does, and an array t too."""
-    acc = coeffs[-1] + t * 0
-    for c in coeffs[-2::-1]:
-        acc = c + acc * t
-    return acc
-
-
 def _sumsq_point(anchor, direction, t: float):
     """``(w, |w|_2, q)`` at ``w = anchor - t direction``, with the sum of
     squares ``q = np.vdot(w, w)`` (silent on overflow) and ``|w|`` its
@@ -201,7 +177,8 @@ def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
     as a closure over local floats: the Taylor slope coefficients, the
     squared norm ``qa - 2 qb t + t^2`` clamped at 0 (``qa = |anchor|^2``,
     ``qb = anchor . direction``), the regularizer weight and exponent.  It
-    makes no NumPy call and inlines ``_horner`` and ``_pow``, bit for bit.
+    makes no NumPy call and inlines the recurrence of numpy's ``polyval``
+    and ``_pow``, bit for bit.
     Where the squared norm is not a normal double and ``qa < 2^-900``, so
     that every term is tiny, it is formed again from terms scaled by the
     exact 2^1022, and |w|^(e-2) from its root, so the regularizer's share
@@ -213,7 +190,7 @@ def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
     tiny = qa < _SUMSQ_MIN  # a sum below the normal range is then of tiny terms, not cancellation
 
     def slope(t: float) -> float:
-        poly = dtop + t * 0.0  # as _horner: NaN at an infinite t
+        poly = dtop + t * 0.0  # as polyval: NaN at an infinite t
         for c in drest:
             poly = c + poly * t
         q = qa - qb2 * t + t * t
@@ -234,18 +211,26 @@ def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
     return slope
 
 
+def _l2_point(anchor, direction, t: float):
+    """``(w, |w|_2, du)`` at ``w = anchor - t direction``, du its duality
+    vector: the point of an r = 2 ray that carries no sum of squares."""
+    w = anchor - t * direction
+    return (w, *_lr(w, 2.0))
+
+
 def _lr_ray(dcoeffs: list, anchor, direction, r: float, e: float, reg_d: float, nw: float,
-            du):
+            du, g: float):
     """``(slope, point)`` of the l^r ray ``anchor - t direction``, as
     closures: the slope ``sum_j dcoeffs[j] t^j + reg_d |w|_r^(e-1) (-du .
-    direction)`` at t, the Taylor part by ``_horner``'s recurrence, and
-    ``point(anchor, direction, t)`` (called as ``_sumsq_point`` is, on this
-    ray), ``(w, |w|_r, du)``, du the duality vector of ``w = anchor - t
-    direction``.  They share a memory of the last new point and its l^r
-    pass, seeded at t = 0 with the anchor's ``(nw, du) = _lr(anchor, r)``
-    (``anchor`` in place of ``anchor - 0 direction``: they differ at most in
-    the sign of zero entries), so a slope and a point at the same t make one
-    pass.  The slope inlines ``_horner``, ``_pow`` and the memory's update.
+    direction)`` at t, and ``point(anchor, direction, t)`` (called as
+    ``_sumsq_point`` is, on this ray), ``(w, |w|_r, du)``, du the duality
+    vector of ``w = anchor - t direction``.  The slope keeps a memory of its
+    last new point, its l^r pass and ``g = du . direction``, seeded at t = 0
+    with the anchor's ``(nw, du) = _lr(anchor, r)`` and its g (``anchor`` in
+    place of ``anchor - 0 direction``: they differ at most in the sign of
+    zero entries), which the point reads, so a slope and then a point at the
+    same t make one pass.  The slope inlines the recurrence of numpy's
+    ``polyval``, ``_pow`` and the memory's update.
     """
     dtop, drest = dcoeffs[-1], dcoeffs[-2::-1]
     de = e - 1.0
@@ -254,45 +239,28 @@ def _lr_ray(dcoeffs: list, anchor, direction, r: float, e: float, reg_d: float, 
     def slope(t: float) -> float:
         # d/dt |w| = -sum_i sign(u_i) |u_i|^(r-1) d_i with u = w / |w|, and
         # the term vanishes with |w|^(e-1) where w = anchor - t d is 0
-        nonlocal last_t, last_w, nw, du
+        nonlocal last_t, last_w, nw, du, g
         if t != last_t:
             last_w = anchor - t * direction
             nw, du = _lr(last_w, r)
+            g = float(du.dot(direction))
             last_t = t
-        poly = dtop + t * 0.0  # as _horner: NaN at an infinite t
+        poly = dtop + t * 0.0  # as polyval: NaN at an infinite t
         for c in drest:
             poly = c + poly * t
         try:
             pw = nw ** de
         except OverflowError:
             pw = math.inf
-        return poly + reg_d * pw * -float(du.dot(direction))
+        return poly + reg_d * pw * -g
 
     def point(anchor, direction, t: float):  # as _sumsq_point's
-        nonlocal last_t, last_w, nw, du
         if t != last_t:
-            last_w = anchor - t * direction
-            nw, du = _lr(last_w, r)
-            last_t = t
+            w = anchor - t * direction
+            return (w, *_lr(w, r))
         return last_w, nw, du
 
     return slope, point
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _scan_slopes(dcoeffs: list, anchor, direction, r: float, e: float, reg_d: float,
-                 ts: np.ndarray):
-    """The slopes of the ray ``anchor - t direction`` at every t of ``ts``,
-    as a new array, by one row-wise ``_lr`` pass over the grid points for
-    every r; where the polynomial overflows on a far grid point they are
-    inf or NaN."""
-    pders = _horner(dcoeffs, ts)
-    pts, work = _scratch(len(ts), len(direction))
-    np.multiply.outer(ts, direction, out=pts)
-    np.subtract(anchor, pts, out=pts)
-    norms, du = _lr(pts, r, work)  # the slope's pass, row by row
-    num = -np.dot(du, direction)
-    return pders + reg_d * norms ** (e - 1.0) * num
 
 
 def _add_ray_share(coeffs: list, tensor, lead, s0: np.ndarray, d: np.ndarray) -> None:
@@ -350,29 +318,17 @@ def _refine_root(fun, a, b, fa, fb, ftol):
     return t
 
 
-@functools.cache
-def _unit_grid(points: int) -> np.ndarray:
-    """Scan abscissae on [0, 1]: a linear grid plus a geometric refinement
-    toward 0 for stationary points far below the bracket scale.  Built once
-    per point count and shared, so it is read-only."""
-    half = max(points // 2, 8)
-    grid = np.sort(
-        np.concatenate([np.linspace(0.0, 1.0, points), np.geomspace(1e-12, 1.0, half)])
-    )
-    grid.flags.writeable = False
-    return grid
-
-
 def _first_root(slope, start: float, slope0: float, ftol: float):
-    """The root past 0 of an increasing slope that is ``slope0 < 0`` at 0:
-    the bracket [0, start] doubles from a positive start until the slope
-    turns positive or +inf or the end reaches the cap, the larger of 1e30
-    and 2^100 start (at most 1175 doublings; a start below about 0.79 has
-    the cap 1e30, and one above it 100 doublings).  Its end is the root if
-    the slope there is at most ``1e-12 * -slope0`` (``ftol`` is absolute
-    below ``-slope0 = 1``), else ``_refine_root`` refines the root on it.
-    None if the slope reads NaN or -inf first, or is still negative at the
-    cap."""
+    """A root past 0 of a slope that is ``slope0 < 0`` at 0, the unique one
+    where the slope increases (a convex ray): the bracket [0, start]
+    doubles from a positive start until the slope turns positive or +inf or
+    the end reaches the cap, the larger of 1e30 and 2^100 start (at most
+    1175 doublings; a start below about 0.79 has the cap 1e30, and one above
+    it 100 doublings).  Its end is the root if the slope there is at most
+    ``1e-12 * -slope0`` (``ftol`` is absolute below ``-slope0 = 1``), else
+    ``_refine_root`` refines a root on it, one where the slope changes sign
+    from - to +.  None if the slope reads NaN or -inf first, or is still
+    negative at the cap."""
     cap = start * 2.0 ** 100
     if cap < 1e30:
         cap = 1e30
@@ -385,33 +341,6 @@ def _first_root(slope, start: float, slope0: float, ftol: float):
     if d <= 1e-12 * -slope0:
         return t
     return _refine_root(slope, 0.0, t, slope0, d, ftol)
-
-
-def _scan_root(coeffs: list, dcoeffs: list, s, d, r: float, e: float, reg_v: float,
-               reg_d: float, slope, point, start: float, ftol: float):
-    """The root of a nonconvex ray's slope with the least finite negative
-    drop among those that the grid scan brackets, or None: a bracket grown
-    from ``start`` until the drop is positive or not finite, the slope
-    scanned on a mixed linear/geometric grid over it, and each root that a
-    - to + sign change brackets refined by ``_refine_root``."""
-
-    def value(t: float) -> float:  # the drop at t
-        return _horner(coeffs, t) + reg_v * _pow(point(s, d, t)[1], e)
-
-    t_hi, v = start, value(start)
-    while math.isfinite(v) and v <= 0.0 and t_hi < 1e30:
-        t_hi *= 2.0
-        v = value(t_hi)
-    grid = t_hi * _unit_grid(64 * len(coeffs))
-    dvals = _scan_slopes(dcoeffs, s, d, r, e, reg_d, grid)
-    tau, best = None, 0.0
-    for i in np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] > 0.0))[0]:
-        (a, b), (fa, fb) = grid[i:i + 2].tolist(), dvals[i:i + 2].tolist()
-        t = _refine_root(slope, a, b, fa, fb, ftol)
-        v = value(t)
-        if -math.inf < v < best:
-            tau, best = t, v
-    return tau
 
 
 def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: float,
@@ -429,19 +358,18 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
     minus the dual gradient norm, so a decrease exists in exact
     arithmetic).  tau is a root of the ray's slope as ``_refine_root``
     leaves it (|slope| <= ftol, or a sign change within 1e-15 tau): on a
-    convex ray the unique one, at p = 2 the Newton point t_N itself where
-    its slope is at most 1e-12 |slope(0)| or refined on [0, t_N] where t_N
-    lies past the root and not past the bracket start, else by
-    ``_first_root`` from that start; otherwise the best one that the grid
-    scan brackets (``_scan_root``).  A convex ray's search has no
-    start only when neither its Taylor nor its regularizer scale is finite,
-    a nonconvex ray's scan when the regularizer scale is not.  The drop is
-    formed once, at tau, by ``_horner``'s recurrence, inlined.
+    convex p = 2 ray the Newton point t_N itself where its slope is at most
+    1e-12 |slope(0)|, or refined on [0, t_N] where t_N lies past the root
+    and not past the bracket start; else, on every ray, the root that
+    ``_first_root`` finds from that start, on a convex ray the unique one.
+    The search has no start only when neither the Taylor nor the
+    regularizer scale is finite.  The drop is formed once, at tau, by the
+    recurrence of numpy's ``polyval``, inlined.
     """
     # one pass over the coefficients: the slope coefficients j c_j (a float
-    # counter gives the bits of j * coeffs[j]), convexity (every j c_j past
-    # the linear one >= 0, which a NaN fails) and the Taylor scale, past
-    # which one term j c_j t^(j-1) alone cancels c_1 < 0
+    # counter gives the bits of j * coeffs[j]), convexity (no j c_j past the
+    # linear one < 0; a NaN leaves it, and fails the Newton point's test) and
+    # the Taylor scale, past which one term j c_j t^(j-1) alone cancels c_1 < 0
     c1 = coeffs[1]
     dcoeffs = [c1]
     t_taylor = math.inf
@@ -457,24 +385,26 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
                 t_j = -c1 / jc if j == 2.0 else (-c1 / jc) ** (1.0 / (j - 1.0))
                 if t_j < t_taylor:
                     t_taylor = t_j
-        elif not jc == 0.0:  # negative or NaN
+        elif jc < 0.0:
             convex = False
     # at r = 2 the slope makes no pass, nor the point where qa is carried
     if qa is not None:
         point = _sumsq_point
         qb = float(np.vdot(s, d))
         slope = _r2_slope(dcoeffs, qa, qb, reg_d, e)
+    elif r == 2.0:
+        point = _l2_point
+        qb = float(np.vdot(s, d))
+        slope = _r2_slope(dcoeffs, float(np.vdot(s, s)), qb, reg_d, e)
     else:  # a pass per new point, the last one remembered
-        slope, point = _lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du)
-        if r == 2.0:
-            qb = float(np.vdot(s, d))
-            slope = _r2_slope(dcoeffs, float(np.vdot(s, s)), qb, reg_d, e)
+        g = float(du.dot(d))
+        slope, point = _lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du, g)
     slope0 = slope(0.0)
     # the search starts at the scale where the regularizer alone overtakes
-    # the initial slope, floored at 1e-12, or at a convex ray's Taylor
-    # scale if that is less: max and min in their operand order, which keep
-    # or pass over a NaN as those do.  A Taylor scale that underflowed to 0
-    # would never grow, so the regularizer scale stands in for it
+    # the initial slope, floored at 1e-12, or at the Taylor scale if that is
+    # less: max and min in their operand order, which keep or pass over a
+    # NaN as those do.  A Taylor scale that underflowed to 0 would never
+    # grow, so the regularizer scale stands in for it
     descent = -slope0
     try:  # _pow, inlined
         start = (descent * gamma_e1 / sigma) ** (1.0 / (e - 1.0))
@@ -482,54 +412,48 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
         start = math.inf
     if 1e-12 > start:  # max(scale, 1e-12), which keeps a NaN
         start = 1e-12
-    if convex and t_taylor and not start < t_taylor:  # min(t_taylor, scale)
+    if t_taylor and not start < t_taylor:  # min(t_taylor, scale)
         start = t_taylor
     if not start < math.inf:  # overflowed to inf or NaN
         return None
     ftol = 1e-12 * (descent if descent > 1.0 else 1.0)  # max(1.0, -slope0)
-    if convex:
-        # polynomial part convex, so the whole ray function is: the
-        # minimizer is the unique positive root of the derivative
-        tau = None
-        if j == 2.0:
-            # p = 2 (j is the degree): first the Newton point descent /
-            # slope'(0), where slope'(0) is 2 c_2 plus the regularizer's
-            # curvature along d at s, reg_d |s|^(e-2) ((e-1) g^2 + (r-1)
-            # (sum_i |du_i|^((r-2)/(r-1)) d_i^2 - g^2)) with g = du . d, at
-            # r = 2 reg_d |s|^(e-2) (1 + (e-2) g^2) with g = qb / |s|, and 0
-            # at s = 0 (e > 2)
-            curv = dcoeffs[1]
-            if nw > 0.0:
-                pw = nw ** (e - 2.0)  # e - 2 is beta, in (0, 1]: no overflow
-                if r == 2.0:
-                    g = qb / nw
-                    curv += reg_d * pw * (1.0 + (e - 2.0) * g * g)
+    tau = None
+    if convex and j == 2.0:
+        # p = 2 (j is the degree) and a convex ray: first the Newton point
+        # descent / slope'(0), where slope'(0) is 2 c_2 plus the
+        # regularizer's curvature along d at s, reg_d |s|^(e-2) ((e-1) g^2 +
+        # (r-1) (sum_i |du_i|^((r-2)/(r-1)) d_i^2 - g^2)) with g = du . d, at
+        # r = 2 reg_d |s|^(e-2) (1 + (e-2) g^2) with g = qb / |s|, and 0 at
+        # s = 0 (e > 2)
+        curv = dcoeffs[1]
+        if nw > 0.0:
+            pw = nw ** (e - 2.0)  # e - 2 is beta, in (0, 1]: no overflow
+            if r == 2.0:
+                g = qb / nw
+                curv += reg_d * pw * (1.0 + (e - 2.0) * g * g)
+            else:
+                x = (r - 2.0) / (r - 1.0)
+                a = np.abs(du)
+                # below r = 2 a zero (or tiny) |du_i| makes the curvature
+                # infinite: no power is formed that would overflow
+                if x > 0.0 or np.minimum.reduce(a) > 2.0 ** (1000.0 / x):
+                    a **= x
+                    a *= d
+                    sq = float(a.dot(d))
+                    curv += reg_d * pw * ((e - 1.0) * g * g + (r - 1.0) * (sq - g * g))
                 else:
-                    x = (r - 2.0) / (r - 1.0)
-                    a = np.abs(du)
-                    # below r = 2 a zero (or tiny) |du_i| makes the curvature
-                    # infinite: no power is formed that would overflow
-                    if x > 0.0 or np.minimum.reduce(a) > 2.0 ** (1000.0 / x):
-                        g = float(du.dot(d))
-                        a **= x
-                        a *= d
-                        sq = float(a.dot(d))
-                        curv += reg_d * pw * ((e - 1.0) * g * g + (r - 1.0) * (sq - g * g))
-                    else:
-                        curv = math.inf
-            # it is the step where its slope is at most 1e-12 of the initial
-            # slope's size, on either side of the root; past the root it is
-            # the bracket end, short of it the search runs from its start
-            if 0.0 < curv < math.inf and 0.0 < (t_n := descent / curv) < math.inf:
-                d_n = slope(t_n)
-                if -1e-12 * descent <= d_n <= 1e-12 * descent:
-                    tau = t_n
-                elif d_n > 0.0 and t_n <= start:
-                    tau = _refine_root(slope, 0.0, t_n, slope0, d_n, ftol)
-        if tau is None:
-            tau = _first_root(slope, start, slope0, ftol)
-    else:
-        tau = _scan_root(coeffs, dcoeffs, s, d, r, e, reg_v, reg_d, slope, point, start, ftol)
+                    curv = math.inf
+        # it is the step where its slope is at most 1e-12 of the initial
+        # slope's size, on either side of the root; past the root it is the
+        # bracket end, short of it the search runs from its start
+        if 0.0 < curv < math.inf and 0.0 < (t_n := descent / curv) < math.inf:
+            d_n = slope(t_n)
+            if -1e-12 * descent <= d_n <= 1e-12 * descent:
+                tau = t_n
+            elif d_n > 0.0 and t_n <= start:
+                tau = _refine_root(slope, 0.0, t_n, slope0, d_n, ftol)
+    if tau is None:
+        tau = _first_root(slope, start, slope0, ftol)
     if tau is None:
         return None
     w, nw, carry = point(s, d, tau)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,9 +121,72 @@ class IterationRecord:
     deriv_evals_so_far: int
 
 
+# an inner solve's termination value by its int8 code, and the code by value
+_TERMINATION = tuple(t.value for t in Termination)
+_CODE = {value: code for code, value in enumerate(_TERMINATION)}
+# one row of ``IterationRecords``: a column per field of IterationRecord,
+# int64 for a count, float64, bool, and the termination as its int8 code
+_ROW = np.dtype([
+    (f.name, {"int": np.int64, "float": np.float64, "bool": np.bool_, "str": np.int8}[f.type])
+    for f in fields(IterationRecord)
+])
+
+
+def _rebuild(rows: list) -> list:
+    """IterationRecord instances from the tuples of ``_ROW`` rows'
+    ``tolist``, in the order of IterationRecord's fields: float64 to float
+    is exact."""
+    return [
+        IterationRecord(k, sg, xn, sn, gn, md, ad, rho, ok, it, _TERMINATION[code], fe, de)
+        for k, sg, xn, sn, gn, md, ad, rho, ok, it, code, fe, de in rows
+    ]
+
+
+class IterationRecords(Sequence):
+    """The iteration records of a run, kept as one NumPy structured array
+    ``rows`` of ``_ROW``, 90 bytes a record where frozen records and their
+    floats take about 370.  Every read builds the IterationRecord instances
+    it returns anew, with the bits that ``solve`` computed; an index gives
+    one record, a slice a tuple, and the store equals the tuple of its
+    records."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(_rebuild(self.rows[i].tolist()))
+        return _rebuild([self.rows[i].item()])[0]
+
+    def __iter__(self):
+        return iter(_rebuild(self.rows.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, IterationRecords):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"IterationRecords({tuple(self)!r})"
+
+
+def _pack(rows: list) -> IterationRecords:
+    """The store of a run's rows, each a tuple of IterationRecord's fields
+    in order with the termination as its code."""
+    return IterationRecords(np.array(rows, dtype=_ROW))
+
+
 @dataclass(frozen=True)
 class RunRecord:
-    records: tuple
+    """A finished run.  ``records`` is an ``IterationRecords`` store; a
+    sequence of IterationRecord given in its place is packed into one."""
+
+    records: IterationRecords
     final_point: np.ndarray
     final_grad_dual_norm: float
     status: SolveStatus
@@ -132,9 +196,17 @@ class RunRecord:
     f_evals: int
     deriv_evals: int
 
+    def __post_init__(self):
+        if not isinstance(self.records, IterationRecords):  # IterationRecord instances
+            at = _ROW.names.index("inner_termination")
+            rows = [[getattr(rec, name) for name in _ROW.names] for rec in self.records]
+            for row in rows:
+                row[at] = _CODE[row[at]]
+            object.__setattr__(self, "records", _pack([tuple(row) for row in rows]))
+
     @property
     def successes(self) -> int:
-        return sum(1 for rec in self.records if rec.successful)
+        return int(np.count_nonzero(self.records.rows["successful"]))
 
     @property
     def total_iterations(self) -> int:
@@ -232,23 +304,11 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
             deriv_evals += 1
             moved = True
 
-        records.append(
-            IterationRecord(
-                k=len(records),
-                sigma=sigma,
-                iterate_norm=iterate_norm,
-                step_norm=result.step_norm,
-                grad_dual_norm=grad_norm,
-                model_decrease=model_decrease,
-                actual_decrease=actual_decrease,
-                rho=rho,
-                successful=successful,
-                inner_iters=result.iterations,
-                inner_termination=result.termination.value,
-                f_evals_so_far=f_evals,
-                deriv_evals_so_far=deriv_evals,
-            )
-        )
+        records.append((
+            len(records), sigma, iterate_norm, result.step_norm, grad_norm, model_decrease,
+            actual_decrease, rho, successful, result.iterations, _CODE[result.termination.value],
+            f_evals, deriv_evals,
+        ))
 
         if not successful:
             sigma = cfg.gamma2 * sigma
@@ -257,7 +317,7 @@ def solve(problem, x0, cfg: OuterConfig, space: NormedSpace) -> RunRecord:
         sigma_max = max(sigma_max, sigma)
 
     return RunRecord(
-        records=tuple(records),
+        records=_pack(records),
         final_point=x,
         final_grad_dual_norm=grad_norm,
         status=status,

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 
 from arplr import DiagonalTensor, inner
-from arplr.geometry import _lr, _pow
+from arplr.geometry import _pow
 
 
 def symmetrize(arr) -> np.ndarray:
@@ -75,17 +75,13 @@ def two_step_lr(a, r: float):
     return math.ldexp(nrm, -lift), v
 
 
-def two_step_rows(a, r: float) -> np.ndarray:
-    """The duality rows of ``_lr``'s 2-D pass in out-of-place two steps,
-    each from the norm that pass gives the row: a row whose peak is
-    subnormal is lifted by 2^1000 first (the pass's norm of the lifted
-    row), then ``u = a / |a|_r`` (a zero row divides by 1) and
-    ``copysign(|u|^(r-1), u)``."""
-    lift = np.where(np.abs(a).max(axis=1) < 2.0 ** -1022, 2.0 ** 1000, 1.0)
-    a = a * lift[:, None]
-    nrm = _lr(a, r)[0]
-    u = a / np.where(nrm > 0.0, nrm, 1.0)[:, None]
-    return np.copysign(np.abs(u) ** (r - 1.0), u)
+def horner(coeffs, t):
+    """``sum_j coeffs[j] t^j`` by the recurrence of numpy's ``polyval``, the
+    one that the line search inlines, so a Python float t gives its bits."""
+    acc = coeffs[-1] + t * 0.0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * t
+    return acc
 
 
 def ray_functions(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: float,
@@ -94,19 +90,19 @@ def ray_functions(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: f
     the coefficients ``coeffs``, built as ``inner._line_search`` builds its
     slope and point from the pass ``(nw, du) = _lr(s, r)`` (at r = 2 the
     slope is ``_r2_slope``'s, with ``qa = |s|^2`` or ``np.vdot(s, s)``, and
-    the point ``_sumsq_point`` when ``qa`` is given, else ``_lr_ray``'s),
-    with the value ``_horner(coeffs, t) + reg_v |w|^e`` of the point's norm,
-    as the line search forms its drop."""
+    the point ``_sumsq_point`` when ``qa`` is given, else ``_l2_point``;
+    otherwise both are ``_lr_ray``'s), with the value ``horner(coeffs, t) +
+    reg_v |w|^e`` of the point's norm, as the line search forms its drop."""
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-    slope, point = inner._lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du)
     if r == 2.0:
         qs = float(np.vdot(s, s)) if qa is None else qa
         slope = inner._r2_slope(dcoeffs, qs, float(np.vdot(s, d)), reg_d, e)
-        if qa is not None:
-            point = inner._sumsq_point
+        point = inner._l2_point if qa is None else inner._sumsq_point
+    else:
+        slope, point = inner._lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du, float(du.dot(d)))
 
     def value(t: float) -> float:
-        return inner._horner(coeffs, t) + reg_v * _pow(point(s, d, t)[1], e)
+        return horner(coeffs, t) + reg_v * _pow(point(s, d, t)[1], e)
 
     return slope, value, point
 

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arplr import GeometryError, NormedSpace, smoothness_modulus_estimate
-from arplr.geometry import _lr
-from helpers import smoothness_order, two_step_lr, two_step_rows
+from arplr.geometry import _lr, _lr_rows
+from helpers import smoothness_order, two_step_lr
 
 
 def test_norm_examples():
@@ -291,22 +291,21 @@ def test_norm_homogeneity_at_any_magnitude(r, k, u):
 def test_norm_is_finite_down_to_subnormals_and_inf_past_the_largest_double(r, j):
     # v = 2^j u is exact, so |v|_r = 2^j |u|_r: rounded into the subnormals
     # below 2^-1022, inf where it passes the largest double; the vector and
-    # the row path agree, and the duality vector and row are those of u,
-    # the vector with the bits of its two-step form (zeros at inf)
+    # the row path agree, and the duality vector is u's, with the bits of
+    # its two-step form (zeros at inf)
     u = np.array([1.0, -0.5, 0.75, 0.0])
     nu, du = _lr(u, r)
     v = np.ldexp(u, j)
     ref = math.inf if math.frexp(nu)[1] + j > 1024 else math.ldexp(nu, j)
-    rows_nrm, rows_dual = _lr(np.array([v, u, np.zeros(4)]), r)
+    rows_nrm = _lr_rows(np.array([v, u, np.zeros(4)]), r)
     nv, dv = _lr(v, r)
     for nrm in (NormedSpace(4, r).norm(v), nv, rows_nrm[0]):
         assert nrm == ref or math.isclose(nrm, ref, rel_tol=1e-12, abs_tol=1e-323)
     assert dv.tobytes() == two_step_lr(v, r)[1].tobytes()
     if math.isfinite(ref):
-        np.testing.assert_allclose(rows_dual[0], du, rtol=1e-12)
         np.testing.assert_allclose(dv, du, rtol=1e-12)
     else:
-        assert not dv.any() and not rows_dual[0].any()
+        assert not dv.any()
     assert rows_nrm[1] == nu and rows_nrm[2] == 0.0
 
 
@@ -404,23 +403,21 @@ def test_lr_only_reads_its_argument(r):
               np.array([u, np.ldexp(u, -1060), np.ldexp(u, 1023)])):
         before = a.copy()
         with np.errstate(over="ignore"):
-            _lr(a, r)
+            _lr(a, r) if a.ndim == 1 else _lr_rows(a, r)
         assert a.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 def test_rows_past_the_largest_double_are_inf_without_a_warning(r):
-    # as for a vector, whose pass is silent: the overflowing row reads inf
-    # with a zero duality row, and every finite row keeps its bits
+    # as for a vector, whose pass is silent: the overflowing row reads inf,
+    # and every finite row keeps its bits
     a = np.array([[1.5e308] * 4, [1.0, 2.0, 3.0, 4.0], [0.0] * 4, [-4.0, 1e-300, 0.5, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nrm, dual = _lr(a, r)
+        nrm = _lr_rows(a, r)
         assert _lr(a[0], r)[0] == math.inf
-    assert nrm[0] == math.inf and not dual[0].any()
-    finite_nrm, finite_dual = _lr(a[1:], r)
-    assert nrm[1:].tobytes() == finite_nrm.tobytes()
-    assert dual[1:].tobytes() == finite_dual.tobytes()
+    assert nrm[0] == math.inf
+    assert nrm[1:].tobytes() == _lr_rows(a[1:], r).tobytes()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -429,20 +426,17 @@ def test_row_pass_is_the_vector_pass_up_to_one_ulp_of_the_norm(r, rows):
     # a row's root is a NumPy array power and a vector's a Python float
     # power, which may round differently, but at r = 2 both are correctly
     # rounded square roots (NumPy takes ``** 0.5`` as one), so the norms
-    # are equal; the duality rows are the two-step form built from the row
-    # pass's own norms
+    # are equal
     n = max(len(v) for v in rows)
     a = np.array([np.pad(v, (0, n - len(v))) for v in rows])
     with np.errstate(over="ignore"):
-        nrm, dual = _lr(a, r)
-        ref = two_step_rows(a, r)
+        nrm = _lr_rows(a, r)
     for got, row in zip(nrm, a):
         want = _lr(row, r)[0]
         if r == 2.0:
             assert got == want
         else:
             assert got in (want, np.nextafter(want, -math.inf), np.nextafter(want, math.inf))
-    assert dual.tobytes() == ref.tobytes()
 
 
 def _mp_norm(a, r):
@@ -461,21 +455,23 @@ def test_lr_is_exact_at_extreme_exponents(r, rows):
     # power sum loses its peak term below the smallest normal double; the
     # duality vector's power r - 1 turns a rounding of |a_i| / |a|_r into
     # about r roundings, so its identities hold to a tolerance that grows
-    # with r, while the norm holds to a few roundings
+    # with r, while the norm holds to a few roundings (a row's too)
     n = max(len(v) for v in rows)
     a = np.array([np.pad(v, (0, n - len(v))) for v in rows])
     with np.errstate(over="ignore"):
-        passes = [_lr(row, r) for row in a] + list(zip(*_lr(a, r)))
+        passes = [_lr(row, r) for row in a] + [(nrm, None) for nrm in _lr_rows(a, r)]
     eps = np.finfo(float).eps
     with mpmath.workdps(50):
         mr = mpmath.mpf(r)
         for row, (nrm, v) in zip(list(a) * 2, passes):
             peak, ref = float(np.abs(row).max()), _mp_norm(row, mr)
             if peak == 0.0 or ref > sys.float_info.max:
-                assert nrm == float(ref) and not v.any()
+                assert nrm == float(ref) and (v is None or not v.any())
                 continue
             assert peak * (1 - 2 * eps) <= nrm <= n ** (1 / r) * peak * (1 + 2 * eps)
             assert abs(nrm - ref) <= 2 * n * eps * ref + 5e-324
+            if v is None:
+                continue
             pairing = mpmath.fsum(mpmath.mpf(x) * mpmath.mpf(y) for x, y in zip(v, row))
             assert abs(pairing / ref - 1) <= 2 * n * r * eps
             assert abs(_mp_norm(v, mr / (mr - 1)) - 1) <= 2 * n * r * eps

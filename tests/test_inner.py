@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy import optimize
@@ -26,25 +26,17 @@ from arplr import (
     solve,
 )
 from arplr import inner
-from arplr.geometry import _SUMSQ_MAX, _SUMSQ_MIN, _lr, _pow
+from arplr.geometry import _SUMSQ_MAX, _SUMSQ_MIN, _lr, _lr_rows, _pow
 from arplr.harness import ExperimentConfig
-from arplr.inner import (
-    _first_root,
-    _horner,
-    _line_search,
-    _refine_root,
-    _scan_slopes,
-    _unit_grid,
-    default_max_iters,
-)
+from arplr.inner import _first_root, _line_search, _refine_root, default_max_iters
 from arplr.psi import PsiSpec, psi_descent_bound
 from helpers import (
     full_ray_coefficients,
+    horner,
     model_values,
     ray_functions,
     symmetrize,
     two_step_lr,
-    two_step_rows,
 )
 
 
@@ -446,8 +438,8 @@ def test_r2_ray_keeps_its_regularizer_share_where_the_squared_norm_is_subnormal(
     # without a Taylor scale there is no start
     ([-1.0, 1.0], -math.inf, 2.0, 1.0, -1.0, (2.0, -1.0)),
     ([-1.0, 0.0], -math.inf, 2.0, 1.0, -1.0, None),
-    # the regularizer scale (Gamma(2.5) / 1e-300)^2 overflows: a
-    # convex ray starts at its Taylor scale, a nonconvex one has no scan
+    # the regularizer scale (Gamma(2.5) / 1e-300)^2 overflows: a ray
+    # starts at its Taylor scale, and one without (c_2 < 0) has no start
     ([-1.0, 1.0], -1.0, 1.5, 1e-300, 0.0, (1.0, -0.5)),
     ([-1.0, -1.0], -1.0, 1.5, 1e-300, 0.0, None),
     # a Taylor scale that underflows to 0 or overflows to +inf: the search
@@ -532,14 +524,16 @@ def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c1, h
     assume(-math.inf < slope0 < 0.0 and math.isfinite(v0))
     steps, searches = [], []
 
-    def recorded_ray(*args):
-        slope, point = ray_closures(*args)
-
+    def recording(point):
         def recorded_point(s, d, t):
             steps.append(t)
             return point(s, d, t)
 
-        return slope, recorded_point
+        return recorded_point
+
+    def recorded_ray(*args):
+        slope, point = ray_closures(*args)
+        return slope, recording(point)
 
     def recorded(search):
         def run(*args):
@@ -550,6 +544,7 @@ def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c1, h
 
     ray_closures = inner._lr_ray
     with mock.patch("arplr.inner._lr_ray", recorded_ray), \
+            mock.patch("arplr.inner._l2_point", recording(inner._l2_point)), \
             mock.patch("arplr.inner._first_root", recorded(_first_root)), \
             mock.patch("arplr.inner._refine_root", recorded(_refine_root)):
         found = _search(ray, sigma)
@@ -690,13 +685,10 @@ def test_line_search_step_is_the_point_it_reports(r, p, scale, n, curvature, neg
         assert _bits(carry) == _bits(float(np.vdot(w, w)))
         inside = _SUMSQ_MIN < carry < _SUMSQ_MAX
         assert _bits(nw) == _bits(math.sqrt(carry) if inside else fresh_nw)
-        # a convex ray's only pass is the accepted point's fallback; a
-        # nonconvex one's bracket may evaluate points outside the window
-        if min(coeffs[2:]) >= 0.0:
-            assert passes.call_count == (not inside)
-        else:
-            assert passes.call_count >= (not inside)
-    assert _bits(drop) == _bits(_horner(coeffs, tau) + reg_v * _pow(nw, e))
+        # the slope makes no pass, convex ray or not: the only one is the
+        # accepted point's fallback
+        assert passes.call_count == (not inside)
+    assert _bits(drop) == _bits(horner(coeffs, tau) + reg_v * _pow(nw, e))
 
 
 def test_root_refinement_resolves_a_root_far_below_one():
@@ -914,11 +906,11 @@ def test_r2_quadratic_step_norms_keep_their_bits_at_every_scale(scale, n, seed):
     m = RegularizedModel(tm, 1.1 * 10.0 ** (k * (1.5 - e)), beta, NormedSpace(n, 2.0))
     outside = 0
 
-    def counted(v, r, *work):
+    def counted(v, r):
         nonlocal outside
-        if v.ndim == 1 and v.any() and not _SUMSQ_MIN < np.vdot(v, v) < _SUMSQ_MAX:
+        if v.any() and not _SUMSQ_MIN < np.vdot(v, v) < _SUMSQ_MAX:
             outside += 1
-        return _lr(v, r, *work)
+        return _lr(v, r)
 
     with warnings.catch_warnings(), mock.patch("arplr.inner._lr", counted):
         warnings.simplefilter("error", RuntimeWarning)
@@ -993,6 +985,8 @@ def _envelope_terms(ray, p):
     n=st.integers(min_value=2, max_value=5),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+# a draw whose nonconvex ray a grid scan stopped on a root short of the bound
+@example(p=3, sigma=0.01, n=3, seed=65536)
 def test_each_inner_step_decreases_the_model_by_the_descent_profile_bound(p, sigma, n, seed):
     # the paper's descent-profile lemma: a step along the dual direction
     # lowers the model at least as far as the minimum of its upper envelope
@@ -1039,10 +1033,12 @@ def test_remembered_ray_point_gives_the_bits_of_a_fresh_evaluation(r, p, t, zero
         calls.append(r)
         return _lr(a, r)
 
-    # the built ray answers at t = 0 from the anchor's pass alone
+    # the built ray answers at t = 0 from the anchor's pass alone; at r = 2
+    # the slope makes no pass, and the point, which a search reads once at
+    # its step, keeps no memory
     with mock.patch("arplr.inner._lr", counted):
         answers = [slope(0.0), val(0.0)]
-    assert calls == []
+    assert calls == ([2.0] if r == 2.0 else [])
     # then repeated and alternating queries; each answer is checked against
     # a ray built on a fresh pass over anchor - 0 d, the pass that a ray
     # without memory would make at t = 0
@@ -1059,15 +1055,15 @@ def test_remembered_ray_point_gives_the_bits_of_a_fresh_evaluation(r, p, t, zero
     assert du.tobytes() == two_step_lr(w, r)[1].tobytes()
     # at every r the value reads the norm of the point's own pass, the norm
     # that minimize_model keeps as |s| and takes the regularizer share of
-    ref = _horner(coeffs, t) + args[5] * _pow(_lr(anchor - t * d, r)[0], e)
+    ref = horner(coeffs, t) + args[5] * _pow(_lr(anchor - t * d, r)[0], e)
     assert _bits(val(t)) == _bits(ref)
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 def test_inner_value_histories_hold_python_floats(r):
-    # an order-3 double well from a random start runs the grid scan, whose
-    # roots are refined from NumPy floats unless the scan hands over floats;
-    # each solve's model values are rebuilt from its own drops
+    # an order-3 double well from a random start has nonconvex rays, whose
+    # roots were refined from a grid scan's NumPy floats; each solve's model
+    # values are rebuilt from its own drops
     cfg = ExperimentConfig(problem="double_well", n=8, p=3, x0="random", seed=3, r=r)
     problem, space, x0, outer = cfg.build()
     results, history = [], []
@@ -1102,17 +1098,18 @@ def _double_well_model():
 
 
 @pytest.mark.parametrize("r, p, grad_tol, budget", [
-    (2.0, 2, 1e-6, 21.93), (1.5, 2, 1e-5, 38.45), (3.0, 2, 1e-5, 36.87), (3.0, 3, 1e-6, 96.84),
+    (2.0, 2, 1e-6, 21.93), (1.5, 2, 1e-5, 37.45), (3.0, 2, 1e-5, 35.86), (3.0, 3, 1e-6, 86.72),
 ], ids=["2.0-1e-06-27.36", "1.5-1e-05-48.09", "3.0-1e-05-45.59", "double_well-r3-p3"])
 def test_inner_iteration_call_budget(r, p, grad_tol, budget):
     # Python-level calls (profile "call" and "c_call" events) per inner
-    # iteration of a fixed solve, after a warm-up solve (the first builds
-    # the grid scan's cached abscissae): the banded pendulum model at mesh
-    # 32 and p = 2, which ends on the gradient tolerance after 1,316
-    # (r = 2), 2,205 (r = 1.5) and 2,304 (r = 3) iterations, and the order-3
-    # double well, which ends there after 95.  Each bound is the count plus
-    # 0.03: 21.90, 38.42, 36.83 and 96.81 with a p = 2 search that tries the
-    # Newton point first, where one bracketing at the Taylor scale made
+    # iteration of a fixed solve, after a warm-up solve: the banded
+    # pendulum model at mesh 32 and p = 2, which ends on the gradient
+    # tolerance after 1,316 (r = 2), 2,205 (r = 1.5) and 2,304 (r = 3)
+    # iterations, and the order-3 double well, which ends there after 95.
+    # Each bound is the count plus 0.03: 21.90, 37.42, 35.83 and 86.69 with
+    # one bracket search for every ray and g = du . d formed once per ray,
+    # where a grid scan of the nonconvex rays and a second du . d made
+    # 21.90, 38.42, 36.83 and 96.81, one bracketing at the Taylor scale
     # 23.80, 44.05 and 42.05, and a second path for p = 2 convex rays and a
     # ray object for the others 27.33, 48.06, 45.56 and 120.48 (Python 3.11,
     # NumPy 2.4.6).  The test ids keep the earlier bounds
@@ -1219,30 +1216,11 @@ def test_convex_line_search_needs_about_two_ray_passes(monkeypatch, r, a):
                          (3.0, 2.7): 6626}[r, a]
 
 
-def _scan_points(ray, ts):
-    return ray[1][None, :] - ts[:, None] * ray[2][None, :]
-
-
-def _scan_reference(ray, ts):
-    # the grid scan's slopes in their out-of-place form, one fresh array per
-    # step, with the row pass's norms and two-step duality rows
-    dcoeffs, _, d, r, e, reg_d = ray
-    pts = _scan_points(ray, ts)
-    norms = _lr(pts, r)[0]
-    num = -np.dot(two_step_rows(pts, r), d)
-    return _horner(dcoeffs, ts) + reg_d * norms ** (e - 1.0) * num
-
-
-def _scan_ray(r, p, n, seed, size=1.0):
-    # the arguments of _scan_slopes but the grid: the slope coefficients
-    # j c_j of random c_j, an anchor, a dual direction, r, e and reg_d
-    rng = np.random.default_rng(seed)
-    d = NormedSpace(n, r).dual_direction(rng.standard_normal(n))
-    e = p + 0.5
-    coeffs = rng.standard_normal(p + 1).tolist()
-    anchor = size * rng.standard_normal(n)
-    dcoeffs = [j * coeffs[j] for j in range(1, p + 1)]
-    return dcoeffs, anchor, d, r, e, 1.3 / math.gamma(e)
+def _scan_grid(p: int, t_hi: float) -> np.ndarray:
+    # the abscissae on [0, t_hi] that the grid scan of a degree-p ray read:
+    # a linear grid plus a geometric refinement toward 0
+    return t_hi * np.sort(np.concatenate([np.linspace(0.0, 1.0, 64 * (p + 1)),
+                                          np.geomspace(1e-12, 1.0, 32 * (p + 1))]))
 
 
 @pytest.mark.parametrize("n", [2, 96])
@@ -1250,31 +1228,59 @@ def _scan_ray(r, p, n, seed, size=1.0):
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("t_hi, size", [(2.5, 1.0), (1e-300, 1e-310), (1e308, 1e307)])
 def test_grid_scan_keeps_its_bits_and_owns_its_results(r, p, n, t_hi, size):
-    # the second case puts subnormal peaks on the rows near t = 0 and
-    # normal ones further out, so the row-wise lift runs on part of the
-    # grid; in the third the l^1.5 norms of the n = 96 rows far out pass
-    # the largest double
-    ts = t_hi * _unit_grid(64 * (p + 1))
-    ray = _scan_ray(r, p, n, seed=n + p, size=size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ders = _scan_slopes(*ray, ts)
-        ref_ders = _scan_reference(ray, ts)
-        kept = ders.copy()
-        _scan_slopes(*_scan_ray(r, p, n, seed=n + p + 1, size=size), ts)
-        if (t_hi, n, r) == (1e308, 96, 1.5):
-            assert np.isinf(_lr(_scan_points(ray, ts), r)[0]).any()
-    assert ders.tobytes() == ref_ders.tobytes() == kept.tobytes()
+    # the row pass, which the grid scan of a nonconvex ray ran and which
+    # the modulus estimate keeps, over the points anchor - t d of a ray on
+    # the scan's grid: each norm is the vector pass's (at r = 2 bit for bit,
+    # else within one ulp), the points are only read, and the norms are a
+    # new array that a second pass leaves alone.  The second case puts
+    # subnormal peaks on the rows near t = 0 and normal ones further out,
+    # so the row-wise lift runs on part of the grid; in the third the l^1.5
+    # norms of the n = 96 rows far out pass the largest double
+    # drawn as the grid scan's rays were: d, the p + 1 coefficients, the anchor
+    rng = np.random.default_rng(n + p)
+    d = NormedSpace(n, r).dual_direction(rng.standard_normal(n))
+    rng.standard_normal(p + 1)
+    pts = size * rng.standard_normal(n) - _scan_grid(p, t_hi)[:, None] * d
+    before = pts.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norms = _lr_rows(pts, r)
+        kept = norms.copy()
+        _lr_rows(0.5 * pts[::-1], r)
+    assert pts.tobytes() == before.tobytes() and norms.tobytes() == kept.tobytes()
+    if (t_hi, n, r) == (1e308, 96, 1.5):
+        assert np.isinf(norms).any()
+    for got, row in zip(norms, pts):
+        want = _lr(row, r)[0]
+        ulps = (want,) if r == 2.0 else (want, np.nextafter(want, -math.inf),
+                                           np.nextafter(want, math.inf))
+        assert got in ulps
+
+
+def _nonconvex_ray(r, n, seed):
+    # the arguments of _line_search on a degree-3 ray with c_2 < 0 of an
+    # l^r model of weight 1.3 from a random anchor along a dual direction
+    # (c_1 outweighs the regularizer's slope at the anchor, so it descends)
+    rng = np.random.default_rng(seed)
+    d = NormedSpace(n, r).dual_direction(rng.standard_normal(n))
+    anchor = rng.standard_normal(n)
+    e, sigma = 3.5, 1.3
+    c1 = -1.0 - sigma / math.gamma(e) * _lr(anchor, r)[0] ** (e - 1.0)
+    ray = _ray([0.0, c1, -abs(rng.standard_normal()), rng.standard_normal()], anchor, d, r, e,
+               sigma)
+    return (*ray, sigma, math.gamma(e + 1.0))
 
 
 def test_repeated_grid_scan_allocates_no_grid_sized_array():
+    # the line search on a nonconvex p = 3 ray at n = 400 allocates vectors
+    # only, where the grid scan it replaced filled a 384-point grid of rays
     n = 400
-    ray = _scan_ray(1.5, 3, n, seed=0)
-    ts = 2.0 * _unit_grid(64 * 4)  # the 384-point grid of a p = 3 ray
-    grid_array = len(ts) * n * 8  # one (grid x n) float array: 1.2 MB
-    _scan_slopes(*ray, ts)
+    args = _nonconvex_ray(1.5, n, seed=0)
+    grid_array = 384 * n * 8  # one (grid x n) float array: 1.2 MB
+    assert _line_search(*args) is not None
     tracemalloc.start()
     try:
-        _scan_slopes(*ray, ts)
+        _line_search(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1282,20 +1288,26 @@ def test_repeated_grid_scan_allocates_no_grid_sized_array():
 
 
 def test_grid_scans_in_threads_do_not_share_their_buffers():
-    ts = 3.0 * _unit_grid(64 * 4)
-    rays = [_scan_ray(r, 3, 48, seed=i) for i, r in enumerate([1.5, 3.0, 1.5, 3.0, 1.5, 3.0])]
-    expected = [_scan_reference(ray, ts) for ray in rays]
+    # line searches on nonconvex rays keep no state outside their call, so
+    # searches in threads give the bits of the same searches run in turn
+    rays = [_nonconvex_ray(r, 48, seed=i) for i, r in enumerate([1.5, 3.0, 1.5, 3.0, 1.5, 3.0])]
+
+    def bits(found):
+        tau, drop, w, nw, du = found
+        return _bits(tau) + _bits(drop) + w.tobytes() + _bits(nw) + du.tobytes()
+
+    expected = [bits(_line_search(*ray)) for ray in rays]
     mismatches = []
 
-    def scan(ray, ref):
+    def search(ray, ref):
         for _ in range(20):
-            if _scan_slopes(*ray, ts).tobytes() != ref.tobytes():
+            if bits(_line_search(*ray)) != ref:
                 mismatches.append(ray)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=scan, args=pair) for pair in zip(rays, expected)]
+        threads = [threading.Thread(target=search, args=pair) for pair in zip(rays, expected)]
         for th in threads:
             th.start()
         for th in threads:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +17,12 @@ from arplr import (
     RunRecord,
     SolveStatus,
     TaylorModel,
+    Termination,
     check_trajectory,
     diagonal_tensor,
     solve,
 )
+from arplr import solver
 from arplr.harness import ExperimentConfig, run_single, trajectory_holder_constant
 
 
@@ -297,6 +301,85 @@ def test_iteration_record_is_slotted_and_frozen():
     assert rec == _record(k=4) and rec != _record(k=5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.k = 5
+
+
+def test_run_records_read_as_a_tuple_of_records():
+    # the store answers len, an index (from either end), a slice, iteration
+    # and == as the tuple of its records does
+    recs = tuple(_record(k=k, sigma=2.0 ** k, successful=k % 2 == 0) for k in range(5))
+    run = _synthetic_run(recs)
+    assert len(run.records) == 5 and run.records[0] == recs[0] and run.records[-1] == recs[-1]
+    assert run.records[1:4] == recs[1:4] and run.records[::-2] == recs[::-2]
+    assert list(run.records) == list(recs) and tuple(run.records) == recs
+    assert run.records == recs and run.records != recs[:4] and run.records != ()
+    assert run.successes == 3 and run.total_iterations == 5
+    assert _synthetic_run(()).records == ()
+    with pytest.raises(IndexError):
+        run.records[5]
+
+
+class _NanAway(QuadraticBowl):
+    """f is NaN away from the default start: every trial is rejected, with
+    a NaN rho."""
+
+    def eval_f(self, x):
+        return super().eval_f(x) if np.array_equal(x, self.default_x0()) else math.nan
+
+
+@pytest.mark.parametrize("case", ["double_well8-r1.5-p3", "nan_away"])
+def test_run_records_read_back_the_bits_solve_computed(case, monkeypatch):
+    # each row that solve packs, read back as a record: every field has the
+    # bits (and a float field the type float) of the value solve computed,
+    # on runs that reject iterations, one of them with NaN ratios
+    rows = []
+    pack = solver._pack
+
+    def captured(got):
+        rows.extend(got)
+        return pack(got)
+
+    monkeypatch.setattr(solver, "_pack", captured)
+    if case == "nan_away":
+        problem = _NanAway(3)
+        run = solve(problem, problem.default_x0(), OuterConfig(p=2, beta=1.0, max_outer_iters=6),
+                    NormedSpace(3, 2.0))
+    else:
+        cfg = ExperimentConfig(problem="double_well", n=8, r=1.5, p=3, x0="random", seed=3)
+        problem, space, x0, outer = cfg.build()
+        run = solve(problem, x0, outer, space)
+    assert len(run.records) == len(rows) and run.total_iterations > run.successes
+    names = [f.name for f in dataclasses.fields(IterationRecord)]
+    for rec, row in zip(run.records, rows):
+        for name, want in zip(names, row):
+            got = getattr(rec, name)
+            if name == "inner_termination":
+                assert got == list(Termination)[want].value
+            elif isinstance(got, float):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+                assert type(got) is float
+            else:
+                assert got == want and type(got) is type(want), name
+
+
+def test_run_records_keep_under_128_bytes_a_record():
+    # the memory that a finished run keeps per record, traced from before
+    # its solve: one row of the records' array (90 bytes) where frozen
+    # records and their floats kept about 370
+    problem = _NanAway(3)
+    cfg = OuterConfig(p=2, beta=1.0, max_outer_iters=1000)
+    space = NormedSpace(3, 2.0)
+    solve(problem, problem.default_x0(), cfg, space)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = solve(problem, problem.default_x0(), cfg, space)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert run.total_iterations == 1000
+    assert kept / run.total_iterations < 128
 
 
 def test_check_trajectory_flags_model_decrease_violation():
