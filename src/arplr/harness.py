@@ -148,7 +148,7 @@ class ExperimentConfig:
 def trajectory_holder_constant(problem, space: NormedSpace, p: int, x0, run: RunRecord):
     """Hoelder constant of the order-p derivative on the ball of radius 1.01
     max(|x0|, |x_k| + |s_k|), which holds the trajectory and trial points."""
-    radius = max([space.norm(x0)] + [rec.iterate_norm + rec.step_norm for rec in run.records])
+    radius = max([space.norm(x0), *run.trial_norms()])
     return problem.holder_constant(space, p, 1.01 * radius)
 
 

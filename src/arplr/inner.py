@@ -8,25 +8,30 @@ stops once the dual gradient norm falls below ``max(grad_tol, theta
 |s|^(p+beta-1))`` (the step-power branch is only armed once s is nonzero,
 since at s = 0 it could never fire before the absolute branch).
 
+Two ray kinds.  A ray is an r = 2 ray on a carried |s|^2 exactly when
+``minimize_model`` carries it, at r = 2 and p = 2; every other ray, r = 2
+at other p included, is the l^r ray (``_lr_ray``), whose points hand back
+the duality vector of s that the model gradient reads.
+
 Cost of one iteration.  An l^r pass (``geometry._lr``) returns a vector's
 norm and its duality vector; at r = 2 over a vector whose sum of squares
 lies in (2^-900, 2^1000) it is four NumPy calls, without the power-of-two
 scaling, and otherwise eight.  An iteration makes one pass over the model
-gradient, which gives its dual norm and the dual direction, and the line
-search one per new point of the ray at which it reads a slope (for r != 2:
-one dot product of that point's duality vector with d) or the value.  Then
-one contraction (``contract``) per order-l tensor with l - 1 copies of d,
-which dot products with s and d finish into the ray coefficients l - 1 and
-l (from order 4 up a lower one contracts the full tensor); at p = 2 it is
-H d, which also updates H s, and otherwise the Taylor gradient at s takes
-one more per tensor.  A contraction costs O(n) for the diagonal tensors of
+gradient, which gives its dual norm and the dual direction, and an l^r ray
+one per new point at which it reads a slope (and one dot product of that
+point's duality vector with d) or the value.  Then one contraction
+(``contract``) per order-l tensor with l - 1 copies of d, which dot
+products with s and d finish into the ray coefficients l - 1 and l (from
+order 4 up a lower one contracts the full tensor); at p = 2 it is H d,
+which also updates H s, and otherwise the Taylor gradient at s takes one
+more per tensor.  A contraction costs O(n) for the diagonal tensors of
 separable oracles and for the banded (tridiagonal) pendulum Hessian, and
 O(n^l) for a dense order-l tensor; a pure diagonal gives the bits of its
-dense form.  On the banded pendulum model an r = 2 iteration makes 20 NumPy
-calls (gradient 3, its pass 4, coefficients 7, the dot of s and d 1, step
-and its sum of squares 3, H s 2) and an r != 2 one 22, plus 3 for the
-ray's curvature at 0 (4 below r = 2) and 11 per new ray point, about 38
-where most rays take their Newton point (below).
+dense form.  On the banded pendulum model an iteration on a carried |s|^2
+makes 20 NumPy calls (gradient 3, its pass 4, coefficients 7, the dot of s
+and d 1, step and its sum of squares 3, H s 2) and one on an l^r ray 22,
+plus 3 for the ray's curvature at 0 (4 below r = 2) and 11 per new ray
+point, about 38 where most rays take their Newton point (below).
 
 The Python calls around the NumPy ones cost time on every iteration too,
 so each shortcut below pays by the calls or the passes it saves:
@@ -35,36 +40,32 @@ so each shortcut below pays by the calls or the passes it saves:
   with the slope a closure (``_r2_slope`` or ``_lr_ray``): it builds no
   object per ray, and forms the ray's value once, at the accepted point,
   since a convex search reads slopes only;
-- the ray starts from the pass over s (the regularizer's gradient and
+- the l^r ray starts from the pass over s (the regularizer's gradient and
   value, the step-power norm), and the next s's pass is the one the line
   search made at the accepted point; ``_lr_ray``'s slope and point share a
   memory of their last point, so a slope and a value at one t make one pass;
-- at r = 2 a slope makes no pass: the squared norm along the ray is the
-  quadratic ``|s|^2 - 2 (s . d) t + t^2``;
-- at r = 2 and p = 2 s carries its sum of squares ``q = np.vdot(s, s)`` in
-  place of its pass: |s| is ``math.sqrt(q)`` inside that window (else the
-  pass's norm), the regularizer's gradient ``s (reg_d |s|^(e-2))`` needs no
-  duality vector, and the accepted point costs three NumPy calls
-  (``_sumsq_point``); one pass over the returned step gives ``step_norm``
-  the bits of ``NormedSpace.norm``.  At other p, r = 2 keeps the pass over
-  s, whose duality vector the gradient reads;
+- on a carried |s|^2 = q a slope makes no pass: the squared norm along the
+  ray is the quadratic ``q - 2 (s . d) t + t^2``; |s| is ``math.sqrt(q)``
+  inside that window (else the pass's norm), the regularizer's gradient
+  ``s (reg_d |s|^(e-2))`` needs no duality vector, and the accepted point
+  costs three NumPy calls (``_sumsq_point``); one pass over the returned
+  step gives ``step_norm`` the bits of ``NormedSpace.norm``;
 - at p = 2 H s is updated by H d, one contraction per iteration in place of
   two, and the Hessian's share of the ray coefficients is formed inline.
 
-So an iteration with a convex ray makes 1 pass at r = 2 and p = 2 (and 3
-per solve: s = 0, the last gradient, the returned step), 2 at r = 2 for
-other p and 2.2 to 2.7 for r != 2 on the l^r pendulum runs (2.23 on the
-pendulum at mesh 128 in l^1.5 and l^3, where a search that bracketed at the
-Taylor scale made 3.00), and ``test_inner_iteration_call_budget`` bounds
-the Python calls per iteration: 21.90 on the pendulum model at mesh 32 in
-l^2, 37.42 and 35.83 in l^1.5 and l^3, and 86.69 on an order-3 double well.
-A ray that is not convex takes the same search, so no iteration makes an
+So an iteration with a convex ray makes 1 pass on a carried |s|^2 (and 3
+per solve: s = 0, the last gradient, the returned step) and 2.2 to 2.7 on
+the l^r pendulum runs (2.23 at mesh 128 in l^1.5 and l^3), and
+``test_inner_iteration_call_budget`` bounds the Python calls per iteration:
+21.90 on the pendulum model at mesh 32 in l^2, 37.42 and 35.83 in l^1.5
+and l^3, and 86.69 and 76.21 on an order-3 double well in l^3 and l^2.  A
+ray that is not convex takes the same search, so no iteration makes an
 array larger than a vector.
 
 The gradient and direction have the bits of ``RegularizedModel.gradient``
-and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s and at
-r = 2 forms the regularizer's share from s), the coefficients those of full
-contractions and the step norm that of ``NormedSpace.norm``:
+and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s and on
+a carried |s|^2 forms the regularizer's share from s), the coefficients
+those of full contractions and the step norm that of ``NormedSpace.norm``:
 ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
 ``test_inner_rays_match_the_model_methods_bit_for_bit``,
 ``test_ray_share_matches_full_contractions`` and
@@ -77,44 +78,45 @@ coefficients beyond the linear one — always the case for order-1 models and
 for order-2 models with nonnegative curvature along the ray) the line
 search returns the unique minimizer, the root of the derivative.  At p = 2
 it first reads the slope at the Newton point t_N = -slope(0) / slope'(0),
-with slope'(0) in closed form from the coefficients and the pass over s (at
-r = 2 from |s|^2 and s . d, in floats), and takes t_N as the step when that
-slope is at most 1e-12 of the initial slope's size, on either side of the
-root: the relative end test of the bracket search below (its absolute
-``ftol``, which any point meets where the initial slope is tiny, would take
-points that are not roots).  When t_N lies past the root but not past the
-bracket start, regula falsi refines the root on [0, t_N].  On the pendulum
-runs t_N is the step on 79 % of the rays in l^1.5 and l^3 and 73 % in l^2,
-and on 25 % of the built-in suite's.  Otherwise (t_N short of the root or
-past the bracket start, or slope'(0) not finite and positive, as at a zero
-coordinate of s below r = 2, where no power that would overflow is formed)
-at every other p and on every nonconvex ray, one search (``_first_root``)
-from its bracket start finds the root.  Only p = 2 tries t_N: on the order-3 double wells of the
-benchmark's random starts t_N met the end test on none of 2,992 convex
-rays, so there it would cost a pass per ray.  The search's bracket [0, t]
-starts at the lesser of two scales: the Taylor scale t_T, the least
-``(-c_1 / (j c_j))^(1/(j-1))`` over the coefficients c_j > 0 beyond a
-descending linear one c_1 < 0, past which that one term's slope alone
-cancels c_1, and the scale at which the regularizer alone overtakes the
-initial slope.  The bracket doubles until the slope turns positive or +inf,
-up to a cap of 2^100 times its start (1e30 for a start below about 0.79);
-an end whose slope is at most 1e-12 of the initial slope's size is the
-root, else regula falsi (``_refine_root``, which bisects while that slope
-is infinite) refines it until the slope is small or the bracket is narrower
-than 1e-15 of its upper end, a relative exit that resolves roots far below
-1 too.  ``psi.psi_minimize`` runs on the same search.  A nonconvex ray
-(some j c_j < 0 past the linear one) takes it too, from the same start:
-the step has only to be a local minimizer below m(s) (bracket, then refine:
-Nocedal and Wright, Numerical Optimization, 2nd ed., section 3.5), and
-refinement keeps the slope negative at the lower end of the bracket and
-positive at the upper, so it ends on a sign change from - to +, a local
-minimizer, though a deeper one can lie elsewhere on the ray.  A ray is
-measured from m(s), so it reads the drop ``m(s - t d) - m(s)``: the Taylor
-part models f(x + s) - f(x), so no drop carries the size of f, and the
-solve keeps none of them (from m(0) = 0 they add up to m(s)).  The root is
-taken if its drop is finite and negative; else (say the bracket stopped on
-a NaN or -inf slope, or at its cap still descending, or a nonconvex ray's
-root lies above m(s)) the solve ends on ``PROGRESS_FLOOR``.
+with slope'(0) in closed form from the coefficients and the pass over s (on
+a carried |s|^2 from it and s . d, in floats), and takes t_N as the step
+when that slope is at most 1e-12 of the initial slope's size, on either
+side of the root: the relative end test of the bracket search below (its
+absolute ``ftol``, which any point meets where the initial slope is tiny,
+would take points that are not roots).  When t_N lies past the root but not
+past the bracket start, regula falsi refines the root on [0, t_N].  On the
+pendulum runs t_N is the step on 79 % of the rays in l^1.5 and l^3 and 73 %
+in l^2, and on 25 % of the built-in suite's.  Otherwise (t_N short of the
+root or past the bracket start, or slope'(0) not finite and positive, as at
+a zero coordinate of s below r = 2, where no power that would overflow is
+formed) at every other p and on every nonconvex ray, one search
+(``_first_root``) from its bracket start finds the root.  Only p = 2 tries
+t_N: on the order-3 double wells of the benchmark's random starts t_N met
+the end test on none of 2,992 convex rays, so there it would cost a pass
+per ray.  The search's bracket [0, t] starts at the lesser of two scales:
+the Taylor scale t_T, the least ``(-c_1 / (j c_j))^(1/(j-1))`` over the
+coefficients c_j > 0 beyond a descending linear one c_1 < 0, past which
+that one term's slope alone cancels c_1, and the scale at which the
+regularizer alone overtakes the initial slope.  The bracket doubles until
+the slope turns positive or +inf, up to a cap of 2^100 times its start
+(1e30 for a start below about 0.79); an end whose slope is at most 1e-12 of
+the initial slope's size is the root, else regula falsi (``_refine_root``,
+which bisects while that slope is infinite) refines it until the slope is
+small or the bracket is narrower than 1e-15 of its upper end, a relative
+exit that resolves roots far below 1 too.  ``psi.psi_minimize`` runs on the
+same search.  A nonconvex ray (some j c_j < 0 past the linear one) takes it
+too, from the same start: the step has only to be a local minimizer below
+m(s) (bracket, then refine: Nocedal and Wright, Numerical Optimization, 2nd
+ed., section 3.5), and refinement keeps the slope negative at the lower end
+of the bracket and positive at the upper, so it ends on a sign change from
+negative to positive, a local minimizer, though a deeper one can lie
+elsewhere on the ray.  A ray is measured from m(s), so it reads the drop
+``m(s - t d) - m(s)``: the Taylor part models f(x + s) - f(x), so no drop
+carries the size of f, and the solve keeps none of them (from m(0) = 0 they
+add up to m(s)).  The root is taken if its drop is finite and negative;
+else (say the bracket stopped on a NaN or -inf slope, or at its cap still
+descending, or a nonconvex ray's root lies above m(s)) the solve ends on
+``PROGRESS_FLOOR``.
 """
 
 from __future__ import annotations
@@ -209,13 +211,6 @@ def _r2_slope(dcoeffs: list, qa: float, qb: float, reg_d: float, e: float):
         return poly + reg_d * qe * (t - qb)
 
     return slope
-
-
-def _l2_point(anchor, direction, t: float):
-    """``(w, |w|_2, du)`` at ``w = anchor - t direction``, du its duality
-    vector: the point of an r = 2 ray that carries no sum of squares."""
-    w = anchor - t * direction
-    return (w, *_lr(w, 2.0))
 
 
 def _lr_ray(dcoeffs: list, anchor, direction, r: float, e: float, reg_d: float, nw: float,
@@ -348,9 +343,12 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
     """A local minimizer tau > 0 of the drop ``m(s - tau d) - m(s)`` along
     the ray, for a model of weight sigma with ``gamma_e1 = Gamma(e + 1)``
     and regularizer ``reg_v |w|^e`` of slope weight ``reg_d``: ``coeffs``
-    (Python floats) is the drop's Taylor part as a polynomial in t, ``(nw,
-    du) = _lr(s, r)`` the pass over s, and ``qa = np.vdot(s, s)`` where an
-    r = 2 solve carries it (else None, and the point makes an l^r pass).
+    (Python floats) is the drop's Taylor part as a polynomial in t and
+    ``(nw, du) = _lr(s, r)`` the pass over s.  ``qa`` picks the ray kind:
+    ``qa = np.vdot(s, s)``, which an r = 2, p = 2 solve carries, gives the
+    r = 2 ray on that sum (``_r2_slope`` and ``_sumsq_point``, which make
+    no l^r pass inside ``_lr``'s unscaled window), and None, at every r,
+    the l^r ray (``_lr_ray``), which makes one per new point.
 
     Returns ``(tau, drop, w, |w|_r, carry)`` with ``w = s - tau d`` and
     carry its sum of squares when ``qa`` is given, else its duality vector,
@@ -387,15 +385,11 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
                     t_taylor = t_j
         elif jc < 0.0:
             convex = False
-    # at r = 2 the slope makes no pass, nor the point where qa is carried
+    # on a carried |s|^2 (r = 2, p = 2) neither the slope nor the point makes a pass
     if qa is not None:
         point = _sumsq_point
         qb = float(np.vdot(s, d))
         slope = _r2_slope(dcoeffs, qa, qb, reg_d, e)
-    elif r == 2.0:
-        point = _l2_point
-        qb = float(np.vdot(s, d))
-        slope = _r2_slope(dcoeffs, float(np.vdot(s, s)), qb, reg_d, e)
     else:  # a pass per new point, the last one remembered
         g = float(du.dot(d))
         slope, point = _lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du, g)
@@ -422,13 +416,13 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
         # p = 2 (j is the degree) and a convex ray: first the Newton point
         # descent / slope'(0), where slope'(0) is 2 c_2 plus the
         # regularizer's curvature along d at s, reg_d |s|^(e-2) ((e-1) g^2 +
-        # (r-1) (sum_i |du_i|^((r-2)/(r-1)) d_i^2 - g^2)) with g = du . d, at
-        # r = 2 reg_d |s|^(e-2) (1 + (e-2) g^2) with g = qb / |s|, and 0 at
-        # s = 0 (e > 2)
+        # (r-1) (sum_i |du_i|^((r-2)/(r-1)) d_i^2 - g^2)) with g = du . d
+        # (on a carried |s|^2, reg_d |s|^(e-2) (1 + (e-2) g^2) with g = qb /
+        # |s|), and 0 at s = 0 (e > 2)
         curv = dcoeffs[1]
         if nw > 0.0:
             pw = nw ** (e - 2.0)  # e - 2 is beta, in (0, 1]: no overflow
-            if r == 2.0:
+            if qa is not None:
                 g = qb / nw
                 curv += reg_d * pw * (1.0 + (e - 2.0) * g * g)
             else:
@@ -436,7 +430,7 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
                 a = np.abs(du)
                 # below r = 2 a zero (or tiny) |du_i| makes the curvature
                 # infinite: no power is formed that would overflow
-                if x > 0.0 or np.minimum.reduce(a) > 2.0 ** (1000.0 / x):
+                if x >= 0.0 or np.minimum.reduce(a) > 2.0 ** (1000.0 / x):
                     a **= x
                     a *= d
                     sq = float(a.dot(d))

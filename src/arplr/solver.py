@@ -208,6 +208,10 @@ class RunRecord:
     def successes(self) -> int:
         return int(np.count_nonzero(self.records.rows["successful"]))
 
+    def trial_norms(self) -> list:
+        """|x_k| + |s_k| of every record, from two columns, no record built."""
+        return (self.records.rows["iterate_norm"] + self.records.rows["step_norm"]).tolist()
+
     @property
     def total_iterations(self) -> int:
         return len(self.records)

@@ -88,16 +88,15 @@ def ray_functions(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: f
                   nw: float, du, qa: float | None = None):
     """``(slope, value, point)`` of the ray ``s - t d`` whose Taylor part has
     the coefficients ``coeffs``, built as ``inner._line_search`` builds its
-    slope and point from the pass ``(nw, du) = _lr(s, r)`` (at r = 2 the
-    slope is ``_r2_slope``'s, with ``qa = |s|^2`` or ``np.vdot(s, s)``, and
-    the point ``_sumsq_point`` when ``qa`` is given, else ``_l2_point``;
-    otherwise both are ``_lr_ray``'s), with the value ``horner(coeffs, t) +
-    reg_v |w|^e`` of the point's norm, as the line search forms its drop."""
+    slope and point from the pass ``(nw, du) = _lr(s, r)``: where an r = 2
+    ray carries ``qa = |s|^2`` the slope is ``_r2_slope``'s and the point
+    ``_sumsq_point``, else both are ``_lr_ray``'s; with the value
+    ``horner(coeffs, t) + reg_v |w|^e`` of the point's norm, as the line
+    search forms its drop."""
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-    if r == 2.0:
-        qs = float(np.vdot(s, s)) if qa is None else qa
-        slope = inner._r2_slope(dcoeffs, qs, float(np.vdot(s, d)), reg_d, e)
-        point = inner._l2_point if qa is None else inner._sumsq_point
+    if qa is not None:
+        slope = inner._r2_slope(dcoeffs, qa, float(np.vdot(s, d)), reg_d, e)
+        point = inner._sumsq_point
     else:
         slope, point = inner._lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du, float(du.dot(d)))
 

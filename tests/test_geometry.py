@@ -248,9 +248,10 @@ _bounded = settings(max_examples=150, derandomize=True, deadline=None)
 
 
 def _scaled(u, k):
-    # a vector with largest entry 10^k in magnitude
+    # a vector with largest entry 10^k in magnitude: u is divided by its
+    # peak first, since 10^k u can underflow to 0 for a tiny u
     u = np.asarray(u)
-    return 10.0 ** k * u / np.abs(u).max()
+    return u / np.abs(u).max() * 10.0 ** k
 
 
 @_bounded
@@ -268,6 +269,7 @@ def test_duality_map_identities_at_any_magnitude(r, p, k, u):
 @_bounded
 @given(r=_exponents, k=_magnitudes, u=_shapes)
 @example(r=1.5, k=-120, u=[1.0, 1.0, 1.0])
+@example(r=2.0, k=-87, u=[3.3700742418720415e-238])
 def test_dual_direction_identities_at_any_magnitude(r, k, u):
     g = _scaled(u, k)
     sp = NormedSpace(len(g), r)

@@ -1,6 +1,6 @@
 import os
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,10 @@ from arplr.harness import (
     run_epsilon_sweep,
     run_mesh_sweep,
     run_single,
+    trajectory_holder_constant,
 )
 from arplr.inner import Termination
-from arplr.solver import IterationRecord, SolveStatus, Violation
+from arplr.solver import IterationRecord, SolveStatus, Violation, solve
 
 
 def _field_type(cls, name):
@@ -76,6 +77,23 @@ def test_stationary_start_yields_empty_record():
     assert run.total_iterations == 0
     assert run.status is SolveStatus.CONVERGED
     assert violations == []
+
+
+def test_trajectory_radius_is_the_largest_recorded_iterate_plus_step():
+    # the radius that trajectory_holder_constant hands the oracle (times
+    # 1.01) is max(|x0|, |x_k| + |s_k|) over every record, rejected ones too
+    class Radius:
+        def holder_constant(self, space, p, radius):
+            return radius
+
+    problem, space, x0, outer = ExperimentConfig(problem="double_well", p=3, epsilon=1e-5).build()
+    run = solve(problem, x0, outer, space)
+    assert run.successes < run.total_iterations
+    radius = max([space.norm(x0)] + [rec.iterate_norm + rec.step_norm for rec in run.records])
+    assert radius > space.norm(x0)
+    assert trajectory_holder_constant(Radius(), space, 3, x0, run) == 1.01 * radius
+    empty = replace(run, records=())
+    assert trajectory_holder_constant(Radius(), space, 3, x0, empty) == 1.01 * space.norm(x0)
 
 
 def test_identical_seeds_produce_identical_files(tmp_path):

@@ -170,13 +170,15 @@ def test_overflowing_model_gradient_ends_on_the_progress_floor():
 def _ray(coeffs, anchor, d, r, e, sigma):
     # the arguments of _line_search but sigma and Gamma(e + 1) for the ray
     # anchor - t d of an l^r model of weight sigma, as minimize_model builds
-    # it: the regularizer weights it derives from sigma and e, and measured
-    # from m(s), so the constant coefficient less the regularizer's share at
-    # the anchor (0 at a zero anchor)
+    # it: the regularizer weights it derives from sigma and e, measured from
+    # m(s), so the constant coefficient less the regularizer's share at the
+    # anchor (0 at a zero anchor), and on the carried |s|^2 of an r = 2 ray
+    # of degree 2 (p = 2)
     reg_v, reg_d = sigma / math.gamma(e + 1.0), sigma / math.gamma(e)
     nw, du = _lr(anchor, r)
     coeffs = [coeffs[0] - reg_v * _pow(nw, e), *coeffs[1:]]
-    return coeffs, anchor, d, r, e, reg_v, reg_d, nw, du, None
+    qa = float(np.vdot(anchor, anchor)) if r == 2.0 and len(coeffs) == 3 else None
+    return coeffs, anchor, d, r, e, reg_v, reg_d, nw, du, qa
 
 
 def _scalar_ray(coeffs, anchor, e, sigma, r=2.0):
@@ -383,7 +385,8 @@ def test_convex_ray_with_an_overflowing_scale_and_a_descending_taylor_scale_is_s
     # m(t) = -t + t^2 / 2 + sigma |(2 - t, 0)|^2.5 / Gamma(3.5) on an l^2 ray
     # from (2, 0): the regularizer scale overflows, and at the Taylor scale
     # t_T = 1 the regularizer still pulls the slope below 0, so the bracket
-    # doubles from t_T; regula falsi on [0, 2] lands on the minimizer 1
+    # doubles from t_T; regula falsi on [0, 2] lands on the minimizer 1.  The
+    # l^r ray of the same model (no carried |s|^2) takes the same step
     e, sigma = 2.5, 1e-310
     ray = _scalar_ray([0.0, -1.0, 0.5], [2.0, 0.0], e, sigma)
     slope, _, _ = ray_functions(*ray)
@@ -391,13 +394,14 @@ def test_convex_ray_with_an_overflowing_scale_and_a_descending_taylor_scale_is_s
     assert slope(1.0) == pytest.approx(-7.5e-311, rel=1e-2) and slope(1.0) < 0.0
     tau, value = _search(ray, sigma)
     assert tau == 1.0 and value == -0.5
+    assert _search((*ray[:9], None), sigma) == (tau, value)
 
 
 def test_convex_ray_whose_taylor_scale_underflows_searches_from_the_regularizer_scale():
     # c_1 / (2 c_2) = 5e-601 underflows to a Taylor scale of 0, from which
     # doubling never grows; the regularizer, which pulls toward the anchor
     # (1, 0), puts the minimizer at about 3.76e-11, and the search from the
-    # regularizer scale finds it
+    # regularizer scale finds it, on the carried |s|^2 and on the l^r ray
     e, sigma = 2.5, 1e290
     ray = _scalar_ray([0.0, -1e-300, 1e300], [1.0, 0.0], e, sigma)
     slope, val, _ = ray_functions(*ray)
@@ -406,6 +410,7 @@ def test_convex_ray_whose_taylor_scale_underflows_searches_from_the_regularizer_
     assert tau == pytest.approx(sigma / math.gamma(e) / 2e300, rel=1e-9)
     assert abs(slope(tau)) <= 1e-12 * -slope0
     assert value == val(tau) < val(0.0)
+    assert _search((*ray[:9], None), sigma) == (tau, value)
 
 
 def test_r2_ray_keeps_its_regularizer_share_where_the_squared_norm_is_subnormal():
@@ -503,8 +508,9 @@ def _reference_root(slope):
 def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c1, higher, size,
                                                         seed):
     # a convex ray of a 3-d l^r model (c_j >= 0 for j >= 2) from an anchor of
-    # the drawn size along a dual direction, measured from m(s) as
-    # minimize_model measures it.  The step of the search, on each of its
+    # the drawn size along a dual direction, measured from m(s) and of the
+    # kind (at r = 2 and p = 2 on the carried |s|^2) that minimize_model
+    # takes.  The step of the search, on each of its
     # paths (at p = 2 the Newton point or its refinement on [0, t_N], else
     # _first_root's), is recorded where the search reads the ray's point,
     # once, at its step.  It is taken exactly when its value is finite and
@@ -519,6 +525,7 @@ def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c1, h
     anchor = size * rng.standard_normal(3)
     e = p + beta
     ray = _ray([0.0, -c1, *higher[:p - 1]], anchor, d, r, e, sigma)
+    carried = ray[9] is not None
     slope, val, _ = ray_functions(*ray)
     slope0, v0 = slope(0.0), val(0.0)
     assume(-math.inf < slope0 < 0.0 and math.isfinite(v0))
@@ -544,7 +551,7 @@ def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c1, h
 
     ray_closures = inner._lr_ray
     with mock.patch("arplr.inner._lr_ray", recorded_ray), \
-            mock.patch("arplr.inner._l2_point", recording(inner._l2_point)), \
+            mock.patch("arplr.inner._sumsq_point", recording(inner._sumsq_point)), \
             mock.patch("arplr.inner._first_root", recorded(_first_root)), \
             mock.patch("arplr.inner._refine_root", recorded(_refine_root)):
         found = _search(ray, sigma)
@@ -562,11 +569,11 @@ def test_convex_line_search_finds_the_root_brentq_finds(r, p, beta, sigma, c1, h
     root = _reference_root(slope)
     if root is None or root > 1e30 or not -math.inf < val(root) < v0:
         return
-    # where |w|^(e - 1), or at r = 2 the squared norm, is not a normal double,
-    # the slope functions lose the regularizer's share, so their root is not
-    # the convex ray's: a limit of the ray's evaluation, not of the search
+    # where |w|^(e - 1), or on a carried |s|^2 the squared norm, is not a
+    # normal double, the slope loses the regularizer's share, so its root is
+    # not the convex ray's: a limit of the ray's evaluation, not of the search
     nw = space.norm(anchor - root * d)
-    factor = min(nw ** (e - 1.0), nw * nw if r == 2.0 else math.inf)
+    factor = min(nw ** (e - 1.0), nw * nw if carried else math.inf)
     if not sys.float_info.min <= factor < math.inf:
         return
     assert tau is not None
@@ -945,19 +952,33 @@ def _recorded_rays():
     r=st.sampled_from([1.5, 2.0, 3.0]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+@example(p=3, r=2.0, seed=0)
 def test_inner_rays_match_the_model_methods_bit_for_bit(p, r, seed):
     # each ray starts at s along the dual direction of the model gradient
     # there, with the Taylor slope and full-contraction coefficients; p = 2
     # keeps H s up to date instead of contracting the Hessian with s, so its
-    # gradient, direction and slope may differ in the last bits
+    # gradient, direction and slope may differ in the last bits.  Only an
+    # r = 2, p = 2 solve carries |s|^2 and takes the r = 2 ray; at r = 2 and
+    # other p the l^r ray hands back the duality vector the gradient reads
     m = _random_model(p, 0.7, 1.1, 3, r, np.random.default_rng(seed))
-    with _recorded_rays() as rays:
+    passes = set()  # the bytes of every vector an l^r pass is made over
+
+    def counted(a, r):
+        passes.add(a.tobytes())
+        return _lr(a, r)
+
+    with _recorded_rays() as rays, mock.patch("arplr.inner._lr", counted), \
+            mock.patch("arplr.inner._r2_slope", wraps=inner._r2_slope) as r2_slope, \
+            mock.patch("arplr.inner._sumsq_point", wraps=inner._sumsq_point) as sumsq_point:
         res = minimize_model(m, 1e-8, max_iters=100)
     assert len(rays) >= res.iterations >= 1
+    carried = r == 2.0 and p == 2
+    assert r2_slope.called == sumsq_point.called == carried
     for coeffs, s, d, *_ in rays:
         if p > 1:
             assert coeffs[2:] == full_ray_coefficients(m.taylor.tensors[1:], s, d)[2:]
         if p != 2:
+            assert m.gradient(s).tobytes() in passes
             assert d.tobytes() == m.space.dual_direction(m.gradient(s)).tobytes()
             assert coeffs[1] == -float(np.dot(m.taylor.gradient(s), d))
 
@@ -1033,12 +1054,10 @@ def test_remembered_ray_point_gives_the_bits_of_a_fresh_evaluation(r, p, t, zero
         calls.append(r)
         return _lr(a, r)
 
-    # the built ray answers at t = 0 from the anchor's pass alone; at r = 2
-    # the slope makes no pass, and the point, which a search reads once at
-    # its step, keeps no memory
+    # the built ray answers at t = 0 from the anchor's pass alone
     with mock.patch("arplr.inner._lr", counted):
         answers = [slope(0.0), val(0.0)]
-    assert calls == ([2.0] if r == 2.0 else [])
+    assert calls == []
     # then repeated and alternating queries; each answer is checked against
     # a ray built on a fresh pass over anchor - 0 d, the pass that a ray
     # without memory would make at t = 0
@@ -1089,9 +1108,9 @@ def _pendulum_model(r):
     return RegularizedModel(TaylorModel(derivs), 1.0, 1.0, space)
 
 
-def _double_well_model():
-    # the order-3 double well at n = 32 in l^3 from a random start, sigma = 10
-    cfg = ExperimentConfig(problem="double_well", n=32, r=3.0, p=3, x0="random", seed=1)
+def _double_well_model(r):
+    # the order-3 double well at n = 32 in l^r from a random start, sigma = 10
+    cfg = ExperimentConfig(problem="double_well", n=32, r=r, p=3, x0="random", seed=1)
     problem, space, x0, _ = cfg.build()
     derivs = tuple(problem.eval_derivative(x0, l) for l in (1, 2, 3))
     return RegularizedModel(TaylorModel(derivs), 10.0, 1.0, space)
@@ -1099,21 +1118,24 @@ def _double_well_model():
 
 @pytest.mark.parametrize("r, p, grad_tol, budget", [
     (2.0, 2, 1e-6, 21.93), (1.5, 2, 1e-5, 37.45), (3.0, 2, 1e-5, 35.86), (3.0, 3, 1e-6, 86.72),
-], ids=["2.0-1e-06-27.36", "1.5-1e-05-48.09", "3.0-1e-05-45.59", "double_well-r3-p3"])
+    (2.0, 3, 1e-6, 76.24),
+], ids=["2.0-1e-06-27.36", "1.5-1e-05-48.09", "3.0-1e-05-45.59", "double_well-r3-p3",
+        "double_well-r2-p3"])
 def test_inner_iteration_call_budget(r, p, grad_tol, budget):
     # Python-level calls (profile "call" and "c_call" events) per inner
     # iteration of a fixed solve, after a warm-up solve: the banded
     # pendulum model at mesh 32 and p = 2, which ends on the gradient
     # tolerance after 1,316 (r = 2), 2,205 (r = 1.5) and 2,304 (r = 3)
-    # iterations, and the order-3 double well, which ends there after 95.
-    # Each bound is the count plus 0.03: 21.90, 37.42, 35.83 and 86.69 with
-    # one bracket search for every ray and g = du . d formed once per ray,
-    # where a grid scan of the nonconvex rays and a second du . d made
-    # 21.90, 38.42, 36.83 and 96.81, one bracketing at the Taylor scale
-    # 23.80, 44.05 and 42.05, and a second path for p = 2 convex rays and a
-    # ray object for the others 27.33, 48.06, 45.56 and 120.48 (Python 3.11,
-    # NumPy 2.4.6).  The test ids keep the earlier bounds
-    m = _pendulum_model(r) if p == 2 else _double_well_model()
+    # iterations, and the order-3 double well, which ends there after 95
+    # (r = 3) and 34 (r = 2).  Each bound is the count plus 0.03: 21.90,
+    # 37.42, 35.83, 86.69 and 76.21 with one bracket search for every ray
+    # and g = du . d formed once per ray, where a grid scan of the nonconvex
+    # rays and a second du . d made 21.90, 38.42, 36.83 and 96.81, one
+    # bracketing at the Taylor scale 23.80, 44.05 and 42.05, and a second
+    # path for p = 2 convex rays and a ray object for the others 27.33,
+    # 48.06, 45.56 and 120.48 (Python 3.11, NumPy 2.4.6).  The test ids keep
+    # the earlier bounds
+    m = _pendulum_model(r) if p == 2 else _double_well_model(r)
     minimize_model(m, grad_tol)
     events = 0
 
@@ -1129,7 +1151,8 @@ def test_inner_iteration_call_budget(r, p, grad_tol, budget):
     finally:
         sys.setprofile(previous)
     assert res.termination is Termination.GRADIENT_BELOW_TOL
-    assert res.iterations == {(2.0, 2): 1316, (1.5, 2): 2205, (3.0, 2): 2304, (3.0, 3): 95}[r, p]
+    assert res.iterations == {(2.0, 2): 1316, (1.5, 2): 2205, (3.0, 2): 2304, (3.0, 3): 95,
+                              (2.0, 3): 34}[r, p]
     assert events / res.iterations <= budget
 
 

@@ -7,44 +7,11 @@ bit.  The runs: the built-in suite without Rosenbrock and two accuracy
 sweeps, with the seed code's counters; the double well n = 96, p = 3 from
 random starts; Rosenbrock, p = 3; the pendulum at mesh 32 in l^1.5 and l^3
 from sine waves and in l^2 at 1e-4, and at mesh 128 in l^1.5 (the record
-that CI's ``arplr run --n 128 --r 1.5`` writes); and six runs whose records
-``test_cli_writes_the_pinned_record`` also writes through ``arplr run``.  A
-change that moves bits on purpose pastes in the entry its failure prints.
-Sending every convex line search through one root search, which takes a
-bracket end whose slope is at most 1e-12 of the initial slope's size, moved
-three l^1.5 entries, and sending every grid scan through the row-wise l^r
-pass moved the three r = 2, p = 3 ones: four only in the digest,
-``rosenbrock-r2-p3`` and ``pendulum32-r1.5-a1.3`` also in the last digits
-of ``f_final``; no counter moved.  Taking the r = 2 root with a correctly
-rounded square root, where ``** 0.5`` rounded a few sums differently,
-moved ``pendulum32-r2-p2`` and ``pendulum32-r2-eps1e-4`` in the digest and
-``rosenbrock-r2-p3`` also in the last digits of ``f_final``; no counter
-moved.  Recording the model decrease as -T_k(s_k) from the Taylor terms
-alone, where f(x_k) - (f(x_k) + T_k(s_k)) rounded at the spacing of
-doubles near f(x_k), moved every entry but the six p = 1 Hoelder runs in
-the digest only, whose records' ``model_decrease`` and ``rho`` columns
-changed in the last bits; no counter and no ``f_final`` moved.  Carrying
-the sum of squares of an r = 2, p = 2 inner step, whose norm is then the
-square root of the BLAS sum, moved ``ci-pendulum16-r2`` in the digest only:
-from its third record on the step, iterate, dual gradient norm, model
-decrease and rho columns changed in the last bits; no counter and no
-``f_final`` moved.  Taking a p = 2 convex ray's Newton point as its step
-where its slope is at most 1e-12 of the initial slope's size, or refining
-the root below it, moved every p = 2 entry but ``double_well-n4-r2-p2`` and
-the ``double_well-eps`` sweep: each step is still a root of the ray's slope
-within the tolerance, at another point of it.  Two counters moved,
-``pendulum32-r3-a1.3`` from 2,304 to 2,306 inner iterations and
-``pendulum128-r1.5`` from 34,105 to 34,319; ``f_final`` moved in the last
-digits in those two, ``quadratic-n6-r2-p2``, ``pendulum32-r3-a2.7`` and
-``ci-pendulum16-r3``, and the others in the digest only.  Sending every
-ray, convex or not, through that one bracket search from the lesser of its
-Taylor and regularizer scales, in place of a grid scan of a nonconvex ray's
-slope, moved the p = 3 entries: ``dw96-r1.5-p3-seed1``,
-``dw96-r1.5-p3-seed2`` and ``rosenbrock-r2-p3`` in their counters and
-``f_final``, the two ``dw96-r3`` entries, ``double_well-n4-r2-p3`` and the
-three ``ci-double_well8`` entries in the digest only.  Each step is still a
-root of the ray's slope whose drop is finite and negative, at another root
-or another point of it within the tolerance.
+that ``arplr run --n 128 --r 1.5`` writes); and six runs whose records
+``test_cli_writes_the_pinned_record`` also writes through ``arplr run``.
+A change that moves bits on purpose pastes in the entry its failure prints
+(a ``ci-`` entry's digest is also that record's) and says in CHANGES.md
+which entries moved, from what, and why.
 """
 
 import hashlib
@@ -76,7 +43,7 @@ _RUNS = [
      "31ea3802338638176074d47d7d895c92a9bdece9b9dfc4d9a848febc701e4ed7"),
     ("double_well-n4-r2-p3", dict(problem="double_well", r=2.0, p=3, epsilon=1e-5),
      (5, 4, 5, 6, 5), "-1.0",
-     "ebfc9049030b883667940e9e26a0b1b6ff65c12a2a7d8340546186ca459181c0"),
+     "738349ef763499e39cfd24f0d34d5adc52a08e5a44ed8f688e66125478aad098"),
     ("holder0.5-n4-p1", dict(problem="holder", p=1, beta=0.5, epsilon=1e-5),
      (16, 16, 16, 17, 17), "3.1577257333911167e-16",
      "2c8a6ec8a7cc505e56fb01bd431127244e4eab3552a9d9c556d24a42c84b3faa"),
@@ -123,8 +90,8 @@ _RUNS = [
      (13, 11, 35, 14, 12), "-23.9999999999976",
      "f8893b524e2c39fecd64fbf69374943a5944be8a7319777bf07f39c6cf790f4c"),
     ("rosenbrock-r2-p3", dict(problem="rosenbrock", r=2.0, p=3, epsilon=1e-5),
-     (41, 18, 6961, 42, 19), "5.323737168257649e-11",
-     "d748e1d310e0e5e2764dae11ec2f87865c55f0022582051cda899f2524599ea6"),
+     (41, 18, 6961, 42, 19), "5.323737193415664e-11",
+     "60773cd6521d51af9260aecabcb202df171b0ed993c297f3a800ccedd72625bb"),
     ("pendulum32-r1.5-a1.3", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(1.3)),
      (11, 11, 3116, 12, 12), "1.000000000442719",
      "c033b0ed7aec594c384a3d1f4dcd0211ab590237d244d43ab800c694d0ec84a5"),
@@ -158,7 +125,7 @@ _RUNS = [
      "7465f9d79a95314434778d9efd1f302a7e8b5bd76f231c664c9bbcdcce6d6c20"),
     ("ci-double_well8-r2-p3", dict(problem="double_well", n=8, r=2.0, p=3, x0="random", seed=3),
      (8, 6, 9, 9, 7), "-2.0",
-     "3017957ef261e72af86dfff1b74c59c134bc1ad7867c2b6eb2df76c453d64188"),
+     "8661531f3d990e333ebac4b4544905da7f661ac2c2aebf4b24e1025e274e3ba0"),
     ("ci-double_well8-r3-p3", dict(problem="double_well", n=8, r=3.0, p=3, x0="random", seed=3),
      (9, 6, 15, 10, 7), "-1.999999999997165",
      "cd9fa2574968866fa4c29e3e6fd89ff019ed46564cf7bb822b5085736e867e8a"),
