@@ -8,10 +8,11 @@ stops once the dual gradient norm falls below ``max(grad_tol, theta
 |s|^(p+beta-1))`` (the step-power branch is only armed once s is nonzero,
 since at s = 0 it could never fire before the absolute branch).
 
-Two ray kinds.  A ray is an r = 2 ray on a carried |s|^2 exactly when
-``minimize_model`` carries it, at r = 2 and p = 2; every other ray, r = 2
-at other p included, is the l^r ray (``_lr_ray``), whose points hand back
-the duality vector of s that the model gradient reads.
+Two ray kinds, picked by what s carries: |s|^2, a Python float, at r = 2
+and p >= 2, which gives r = 2 rays on that sum, else the duality vector of
+s, which gives l^r rays (``_lr_ray``).  Not at p = 1: the regularizer
+gradient ``s reg_d |s|^(e-2)`` that |s|^2 gives needs e - 2 = p + beta - 2
+>= 0, and at p = 1, beta < 1 it raises at s = 0.
 
 Cost of one iteration.  An l^r pass (``geometry._lr``) returns a vector's
 norm and its duality vector; at r = 2 over a vector whose sum of squares
@@ -56,16 +57,15 @@ so each shortcut below pays by the calls or the passes it saves:
 So an iteration with a convex ray makes 1 pass on a carried |s|^2 (and 3
 per solve: s = 0, the last gradient, the returned step) and 2.2 to 2.7 on
 the l^r pendulum runs (2.23 at mesh 128 in l^1.5 and l^3), and
-``test_inner_iteration_call_budget`` bounds the Python calls per iteration:
-21.90 on the pendulum model at mesh 32 in l^2, 37.42 and 35.83 in l^1.5
-and l^3, and 86.69 and 76.21 on an order-3 double well in l^3 and l^2.  A
-ray that is not convex takes the same search, so no iteration makes an
+``test_inner_iteration_call_budget`` bounds the Python calls per iteration.
+A ray that is not convex takes the same search, so no iteration makes an
 array larger than a vector.
 
 The gradient and direction have the bits of ``RegularizedModel.gradient``
-and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s and on
-a carried |s|^2 forms the regularizer's share from s), the coefficients
-those of full contractions and the step norm that of ``NormedSpace.norm``:
+and ``NormedSpace.dual_direction`` (but for p = 2, which updates H s, and
+on a carried |s|^2, which forms the regularizer's share from s), the
+coefficients those of full contractions and the step norm that of
+``NormedSpace.norm``:
 ``test_reported_dual_norm_is_the_model_gradient_dual_norm``,
 ``test_inner_rays_match_the_model_methods_bit_for_bit``,
 ``test_ray_share_matches_full_contractions`` and
@@ -339,30 +339,30 @@ def _first_root(slope, start: float, slope0: float, ftol: float):
 
 
 def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: float,
-                 nw: float, du, qa: float | None, sigma: float, gamma_e1: float):
+                 nw: float, carry, sigma: float, gamma_e1: float):
     """A local minimizer tau > 0 of the drop ``m(s - tau d) - m(s)`` along
     the ray, for a model of weight sigma with ``gamma_e1 = Gamma(e + 1)``
     and regularizer ``reg_v |w|^e`` of slope weight ``reg_d``: ``coeffs``
     (Python floats) is the drop's Taylor part as a polynomial in t and
-    ``(nw, du) = _lr(s, r)`` the pass over s.  ``qa`` picks the ray kind:
-    ``qa = np.vdot(s, s)``, which an r = 2, p = 2 solve carries, gives the
+    ``nw = |s|_r``.  The carry of s, which the last call returned for its w,
+    picks the ray kind: a Python float is ``|s|^2`` at r = 2 and gives the
     r = 2 ray on that sum (``_r2_slope`` and ``_sumsq_point``, which make
-    no l^r pass inside ``_lr``'s unscaled window), and None, at every r,
-    the l^r ray (``_lr_ray``), which makes one per new point.
+    no l^r pass inside ``_lr``'s unscaled window, and the closed-form Newton
+    curvature), and an array is the duality vector of ``_lr(s, r)`` and
+    gives the l^r ray (``_lr_ray``), which makes one pass per new point.
 
     Returns ``(tau, drop, w, |w|_r, carry)`` with ``w = s - tau d`` and
-    carry its sum of squares when ``qa`` is given, else its duality vector,
-    if the drop is finite and negative, else None (the slope at tau = 0 is
-    minus the dual gradient norm, so a decrease exists in exact
-    arithmetic).  tau is a root of the ray's slope as ``_refine_root``
-    leaves it (|slope| <= ftol, or a sign change within 1e-15 tau): on a
-    convex p = 2 ray the Newton point t_N itself where its slope is at most
-    1e-12 |slope(0)|, or refined on [0, t_N] where t_N lies past the root
-    and not past the bracket start; else, on every ray, the root that
-    ``_first_root`` finds from that start, on a convex ray the unique one.
-    The search has no start only when neither the Taylor nor the
-    regularizer scale is finite.  The drop is formed once, at tau, by the
-    recurrence of numpy's ``polyval``, inlined.
+    carry w's of the same kind, if the drop is finite and negative, else
+    None (the slope at tau = 0 is minus the dual gradient norm, so a
+    decrease exists in exact arithmetic).  tau is a root of the ray's slope
+    as ``_refine_root`` leaves it (|slope| <= ftol, or a sign change within
+    1e-15 tau): on a convex p = 2 ray the Newton point t_N itself where its
+    slope is at most 1e-12 |slope(0)|, or refined on [0, t_N] where t_N
+    lies past the root and not past the bracket start; else, on every ray,
+    the root that ``_first_root`` finds from that start, on a convex ray the
+    unique one.  The search has no start only when neither the Taylor nor
+    the regularizer scale is finite.  The drop is formed once, at tau, by
+    the recurrence of numpy's ``polyval``, inlined.
     """
     # one pass over the coefficients: the slope coefficients j c_j (a float
     # counter gives the bits of j * coeffs[j]), convexity (no j c_j past the
@@ -385,14 +385,15 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
                     t_taylor = t_j
         elif jc < 0.0:
             convex = False
-    # on a carried |s|^2 (r = 2, p = 2) neither the slope nor the point makes a pass
-    if qa is not None:
+    # on a carried |s|^2 neither the slope nor the point makes a pass
+    sumsq = type(carry) is float  # unlike isinstance, makes no Python call
+    if sumsq:
         point = _sumsq_point
         qb = float(np.vdot(s, d))
-        slope = _r2_slope(dcoeffs, qa, qb, reg_d, e)
+        slope = _r2_slope(dcoeffs, carry, qb, reg_d, e)
     else:  # a pass per new point, the last one remembered
-        g = float(du.dot(d))
-        slope, point = _lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du, g)
+        g = float(carry.dot(d))
+        slope, point = _lr_ray(dcoeffs, s, d, r, e, reg_d, nw, carry, g)
     slope0 = slope(0.0)
     # the search starts at the scale where the regularizer alone overtakes
     # the initial slope, floored at 1e-12, or at the Taylor scale if that is
@@ -422,12 +423,12 @@ def _line_search(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: fl
         curv = dcoeffs[1]
         if nw > 0.0:
             pw = nw ** (e - 2.0)  # e - 2 is beta, in (0, 1]: no overflow
-            if qa is not None:
+            if sumsq:
                 g = qb / nw
                 curv += reg_d * pw * (1.0 + (e - 2.0) * g * g)
             else:
                 x = (r - 2.0) / (r - 1.0)
-                a = np.abs(du)
+                a = np.abs(carry)
                 # below r = 2 a zero (or tiny) |du_i| makes the curvature
                 # infinite: no power is formed that would overflow
                 if x >= 0.0 or np.minimum.reduce(a) > 2.0 ** (1000.0 / x):
@@ -466,12 +467,14 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
     |s|^(p+beta-1))``, the theta branch armed only when theta is given and
     s is nonzero, or after ``max_iters`` iterations, by default
     ``default_max_iters(n, p, grad_tol)``.  It carries only the step, its
-    norm, its pass and at p = 2 H s from one iteration to the next, so its
-    memory does not depend on its iteration count.
+    norm, its carry (|s|^2 at r = 2 and p >= 2, else the duality vector of
+    s) and at p = 2 H s from one iteration to the next, so its memory does
+    not depend on its iteration count.
     """
     if not model.sigma > 0.0:
         raise ValueError("model must have a positive regularization weight")
-    guard = default_max_iters(model.space.n, model.p, grad_tol)  # checks grad_tol
+    p = model.p
+    guard = default_max_iters(model.space.n, p, grad_tol)  # checks grad_tol
     if theta is not None and not theta > 0.0:
         raise ValueError("step-power coefficient theta must be positive")
     if max_iters is None:
@@ -490,17 +493,17 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
     # for order-2 models the step is rank-one along d, so the Hessian
     # product with s can be maintained incrementally (one product per
     # iteration) with periodic exact refreshes against rounding drift
-    quadratic = model.p == 2
+    quadratic = p == 2
     higher = model.taylor.tensors[1:]
     pad = [0.0] * len(higher)  # ray coefficients 2..p start at zero
     if quadratic:
         grad0 = model.taylor.tensors[0].entries
         hessian = higher[0]
         hessian_s = np.zeros(space.n)
-    # at r = 2 a p = 2 solve carries sq = |s|^2 and no duality vector of s
-    sumsq = quadratic and r == 2.0
-    sq = 0.0 if sumsq else None
-    step_norm, du_s = _lr(s, r)
+    # the carry of s (see "Two ray kinds"): |s|^2 at r = 2 and p >= 2
+    sumsq = r == 2.0 and p >= 2
+    step_norm, du = _lr(s, r)
+    carry = 0.0 if sumsq else du
     while True:
         if quadratic:
             taylor_grad = grad0 + hessian_s
@@ -513,7 +516,7 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
         if sumsq:  # (s / |s|) |s|^(e-1) reg_d as s (reg_d |s|^(e-2))
             grad = s * (reg_d * _pow(step_norm, e - 2.0))
         else:
-            grad = du_s * pw
+            grad = carry * pw
             grad *= reg_d
         grad += taylor_grad
         # its dual norm and NormedSpace.dual_direction of it
@@ -544,18 +547,13 @@ def minimize_model(model: RegularizedModel, grad_tol: float, theta: float | None
             for tensor in higher:
                 lead = tensor.contract([d] * (tensor.order - 1))
                 _add_ray_share(coeffs, tensor, lead, s, d)
-        found = _line_search(coeffs, s, d, r, e, reg_v, reg_d, step_norm, du_s, sq,
-                             model.sigma, gamma_e1)
+        found = _line_search(coeffs, s, d, r, e, reg_v, reg_d, step_norm, carry, model.sigma,
+                             gamma_e1)
         if found is None:
             term = Termination.PROGRESS_FLOOR
             break
-        # s - tau d and its l^r pass (at r = 2, p = 2 its sum of squares),
-        # the pass that the line search made at tau
+        # s - tau d, its norm and its carry, from the line search's point at tau
         tau, _, s, step_norm, carry = found
-        if sumsq:
-            sq = carry
-        else:
-            du_s = carry
         iters += 1
         if quadratic:
             hessian_s -= tau * lead  # H d at p = 2

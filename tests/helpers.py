@@ -85,20 +85,22 @@ def horner(coeffs, t):
 
 
 def ray_functions(coeffs: list, s, d, r: float, e: float, reg_v: float, reg_d: float,
-                  nw: float, du, qa: float | None = None):
+                  nw: float, carry):
     """``(slope, value, point)`` of the ray ``s - t d`` whose Taylor part has
     the coefficients ``coeffs``, built as ``inner._line_search`` builds its
-    slope and point from the pass ``(nw, du) = _lr(s, r)``: where an r = 2
-    ray carries ``qa = |s|^2`` the slope is ``_r2_slope``'s and the point
-    ``_sumsq_point``, else both are ``_lr_ray``'s; with the value
-    ``horner(coeffs, t) + reg_v |w|^e`` of the point's norm, as the line
-    search forms its drop."""
+    slope and point from the norm ``nw = |s|_r`` and the carry of s: where
+    the carry is the float ``|s|^2`` (at r = 2, which an order p >= 2 solve
+    carries) the slope is ``_r2_slope``'s and the point ``_sumsq_point``,
+    and where it is the duality vector of ``_lr(s, r)`` both are
+    ``_lr_ray``'s; with the value ``horner(coeffs, t) + reg_v |w|^e`` of the
+    point's norm, as the line search forms its drop."""
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-    if qa is not None:
-        slope = inner._r2_slope(dcoeffs, qa, float(np.vdot(s, d)), reg_d, e)
+    if isinstance(carry, float):
+        slope = inner._r2_slope(dcoeffs, carry, float(np.vdot(s, d)), reg_d, e)
         point = inner._sumsq_point
     else:
-        slope, point = inner._lr_ray(dcoeffs, s, d, r, e, reg_d, nw, du, float(du.dot(d)))
+        slope, point = inner._lr_ray(dcoeffs, s, d, r, e, reg_d, nw, carry,
+                                     float(carry.dot(d)))
 
     def value(t: float) -> float:
         return horner(coeffs, t) + reg_v * _pow(point(s, d, t)[1], e)

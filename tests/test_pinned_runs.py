@@ -43,7 +43,7 @@ _RUNS = [
      "31ea3802338638176074d47d7d895c92a9bdece9b9dfc4d9a848febc701e4ed7"),
     ("double_well-n4-r2-p3", dict(problem="double_well", r=2.0, p=3, epsilon=1e-5),
      (5, 4, 5, 6, 5), "-1.0",
-     "738349ef763499e39cfd24f0d34d5adc52a08e5a44ed8f688e66125478aad098"),
+     "ebfc9049030b883667940e9e26a0b1b6ff65c12a2a7d8340546186ca459181c0"),
     ("holder0.5-n4-p1", dict(problem="holder", p=1, beta=0.5, epsilon=1e-5),
      (16, 16, 16, 17, 17), "3.1577257333911167e-16",
      "2c8a6ec8a7cc505e56fb01bd431127244e4eab3552a9d9c556d24a42c84b3faa"),
@@ -90,8 +90,8 @@ _RUNS = [
      (13, 11, 35, 14, 12), "-23.9999999999976",
      "f8893b524e2c39fecd64fbf69374943a5944be8a7319777bf07f39c6cf790f4c"),
     ("rosenbrock-r2-p3", dict(problem="rosenbrock", r=2.0, p=3, epsilon=1e-5),
-     (41, 18, 6961, 42, 19), "5.323737193415664e-11",
-     "60773cd6521d51af9260aecabcb202df171b0ed993c297f3a800ccedd72625bb"),
+     (41, 18, 6961, 42, 19), "5.32373723071372e-11",
+     "c756875cb961374cdd3758fa2946b2fc5c9afef8420bf21ac2247b0eaf20921d"),
     ("pendulum32-r1.5-a1.3", dict(problem="pendulum", r=1.5, epsilon=1e-4, x0=_sine(1.3)),
      (11, 11, 3116, 12, 12), "1.000000000442719",
      "c033b0ed7aec594c384a3d1f4dcd0211ab590237d244d43ab800c694d0ec84a5"),
@@ -125,7 +125,7 @@ _RUNS = [
      "7465f9d79a95314434778d9efd1f302a7e8b5bd76f231c664c9bbcdcce6d6c20"),
     ("ci-double_well8-r2-p3", dict(problem="double_well", n=8, r=2.0, p=3, x0="random", seed=3),
      (8, 6, 9, 9, 7), "-2.0",
-     "8661531f3d990e333ebac4b4544905da7f661ac2c2aebf4b24e1025e274e3ba0"),
+     "3017957ef261e72af86dfff1b74c59c134bc1ad7867c2b6eb2df76c453d64188"),
     ("ci-double_well8-r3-p3", dict(problem="double_well", n=8, r=3.0, p=3, x0="random", seed=3),
      (9, 6, 15, 10, 7), "-1.999999999997165",
      "cd9fa2574968866fa4c29e3e6fd89ff019ed46564cf7bb822b5085736e867e8a"),
